@@ -120,11 +120,12 @@ struct AllocStats {
   double fresh_per_forward = 0.0;
   double forward_us = 0.0;  ///< mean reused-workspace forward, 64-row batch
   /// NCM serving: heap allocations per Classify with a caller-owned,
-  /// warmed scratch (the EdgeFleet contract: must be exactly 0), with a
-  /// fresh scratch per call for contrast, and through the ANN index.
+  /// warmed scratch (the EdgeFleet contract: must be exactly 0) on the fp32
+  /// and the int8 prototype store, with a fresh scratch per call for
+  /// contrast.
   double ncm_scratch_per_classify = 0.0;
   double ncm_fresh_per_classify = 0.0;
-  double ncm_ann_scratch_per_classify = 0.0;
+  double ncm_int8_scratch_per_classify = 0.0;
 };
 
 void Report(const std::vector<Workload>& workloads, bool deterministic,
@@ -139,8 +140,8 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Field("forward_us_reused_ws", allocs.forward_us)
       .Field("ncm_allocs_per_classify_scratch", allocs.ncm_scratch_per_classify)
       .Field("ncm_allocs_per_classify_fresh", allocs.ncm_fresh_per_classify)
-      .Field("ncm_allocs_per_classify_ann_scratch",
-             allocs.ncm_ann_scratch_per_classify)
+      .Field("ncm_allocs_per_classify_int8_scratch",
+             allocs.ncm_int8_scratch_per_classify)
       .EndObject()
       .Key("workloads")
       .BeginArray();
@@ -287,7 +288,7 @@ int main() {
 
   // --- NCM serving allocations: with a caller-owned warmed scratch the
   // classify steady state must be exactly allocation-free (the contract the
-  // EdgeFleet serve path relies on), exact scan and ANN path alike ---
+  // EdgeFleet serve path relies on), fp32 and int8 store alike ---
   bool ncm_alloc_free = true;
   {
     SetParallelThreads(1);
@@ -322,31 +323,22 @@ int main() {
     allocs.ncm_fresh_per_classify =
         static_cast<double>(HeapAllocations() - before) / kCalls;
 
-    core::AnnOptions ann;
-    ann.enable = true;
-    ann.min_index_size = 1;
-    ann.nlist = 8;
-    ann.nprobe = 4;
-    CheckOk(ncm.EnableAnn(ann), "enable ann");
-    if (!ncm.ann_active()) {
-      std::fprintf(stderr, "NCM ANN index failed to activate\n");
-      std::exit(1);
-    }
-    Unwrap(ncm.Classify(query.data(), dim, &scratch), "warm ann classify");
+    CheckOk(ncm.QuantizePrototypes(), "quantize prototypes");
+    Unwrap(ncm.Classify(query.data(), dim, &scratch), "warm int8 classify");
     before = HeapAllocations();
     for (size_t i = 0; i < kCalls; ++i) {
-      Unwrap(ncm.Classify(query.data(), dim, &scratch), "ann classify");
+      Unwrap(ncm.Classify(query.data(), dim, &scratch), "int8 classify");
     }
-    allocs.ncm_ann_scratch_per_classify =
+    allocs.ncm_int8_scratch_per_classify =
         static_cast<double>(HeapAllocations() - before) / kCalls;
 
     std::printf(
-        "ncm classify allocations: %.3f/call warmed scratch, %.3f/call ann "
+        "ncm classify allocations: %.3f/call warmed scratch, %.3f/call int8 "
         "scratch, %.2f/call fresh scratch\n",
-        allocs.ncm_scratch_per_classify, allocs.ncm_ann_scratch_per_classify,
+        allocs.ncm_scratch_per_classify, allocs.ncm_int8_scratch_per_classify,
         allocs.ncm_fresh_per_classify);
     if (allocs.ncm_scratch_per_classify != 0.0 ||
-        allocs.ncm_ann_scratch_per_classify != 0.0) {
+        allocs.ncm_int8_scratch_per_classify != 0.0) {
       std::fprintf(stderr,
                    "NCM classify with warmed scratch allocated on the "
                    "steady-state path!\n");

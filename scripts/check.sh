@@ -26,16 +26,15 @@ MAGNETO_THREADS=8 MAGNETO_TRACE=1 ./build-tsan/tests/obs_test
 MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
   --gtest_filter='WorkspaceConcurrencyTest.*'
 # The concurrent serving path: AsyncUpdater worker-handle lock order,
-# scratch-free KNN classify, and the EdgeFleet stress tests (closed-loop
-# sessions + open-loop SubmitWindow producers, both with a bundle promotion
-# landing mid-run).
-# The ANN legs: concurrent searches through one shared immutable index with
-# per-thread scratch, concurrent ANN-routed NCM classify, and the
-# thread-count determinism contract of the k-means build — plus (inside the
-# platform_test EdgeFleet* filter) an ANN deployment serving concurrent
-# sessions across a mid-run promotion swap.
+# scratch-free KNN classify, concurrent NCM classify over the shared fp32 and
+# int8 prototype stores with per-thread scratch, and the EdgeFleet stress
+# tests (closed-loop sessions + open-loop SubmitWindow producers, both with a
+# bundle promotion landing mid-run).
+# The KNN ANN legs: concurrent searches through one shared immutable index
+# with per-thread scratch, and the thread-count determinism contract of the
+# k-means build.
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
-  --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:NcmClassifierTest.ConcurrentAnn*'
+  --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:NcmClassifierTest.Concurrent*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
   --gtest_filter='EdgeFleet*'
 # The cloud control plane under TSan: the CloudServer once_flag quantize
@@ -65,6 +64,16 @@ cmake --build build-asan --target common_test core_test platform_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'
 ./build-asan/tests/platform_test \
   --gtest_filter='FaultInjector*:BundleTransport*:ChunkFrame*'
+
+# UBSan pass over the classifier scans and the deserializers they read: the
+# int8 exact-rescale arithmetic, NaN-sanitised sorts, the prototype and
+# support-set readers, and the bundle framing. The build aborts on the first
+# report (-fno-sanitize-recover=all), so any UB fails the leg.
+cmake -B build-ubsan -G Ninja -DMAGNETO_SANITIZE=undefined
+cmake --build build-ubsan --target common_test core_test
+./build-ubsan/tests/core_test \
+  --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*'
+./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*'
 
 # CLI telemetry smoke: every run must leave a parseable metrics snapshot and
 # a trace with events.

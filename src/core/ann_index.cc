@@ -48,9 +48,7 @@ std::vector<uint32_t> KMeans(const Matrix& data, size_t k, size_t iters,
   }
 
   std::vector<uint32_t> assign(n, 0);
-  std::vector<double> sums(k * dim);
-  std::vector<size_t> counts(k);
-  for (size_t iter = 0; iter < iters; ++iter) {
+  const auto assign_all = [&] {
     ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         float best = std::numeric_limits<float>::infinity();
@@ -66,6 +64,11 @@ std::vector<uint32_t> KMeans(const Matrix& data, size_t k, size_t iters,
         assign[i] = best_c;
       }
     });
+  };
+  std::vector<double> sums(k * dim);
+  std::vector<size_t> counts(k);
+  for (size_t iter = 0; iter < iters; ++iter) {
+    assign_all();
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < n; ++i) {
@@ -85,21 +88,7 @@ std::vector<uint32_t> KMeans(const Matrix& data, size_t k, size_t iters,
   }
   // Final assignment against the last centroid update, so the inverted
   // lists match the centroids a query will rank.
-  ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      float best = std::numeric_limits<float>::infinity();
-      uint32_t best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        const float d =
-            Sanitize(SquaredL2(data.RowPtr(i), centroids->RowPtr(c), dim));
-        if (d < best) {
-          best = d;
-          best_c = static_cast<uint32_t>(c);
-        }
-      }
-      assign[i] = best_c;
-    }
-  });
+  assign_all();
   return assign;
 }
 
@@ -142,51 +131,6 @@ Result<AnnIndex> AnnIndex::Build(const Matrix& vectors,
     index.list_ids_[cursor[assign[i]]++] = static_cast<uint32_t>(i);
   }
 
-  if (options.use_pq) {
-    // Residual PQ: quantize x - centroid(x) per subspace. Each subspace
-    // trains its own small k-means over the residual slices, reusing the
-    // deterministic trainer above.
-    index.pq_nsub_ = std::max<size_t>(1, std::min(options.pq_subspaces, dim));
-    index.pq_k_ = std::max<size_t>(1, std::min(options.pq_centroids, n));
-    index.sub_offsets_.resize(index.pq_nsub_ + 1);
-    for (size_t s = 0; s <= index.pq_nsub_; ++s) {
-      index.sub_offsets_[s] = static_cast<uint32_t>(s * dim / index.pq_nsub_);
-    }
-    Matrix residuals(n, dim);
-    ParallelFor(0, n, 256, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const float* x = vectors.RowPtr(i);
-        const float* c = index.centroids_.RowPtr(assign[i]);
-        float* r = residuals.RowPtr(i);
-        for (size_t j = 0; j < dim; ++j) r[j] = x[j] - c[j];
-      }
-    });
-    const size_t max_dsub = dim / index.pq_nsub_ + 1;
-    index.pq_codebooks_ = Matrix(index.pq_nsub_ * index.pq_k_, max_dsub);
-    index.pq_codes_.assign(n * index.pq_nsub_, 0);
-    for (size_t s = 0; s < index.pq_nsub_; ++s) {
-      const size_t off = index.sub_offsets_[s];
-      const size_t dsub = index.sub_offsets_[s + 1] - off;
-      Matrix slice(n, dsub);
-      for (size_t i = 0; i < n; ++i) {
-        std::memcpy(slice.RowPtr(i), residuals.RowPtr(i) + off,
-                    dsub * sizeof(float));
-      }
-      Matrix codebook;
-      std::vector<uint32_t> codes = KMeans(
-          slice, index.pq_k_, options.kmeans_iters, options.seed + 1 + s,
-          &codebook);
-      for (size_t c = 0; c < index.pq_k_; ++c) {
-        std::memcpy(index.pq_codebooks_.RowPtr(s * index.pq_k_ + c),
-                    codebook.RowPtr(c), dsub * sizeof(float));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        index.pq_codes_[i * index.pq_nsub_ + s] =
-            static_cast<uint8_t>(codes[i]);
-      }
-    }
-  }
-
   Metrics().rebuilds->Increment();
   return index;
 }
@@ -194,12 +138,11 @@ Result<AnnIndex> AnnIndex::Build(const Matrix& vectors,
 size_t AnnIndex::MemoryBytes() const {
   return centroids_.size() * sizeof(float) +
          list_offsets_.size() * sizeof(uint32_t) +
-         list_ids_.size() * sizeof(uint32_t) +
-         sub_offsets_.size() * sizeof(uint32_t) +
-         pq_codebooks_.size() * sizeof(float) + pq_codes_.size();
+         list_ids_.size() * sizeof(uint32_t);
 }
 
-size_t AnnIndex::ProbeLists(const float* query, Scratch* scratch) const {
+void AnnIndex::AppendCandidates(const float* query, Scratch* scratch,
+                                std::vector<uint32_t>* out) const {
   // Rank non-empty lists by centroid distance; (distance, id) pairs make
   // the order canonical under equal distances.
   std::vector<std::pair<float, uint32_t>>& cd = scratch->centroid_dist;
@@ -212,62 +155,13 @@ size_t AnnIndex::ProbeLists(const float* query, Scratch* scratch) const {
   const size_t probes = std::min(std::max<size_t>(1, options_.nprobe),
                                  cd.size());
   std::partial_sort(cd.begin(), cd.begin() + probes, cd.end());
-  return probes;
-}
 
-void AnnIndex::AppendCandidates(const float* query, Scratch* scratch,
-                                std::vector<uint32_t>* out) const {
-  const size_t probes = ProbeLists(query, scratch);
-  const std::vector<std::pair<float, uint32_t>>& cd = scratch->centroid_dist;
   size_t scanned = 0;
-
-  if (pq_nsub_ == 0) {
-    for (size_t p = 0; p < probes; ++p) {
-      const uint32_t l = cd[p].second;
-      out->insert(out->end(), list_ids_.begin() + list_offsets_[l],
-                  list_ids_.begin() + list_offsets_[l + 1]);
-      scanned += list_offsets_[l + 1] - list_offsets_[l];
-    }
-  } else {
-    // ADC pre-ranking: per probed list, build the query-residual lookup
-    // table (nsub x pq_k subspace distances), score every member by code
-    // lookups, and keep only the global `pq_shortlist` best for the
-    // caller's exact rerank.
-    std::vector<std::pair<float, uint32_t>>& shortlist = scratch->shortlist;
-    shortlist.clear();
-    scratch->residual.resize(dim_);
-    scratch->adc_table.resize(pq_nsub_ * pq_k_);
-    for (size_t p = 0; p < probes; ++p) {
-      const uint32_t l = cd[p].second;
-      const float* centroid = centroids_.RowPtr(l);
-      for (size_t j = 0; j < dim_; ++j) {
-        scratch->residual[j] = query[j] - centroid[j];
-      }
-      for (size_t s = 0; s < pq_nsub_; ++s) {
-        const size_t off = sub_offsets_[s];
-        const size_t dsub = sub_offsets_[s + 1] - off;
-        for (size_t c = 0; c < pq_k_; ++c) {
-          scratch->adc_table[s * pq_k_ + c] =
-              SquaredL2(scratch->residual.data() + off,
-                        pq_codebooks_.RowPtr(s * pq_k_ + c), dsub);
-        }
-      }
-      for (uint32_t m = list_offsets_[l]; m < list_offsets_[l + 1]; ++m) {
-        const uint32_t id = list_ids_[m];
-        const uint8_t* code = pq_codes_.data() + id * pq_nsub_;
-        float approx = cd[p].first;  // ||q - centroid||² term
-        for (size_t s = 0; s < pq_nsub_; ++s) {
-          approx += scratch->adc_table[s * pq_k_ + code[s]];
-        }
-        shortlist.emplace_back(Sanitize(approx), id);
-      }
-      scanned += list_offsets_[l + 1] - list_offsets_[l];
-    }
-    const size_t keep =
-        std::min(std::max<size_t>(1, options_.pq_shortlist), shortlist.size());
-    std::partial_sort(shortlist.begin(), shortlist.begin() + keep,
-                      shortlist.end());
-    for (size_t i = 0; i < keep; ++i) out->push_back(shortlist[i].second);
+  for (size_t p = 0; p < probes; ++p) {
+    const uint32_t l = cd[p].second;
+    out->insert(out->end(), list_ids_.begin() + list_offsets_[l],
+                list_ids_.begin() + list_offsets_[l + 1]);
+    scanned += list_offsets_[l + 1] - list_offsets_[l];
   }
 
   Metrics().probes->Increment(static_cast<uint64_t>(probes));

@@ -9,14 +9,12 @@
 
 namespace magneto::core {
 
-/// Configuration of the approximate support-set index. Carried by both
-/// classifiers as `Options::ann`; `enable = false` (the default) keeps the
-/// exact linear scan everywhere.
+/// Configuration of the approximate support-set index, carried by
+/// `KnnClassifier::Options::ann`; `enable = false` (the default) keeps the
+/// exact linear scan.
 struct AnnOptions {
   /// Master switch. Even when enabled, the classifier falls back to the
-  /// exact scan whenever the index is absent (vocabulary smaller than
-  /// `min_index_size`) or stale (a mutation landed and the rebuild found
-  /// too few vectors).
+  /// exact scan whenever the support set is smaller than `min_index_size`.
   bool enable = false;
   /// Number of inverted lists (k-means cells). 0 = auto: ~sqrt(n), the
   /// classic IVF balance between centroid-scan and list-scan cost.
@@ -32,16 +30,6 @@ struct AnnOptions {
   /// Seed for the deterministic k-means init (sampling without
   /// replacement); results are bit-identical across MAGNETO_THREADS.
   uint64_t seed = 0x5eed;
-  /// Optional product-quantization residual codebook: probed lists are
-  /// pre-ranked by asymmetric (table-lookup) distance and only the best
-  /// `pq_shortlist` candidates are handed back for exact reranking. Cuts
-  /// the exact-distance work on very large vocabularies; composes with the
-  /// classifiers' int8 exemplar codes (the PQ codes rank, the int8 or fp32
-  /// store reranks).
-  bool use_pq = false;
-  size_t pq_subspaces = 4;    ///< residual subvector count (clamped to dim)
-  size_t pq_centroids = 16;   ///< codewords per subspace (clamped to n)
-  size_t pq_shortlist = 128;  ///< candidates kept for exact reranking
 };
 
 /// IVF-Flat approximate-nearest-neighbour index over row-major fp32
@@ -68,9 +56,6 @@ class AnnIndex {
   /// Reusable per-query workspace (mirrors the classifiers' Scratch).
   struct Scratch {
     std::vector<std::pair<float, uint32_t>> centroid_dist;
-    std::vector<float> residual;                       ///< PQ: query - centroid
-    std::vector<float> adc_table;                      ///< PQ: nsub x pq_k
-    std::vector<std::pair<float, uint32_t>> shortlist;  ///< PQ candidates
   };
 
   /// Builds an index over `vectors` (rows = vectors). Fails on an empty
@@ -84,13 +69,12 @@ class AnnIndex {
   size_t dim() const { return dim_; }
   const AnnOptions& options() const { return options_; }
 
-  /// Index overhead in bytes (centroids + list structure + PQ codes); the
-  /// vectors themselves stay with the caller.
+  /// Index overhead in bytes (centroids + list structure); the vectors
+  /// themselves stay with the caller.
   size_t MemoryBytes() const;
 
   /// Appends the candidate vector ids for `query` (length `dim()`) to
-  /// `out`: the members of the `nprobe` nearest non-empty lists, pre-ranked
-  /// and truncated to `pq_shortlist` by ADC distance when PQ is on. Always
+  /// `out`: the members of the `nprobe` nearest non-empty lists. Always
   /// appends at least one candidate. Records `ann.probes` and
   /// `ann.scanned_fraction`.
   void AppendCandidates(const float* query, Scratch* scratch,
@@ -98,8 +82,6 @@ class AnnIndex {
 
  private:
   AnnIndex() = default;
-
-  size_t ProbeLists(const float* query, Scratch* scratch) const;
 
   AnnOptions options_;
   size_t n_ = 0;
@@ -110,14 +92,6 @@ class AnnIndex {
   /// list_offsets_[l+1]), ascending within each list.
   std::vector<uint32_t> list_offsets_;
   std::vector<uint32_t> list_ids_;
-  /// PQ residual codebook (empty unless options_.use_pq): subspace s spans
-  /// columns [sub_offsets_[s], sub_offsets_[s+1]) and its pq_k_ codewords
-  /// live in rows [s * pq_k_, (s+1) * pq_k_) of pq_codebooks_.
-  size_t pq_nsub_ = 0;
-  size_t pq_k_ = 0;
-  std::vector<uint32_t> sub_offsets_;
-  Matrix pq_codebooks_;
-  std::vector<uint8_t> pq_codes_;  ///< n x nsub, indexed by vector id
 };
 
 }  // namespace magneto::core

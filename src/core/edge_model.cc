@@ -107,15 +107,8 @@ EdgeModel::Predict(const sensors::FeatureDataset& data) {
 }
 
 Status EdgeModel::RebuildPrototypes(const SupportSet& support) {
-  MAGNETO_ASSIGN_OR_RETURN(NcmClassifier rebuilt,
+  MAGNETO_ASSIGN_OR_RETURN(classifier_,
                            NcmClassifier::FromSupportSet(support, this));
-  // ANN is runtime serving configuration, not derived from the support set:
-  // carry it across the rebuild so an incremental update can never silently
-  // drop the index (rebuild-on-mutation contract).
-  if (classifier_.ann_enabled()) {
-    MAGNETO_RETURN_IF_ERROR(rebuilt.EnableAnn(classifier_.ann_options()));
-  }
-  classifier_ = std::move(rebuilt);
   return Status::Ok();
 }
 

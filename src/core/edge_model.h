@@ -99,15 +99,6 @@ class EdgeModel : public Embedder {
   /// backbone. Call after any backbone update.
   Status RebuildPrototypes(const SupportSet& support);
 
-  /// Turns the classifier's approximate prototype index on for this model
-  /// (runtime serving config, never serialized). The setting survives
-  /// `RebuildPrototypes` and transactional updates — both re-train the
-  /// index on the fresh prototypes before the swap.
-  Status EnableAnn(AnnOptions options) {
-    return classifier_.EnableAnn(options);
-  }
-  void DisableAnn() { classifier_.DisableAnn(); }
-
   // -- Transactional weight state -----------------------------------------------
 
   /// The mutable knowledge of the model — everything an incremental update

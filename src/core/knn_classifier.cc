@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "common/parallel.h"
 #include "obs/metrics.h"
@@ -17,12 +17,6 @@ obs::Histogram* ScanHistogram() {
   static obs::Histogram* h =
       obs::Registry::Global().GetHistogram("ann.scan_us");
   return h;
-}
-
-float SanitizeDistance(float d2) {
-  // A NaN (from a non-finite stored or query embedding) would violate
-  // partial_sort's strict weak ordering — UB, not just a bad ranking.
-  return std::isfinite(d2) ? d2 : std::numeric_limits<float>::infinity();
 }
 
 }  // namespace
@@ -44,28 +38,18 @@ Result<KnnClassifier> KnnClassifier::FromSupportSet(const SupportSet& support,
   knn.options_ = options;
 
   sensors::FeatureDataset all = support.AsDataset();
-  knn.embeddings_ = embedder->Embed(all.ToMatrix());
+  const Matrix embeddings = embedder->Embed(all.ToMatrix());
   knn.labels_ = all.labels();
-  knn.dim_ = knn.embeddings_.cols();
   // The coarse quantizer trains on the fp32 embeddings — before the int8
-  // path below drops them — so fp32 and int8 classifiers built from the
-  // same support probe identical lists.
+  // store drops them — so fp32 and int8 classifiers built from the same
+  // support probe identical lists.
   if (options.ann.enable && knn.labels_.size() >= options.ann.min_index_size) {
     MAGNETO_ASSIGN_OR_RETURN(AnnIndex index,
-                             AnnIndex::Build(knn.embeddings_, options.ann));
+                             AnnIndex::Build(embeddings, options.ann));
     knn.ann_index_ = std::make_shared<const AnnIndex>(std::move(index));
   }
-  if (options.quantize_exemplars) {
-    // Quantize every exemplar row and precompute its exact integer norm,
-    // then drop the fp32 copy — the scan below never needs it back.
-    QuantizeRowsInt8(knn.embeddings_, &knn.quantized_);
-    knn.norms_.resize(knn.quantized_.rows);
-    for (size_t i = 0; i < knn.quantized_.rows; ++i) {
-      knn.norms_[i] =
-          SquaredNormInt8(knn.quantized_.data.data() + i * knn.dim_, knn.dim_);
-    }
-    knn.embeddings_ = Matrix();
-  }
+  knn.rows_ = ScanRows(embeddings);
+  if (options.quantize_exemplars) knn.rows_.Quantize();
   return knn;
 }
 
@@ -77,10 +61,10 @@ Result<size_t> KnnClassifier::ScanTopK(const float* embedding, size_t n,
   if (labels_.empty()) {
     return Status::FailedPrecondition("classifier has no exemplars");
   }
-  if (n != dim_) {
+  if (n != rows_.dim()) {
     return Status::InvalidArgument("embedding dim " + std::to_string(n) +
                                    " != classifier dim " +
-                                   std::to_string(dim_));
+                                   std::to_string(rows_.dim()));
   }
 
   // Squared distances to the scanned exemplars; ranking by squared distance
@@ -100,39 +84,14 @@ Result<size_t> KnnClassifier::ScanTopK(const float* embedding, size_t n,
   const size_t count = use_ann ? scratch->candidates.size() : labels_.size();
   std::vector<std::pair<float, uint32_t>>& dist = scratch->dist;
   dist.resize(count);
-  if (options_.quantize_exemplars) {
-    // Int8 scan: quantize the query once, then compute the exact-rescale
-    // squared distance against each stored exemplar,
-    //   d² = sq²·Σqx² − 2·sq·si·(qx·qi) + si²·Σqi²,
-    // where the dot product and both norms are exact int32 and only the
-    // final three-term combination runs in floating point.
-    scratch->q_query.resize(dim_);
-    const float sq = QuantizeRowInt8(embedding, dim_, scratch->q_query.data());
-    const int32_t query_norm = SquaredNormInt8(scratch->q_query.data(), dim_);
-    const int8_t* qx = scratch->q_query.data();
-    ParallelFor(0, count, 2048, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const size_t idx = use_ann ? candidates[i] : i;
-        const int8_t* qi = quantized_.data.data() + idx * dim_;
-        const double si = quantized_.scales[idx];
-        const double d2 = double(sq) * sq * query_norm -
-                          2.0 * sq * si * DotInt8(qx, qi, dim_) +
-                          si * si * norms_[idx];
-        dist[i] = {SanitizeDistance(static_cast<float>(std::max(0.0, d2))),
-                   static_cast<uint32_t>(idx)};
-      }
-    });
-  } else {
-    ParallelFor(0, count, 2048, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const size_t idx = use_ann ? candidates[i] : i;
-        dist[i] = {
-            SanitizeDistance(SquaredL2(embedding, embeddings_.RowPtr(idx),
-                                       dim_)),
-            static_cast<uint32_t>(idx)};
-      }
-    });
-  }
+  const ScanRows::Query query = rows_.Prepare(embedding, &scratch->q_query);
+  ParallelFor(0, count, 2048, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const size_t idx = use_ann ? candidates[i] : i;
+      dist[i] = {static_cast<float>(rows_.SquaredDistance(query, idx)),
+                 static_cast<uint32_t>(idx)};
+    }
+  });
   const size_t top = std::min(k, dist.size());
   std::partial_sort(dist.begin(), dist.begin() + top, dist.end());
   return top;
@@ -147,13 +106,11 @@ Result<std::vector<std::pair<float, uint32_t>>> KnnClassifier::Neighbors(
 
 Result<Prediction> KnnClassifier::Classify(const float* embedding, size_t n,
                                            Scratch* scratch) const {
-  size_t k = 0;
-  if (ann_index_ != nullptr) {
-    obs::ScopedTimer timer(ScanHistogram());
-    MAGNETO_ASSIGN_OR_RETURN(k, ScanTopK(embedding, n, options_.k, scratch));
-  } else {
-    MAGNETO_ASSIGN_OR_RETURN(k, ScanTopK(embedding, n, options_.k, scratch));
-  }
+  std::optional<obs::ScopedTimer> timer;
+  if (ann_index_ != nullptr) timer.emplace(ScanHistogram());
+  MAGNETO_ASSIGN_OR_RETURN(size_t k,
+                           ScanTopK(embedding, n, options_.k, scratch));
+  timer.reset();
   const std::vector<std::pair<float, uint32_t>>& dist = scratch->dist;
 
   std::map<sensors::ActivityId, double> votes;

@@ -4,11 +4,11 @@
 #include <memory>
 #include <vector>
 
-#include "common/qgemm.h"
 #include "common/result.h"
 #include "core/ann_index.h"
 #include "core/embedder.h"
 #include "core/ncm_classifier.h"
+#include "core/scan_rows.h"
 #include "core/support_set.h"
 #include "sensors/activity.h"
 
@@ -34,20 +34,15 @@ class KnnClassifier {
     /// Weight votes by 1/(distance + eps) instead of uniformly.
     bool distance_weighted = true;
     /// Store the support embeddings as symmetric per-exemplar int8 instead
-    /// of fp32 (4x less scan memory and bandwidth). Queries are quantized
-    /// per call and distances computed by the exact rescale
-    ///   d² = sq²·Σqx² − 2·sq·si·(qx·qi) + si²·Σqi²
-    /// over exact integer dot products and precomputed exemplar norms, so
-    /// the only approximation is the int8 rounding of the vectors
-    /// themselves. Composes with `compress::QuantizeBackbone` for the fully
-    /// quantized edge path.
+    /// of fp32 (4x less scan memory and bandwidth), scanned with the
+    /// exact-rescale distance of `ScanRows`. Composes with
+    /// `compress::QuantizeBackbone` for the fully quantized edge path.
     bool quantize_exemplars = false;
-    /// Approximate support index (IVF-Flat, optional PQ pre-ranking). When
-    /// `ann.enable` and the support set holds at least `ann.min_index_size`
-    /// exemplars, queries scan only the probed lists' candidates; otherwise
-    /// the exact linear scan runs unchanged. The index selects candidates
-    /// only — distances always come from this classifier's own store (fp32
-    /// rows or int8 codes), so ANN composes with `quantize_exemplars`.
+    /// Approximate support index (IVF-Flat). When `ann.enable` and the
+    /// support set holds at least `ann.min_index_size` exemplars, queries
+    /// scan only the probed lists' candidates; otherwise the exact linear
+    /// scan runs unchanged. Distances always come from this classifier's own
+    /// store, so ANN composes with `quantize_exemplars`.
     AnnOptions ann;
   };
 
@@ -67,7 +62,7 @@ class KnnClassifier {
                                               Options options);
 
   size_t num_examples() const { return labels_.size(); }
-  size_t embedding_dim() const { return dim_; }
+  size_t embedding_dim() const { return rows_.dim(); }
   const Options& options() const { return options_; }
   /// True when queries actually go through the ANN index (built at
   /// construction because `options().ann.enable` was set and the support
@@ -76,14 +71,7 @@ class KnnClassifier {
 
   /// Bytes of stored exemplar embeddings (int8 data + scales + norms when
   /// `quantize_exemplars` is set — the fp32 copy is dropped).
-  size_t MemoryBytes() const {
-    if (options_.quantize_exemplars) {
-      return quantized_.data.size() +
-             quantized_.scales.size() * sizeof(float) +
-             norms_.size() * sizeof(int32_t);
-    }
-    return embeddings_.size() * sizeof(float);
-  }
+  size_t MemoryBytes() const { return rows_.MemoryBytes(); }
 
   /// Classifies one embedding: majority (or distance-weighted) vote among
   /// the k nearest stored exemplars. `Prediction::distance` is the distance
@@ -114,17 +102,13 @@ class KnnClassifier {
 
   /// Fills `scratch->dist` with (squared distance, exemplar index) pairs —
   /// every exemplar on the exact path, the ANN candidates otherwise — and
-  /// partial-sorts the best `k` to the front. Non-finite distances are
-  /// sanitized to +inf (a NaN would break partial_sort's strict weak
-  /// ordering). Returns the number of ranked pairs (>= 1).
+  /// partial-sorts the best `k` to the front. Returns the number of ranked
+  /// pairs (>= 1).
   Result<size_t> ScanTopK(const float* embedding, size_t n, size_t k,
                           Scratch* scratch) const;
 
   Options options_;
-  size_t dim_ = 0;
-  Matrix embeddings_;  ///< num_examples x dim (fp32 path; empty when int8)
-  QuantizedRows quantized_;      ///< int8 path: per-exemplar int8 + scale
-  std::vector<int32_t> norms_;   ///< int8 path: Σqi² per exemplar
+  ScanRows rows_;  ///< one row per exemplar, fp32 or int8
   std::vector<sensors::ActivityId> labels_;
   /// Immutable once built; shared so copies stay cheap and identical.
   std::shared_ptr<const AnnIndex> ann_index_;

@@ -10,22 +10,19 @@ namespace magneto::core {
 
 namespace {
 constexpr char kMagic[4] = {'M', 'G', 'T', 'O'};
-/// v1: trailing CRC covered the body only — a bit-flip in the version or
-/// length field surfaced as a misleading "unsupported version" / "truncated
-/// body". v2 keeps the identical field layout but the trailing CRC covers
-/// version + length + body, so any header damage is a checksum error.
-/// v3 keeps v2's framing; only the support-set section encoding differs.
+/// The trailing CRC covers version + length + body, so any header damage is
+/// a checksum error. v3 keeps v2's framing; only the support-set section
+/// encoding differs.
 constexpr size_t kHeaderBytes =
     sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kFooterBytes = sizeof(uint32_t);
 
 /// Parses the five bundle sections out of a bounds-checked body reader.
-/// v1/v2 bodies are identical; a v3 body carries the quantized support-set
-/// encoding and restores the classifier's int8 scan state.
+/// A v3 body carries the quantized support-set encoding and restores the
+/// classifier's int8 scan state.
 Result<ModelBundle> ParseBody(BinaryReader* body_reader, uint32_t version) {
   ModelBundle bundle;
-  bundle.wire_version =
-      version == 1 ? kBundleWireV2 : version;  // v1 re-saves as v2
+  bundle.wire_version = version;
   MAGNETO_ASSIGN_OR_RETURN(bundle.pipeline,
                            preprocess::Pipeline::Deserialize(body_reader));
   MAGNETO_ASSIGN_OR_RETURN(bundle.backbone,
@@ -75,7 +72,7 @@ std::string ModelBundle::SerializeToString() const {
   out.WriteU32(wire_version);
   out.WriteU64(body.size());
   out.WriteBytes(body.data(), body.size());
-  // v2: the CRC protects everything after the magic — version, length, body.
+  // The CRC protects everything after the magic — version, length, body.
   out.WriteU32(Crc32(out.buffer().data() + sizeof(kMagic),
                      out.size() - sizeof(kMagic)));
   return out.TakeBuffer();
@@ -93,27 +90,7 @@ Result<ModelBundle> ModelBundle::FromString(const std::string& bytes) {
   MAGNETO_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
   MAGNETO_ASSIGN_OR_RETURN(uint64_t body_size, header.ReadU64());
 
-  if (version == 1) {
-    // Legacy read path: CRC over the body only, located via the length
-    // field. Subtraction-form bounds check — `body_size` is untrusted, and
-    // `body_size + sizeof(uint32_t)` can wrap past UINT64_MAX and slip
-    // through an addition-form comparison, putting the reader's bounds far
-    // past the buffer.
-    if (header.remaining() < sizeof(uint32_t) ||
-        body_size > header.remaining() - sizeof(uint32_t)) {
-      return Status::Corruption("truncated bundle body");
-    }
-    const char* body = bytes.data() + kHeaderBytes;
-    BinaryReader crc_reader(body + body_size, sizeof(uint32_t));
-    MAGNETO_ASSIGN_OR_RETURN(uint32_t stored_crc, crc_reader.ReadU32());
-    if (Crc32(body, body_size) != stored_crc) {
-      return Status::Corruption("bundle checksum mismatch");
-    }
-    BinaryReader body_reader(body, body_size);
-    return ParseBody(&body_reader, version);
-  }
-
-  // v2+: the trailing CRC is anchored to the end of the buffer, not to the
+  // The trailing CRC is anchored to the end of the buffer, not to the
   // (untrusted) length field, so it can be verified before anything else in
   // the header is believed. Corruption anywhere — version and length fields
   // included — therefore reports as a checksum mismatch, and the version /

@@ -13,7 +13,8 @@
 
 namespace magneto::core {
 
-/// Bundle wire versions accepted by `ModelBundle::FromString`.
+/// Bundle wire versions accepted by `ModelBundle::FromString`; any other
+/// version (including the retired v1) fails as `Corruption`.
 inline constexpr uint32_t kBundleWireV2 = 2;
 inline constexpr uint32_t kBundleWireV3 = 3;
 
@@ -24,15 +25,14 @@ inline constexpr uint32_t kBundleWireV3 = 3;
 ///
 /// Wire format (".magneto" file), v2: magic "MGTO", u32 version, u64 payload
 /// length, payload, u32 CRC-32 over everything after the magic (version +
-/// length + payload), so header bit-flips report as checksum errors. v1
-/// files (CRC over the payload only) still load.
+/// length + payload), so header bit-flips report as checksum errors.
 ///
 /// v3 shares v2's header/CRC framing but ships the support set quantized
 /// (int8 rows + per-row scale, see `SupportSet::SerializeQuantized`) and
 /// re-quantizes the NCM prototypes on load. Paired with a
 /// `compress::QuantizeBackbone`d backbone this puts the whole cloud→edge
-/// artifact at roughly a quarter of the fp32 v2 bytes. v1/v2 read paths are
-/// kept; loading remembers the wire version so round trips preserve it.
+/// artifact at roughly a quarter of the fp32 v2 bytes. Loading remembers
+/// the wire version so round trips preserve it.
 /// Move-only (owns the backbone).
 struct ModelBundle {
   preprocess::Pipeline pipeline;
@@ -54,7 +54,7 @@ struct ModelBundle {
   /// `wire_version`.
   std::string SerializeToString() const;
 
-  /// Parses and checksum-verifies a serialised bundle (wire v1/v2/v3).
+  /// Parses and checksum-verifies a serialised bundle (wire v2/v3).
   static Result<ModelBundle> FromString(const std::string& bytes);
 
   /// Crash-safe: writes via `WriteFileAtomic`, so an interrupted save leaves

@@ -2,72 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
-
-#include "common/qgemm.h"
-#include "obs/metrics.h"
 
 namespace magneto::core {
 
-namespace {
-
-obs::Histogram* ScanHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("ann.scan_us");
-  return h;
-}
-
-double SanitizeDistance(double d) {
-  // A NaN (from a non-finite prototype or query embedding) would violate
-  // std::sort's strict weak ordering — UB, not just a bad ranking.
-  return std::isfinite(d) ? d : std::numeric_limits<double>::infinity();
-}
-
-}  // namespace
-
 Status NcmClassifier::SetPrototypeFromEmbeddings(sensors::ActivityId id,
                                                  const Matrix& embeddings) {
-  if (embeddings.rows() == 0) {
+  if (embeddings.rows() == 0 || embeddings.cols() == 0) {
     return Status::InvalidArgument("no embeddings for class " +
                                    std::to_string(id));
   }
-  if (dim_ == 0) {
-    dim_ = embeddings.cols();
-  } else if (embeddings.cols() != dim_) {
+  if (rows_.dim() == 0) {
+    rows_ = ScanRows(embeddings.cols());
+  } else if (embeddings.cols() != rows_.dim()) {
     return Status::InvalidArgument("embedding dim mismatch: expected " +
-                                   std::to_string(dim_) + ", got " +
+                                   std::to_string(rows_.dim()) + ", got " +
                                    std::to_string(embeddings.cols()));
   }
-  prototypes_[id] = embeddings.ColMean().Row(0);
-  if (quantized_scan_) QuantizeOne(id);
-  return RebuildAnnIndex();
+  const Matrix mean = embeddings.ColMean();
+  size_t row = 0;
+  if (Locate(id, &row)) {
+    rows_.Erase(row);  // overwrite in place: same row, new mean
+  } else {
+    ids_.insert(ids_.begin() + row, id);
+  }
+  rows_.Insert(row, mean.RowPtr(0));
+  return Status::Ok();
 }
 
-void NcmClassifier::QuantizeOne(sensors::ActivityId id) {
-  std::vector<float>& proto = prototypes_[id];
-  QuantizedPrototype qp;
-  qp.q.resize(dim_);
-  qp.scale = QuantizeRowInt8(proto.data(), dim_, qp.q.data());
-  qp.norm = SquaredNormInt8(qp.q.data(), dim_);
-  // The fp32 prototype becomes the dequantized vector, keeping Prototype(),
-  // Serialize() and the scan in exact agreement.
-  for (size_t i = 0; i < dim_; ++i) {
-    proto[i] = static_cast<float>(qp.q[i]) * qp.scale;
-  }
-  quantized_[id] = std::move(qp);
+bool NcmClassifier::Locate(sensors::ActivityId id, size_t* row) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  *row = static_cast<size_t>(it - ids_.begin());
+  return it != ids_.end() && *it == id;
 }
 
 Status NcmClassifier::QuantizePrototypes() {
-  if (prototypes_.empty()) {
+  if (ids_.empty()) {
     return Status::FailedPrecondition("classifier has no prototypes");
   }
-  quantized_scan_ = true;
-  quantized_.clear();
-  for (const auto& [id, proto] : prototypes_) QuantizeOne(id);
-  // Quantization moved every prototype (to its dequantized value), so the
-  // coarse quantizer must re-train on what the scan now sees.
-  return RebuildAnnIndex();
+  rows_.Quantize();
+  return Status::Ok();
 }
 
 Result<NcmClassifier> NcmClassifier::FromSupportSet(const SupportSet& support,
@@ -80,133 +53,72 @@ Result<NcmClassifier> NcmClassifier::FromSupportSet(const SupportSet& support,
     return Status::InvalidArgument("support set is empty");
   }
 
-  // Stack every class's exemplars and embed them in one batched forward:
-  // one large pool-parallel GEMM per layer instead of num_classes small
-  // ones. Row-wise kernels make the stacked embeddings identical to the
-  // per-class ones, so the prototypes are unchanged.
-  std::vector<Matrix> exemplars;
-  exemplars.reserve(ids.size());
-  size_t total_rows = 0;
-  size_t dim = 0;
+  // Embed every exemplar in one batched forward: one large pool-parallel
+  // GEMM per layer instead of num_classes small ones. Row-wise kernels make
+  // the stacked embeddings identical to per-class ones. `AsDataset` stacks
+  // the classes in ascending id order, the order of `ids`.
+  const sensors::FeatureDataset all = support.AsDataset();
+  const Matrix embeddings = embedder->Embed(all.ToMatrix());
+
+  NcmClassifier ncm;
+  size_t row = 0;
   for (sensors::ActivityId id : ids) {
-    MAGNETO_ASSIGN_OR_RETURN(Matrix m, support.ClassExemplars(id));
-    if (m.rows() == 0) {
+    size_t end = row;
+    while (end < all.size() && all.Label(end) == id) ++end;
+    if (end == row) {
       return Status::InvalidArgument("no embeddings for class " +
                                      std::to_string(id));
     }
-    total_rows += m.rows();
-    dim = m.cols();
-    exemplars.push_back(std::move(m));
-  }
-  Matrix stacked(total_rows, dim);
-  size_t row = 0;
-  for (const Matrix& m : exemplars) {
-    std::memcpy(stacked.RowPtr(row), m.data(), m.size() * sizeof(float));
-    row += m.rows();
-  }
-  Matrix embeddings = embedder->Embed(stacked);
-
-  NcmClassifier ncm;
-  row = 0;
-  for (size_t c = 0; c < ids.size(); ++c) {
-    const size_t rows = exemplars[c].rows();
-    MAGNETO_RETURN_IF_ERROR(ncm.SetPrototypeFromEmbeddings(
-        ids[c], embeddings.RowSlice(row, row + rows)));
-    row += rows;
+    MAGNETO_RETURN_IF_ERROR(
+        ncm.SetPrototypeFromEmbeddings(id, embeddings.RowSlice(row, end)));
+    row = end;
   }
   return ncm;
 }
 
 Status NcmClassifier::RemoveClass(sensors::ActivityId id) {
-  if (prototypes_.erase(id) == 0) {
+  size_t row = 0;
+  if (!Locate(id, &row)) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  quantized_.erase(id);
-  return RebuildAnnIndex();
-}
-
-Status NcmClassifier::EnableAnn(AnnOptions options) {
-  options.enable = true;
-  ann_options_ = options;
-  return RebuildAnnIndex();
-}
-
-void NcmClassifier::DisableAnn() {
-  ann_options_ = AnnOptions{};
-  ann_index_.reset();
-  ann_ids_.clear();
-}
-
-Status NcmClassifier::RebuildAnnIndex() {
-  ann_index_.reset();
-  ann_ids_.clear();
-  if (!ann_options_.enable ||
-      prototypes_.size() < ann_options_.min_index_size) {
-    // Exact fallback: absent index, nothing stale to consult.
-    return Status::Ok();
-  }
-  Matrix protos(prototypes_.size(), dim_);
-  ann_ids_.reserve(prototypes_.size());
-  size_t row = 0;
-  for (const auto& [id, proto] : prototypes_) {
-    std::memcpy(protos.RowPtr(row), proto.data(), dim_ * sizeof(float));
-    ann_ids_.push_back(id);
-    ++row;
-  }
-  MAGNETO_ASSIGN_OR_RETURN(AnnIndex index,
-                           AnnIndex::Build(protos, ann_options_));
-  ann_index_ = std::make_shared<const AnnIndex>(std::move(index));
+  rows_.Erase(row);
+  ids_.erase(ids_.begin() + row);
   return Status::Ok();
-}
-
-std::vector<sensors::ActivityId> NcmClassifier::Classes() const {
-  std::vector<sensors::ActivityId> out;
-  out.reserve(prototypes_.size());
-  for (const auto& [id, proto] : prototypes_) out.push_back(id);
-  return out;
 }
 
 Result<std::vector<float>> NcmClassifier::Prototype(
     sensors::ActivityId id) const {
-  auto it = prototypes_.find(id);
-  if (it == prototypes_.end()) {
+  size_t row = 0;
+  if (!Locate(id, &row)) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  return it->second;
+  std::vector<float> proto(rows_.dim());
+  rows_.CopyRow(row, proto.data());
+  return proto;
 }
 
 Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
                                     Scratch* scratch) const {
-  if (prototypes_.empty()) {
+  if (ids_.empty()) {
     return Status::FailedPrecondition("classifier has no prototypes");
   }
-  if (n != dim_) {
+  if (n != rows_.dim()) {
     return Status::InvalidArgument("embedding dim " + std::to_string(n) +
                                    " != classifier dim " +
-                                   std::to_string(dim_));
+                                   std::to_string(rows_.dim()));
   }
+  const ScanRows::Query query = rows_.Prepare(embedding, &scratch->q_query);
   std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
   out.clear();
-  out.reserve(prototypes_.size());
-  if (quantized_scan_) {
-    // Exact-rescale int8 scan: quantize the query once, then combine exact
-    // integer dot products and norms with the two scales.
-    scratch->q_query.resize(dim_);
-    int8_t* qx = scratch->q_query.data();
-    const double sq = QuantizeRowInt8(embedding, dim_, qx);
-    const int32_t query_norm = SquaredNormInt8(qx, dim_);
-    for (const auto& [id, qp] : quantized_) {
-      const double si = qp.scale;
-      const double d2 = sq * sq * query_norm -
-                        2.0 * sq * si * DotInt8(qx, qp.q.data(), dim_) +
-                        si * si * qp.norm;
-      out.emplace_back(id, std::sqrt(std::max(0.0, d2)));
-    }
-  } else {
-    for (const auto& [id, proto] : prototypes_) {
-      out.emplace_back(id, SanitizeDistance(std::sqrt(
-                               SquaredL2(embedding, proto.data(), dim_))));
-    }
+  out.reserve(ids_.size());
+  for (size_t r = 0; r < ids_.size(); ++r) {
+    const double d2 = rows_.SquaredDistance(query, r);
+    // fp32 rows take the float sqrt of the float d², int8 rows the double
+    // sqrt of the exact-rescale d²: `Prediction::distance` keeps the
+    // rounding it has always had.
+    out.emplace_back(ids_[r], rows_.quantized()
+                                  ? std::sqrt(d2)
+                                  : std::sqrt(static_cast<float>(d2)));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
@@ -215,9 +127,6 @@ Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
 
 Result<std::vector<std::pair<sensors::ActivityId, double>>>
 NcmClassifier::Distances(const float* embedding, size_t n) const {
-  // Always the exact full scan: Distances promises the distance to *every*
-  // prototype (drift monitoring, calibration); only Classify routes through
-  // the ANN candidate subset.
   Scratch local;
   MAGNETO_RETURN_IF_ERROR(DistancesInto(embedding, n, &local));
   return std::move(local.dist);
@@ -228,58 +137,14 @@ Result<Prediction> NcmClassifier::Classify(const float* embedding, size_t n,
   if (scratch == nullptr) {
     return Status::InvalidArgument("scratch must not be null");
   }
-  if (ann_index_ != nullptr) {
-    if (prototypes_.empty()) {
-      return Status::FailedPrecondition("classifier has no prototypes");
-    }
-    if (n != dim_) {
-      return Status::InvalidArgument("embedding dim " + std::to_string(n) +
-                                     " != classifier dim " +
-                                     std::to_string(dim_));
-    }
-    obs::ScopedTimer timer(ScanHistogram());
-    scratch->candidates.clear();
-    ann_index_->AppendCandidates(embedding, &scratch->ann,
-                                 &scratch->candidates);
-    std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
-    out.clear();
-    if (quantized_scan_) {
-      scratch->q_query.resize(dim_);
-      int8_t* qx = scratch->q_query.data();
-      const double sq = QuantizeRowInt8(embedding, dim_, qx);
-      const int32_t query_norm = SquaredNormInt8(qx, dim_);
-      for (uint32_t c : scratch->candidates) {
-        const auto it = quantized_.find(ann_ids_[c]);
-        const QuantizedPrototype& qp = it->second;
-        const double si = qp.scale;
-        const double d2 = sq * sq * query_norm -
-                          2.0 * sq * si * DotInt8(qx, qp.q.data(), dim_) +
-                          si * si * qp.norm;
-        out.emplace_back(it->first, std::sqrt(std::max(0.0, d2)));
-      }
-    } else {
-      for (uint32_t c : scratch->candidates) {
-        const auto it = prototypes_.find(ann_ids_[c]);
-        out.emplace_back(it->first,
-                         SanitizeDistance(std::sqrt(SquaredL2(
-                             embedding, it->second.data(), dim_))));
-      }
-    }
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return a.second < b.second;
-    });
-  } else {
-    MAGNETO_RETURN_IF_ERROR(DistancesInto(embedding, n, scratch));
-  }
+  MAGNETO_RETURN_IF_ERROR(DistancesInto(embedding, n, scratch));
 
   const std::vector<std::pair<sensors::ActivityId, double>>& distances =
       scratch->dist;
   Prediction pred;
   pred.activity = distances.front().first;
   pred.distance = distances.front().second;
-  // Confidence: softmax over negative distances. Under ANN this normalizes
-  // over the probed candidates (the prediction and distance are the exact
-  // rerank; only the normalization pool shrinks).
+  // Confidence: softmax over negative distances.
   double denom = 0.0;
   const double dmin = distances.front().second;
   for (const auto& [id, d] : distances) denom += std::exp(dmin - d);
@@ -296,26 +161,38 @@ Result<Prediction> NcmClassifier::ClassifyWithRejection(
 }
 
 void NcmClassifier::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(dim_);
-  writer->WriteU64(prototypes_.size());
-  for (const auto& [id, proto] : prototypes_) {
-    writer->WriteI64(id);
+  writer->WriteU64(rows_.dim());
+  writer->WriteU64(ids_.size());
+  std::vector<float> proto(rows_.dim());
+  for (size_t r = 0; r < ids_.size(); ++r) {
+    writer->WriteI64(ids_[r]);
+    rows_.CopyRow(r, proto.data());
     writer->WriteF32Vector(proto);
   }
 }
 
 Result<NcmClassifier> NcmClassifier::Deserialize(BinaryReader* reader) {
-  NcmClassifier ncm;
-  MAGNETO_ASSIGN_OR_RETURN(ncm.dim_, reader->ReadU64());
+  MAGNETO_ASSIGN_OR_RETURN(uint64_t dim, reader->ReadU64());
   MAGNETO_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
+  if (dim == 0 && n > 0) {
+    return Status::Corruption("zero-width prototypes");
+  }
+  NcmClassifier ncm;
+  ncm.rows_ = ScanRows(dim);
   for (uint64_t i = 0; i < n; ++i) {
     MAGNETO_ASSIGN_OR_RETURN(int64_t id, reader->ReadI64());
     MAGNETO_ASSIGN_OR_RETURN(std::vector<float> proto,
                              reader->ReadF32Vector());
-    if (proto.size() != ncm.dim_) {
+    if (proto.size() != dim) {
       return Status::Corruption("prototype dim mismatch");
     }
-    ncm.prototypes_[id] = std::move(proto);
+    size_t row = 0;
+    if (ncm.Locate(id, &row)) {
+      return Status::Corruption("duplicate prototype class id " +
+                                std::to_string(id));
+    }
+    ncm.ids_.insert(ncm.ids_.begin() + row, id);
+    ncm.rows_.Insert(row, proto.data());
   }
   return ncm;
 }

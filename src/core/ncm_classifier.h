@@ -1,15 +1,13 @@
 #ifndef MAGNETO_CORE_NCM_CLASSIFIER_H_
 #define MAGNETO_CORE_NCM_CLASSIFIER_H_
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/serial.h"
-#include "core/ann_index.h"
 #include "core/embedder.h"
+#include "core/scan_rows.h"
 #include "core/support_set.h"
 #include "sensors/activity.h"
 
@@ -34,16 +32,12 @@ struct Prediction {
 /// prototype is the mean embedding of that class's support exemplars.
 class NcmClassifier {
  public:
-  /// Reusable per-query workspace, mirroring `KnnClassifier::Scratch`: the
-  /// serving hot path (`EdgeFleet::ServeBatch`, `EdgeModel` inference) used
-  /// to allocate a fresh distance vector and int8 query buffer per call.
-  /// Distinct threads must use distinct instances; predictions are
-  /// byte-identical with or without one.
+  /// Reusable per-query workspace, mirroring `KnnClassifier::Scratch`, that
+  /// keeps the serving hot path allocation-free. Distinct threads must use
+  /// distinct instances; predictions are byte-identical with or without one.
   struct Scratch {
     std::vector<std::pair<sensors::ActivityId, double>> dist;
     std::vector<int8_t> q_query;  ///< int8 path: quantized query vector
-    AnnIndex::Scratch ann;
-    std::vector<uint32_t> candidates;  ///< ANN path: prototype rows to rerank
   };
 
   NcmClassifier() = default;
@@ -60,12 +54,14 @@ class NcmClassifier {
 
   Status RemoveClass(sensors::ActivityId id);
 
-  size_t num_classes() const { return prototypes_.size(); }
-  size_t embedding_dim() const { return dim_; }
+  size_t num_classes() const { return ids_.size(); }
+  size_t embedding_dim() const { return rows_.dim(); }
   bool HasClass(sensors::ActivityId id) const {
-    return prototypes_.count(id) > 0;
+    size_t row = 0;
+    return Locate(id, &row);
   }
-  std::vector<sensors::ActivityId> Classes() const;
+  /// Class ids, ascending.
+  std::vector<sensors::ActivityId> Classes() const { return ids_; }
 
   Result<std::vector<float>> Prototype(sensors::ActivityId id) const;
 
@@ -102,67 +98,33 @@ class NcmClassifier {
 
   /// Switches the classifier to int8 prototype scans: every prototype is
   /// quantized (symmetric per-vector, like the support-set wire format) and
-  /// queries are scanned with the exact-rescale distance
-  ///   d² = sq²·Σqx² − 2·sq·si·(qx·qi) + si²·Σqi².
-  /// The stored fp32 prototypes are replaced by their dequantized values so
-  /// `Prototype`/`Serialize` describe exactly what the scan sees — which
-  /// also makes re-quantization after a round trip exact (the max-|q|
-  /// element is always ±127, so the recovered scale is bit-identical).
-  /// Prototypes added later via `SetPrototypeFromEmbeddings` are quantized
-  /// on entry. FailedPrecondition if the classifier is empty.
+  /// queries are scanned with the exact-rescale distance of `ScanRows`.
+  /// `Prototype`/`Serialize` then return the dequantized values, exactly
+  /// what the scan sees — which also makes re-quantization after a round
+  /// trip exact (the max-|q| element is always ±127, so the recovered scale
+  /// is bit-identical). Prototypes added later via
+  /// `SetPrototypeFromEmbeddings` are quantized on entry.
+  /// FailedPrecondition if the classifier is empty.
   Status QuantizePrototypes();
-  bool quantized() const { return quantized_scan_; }
-
-  // -- Approximate prototype index ---------------------------------------------
-  //
-  // Runtime serving configuration, deliberately *not* serialized: a
-  // deserialized classifier always starts exact, and wire bytes are
-  // unchanged from the pre-ANN format.
-
-  /// Turns the ANN path on (`options.enable` is forced true) and builds the
-  /// index if the vocabulary already has `options.min_index_size` classes.
-  /// Rebuild-on-mutation from then on: `SetPrototypeFromEmbeddings`,
-  /// `RemoveClass` and `QuantizePrototypes` re-train the coarse quantizer
-  /// so the index is never stale — below the size threshold the classifier
-  /// simply falls back to the exact scan.
-  Status EnableAnn(AnnOptions options);
-  /// Drops the index and returns to exact scans.
-  void DisableAnn();
-  bool ann_enabled() const { return ann_options_.enable; }
-  /// True when queries actually route through the index right now.
-  bool ann_active() const { return ann_index_ != nullptr; }
-  const AnnOptions& ann_options() const { return ann_options_; }
+  bool quantized() const { return rows_.quantized(); }
 
   void Serialize(BinaryWriter* writer) const;
   static Result<NcmClassifier> Deserialize(BinaryReader* reader);
 
  private:
-  /// One int8-scanned prototype: quantized values, scale, exact Σq².
-  struct QuantizedPrototype {
-    std::vector<int8_t> q;
-    float scale = 1.0f;
-    int32_t norm = 0;
-  };
+  /// True if `id` has a prototype; `*row` is its row, or the row it would
+  /// be inserted at to keep `ids_` ascending.
+  bool Locate(sensors::ActivityId id, size_t* row) const;
 
-  void QuantizeOne(sensors::ActivityId id);
-
-  /// Exact full scan into `scratch->dist`, ascending by distance —
-  /// byte-identical to the pre-ANN `Distances` computation.
+  /// Exact full scan into `scratch->dist`, ascending by distance.
   Status DistancesInto(const float* embedding, size_t n,
                        Scratch* scratch) const;
 
-  /// Retrains the coarse quantizer over the current prototypes (or drops
-  /// the index when disabled / below `min_index_size`). Called by every
-  /// prototype mutation while ANN is enabled.
-  Status RebuildAnnIndex();
-
-  size_t dim_ = 0;
-  std::map<sensors::ActivityId, std::vector<float>> prototypes_;
-  std::map<sensors::ActivityId, QuantizedPrototype> quantized_;
-  bool quantized_scan_ = false;
-  AnnOptions ann_options_;  ///< .enable records the EnableAnn decision
-  std::shared_ptr<const AnnIndex> ann_index_;  ///< immutable once built
-  std::vector<sensors::ActivityId> ann_ids_;   ///< index row -> class id
+  /// Prototype rows in ascending class-id order: row r belongs to ids_[r].
+  /// Ascending order fixes both the `Serialize` bytes and the input order
+  /// of the (unstable) distance sort.
+  std::vector<sensors::ActivityId> ids_;
+  ScanRows rows_;
 };
 
 }  // namespace magneto::core

@@ -60,18 +60,8 @@ size_t UpdateTransaction::StagedEmbedder::embedding_dim() const {
 }
 
 Status UpdateTransaction::RebuildPrototypes() {
-  MAGNETO_ASSIGN_OR_RETURN(NcmClassifier rebuilt,
-                           NcmClassifier::FromSupportSet(support_, &embedder_));
-  // Preserve the staged classifier's ANN configuration: the transaction
-  // stages a *replacement* classifier, and committing it must not silently
-  // turn an indexed deployment back into a linear scan. The index itself is
-  // rebuilt here, on the staged copy — the live classifier keeps its own
-  // until Commit's single swap.
-  if (staged_.classifier.ann_enabled()) {
-    MAGNETO_RETURN_IF_ERROR(
-        rebuilt.EnableAnn(staged_.classifier.ann_options()));
-  }
-  staged_.classifier = std::move(rebuilt);
+  MAGNETO_ASSIGN_OR_RETURN(
+      staged_.classifier, NcmClassifier::FromSupportSet(support_, &embedder_));
   return Status::Ok();
 }
 

@@ -88,8 +88,7 @@ core::NamedPrediction Nameify(const sensors::ActivityRegistry& registry,
 
 // -- Deployment ---------------------------------------------------------------
 
-EdgeFleet::Deployment::Deployment(core::ModelBundle bundle, uint64_t ver,
-                                  const core::AnnOptions& ann)
+EdgeFleet::Deployment::Deployment(core::ModelBundle bundle, uint64_t ver)
     : pipeline(std::move(bundle.pipeline)),
       backbone(std::move(bundle.backbone)),
       classifier(std::move(bundle.classifier)),
@@ -97,13 +96,6 @@ EdgeFleet::Deployment::Deployment(core::ModelBundle bundle, uint64_t ver,
       support(std::move(bundle.support)),
       version(ver) {
   input_dim = backbone.InputDim();
-  if (ann.enable) {
-    // Built here, while this deployment is still private to the promoting
-    // thread — the shared pointer flips only once the index is complete.
-    // EnableAnn on a consistent non-empty classifier cannot fail (a small
-    // vocabulary just falls back to exact scans).
-    MAGNETO_CHECK(classifier.EnableAnn(ann).ok());
-  }
 }
 
 core::EdgeModel EdgeFleet::Deployment::SnapshotModel() const {
@@ -116,8 +108,7 @@ EdgeFleet::EdgeFleet(core::ModelBundle bundle, size_t num_sessions,
                      FleetOptions options)
     : options_(std::move(options)) {
   deployment_ = std::make_shared<const Deployment>(std::move(bundle),
-                                                   /*version=*/1,
-                                                   options_.ann);
+                                                   /*version=*/1);
   const auto& seg = deployment_->pipeline.config().segmentation;
   const double journal_window_s =
       options_.sample_rate_hz > 0
@@ -211,8 +202,8 @@ Status EdgeFleet::PromoteBundle(core::ModelBundle bundle) {
   // Copy-on-swap: the new deployment is fully built before the pointer
   // flips, so no reader ever sees a half-initialized model, and in-flight
   // classifications keep their pinned snapshot alive through the shared_ptr.
-  auto next = std::make_shared<const Deployment>(
-      std::move(bundle), next_version_.fetch_add(1), options_.ann);
+  auto next = std::make_shared<const Deployment>(std::move(bundle),
+                                                 next_version_.fetch_add(1));
   InstallDeployment(std::move(next));
   Metrics().promotions->Increment();
   return Status::Ok();
@@ -343,8 +334,8 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
     }
   }
   // Like the forward workspace above: one classifier scratch per serving
-  // thread keeps the NCM scan (distance buffer + int8 query + ANN probe
-  // state) allocation-free in steady state. The classifier is immutable
+  // thread keeps the NCM scan (distance buffer + int8 query)
+  // allocation-free in steady state. The classifier is immutable
   // and per-call state lives entirely in the scratch, so concurrent
   // leaders — including ones pinning different deployments across a
   // promotion — share nothing.

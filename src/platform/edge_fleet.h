@@ -55,12 +55,6 @@ struct FleetOptions {
   double sample_rate_hz = sensors::kDefaultSampleRateHz;
   /// Open-set rejection threshold applied at classification (0 = off).
   double rejection_threshold = 0.0;
-  /// Approximate prototype index applied to each deployment's classifier
-  /// (enable = false keeps exact scans). Promotion builds the new
-  /// deployment's index *before* the copy-on-swap pointer flip, so serving
-  /// threads never observe a half-built index — and in-flight requests keep
-  /// scanning the index of the deployment they pinned.
-  core::AnnOptions ann;
   /// Per-session temporal smoothing of the prediction stream.
   bool enable_smoothing = false;
   core::PredictionSmoother::Options smoother;
@@ -243,8 +237,7 @@ class EdgeFleet {
   /// construction — the backbone's Forward is const (state lives in the
   /// caller's workspace), so no mutex or `mutable` is needed anywhere.
   struct Deployment {
-    Deployment(core::ModelBundle bundle, uint64_t version,
-               const core::AnnOptions& ann);
+    Deployment(core::ModelBundle bundle, uint64_t version);
 
     /// Deep copy for background-update snapshots.
     core::EdgeModel SnapshotModel() const;

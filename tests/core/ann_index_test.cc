@@ -148,42 +148,6 @@ TEST(AnnIndexTest, RebuildIsBitIdentical) {
   EXPECT_EQ(ca, cb);
 }
 
-TEST(AnnIndexTest, PqShortlistBoundsCandidatesAndKeepsTrueNearest) {
-  const size_t clusters = 10;
-  Matrix data = MakeBlobs(clusters, 60, 16, /*seed=*/6);
-  AnnOptions options;
-  options.nlist = clusters;
-  options.nprobe = 3;
-  options.use_pq = true;
-  options.pq_subspaces = 4;
-  options.pq_centroids = 16;
-  options.pq_shortlist = 24;
-  auto index = AnnIndex::Build(data, options).value();
-
-  Rng rng(8);
-  AnnIndex::Scratch scratch;
-  std::vector<uint32_t> candidates;
-  size_t hits = 0;
-  const size_t trials = 60;
-  for (size_t t = 0; t < trials; ++t) {
-    const size_t i = rng.Index(data.rows());
-    std::vector<float> q(data.RowPtr(i), data.RowPtr(i) + data.cols());
-    for (float& v : q) v += static_cast<float>(rng.Normal(0.0, 0.01));
-    candidates.clear();
-    index.AppendCandidates(q.data(), &scratch, &candidates);
-    EXPECT_LE(candidates.size(), options.pq_shortlist);
-    EXPECT_GE(candidates.size(), 1u);
-    const uint32_t truth = ExactNearest(data, q.data());
-    if (std::find(candidates.begin(), candidates.end(), truth) !=
-        candidates.end()) {
-      ++hits;
-    }
-  }
-  // ADC pre-ranking is approximate but must keep the true neighbour in the
-  // shortlist essentially always on separated blobs.
-  EXPECT_GE(hits, trials * 90 / 100);
-}
-
 TEST(AnnIndexTest, NonFiniteVectorsDoNotPoisonProbing) {
   Matrix data = MakeBlobs(6, 20, 4, /*seed=*/9);
   data.At(3, 0) = std::numeric_limits<float>::quiet_NaN();

@@ -155,9 +155,9 @@ TEST_F(ModelBundleTest, OverflowingLengthHeaderRejected) {
   }
 }
 
-TEST_F(ModelBundleTest, V1ReadPathStillLoads) {
-  // Reconstruct a v1 image (CRC over the body only) from the v2 bytes; the
-  // legacy read path must keep accepting bundles written before the bump.
+TEST_F(ModelBundleTest, V1ImageRejectedAsCorruption) {
+  // Reconstruct a v1 image (CRC over the body only) from the v2 bytes. The
+  // v1 read path is retired: such an image must fail closed, not load.
   const std::string v2 = bundle_->SerializeToString();
   const std::string body =
       v2.substr(kHeaderBytes, v2.size() - kHeaderBytes - kFooterBytes);
@@ -168,10 +168,8 @@ TEST_F(ModelBundleTest, V1ReadPathStillLoads) {
   w.WriteBytes(body.data(), body.size());
   w.WriteU32(Crc32(body.data(), body.size()));
   auto back = ModelBundle::FromString(w.TakeBuffer());
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back.value().registry.size(), bundle_->registry.size());
-  EXPECT_EQ(back.value().backbone.NumParameters(),
-            bundle_->backbone.NumParameters());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(ModelBundleTest, HeaderBitFlipReportsChecksumMismatch) {

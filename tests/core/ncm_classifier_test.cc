@@ -114,6 +114,16 @@ TEST(NcmClassifierTest, EmptyEmbeddingBatchRejected) {
   EXPECT_FALSE(ncm.SetPrototypeFromEmbeddings(0, Matrix(0, 2)).ok());
 }
 
+TEST(NcmClassifierTest, ZeroWidthEmbeddingsRejected) {
+  // Regression: a zero-width prototype left the classifier dim at 0, so the
+  // next class set a real dim over it and the scan read past its end.
+  NcmClassifier ncm;
+  EXPECT_EQ(ncm.SetPrototypeFromEmbeddings(0, Matrix(1, 0)).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(ncm.SetPrototypeFromEmbeddings(1, Matrix(1, 2, {1, 2})).ok());
+  EXPECT_EQ(ncm.num_classes(), 1u);
+}
+
 TEST(NcmClassifierTest, FromSupportSetBuildsAllPrototypes) {
   SupportSet support(4, SelectionStrategy::kRandom);
   Rng rng(1);
@@ -180,6 +190,48 @@ TEST(NcmClassifierTest, DeserializeRejectsDimMismatch) {
   w.WriteF32Vector({1.0f, 2.0f});  // but only 2 floats
   BinaryReader r(w.buffer());
   EXPECT_FALSE(NcmClassifier::Deserialize(&r).ok());
+}
+
+TEST(NcmClassifierTest, DeserializeRejectsZeroWidthPrototypes) {
+  // Regression: dim 0 with classes stored zero-width prototypes, and a
+  // later SetPrototypeFromEmbeddings set a real dim over them, so the scan
+  // read past their end.
+  BinaryWriter w;
+  w.WriteU64(0);  // dim 0
+  w.WriteU64(1);  // one prototype
+  w.WriteI64(4);
+  w.WriteF32Vector({});
+  BinaryReader r(w.buffer());
+  auto res = NcmClassifier::Deserialize(&r);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+}
+
+TEST(NcmClassifierTest, DeserializeRejectsDuplicateClassId) {
+  // Regression: a repeated class id used to be merged silently, the last
+  // prototype winning.
+  BinaryWriter w;
+  w.WriteU64(2);
+  w.WriteU64(2);
+  w.WriteI64(3);
+  w.WriteF32Vector({1.0f, 2.0f});
+  w.WriteI64(3);
+  w.WriteF32Vector({5.0f, 6.0f});
+  BinaryReader r(w.buffer());
+  auto res = NcmClassifier::Deserialize(&r);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+}
+
+TEST(NcmClassifierTest, DeserializeEmptyZeroWidthIsValid) {
+  // A default-constructed classifier serializes as dim 0 with no classes;
+  // that image must still load.
+  BinaryWriter w;
+  NcmClassifier().Serialize(&w);
+  BinaryReader r(w.buffer());
+  auto res = NcmClassifier::Deserialize(&r);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value().num_classes(), 0u);
 }
 
 TEST(NcmClassifierTest, QuantizePrototypesEmptyFails) {
@@ -294,131 +346,49 @@ NcmClassifier GridNcm(int classes) {
   return ncm;
 }
 
-AnnOptions SmallAnn(size_t nlist, size_t nprobe) {
-  AnnOptions options;
-  options.min_index_size = 1;
-  options.nlist = nlist;
-  options.nprobe = nprobe;
-  return options;
-}
-
-TEST(NcmClassifierTest, AnnFullProbeMatchesExactActivityAndDistance) {
-  NcmClassifier exact = GridNcm(32);
-  NcmClassifier ann = exact;
-  ASSERT_TRUE(ann.EnableAnn(SmallAnn(8, 8)).ok());
-  ASSERT_TRUE(ann.ann_active());
-  EXPECT_TRUE(ann.ann_enabled());
-  EXPECT_FALSE(exact.ann_active());
-
-  Rng rng(11);
-  for (int t = 0; t < 50; ++t) {
-    const std::vector<float> q{static_cast<float>(rng.Uniform(-5.0, 150.0)),
-                               static_cast<float>(rng.Uniform(-5.0, 70.0))};
-    auto pe = exact.Classify(q).value();
-    auto pa = ann.Classify(q).value();
-    EXPECT_EQ(pe.activity, pa.activity) << "trial " << t;
-    EXPECT_DOUBLE_EQ(pe.distance, pa.distance) << "trial " << t;
-  }
-}
-
-TEST(NcmClassifierTest, AnnRebuildsOnEveryMutation) {
-  NcmClassifier ncm = GridNcm(32);
-  ASSERT_TRUE(ncm.EnableAnn(SmallAnn(8, 2)).ok());
-  ASSERT_TRUE(ncm.ann_active());
-
-  // New class lands in the index immediately.
-  ASSERT_TRUE(
-      ncm.SetPrototypeFromEmbeddings(500, Matrix(1, 2, {300, 300})).ok());
-  EXPECT_EQ(ncm.Classify({299.0f, 301.0f}).value().activity, 500);
-
-  // A removed class is gone from the candidate pool immediately.
-  ASSERT_TRUE(ncm.RemoveClass(500).ok());
-  EXPECT_NE(ncm.Classify({299.0f, 301.0f}).value().activity, 500);
-
-  // Quantization re-trains the quantizer on the dequantized prototypes and
-  // keeps serving.
-  ASSERT_TRUE(ncm.QuantizePrototypes().ok());
-  EXPECT_TRUE(ncm.ann_active());
-  EXPECT_EQ(ncm.Classify({20.0f, 0.5f}).value().activity, 1);
-}
-
-TEST(NcmClassifierTest, AnnBelowThresholdFallsBackToExact) {
-  NcmClassifier ncm = TwoClassClassifier();
-  AnnOptions options;
-  options.min_index_size = 100;  // 2 classes < threshold
-  ASSERT_TRUE(ncm.EnableAnn(options).ok());
-  EXPECT_TRUE(ncm.ann_enabled());
-  EXPECT_FALSE(ncm.ann_active());
-  NcmClassifier exact = TwoClassClassifier();
-  for (float x : {0.0f, 4.9f, 5.1f, 10.0f}) {
-    const std::vector<float> q{x, 0.0f};
-    Prediction pa = ncm.Classify(q).value();
-    Prediction pe = exact.Classify(q).value();
-    EXPECT_EQ(std::memcmp(&pa, &pe, sizeof(Prediction)), 0) << "x=" << x;
-  }
-  ncm.DisableAnn();
-  EXPECT_FALSE(ncm.ann_enabled());
-}
-
-TEST(NcmClassifierTest, AnnNotSerialized) {
-  NcmClassifier ncm = GridNcm(32);
-  ASSERT_TRUE(ncm.EnableAnn(SmallAnn(8, 2)).ok());
-  ASSERT_TRUE(ncm.ann_active());
-  BinaryWriter with_ann;
-  ncm.Serialize(&with_ann);
-  BinaryWriter without_ann;
-  GridNcm(32).Serialize(&without_ann);
-  EXPECT_EQ(with_ann.buffer(), without_ann.buffer());  // wire format unchanged
-  BinaryReader reader(with_ann.buffer());
-  auto back = NcmClassifier::Deserialize(&reader);
-  ASSERT_TRUE(back.ok());
-  EXPECT_FALSE(back.value().ann_enabled());  // deserialized = exact
-}
-
 TEST(NcmClassifierTest, DistancesAlwaysCoversEveryPrototype) {
-  // `Distances` promises a distance to *every* prototype; ANN must not
-  // truncate it.
+  // `Distances` promises a distance to *every* prototype.
   NcmClassifier ncm = GridNcm(32);
-  ASSERT_TRUE(ncm.EnableAnn(SmallAnn(8, 1)).ok());
   const std::vector<float> q{0.0f, 0.0f};
   auto all = ncm.Distances(q.data(), q.size()).value();
   EXPECT_EQ(all.size(), 32u);
 }
 
-TEST(NcmClassifierTest, ConcurrentAnnClassifyWithPerThreadScratch) {
-  // ANN classify is read-only over an immutable shared index: concurrent
-  // calls with distinct scratches must agree with serial answers (run under
-  // -DMAGNETO_SANITIZE=thread via check.sh's ANN leg).
-  NcmClassifier ncm = GridNcm(32);
-  ASSERT_TRUE(ncm.EnableAnn(SmallAnn(8, 3)).ok());
-  ASSERT_TRUE(ncm.ann_active());
+TEST(NcmClassifierTest, ConcurrentClassifyWithPerThreadScratch) {
+  // Classify is read-only over the shared prototype store: concurrent calls
+  // with distinct scratches must agree with serial answers, on the fp32 and
+  // the int8 store alike (run under -DMAGNETO_SANITIZE=thread by check.sh).
+  NcmClassifier fp32 = GridNcm(32);
+  NcmClassifier int8 = fp32;
+  ASSERT_TRUE(int8.QuantizePrototypes().ok());
   std::vector<std::vector<float>> queries;
   for (int c = 0; c < 8; ++c) {
     queries.push_back({static_cast<float>(c % 8) * 20.0f + 0.5f,
                        static_cast<float>(c / 8) * 20.0f - 0.5f});
   }
-  std::vector<Prediction> expected;
-  for (const auto& q : queries) expected.push_back(ncm.Classify(q).value());
+  for (const NcmClassifier* ncm : {&fp32, &int8}) {
+    std::vector<Prediction> expected;
+    for (const auto& q : queries) expected.push_back(ncm->Classify(q).value());
 
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      NcmClassifier::Scratch scratch;
-      for (int rep = 0; rep < 50; ++rep) {
-        const size_t qi = static_cast<size_t>((t + rep) % queries.size());
-        auto pred =
-            ncm.Classify(queries[qi].data(), queries[qi].size(), &scratch);
-        if (!pred.ok() ||
-            std::memcmp(&pred.value(), &expected[qi], sizeof(Prediction)) !=
-                0) {
-          mismatches.fetch_add(1);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        NcmClassifier::Scratch scratch;
+        for (int rep = 0; rep < 50; ++rep) {
+          const size_t qi = static_cast<size_t>((t + rep) % queries.size());
+          auto pred =
+              ncm->Classify(queries[qi].data(), queries[qi].size(), &scratch);
+          if (!pred.ok() || std::memcmp(&pred.value(), &expected[qi],
+                                        sizeof(Prediction)) != 0) {
+            mismatches.fetch_add(1);
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << (ncm->quantized() ? "int8" : "fp32");
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

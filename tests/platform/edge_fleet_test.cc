@@ -617,87 +617,6 @@ TEST(EdgeFleetStressTest, OpenLoopConcurrentSubmitWithMidRunPromotion) {
   EXPECT_EQ(fleet->deployment_version(), 2u);
 }
 
-TEST(EdgeFleetTest, AnnDeploymentMatchesExactServing) {
-  // Full-probe ANN configuration: the candidate pool covers every prototype,
-  // so an ANN-enabled fleet must serve byte-identical predictions to a plain
-  // one built from the same bundle seed — through promotions included.
-  FleetOptions ann_options;
-  ann_options.ann.enable = true;
-  ann_options.ann.min_index_size = 1;
-  ann_options.ann.nlist = 2;
-  ann_options.ann.nprobe = 2;
-  auto ann_fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(821), 1,
-                                     ann_options)
-                       .value();
-  auto exact_fleet =
-      EdgeFleet::Create(testing::SmallPretrainedBundle(821), 1).value();
-
-  auto compare_streams = [&](uint64_t seed) {
-    size_t predictions = 0;
-    for (const sensors::Frame& f : ActivityFrames(sensors::kWalk, 3.0, seed)) {
-      auto pa = ann_fleet->PushFrame(0, f);
-      auto pe = exact_fleet->PushFrame(0, f);
-      ASSERT_TRUE(pa.ok());
-      ASSERT_TRUE(pe.ok());
-      ASSERT_EQ(pa.value().has_value(), pe.value().has_value());
-      if (!pa.value().has_value()) continue;
-      ++predictions;
-      EXPECT_EQ(pa.value()->name, pe.value()->name);
-      EXPECT_EQ(std::memcmp(&pa.value()->prediction, &pe.value()->prediction,
-                            sizeof(core::Prediction)),
-                0);
-    }
-    EXPECT_GE(predictions, 2u);
-  };
-  compare_streams(70);
-
-  // The promoted deployment rebuilds the index before the pointer flip.
-  ASSERT_TRUE(
-      ann_fleet->PromoteBundle(testing::SmallPretrainedBundle(822)).ok());
-  ASSERT_TRUE(
-      exact_fleet->PromoteBundle(testing::SmallPretrainedBundle(822)).ok());
-  compare_streams(71);
-}
-
-TEST(EdgeFleetStressTest, AnnConcurrentServeWithMidRunPromotion) {
-  // ANN leg of the promotion storm: sessions classify through the shared
-  // immutable index (thread_local NCM scratch in ServeBatch) while a
-  // promotion swaps in a freshly built index mid-run. TSan target via
-  // check.sh's ANN leg.
-  constexpr size_t kSessions = 4;
-  FleetOptions options;
-  options.max_batch = 4;
-  options.ann.enable = true;
-  options.ann.min_index_size = 1;
-  options.ann.nlist = 2;
-  options.ann.nprobe = 2;
-  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(823),
-                                 kSessions, options)
-                   .value();
-
-  const sensors::ActivityId activities[] = {sensors::kStill, sensors::kWalk,
-                                            sensors::kRun};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (size_t s = 0; s < kSessions; ++s) {
-    threads.emplace_back([&, s] {
-      for (const sensors::Frame& f :
-           ActivityFrames(activities[s % 3], 4.0, 72 + s)) {
-        if (!fleet->PushFrame(s, f).ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  while (fleet->session_stats(0).windows < 1) std::this_thread::yield();
-  ASSERT_TRUE(fleet->PromoteBundle(testing::SmallPretrainedBundle(824)).ok());
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(fleet->deployment_version(), 2u);
-  for (size_t s = 0; s < kSessions; ++s) {
-    EXPECT_GT(fleet->session_stats(s).predictions, 0u) << "session " << s;
-  }
-}
-
 TEST(EdgeFleetStressTest, ConcurrentSessionsWithMidRunPromotion) {
   // The tentpole: many sessions classify concurrently while a bundle
   // promotion lands mid-run. Under -DMAGNETO_SANITIZE=thread this is the
