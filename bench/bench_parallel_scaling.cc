@@ -1,9 +1,12 @@
 // Thread-scaling sweep over the pooled hot paths: GEMM, preprocessing
-// throughput, and one Siamese training epoch, at 1/2/4/8 lanes. Emits
-// BENCH_parallel.json so the perf trajectory is tracked across PRs, and
-// fails (exit 1) if any workload is not bit-identical across thread counts —
-// the determinism contract of the shared runtime (DESIGN.md, "Parallel
-// runtime").
+// throughput, and one Siamese training epoch, at 1/2/4/8 lanes; plus the
+// fp32 GEMM kernel instantiations (portable, avx2, avx512f) on the paper
+// backbone's training shapes. Emits BENCH_parallel.json so the perf
+// trajectory is tracked across PRs, and fails (exit 1) if any workload is
+// not bit-identical across thread counts or kernel instantiations — the
+// determinism contract of the shared runtime (DESIGN.md, "Parallel
+// runtime") — or if a packed instantiation is not at least 1.2x the
+// portable kernel.
 //
 // Speedups are only meaningful on a machine with that many cores;
 // `hardware_threads` is recorded in the JSON so readers can judge.
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/gemm_internal.h"
 
 // Process-wide heap telemetry for the zero-allocation serving assertions
 // below: every operator new/new[] funnels through one counter. Coarse but
@@ -128,8 +132,15 @@ struct AllocStats {
   double ncm_int8_scratch_per_classify = 0.0;
 };
 
+/// One GEMM kernel instantiation timed on the training shapes.
+struct IsaRow {
+  const char* isa;
+  Sample sample;  ///< seconds per training step's GEMMs
+  double speedup_vs_portable = 1.0;
+};
+
 void Report(const std::vector<Workload>& workloads, bool deterministic,
-            const AllocStats& allocs) {
+            const AllocStats& allocs, const std::vector<IsaRow>& isa_rows) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
   json.Field("hardware_threads", std::thread::hardware_concurrency())
       .Field("deterministic_across_thread_counts", deterministic)
@@ -142,6 +153,23 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Field("ncm_allocs_per_classify_fresh", allocs.ncm_fresh_per_classify)
       .Field("ncm_allocs_per_classify_int8_scratch",
              allocs.ncm_int8_scratch_per_classify)
+      .EndObject()
+      .Key("gemm_training_shapes")
+      .BeginObject()
+      .Field("shapes", "batch 64 and 32 through 80-1024-512-128-64-128, "
+                       "forward + both backward GEMMs, 1 lane")
+      .Field("dispatched",
+             static_cast<uint64_t>(gemm_internal::DispatchedIsa()))
+      .Key("runs")
+      .BeginArray();
+  for (const IsaRow& row : isa_rows) {
+    json.BeginObject()
+        .Field("isa", row.isa)
+        .Field("ms_per_step", row.sample.seconds * 1e3)
+        .Field("speedup_vs_portable", row.speedup_vs_portable)
+        .EndObject();
+  }
+  json.EndArray()
       .EndObject()
       .Key("workloads")
       .BeginArray();
@@ -251,6 +279,83 @@ int main() {
       }));
     }
     workloads.push_back(wl);
+  }
+
+  // --- GEMM kernel instantiations on the training shapes: every Linear
+  // layer's forward MatMul and backward TransA/TransB for one step of the
+  // paper backbone at batch 64 and 32 (the Siamese trainer's shapes), on one
+  // lane so the kernels, not the pool, are compared ---
+  std::vector<IsaRow> isa_rows;
+  bool isa_identical = true, isa_fast = true;
+  {
+    SetParallelThreads(1);
+    using gemm_internal::GemmIsa;
+    const std::vector<size_t> dims = {80, 1024, 512, 128, 64, 128};
+    struct Layer {
+      Matrix x, w, g;
+    };
+    std::vector<Layer> layers;
+    Rng rng(13);
+    auto random = [&](size_t rows, size_t cols) {
+      Matrix m(rows, cols);
+      for (size_t i = 0; i < m.size(); ++i) {
+        m.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+      }
+      return m;
+    };
+    for (size_t batch : {64, 32}) {
+      for (size_t l = 0; l + 1 < dims.size(); ++l) {
+        layers.push_back({random(batch, dims[l]), random(dims[l], dims[l + 1]),
+                          random(batch, dims[l + 1])});
+      }
+    }
+    const struct {
+      GemmIsa isa;
+      const char* name;
+    } isas[] = {{GemmIsa::kPortable, "portable"},
+                {GemmIsa::kAvx2, "avx2"},
+                {GemmIsa::kAvx512f, "avx512f"}};
+    Matrix out;
+    for (const auto& [isa, name] : isas) {
+      if (!gemm_internal::IsaSupported(isa)) continue;
+      // Timed without the fingerprint, which would cost as much as the
+      // kernels; one more untimed step fingerprints the outputs.
+      auto step = [&, isa = isa](bool fingerprint) {
+        uint64_t h = 1469598103934665603ull;
+        for (const Layer& layer : layers) {
+          gemm_internal::MatMulIntoWith(isa, layer.x, layer.w, &out);
+          if (fingerprint) h ^= Fingerprint(out.data(), out.size());
+          gemm_internal::MatMulTransAIntoWith(isa, layer.x, layer.g, &out);
+          if (fingerprint) h ^= Fingerprint(out.data(), out.size());
+          gemm_internal::MatMulTransBIntoWith(isa, layer.g, layer.w, &out);
+          if (fingerprint) h ^= Fingerprint(out.data(), out.size());
+        }
+        return h;
+      };
+      Sample sample = BestOf(10, [&] { return step(false); });
+      sample.fingerprint = step(true);
+      IsaRow row{name, sample};
+      if (!isa_rows.empty()) {
+        row.speedup_vs_portable =
+            isa_rows.front().sample.seconds / sample.seconds;
+        isa_identical &=
+            sample.fingerprint == isa_rows.front().sample.fingerprint;
+        isa_fast &= row.speedup_vs_portable >= 1.2;
+      }
+      isa_rows.push_back(row);
+      std::printf(
+          "gemm training shapes  %-8s %8.2f ms/step (x%.2f vs portable)\n",
+          name, sample.seconds * 1e3, row.speedup_vs_portable);
+    }
+    if (!isa_identical) {
+      std::fprintf(stderr,
+                   "GEMM results differ across kernel instantiations!\n");
+    }
+    if (!isa_fast) {
+      std::fprintf(stderr,
+                   "a packed GEMM instantiation is below 1.2x the portable "
+                   "kernel on the training shapes\n");
+    }
   }
 
   // --- Forward-pass allocation traffic: reused vs fresh workspace ---
@@ -363,8 +468,9 @@ int main() {
     }
   }
 
-  Report(workloads, deterministic, allocs);
+  Report(workloads, deterministic, allocs, isa_rows);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
-  return (deterministic && ncm_alloc_free) ? 0 : 1;
+  return (deterministic && ncm_alloc_free && isa_identical && isa_fast) ? 0
+                                                                     : 1;
 }

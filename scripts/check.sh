@@ -9,7 +9,9 @@ cmake --build build
 ctest --test-dir build -j"$(nproc)" --output-on-failure
 
 # TSan pass over the shared thread pool and the parallel kernels. Forces an
-# oversubscribed pool so races surface even on small CI machines.
+# oversubscribed pool so races surface even on small CI machines. MatMul*
+# takes in the packed GEMM oracle suite (MatMulKernelTest.*): chunks of
+# column panels, each packed into a per-thread buffer.
 cmake -B build-tsan -G Ninja -DMAGNETO_SANITIZE=thread
 cmake --build build-tsan --target common_test obs_test nn_test core_test \
   platform_test
@@ -67,13 +69,17 @@ cmake --build build-asan --target common_test core_test platform_test \
 
 # UBSan pass over the classifier scans and the deserializers they read: the
 # int8 exact-rescale arithmetic, NaN-sanitised sorts, the prototype and
-# support-set readers, and the bundle framing. The build aborts on the first
-# report (-fno-sanitize-recover=all), so any UB fails the leg.
+# support-set readers, and the bundle framing; plus the fp32 GEMM kernels
+# (portable and every packed instantiation the host runs, with the Inf/NaN
+# and zero-sized sweeps) and the Linear/workspace training path on top of
+# them. The build aborts on the first report (-fno-sanitize-recover=all), so
+# any UB fails the leg.
 cmake -B build-ubsan -G Ninja -DMAGNETO_SANITIZE=undefined
-cmake --build build-ubsan --target common_test core_test
+cmake --build build-ubsan --target common_test core_test nn_test
 ./build-ubsan/tests/core_test \
   --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*'
-./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*'
+./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*:MatMul*'
+./build-ubsan/tests/nn_test --gtest_filter='Linear*:Workspace*'
 
 # CLI telemetry smoke: every run must leave a parseable metrics snapshot and
 # a trace with events.
@@ -87,6 +93,10 @@ for f in pretrain_metrics.json metrics.json trace.json; do
   [ -s "$smoke_dir/$f" ] || { echo "missing/empty $f" >&2; exit 1; }
 done
 grep -q '"schema_version"' "$smoke_dir/metrics.json"
+# The GEMM dispatcher reports the instantiation it picked (0 portable,
+# 1 avx2, 2 avx512f) the first time a GEMM runs; pretraining runs many.
+grep -Eq '"common\.gemm\.isa": [0-2]' "$smoke_dir/pretrain_metrics.json" \
+  || { echo "telemetry smoke: missing common.gemm.isa gauge" >&2; exit 1; }
 grep -q '"traceEvents"' "$smoke_dir/trace.json"
 grep -q '"ph":"B"' "$smoke_dir/trace.json"
 

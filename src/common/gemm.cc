@@ -1,0 +1,571 @@
+// fp32 GEMM: the portable row-partitioned kernels and the packed,
+// register-blocked kernel they hand batches of >= kPackedMinRows rows to.
+//
+// Bit-identity contract: every output element is accumulated in exactly the
+// portable kernel's order, so results do not depend on the ISA, the batch
+// cut-over or the thread count.
+//   MatMul  — groups of four k-terms, ((a0*b0 + a1*b1) + a2*b2) + a3*b3,
+//             added in k order, then the k % 4 tail one term at a time;
+//   TransA  — one k-term at a time, in k order;
+//   TransB  — Dot's four streams (k mod 4, tail into stream 0), combined as
+//             (s0 + s1) + (s2 + s3).
+// The packed kernels use only vector mul and add; -ffp-contract=off
+// (src/CMakeLists.txt) keeps the compiler from fusing them into FMAs.
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "common/gemm_internal.h"
+#include "common/matrix.h"
+#include "common/parallel.h"
+#include "obs/metrics.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MAGNETO_GEMM_X86 1
+#endif
+
+namespace magneto {
+namespace gemm_internal {
+namespace {
+
+// Target multiply-adds per ParallelFor chunk. Grain sizes derived from this
+// depend only on the problem shape (never the worker count), which keeps the
+// chunk decomposition — and therefore the results — identical at any thread
+// count.
+constexpr size_t kFlopsPerChunk = 1u << 21;
+
+// ---- Portable kernels -----------------------------------------------------
+
+// Tile edge chosen so three float tiles fit comfortably in L1.
+constexpr size_t kTile = 64;
+
+/// Rows per chunk so one chunk is roughly kFlopsPerChunk multiply-adds.
+size_t RowGrain(size_t flops_per_row) {
+  return std::max<size_t>(1, kFlopsPerChunk / (flops_per_row + 1));
+}
+
+/// Tiled ikj kernel over the output-row range [row0, row1). The kk loop is
+/// 4-way unrolled into independent axpy streams: branch-free bodies with
+/// contiguous float accumulation that auto-vectorize cleanly. Accumulation
+/// order per output row depends only on the k tiling, so row partitioning
+/// never changes results.
+void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t row0,
+                size_t row1) {
+  const size_t k = a.cols(), n = b.cols();
+  for (size_t i0 = row0; i0 < row1; i0 += kTile) {
+    const size_t i1 = std::min(i0 + kTile, row1);
+    for (size_t k0 = 0; k0 < k; k0 += kTile) {
+      const size_t k1 = std::min(k0 + kTile, k);
+      for (size_t i = i0; i < i1; ++i) {
+        const float* arow = a.RowPtr(i);
+        float* orow = out->RowPtr(i);
+        size_t kk = k0;
+        for (; kk + 4 <= k1; kk += 4) {
+          const float a0 = arow[kk], a1 = arow[kk + 1];
+          const float a2 = arow[kk + 2], a3 = arow[kk + 3];
+          const float* b0 = b.RowPtr(kk);
+          const float* b1 = b.RowPtr(kk + 1);
+          const float* b2 = b.RowPtr(kk + 2);
+          const float* b3 = b.RowPtr(kk + 3);
+          for (size_t j = 0; j < n; ++j) {
+            orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+          }
+        }
+        for (; kk < k1; ++kk) {
+          const float av = arow[kk];
+          const float* brow = b.RowPtr(kk);
+          for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+        }
+      }
+    }
+  }
+}
+
+void PortableMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  out->Reset(m, n);  // the ikj kernel accumulates, so it needs zeros
+  ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
+    MatMulRows(a, b, out, row0, row1);
+  });
+}
+
+void PortableTransA(const Matrix& a, const Matrix& b, Matrix* out) {
+  const size_t k = a.rows(), m = a.cols(), n = b.cols();
+  out->Reset(m, n);
+  // Partitioned over output rows (columns of a): each row of the result is
+  // accumulated over kk by exactly one chunk, in the same order as the serial
+  // loop, so results are bit-identical at any thread count. b's rows stream
+  // through each chunk once per kk, as in the serial kernel.
+  ParallelFor(0, m, RowGrain(k * n), [&](size_t i0, size_t i1) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float* arow = a.RowPtr(kk);
+      const float* brow = b.RowPtr(kk);
+      for (size_t i = i0; i < i1; ++i) {
+        const float av = arow[i];
+        float* orow = out->RowPtr(i);
+        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
+    }
+  });
+}
+
+void PortableTransB(const Matrix& a, const Matrix& b, Matrix* out) {
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  out->ResetForOverwrite(m, n);  // every element is assigned below
+  ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
+    for (size_t i = row0; i < row1; ++i) {
+      const float* arow = a.RowPtr(i);
+      float* orow = out->RowPtr(i);
+      for (size_t j = 0; j < n; ++j) orow[j] = Dot(arow, b.RowPtr(j), k);
+    }
+  });
+}
+
+// ---- Packed kernels -------------------------------------------------------
+//
+// Work is split over panels of kPanel output columns. A chunk packs the
+// k x kPanel slice of B its panel reads into a per-thread buffer (row kk of
+// the panel = the kPanel B values output row i multiplies by a[i][kk];
+// columns past n are zero) and sweeps every output row through it, a tile of
+// kRows rows x kPanel columns of register accumulators at a time. Splitting
+// columns, not rows, means each panel is packed exactly once per call, and no
+// element's accumulation is ever split between chunks.
+
+constexpr size_t kPanel = 32;
+
+/// Per-thread, grow-only, 64-byte-aligned storage for one packed panel (at
+/// most 128 KiB at k = 1024). Grows to the largest k seen, never shrinks.
+float* PanelBuffer(size_t floats) {
+  constexpr size_t kAlignFloats = 16;
+  thread_local std::vector<float> buffer;
+  if (buffer.size() < floats + kAlignFloats) {
+    buffer.resize(floats + kAlignFloats);
+  }
+  const auto addr = reinterpret_cast<uintptr_t>(buffer.data());
+  return buffer.data() + (64 - addr % 64) % 64 / sizeof(float);
+}
+
+/// Packs b[kk][j0, j0 + cols) for every kk into panel row kk (MatMul and
+/// TransA: B is k x n in both).
+void PackRows(const Matrix& b, size_t j0, size_t cols, float* panel) {
+  for (size_t kk = 0; kk < b.rows(); ++kk) {
+    float* dst = panel + kk * kPanel;
+    std::memcpy(dst, b.RowPtr(kk) + j0, cols * sizeof(float));
+    std::fill(dst + cols, dst + kPanel, 0.0f);
+  }
+}
+
+/// Packs the transpose of b's rows [j0, j0 + cols) into panel row kk
+/// (TransB: B is n x k, so panel row kk holds b[j0 + jj][kk]).
+void PackColumns(const Matrix& b, size_t j0, size_t cols, float* panel) {
+  // Blocks of 64 panel rows (8 KiB) stay in L1 while all columns land.
+  constexpr size_t kBlock = 64;
+  const size_t k = b.cols();
+  for (size_t k0 = 0; k0 < k; k0 += kBlock) {
+    const size_t k1 = std::min(k0 + kBlock, k);
+    for (size_t jj = 0; jj < cols; ++jj) {
+      const float* src = b.RowPtr(j0 + jj);
+      for (size_t kk = k0; kk < k1; ++kk) panel[kk * kPanel + jj] = src[kk];
+    }
+  }
+  if (cols < kPanel) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      std::fill(panel + kk * kPanel + cols, panel + (kk + 1) * kPanel, 0.0f);
+    }
+  }
+}
+
+/// Operands of one packed GEMM call: the output is row-major m x n and every
+/// element sums over k terms.
+struct PackedCall {
+  const Matrix* a;
+  const Matrix* b;
+  float* out;
+  size_t m, k, n;
+};
+
+enum class Op { kMatMul, kTransA, kTransB };
+
+/// The kernel body, written once over a GCC vector of W floats. Everything
+/// is always_inline so each instantiation is compiled entirely under the
+/// target attribute of the wrapper that calls it (below).
+template <int W>
+struct Packed {
+  typedef float V __attribute__((vector_size(W * sizeof(float))));
+  // Unaligned, aliasing view for loads and stores at arbitrary offsets.
+  typedef float U __attribute__((vector_size(W * sizeof(float)),
+                                 aligned(alignof(float)), may_alias));
+
+  static constexpr size_t kVecs = kPanel / W;
+  /// Rows per register tile, sized so the accumulators fill about half the
+  /// vector register file (AVX-512: 16 of 32 zmm; AVX2: 12 of 16 ymm) and
+  /// the B values and broadcasts of a group fit beside them. TransB keeps
+  /// Dot's four streams live per element: 3 rows x 8 zmm on AVX-512, one
+  /// row x 16 ymm on AVX2.
+  static constexpr size_t kRows = (W == 16 ? 16 : 12) / kVecs;
+  static constexpr size_t kStreamRows = W == 16 ? 3 : 1;
+
+  template <size_t R>
+  using Tile = V[R][kVecs];
+
+  /// acc[r] = acc[r] + a[r * row_stride + t * k_stride] * panel row t, one
+  /// term at a time for t in [0, count).
+  template <size_t R>
+  [[gnu::always_inline]] static inline void AddTerms(
+      Tile<R>& acc, const float* a, size_t row_stride, size_t k_stride,
+      const float* panel, size_t count) {
+    for (size_t t = 0; t < count; ++t) {
+      const float* p = panel + t * kPanel;
+      V b[kVecs];
+#pragma GCC unroll 8
+      for (size_t v = 0; v < kVecs; ++v) {
+        b[v] = *reinterpret_cast<const U*>(p + v * W);
+      }
+#pragma GCC unroll 8
+      for (size_t r = 0; r < R; ++r) {
+        const float x = a[r * row_stride + t * k_stride];
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kVecs; ++v) acc[r][v] = acc[r][v] + x * b[v];
+      }
+    }
+  }
+
+  /// acc[r] = acc[r] + (((a0*b0 + a1*b1) + a2*b2) + a3*b3) per group of four
+  /// consecutive k-terms, for `groups` groups — the portable MatMul body.
+  template <size_t R>
+  [[gnu::always_inline]] static inline void AddQuads(Tile<R>& acc,
+                                                     const float* a,
+                                                     size_t lda,
+                                                     const float* panel,
+                                                     size_t groups) {
+    for (size_t g = 0; g < groups; ++g) {
+      const float* p = panel + 4 * g * kPanel;
+      V b0[kVecs], b1[kVecs], b2[kVecs], b3[kVecs];
+#pragma GCC unroll 8
+      for (size_t v = 0; v < kVecs; ++v) {
+        b0[v] = *reinterpret_cast<const U*>(p + v * W);
+        b1[v] = *reinterpret_cast<const U*>(p + kPanel + v * W);
+        b2[v] = *reinterpret_cast<const U*>(p + 2 * kPanel + v * W);
+        b3[v] = *reinterpret_cast<const U*>(p + 3 * kPanel + v * W);
+      }
+#pragma GCC unroll 8
+      for (size_t r = 0; r < R; ++r) {
+        const float* ar = a + r * lda + 4 * g;
+        const float a0 = ar[0], a1 = ar[1], a2 = ar[2], a3 = ar[3];
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kVecs; ++v) {
+          acc[r][v] = acc[r][v] + (((a0 * b0[v] + a1 * b1[v]) + a2 * b2[v]) +
+                                   a3 * b3[v]);
+        }
+      }
+    }
+  }
+
+  /// Writes the first `cols` columns of each tile row to out + r * ldo.
+  template <size_t R>
+  [[gnu::always_inline]] static inline void Store(const Tile<R>& acc,
+                                                  float* out, size_t ldo,
+                                                  size_t cols) {
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+      if (cols == kPanel) {
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kVecs; ++v) {
+          *reinterpret_cast<U*>(out + r * ldo + v * W) = acc[r][v];
+        }
+      } else {
+        float row[kPanel];
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kVecs; ++v) {
+          *reinterpret_cast<U*>(row + v * W) = acc[r][v];
+        }
+        std::memcpy(out + r * ldo, row, cols * sizeof(float));
+      }
+    }
+  }
+
+  template <size_t R>
+  [[gnu::always_inline]] static inline void MatMulTile(const PackedCall& c,
+                                                       const float* panel,
+                                                       size_t i, size_t j0,
+                                                       size_t cols) {
+    const size_t groups = c.k / 4;
+    const float* a = c.a->RowPtr(i);
+    Tile<R> acc{};
+    AddQuads<R>(acc, a, c.k, panel, groups);
+    AddTerms<R>(acc, a + 4 * groups, c.k, 1, panel + 4 * groups * kPanel,
+                c.k - 4 * groups);
+    Store<R>(acc, c.out + i * c.n + j0, c.n, cols);
+  }
+
+  template <size_t R>
+  [[gnu::always_inline]] static inline void TransATile(const PackedCall& c,
+                                                       const float* panel,
+                                                       size_t i, size_t j0,
+                                                       size_t cols) {
+    // a is k x m: output row i reads column i of a.
+    Tile<R> acc{};
+    AddTerms<R>(acc, c.a->data() + i, 1, c.m, panel, c.k);
+    Store<R>(acc, c.out + i * c.n + j0, c.n, cols);
+  }
+
+  template <size_t R>
+  [[gnu::always_inline]] static inline void TransBTile(const PackedCall& c,
+                                                       const float* panel,
+                                                       size_t i, size_t j0,
+                                                       size_t cols) {
+    // Dot's four streams side by side: stream s takes the kk = s mod 4 term
+    // of each group of four, stream 0 also takes the k % 4 tail.
+    const size_t groups = c.k / 4;
+    const float* a = c.a->RowPtr(i);
+    Tile<R> s0{}, s1{}, s2{}, s3{};
+    for (size_t g = 0; g < groups; ++g) {
+      const float* p = panel + 4 * g * kPanel;
+#pragma GCC unroll 8
+      for (size_t r = 0; r < R; ++r) {
+        const float* ar = a + r * c.k + 4 * g;
+        const float a0 = ar[0], a1 = ar[1], a2 = ar[2], a3 = ar[3];
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kVecs; ++v) {
+          s0[r][v] = s0[r][v] + a0 * *reinterpret_cast<const U*>(p + v * W);
+          s1[r][v] =
+              s1[r][v] + a1 * *reinterpret_cast<const U*>(p + kPanel + v * W);
+          s2[r][v] = s2[r][v] +
+                     a2 * *reinterpret_cast<const U*>(p + 2 * kPanel + v * W);
+          s3[r][v] = s3[r][v] +
+                     a3 * *reinterpret_cast<const U*>(p + 3 * kPanel + v * W);
+        }
+      }
+    }
+    AddTerms<R>(s0, a + 4 * groups, c.k, 1, panel + 4 * groups * kPanel,
+                c.k - 4 * groups);
+    Add<R>(s0, s1);
+    Add<R>(s2, s3);
+    Add<R>(s0, s2);
+    Store<R>(s0, c.out + i * c.n + j0, c.n, cols);
+  }
+
+  /// dst = dst + src, elementwise.
+  template <size_t R>
+  [[gnu::always_inline]] static inline void Add(Tile<R>& dst,
+                                                const Tile<R>& src) {
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+      for (size_t v = 0; v < kVecs; ++v) dst[r][v] = dst[r][v] + src[r][v];
+    }
+  }
+
+  template <Op op, size_t R>
+  [[gnu::always_inline]] static inline void OpTile(const PackedCall& c,
+                                                   const float* panel,
+                                                   size_t i, size_t j0,
+                                                   size_t cols) {
+    if constexpr (op == Op::kMatMul) {
+      MatMulTile<R>(c, panel, i, j0, cols);
+    } else if constexpr (op == Op::kTransA) {
+      TransATile<R>(c, panel, i, j0, cols);
+    } else {
+      TransBTile<R>(c, panel, i, j0, cols);
+    }
+  }
+
+  /// The final `left` (< R + 1) rows as one tile of exactly that height, so
+  /// they keep as many independent accumulator chains as the shape allows.
+  template <Op op, size_t R>
+  [[gnu::always_inline]] static inline void LastTile(const PackedCall& c,
+                                                     const float* panel,
+                                                     size_t i, size_t left,
+                                                     size_t j0, size_t cols) {
+    if constexpr (R > 0) {
+      if (left == R) return OpTile<op, R>(c, panel, i, j0, cols);
+      LastTile<op, R - 1>(c, panel, i, left, j0, cols);
+    }
+  }
+
+  /// Packs panels [p0, p1) one at a time and sweeps every output row through
+  /// each: full tiles, then one shorter tile for the rows left over.
+  template <Op op>
+  [[gnu::always_inline]] static inline void Panels(const PackedCall& c,
+                                                   size_t p0, size_t p1) {
+    float* panel = PanelBuffer(c.k * kPanel);
+    for (size_t p = p0; p < p1; ++p) {
+      const size_t j0 = p * kPanel, cols = std::min(kPanel, c.n - j0);
+      if constexpr (op == Op::kTransB) {
+        PackColumns(*c.b, j0, cols, panel);
+      } else {
+        PackRows(*c.b, j0, cols, panel);
+      }
+      constexpr size_t rows = op == Op::kTransB ? kStreamRows : kRows;
+      size_t i = 0;
+      for (; i + rows <= c.m; i += rows) {
+        OpTile<op, rows>(c, panel, i, j0, cols);
+      }
+      if (i < c.m) LastTile<op, rows - 1>(c, panel, i, c.m - i, j0, cols);
+    }
+  }
+};
+
+using PanelFn = void (*)(const PackedCall&, size_t, size_t);
+
+struct PackedKernels {
+  PanelFn mat_mul;
+  PanelFn trans_a;
+  PanelFn trans_b;
+};
+
+#ifdef MAGNETO_GEMM_X86
+#define MAGNETO_GEMM_INSTANTIATE(isa, target_name, lanes)                    \
+  __attribute__((target(target_name))) void MatMulPanels##isa(               \
+      const PackedCall& c, size_t p0, size_t p1) {                           \
+    Packed<lanes>::Panels<Op::kMatMul>(c, p0, p1);                           \
+  }                                                                          \
+  __attribute__((target(target_name))) void TransAPanels##isa(               \
+      const PackedCall& c, size_t p0, size_t p1) {                           \
+    Packed<lanes>::Panels<Op::kTransA>(c, p0, p1);                           \
+  }                                                                          \
+  __attribute__((target(target_name))) void TransBPanels##isa(               \
+      const PackedCall& c, size_t p0, size_t p1) {                           \
+    Packed<lanes>::Panels<Op::kTransB>(c, p0, p1);                           \
+  }                                                                          \
+  constexpr PackedKernels k##isa##Kernels{MatMulPanels##isa,                 \
+                                          TransAPanels##isa,                 \
+                                          TransBPanels##isa};
+
+MAGNETO_GEMM_INSTANTIATE(Avx2, "avx2", 8)
+MAGNETO_GEMM_INSTANTIATE(Avx512f, "avx512f", 16)
+#undef MAGNETO_GEMM_INSTANTIATE
+#endif  // MAGNETO_GEMM_X86
+
+/// The packed kernels for `isa`, or null for the portable one. Fails loudly
+/// on an instantiation this host cannot run.
+const PackedKernels* KernelsFor(GemmIsa isa) {
+  MAGNETO_CHECK(IsaSupported(isa));
+#ifdef MAGNETO_GEMM_X86
+  switch (isa) {
+    case GemmIsa::kAvx2:
+      return &kAvx2Kernels;
+    case GemmIsa::kAvx512f:
+      return &kAvx512fKernels;
+    case GemmIsa::kPortable:
+      break;
+  }
+#else
+  (void)isa;
+#endif
+  return nullptr;
+}
+
+/// Runs `fn` over every column panel of the output. The grain (panels per
+/// chunk) depends only on the shape.
+void RunPanels(PanelFn fn, const PackedCall& call) {
+  const size_t panels = (call.n + kPanel - 1) / kPanel;
+  const size_t grain =
+      std::max<size_t>(1, kFlopsPerChunk / (call.m * call.k * kPanel + 1));
+  ParallelFor(0, panels, grain,
+              [&](size_t p0, size_t p1) { fn(call, p0, p1); });
+}
+
+GemmIsa BatchIsa(const Matrix& a) {
+  const GemmIsa isa = DispatchedIsa();
+  return a.rows() >= kPackedMinRows ? isa : GemmIsa::kPortable;
+}
+
+}  // namespace
+
+bool IsaSupported(GemmIsa isa) {
+  if (isa == GemmIsa::kPortable) return true;
+#ifdef MAGNETO_GEMM_X86
+  // Idempotent; needed only if a GEMM runs in a static initializer, before
+  // libgcc's own constructor has read the CPU features.
+  __builtin_cpu_init();
+  return isa == GemmIsa::kAvx2 ? __builtin_cpu_supports("avx2")
+                               : __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+GemmIsa DispatchedIsa() {
+  static const GemmIsa isa = [] {
+    GemmIsa best = GemmIsa::kPortable;
+    for (GemmIsa candidate : {GemmIsa::kAvx2, GemmIsa::kAvx512f}) {
+      if (IsaSupported(candidate)) best = candidate;
+    }
+    obs::Registry::Global().GetGauge("common.gemm.isa")->Set(
+        static_cast<double>(best));
+    return best;
+  }();
+  return isa;
+}
+
+void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                    Matrix* out) {
+  MAGNETO_CHECK(a.cols() == b.rows());
+  MAGNETO_CHECK(out != &a && out != &b);
+  const PackedKernels* kernels = KernelsFor(isa);
+  if (kernels == nullptr) return PortableMatMul(a, b, out);
+  out->ResetForOverwrite(a.rows(), b.cols());  // every element is stored
+  RunPanels(kernels->mat_mul,
+            {&a, &b, out->data(), a.rows(), a.cols(), b.cols()});
+}
+
+void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                          Matrix* out) {
+  MAGNETO_CHECK(a.rows() == b.rows());
+  MAGNETO_CHECK(out != &a && out != &b);
+  const PackedKernels* kernels = KernelsFor(isa);
+  if (kernels == nullptr) return PortableTransA(a, b, out);
+  out->ResetForOverwrite(a.cols(), b.cols());
+  RunPanels(kernels->trans_a,
+            {&a, &b, out->data(), a.cols(), a.rows(), b.cols()});
+}
+
+void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                          Matrix* out) {
+  MAGNETO_CHECK(a.cols() == b.cols());
+  MAGNETO_CHECK(out != &a && out != &b);
+  const PackedKernels* kernels = KernelsFor(isa);
+  if (kernels == nullptr) return PortableTransB(a, b, out);
+  out->ResetForOverwrite(a.rows(), b.rows());
+  RunPanels(kernels->trans_b,
+            {&a, &b, out->data(), a.rows(), a.cols(), b.rows()});
+}
+
+}  // namespace gemm_internal
+
+using gemm_internal::BatchIsa;
+
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  gemm_internal::MatMulIntoWith(BatchIsa(a), a, b, out);
+}
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulInto(a, b, &out);
+  return out;
+}
+
+void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  gemm_internal::MatMulTransAIntoWith(BatchIsa(a), a, b, out);
+}
+
+Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulTransAInto(a, b, &out);
+  return out;
+}
+
+void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  gemm_internal::MatMulTransBIntoWith(BatchIsa(a), a, b, out);
+}
+
+Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulTransBInto(a, b, &out);
+  return out;
+}
+
+}  // namespace magneto

@@ -132,137 +132,25 @@ Matrix Matrix::ColMean() const {
 }
 
 Matrix Matrix::ColSum() const {
-  Matrix out(1, cols_);
+  Matrix out;
+  ColSumInto(&out);
+  return out;
+}
+
+void Matrix::ColSumInto(Matrix* out) const {
+  MAGNETO_CHECK(out != this);
+  out->Reset(1, cols_);
+  float* dst = out->data();
   for (size_t r = 0; r < rows_; ++r) {
     const float* src = RowPtr(r);
-    float* dst = out.data();
     for (size_t c = 0; c < cols_; ++c) dst[c] += src[c];
   }
-  return out;
 }
 
 std::string Matrix::ShapeString() const {
   std::ostringstream os;
   os << "[" << rows_ << " x " << cols_ << "]";
   return os.str();
-}
-
-namespace {
-// Tile edge chosen so three float tiles fit comfortably in L1.
-constexpr size_t kTile = 64;
-
-// Target multiply-adds per ParallelFor chunk. Grain sizes derived from this
-// depend only on the problem shape (never the worker count), which keeps the
-// chunk decomposition — and therefore the results — identical at any thread
-// count.
-constexpr size_t kFlopsPerChunk = 1u << 21;
-
-/// Rows per chunk so one chunk is roughly kFlopsPerChunk multiply-adds.
-size_t RowGrain(size_t flops_per_row) {
-  return std::max<size_t>(1, kFlopsPerChunk / (flops_per_row + 1));
-}
-
-/// Tiled ikj kernel over the output-row range [row0, row1). The kk loop is
-/// 4-way unrolled into independent axpy streams: branch-free bodies with
-/// contiguous float accumulation that auto-vectorize cleanly. Accumulation
-/// order per output row depends only on the k tiling, so row partitioning
-/// never changes results.
-void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t row0,
-                size_t row1) {
-  const size_t k = a.cols(), n = b.cols();
-  for (size_t i0 = row0; i0 < row1; i0 += kTile) {
-    const size_t i1 = std::min(i0 + kTile, row1);
-    for (size_t k0 = 0; k0 < k; k0 += kTile) {
-      const size_t k1 = std::min(k0 + kTile, k);
-      for (size_t i = i0; i < i1; ++i) {
-        const float* arow = a.RowPtr(i);
-        float* orow = out->RowPtr(i);
-        size_t kk = k0;
-        for (; kk + 4 <= k1; kk += 4) {
-          const float a0 = arow[kk], a1 = arow[kk + 1];
-          const float a2 = arow[kk + 2], a3 = arow[kk + 3];
-          const float* b0 = b.RowPtr(kk);
-          const float* b1 = b.RowPtr(kk + 1);
-          const float* b2 = b.RowPtr(kk + 2);
-          const float* b3 = b.RowPtr(kk + 3);
-          for (size_t j = 0; j < n; ++j) {
-            orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-          }
-        }
-        for (; kk < k1; ++kk) {
-          const float av = arow[kk];
-          const float* brow = b.RowPtr(kk);
-          for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  MAGNETO_CHECK(a.cols() == b.rows());
-  MAGNETO_CHECK(out != &a && out != &b);
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  out->Reset(m, n);  // the ikj kernel accumulates, so it needs zeros
-  ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
-    MatMulRows(a, b, out, row0, row1);
-  });
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulInto(a, b, &out);
-  return out;
-}
-
-void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  MAGNETO_CHECK(a.rows() == b.rows());
-  MAGNETO_CHECK(out != &a && out != &b);
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  out->Reset(m, n);
-  // Partitioned over output rows (columns of a): each row of the result is
-  // accumulated over kk by exactly one chunk, in the same order as the serial
-  // loop, so results are bit-identical at any thread count. b's rows stream
-  // through each chunk once per kk, as in the serial kernel.
-  ParallelFor(0, m, RowGrain(k * n), [&](size_t i0, size_t i1) {
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.RowPtr(kk);
-      const float* brow = b.RowPtr(kk);
-      for (size_t i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        float* orow = out->RowPtr(i);
-        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulTransAInto(a, b, &out);
-  return out;
-}
-
-void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  MAGNETO_CHECK(a.cols() == b.cols());
-  MAGNETO_CHECK(out != &a && out != &b);
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  out->ResetForOverwrite(m, n);  // every element is assigned below
-  ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
-    for (size_t i = row0; i < row1; ++i) {
-      const float* arow = a.RowPtr(i);
-      float* orow = out->RowPtr(i);
-      for (size_t j = 0; j < n; ++j) orow[j] = Dot(arow, b.RowPtr(j), k);
-    }
-  });
-}
-
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulTransBInto(a, b, &out);
-  return out;
 }
 
 Matrix VStack(const Matrix& top, const Matrix& bottom) {

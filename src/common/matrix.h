@@ -15,9 +15,11 @@ namespace magneto {
 /// This is the numeric workhorse under `magneto::nn`. Single precision is a
 /// deliberate choice: the paper sizes its Edge payload in "32-bit precision"
 /// (200 observations/class ~= 0.5 MB), so the on-device numeric type is
-/// float32. All heavy kernels (GEMM, Axpy) are cache-tiled, branch-free in
-/// the inner loop, and run on the shared `ThreadPool` (common/parallel.h)
-/// partitioned by output row — results are bit-identical at any thread
+/// float32. The heavy kernels (GEMM, Axpy) run on the shared `ThreadPool`
+/// (common/parallel.h). GEMM batches of 16 rows or more go to a packed,
+/// register-blocked kernel built for the host's widest vector ISA
+/// (common/gemm.cc); every GEMM kernel accumulates each output element in
+/// one fixed order, so results are bit-identical at any ISA and thread
 /// count.
 class Matrix {
  public:
@@ -127,6 +129,10 @@ class Matrix {
   /// Sum over rows as a 1 x cols matrix.
   Matrix ColSum() const;
 
+  /// ColSum into a caller-owned buffer, resized in place (no allocation at
+  /// a stable shape). `out` must not be this matrix.
+  void ColSumInto(Matrix* out) const;
+
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
@@ -141,7 +147,7 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). Cache-tiled ikj kernel.
+/// out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n), without

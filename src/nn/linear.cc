@@ -41,12 +41,13 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   MAGNETO_CHECK(grad_output.cols() == out_dim_);
   MAGNETO_CHECK(grad_output.rows() == input.rows());
   MAGNETO_CHECK(state != nullptr);
-  // The weight gradient lands in the workspace scratch first and is then
+  // Both parameter gradients land in workspace scratch first and are then
   // accumulated — same compute order as a freshly-allocated temporary, so
   // gradients stay bit-identical, without the per-step allocation.
   MatMulTransAInto(input, grad_output, &state->scratch);
   grad_weight_.AddInPlace(state->scratch);
-  grad_bias_.AddInPlace(grad_output.ColSum());
+  grad_output.ColSumInto(&state->scratch_row);
+  grad_bias_.AddInPlace(state->scratch_row);
   MatMulTransBInto(grad_output, weight_, grad_input);
 }
 

@@ -23,6 +23,8 @@ struct LayerState {
   Matrix cached;
   /// Backward scratch (Linear's weight-gradient GEMM output).
   Matrix scratch;
+  /// Backward scratch row (Linear's bias gradient: grad_output's column sums).
+  Matrix scratch_row;
   /// Per-row scalars (LayerNorm's 1/std).
   std::vector<float> stats;
   /// Dropout's mask stream. Lazily created from the layer's seed on the

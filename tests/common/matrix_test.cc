@@ -1,8 +1,20 @@
 #include "common/matrix.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/gemm_internal.h"
+#include "common/parallel.h"
+#include "common/random.h"
+#include "obs/metrics.h"
 
 namespace magneto {
 namespace {
@@ -186,6 +198,242 @@ TEST(MatMulTest, ParallelPathMatchesSerialSemantics) {
   for (size_t i = 0; i < c.size(); ++i) {
     ASSERT_FLOAT_EQ(c.data()[i], c2.data()[i]);
   }
+}
+
+// ---- Packed GEMM kernels vs the portable oracle -----------------------------
+//
+// Every packed instantiation the host supports must reproduce the portable
+// kernel bit for bit (memcmp, not EXPECT_NEAR): the per-element accumulation
+// order is the contract that keeps bundles identical across ISAs.
+
+using gemm_internal::GemmIsa;
+
+std::vector<GemmIsa> PackedIsas() {
+  std::vector<GemmIsa> isas;
+  for (GemmIsa isa : {GemmIsa::kAvx2, GemmIsa::kAvx512f}) {
+    if (gemm_internal::IsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+using GemmFn = void (*)(GemmIsa, const Matrix&, const Matrix&, Matrix*);
+
+/// One of the three GEMMs, with the operand shapes it takes for an
+/// m x n output over k.
+struct GemmKind {
+  const char* name;
+  GemmFn fn;
+  bool trans_a;
+  bool trans_b;
+};
+
+constexpr GemmKind kGemmKinds[] = {
+    {"MatMul", gemm_internal::MatMulIntoWith, false, false},
+    {"TransA", gemm_internal::MatMulTransAIntoWith, true, false},
+    {"TransB", gemm_internal::MatMulTransBIntoWith, false, true},
+};
+
+Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng->Normal(0.0, 1.0));
+  }
+  return m;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  // An empty Matrix may hold a null data pointer, which memcmp must not see.
+  return a.SameShape(b) &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Runs `kind` through the portable kernel and every packed instantiation
+/// and expects identical bits. The packed output buffer starts out holding
+/// NaNs of the right shape, so an element the kernel forgets to store shows.
+void ExpectPackedMatchesPortable(const GemmKind& kind, const Matrix& a,
+                                 const Matrix& b, const std::string& label) {
+  Matrix want;
+  kind.fn(GemmIsa::kPortable, a, b, &want);
+  for (GemmIsa isa : PackedIsas()) {
+    Matrix got(want.rows(), want.cols());
+    got.Fill(std::numeric_limits<float>::quiet_NaN());
+    kind.fn(isa, a, b, &got);
+    EXPECT_TRUE(SameBits(got, want))
+        << kind.name << " " << label << " isa " << static_cast<int>(isa);
+  }
+}
+
+/// Operands of `kind` for an m x n output over k.
+std::pair<Matrix, Matrix> Operands(const GemmKind& kind, size_t m, size_t k,
+                                   size_t n, Rng* rng) {
+  Matrix a = kind.trans_a ? RandomMatrix(k, m, rng) : RandomMatrix(m, k, rng);
+  Matrix b = kind.trans_b ? RandomMatrix(n, k, rng) : RandomMatrix(k, n, rng);
+  return {std::move(a), std::move(b)};
+}
+
+std::string ShapeLabel(size_t m, size_t k, size_t n) {
+  char label[64];
+  std::snprintf(label, sizeof(label), "m=%zu k=%zu n=%zu", m, k, n);
+  return label;
+}
+
+TEST(MatMulKernelTest, ShapeSweepBitIdenticalToPortable) {
+  Rng rng(41);
+  for (const GemmKind& kind : kGemmKinds) {
+    for (size_t m : {1, 3, 15, 16, 17, 64, 130}) {
+      for (size_t k : {1, 3, 4, 63, 64, 65, 130, 1024}) {
+        for (size_t n : {1, 15, 17, 33, 512}) {
+          auto [a, b] = Operands(kind, m, k, n, &rng);
+          ExpectPackedMatchesPortable(kind, a, b, ShapeLabel(m, k, n));
+        }
+      }
+    }
+  }
+}
+
+/// The NaN this CPU makes from an invalid operation (x86: sign bit set).
+float DefaultNaN() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// Overwrites scattered elements of `x` with values drawn from `specials`.
+void Scatter(const std::vector<float>& specials, Matrix* x, Rng* rng) {
+  for (size_t i = 0; i < x->size(); i += 1 + rng->Index(29)) {
+    x->data()[i] = specials[rng->Index(specials.size())];
+  }
+}
+
+TEST(MatMulKernelTest, NonFiniteInputsBitIdenticalToPortable) {
+  // +-Inf and NaN scattered through both operands: Inf - Inf and 0 * Inf
+  // make fresh NaNs mid-accumulation, which must land in the same elements
+  // with the same bits.
+  const std::vector<float> specials = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), DefaultNaN(), 0.0f};
+  Rng rng(43);
+  for (const GemmKind& kind : kGemmKinds) {
+    for (size_t m : {3, 17, 64}) {
+      for (size_t k : {3, 65, 130}) {
+        for (size_t n : {15, 33}) {
+          auto [a, b] = Operands(kind, m, k, n, &rng);
+          Scatter(specials, &a, &rng);
+          Scatter(specials, &b, &rng);
+          ExpectPackedMatchesPortable(kind, a, b, ShapeLabel(m, k, n));
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, ForeignNaNPayloadStaysNaN) {
+  // When an input NaN whose bits differ from DefaultNaN() meets a NaN made
+  // mid-accumulation, IEEE 754 leaves open which payload an add returns; on
+  // x86 it is the first source operand, and the compiler picks the operand
+  // order of a commutative add, in the portable kernel as much as in the
+  // packed one. Every other element must still match bit for bit, and NaN
+  // elements must be NaN in both.
+  const std::vector<float> specials = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(), 0.0f};
+  Rng rng(61);
+  for (const GemmKind& kind : kGemmKinds) {
+    auto [a, b] = Operands(kind, 64, 130, 33, &rng);
+    Scatter(specials, &a, &rng);
+    Scatter(specials, &b, &rng);
+    Matrix want;
+    kind.fn(GemmIsa::kPortable, a, b, &want);
+    for (GemmIsa isa : PackedIsas()) {
+      Matrix got;
+      kind.fn(isa, a, b, &got);
+      ASSERT_TRUE(got.SameShape(want));
+      for (size_t i = 0; i < want.size(); ++i) {
+        const float w = want.data()[i], g = got.data()[i];
+        if (std::isnan(w)) {
+          EXPECT_TRUE(std::isnan(g)) << kind.name << " element " << i;
+        } else {
+          EXPECT_EQ(std::memcmp(&w, &g, sizeof(float)), 0)
+              << kind.name << " element " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, ZeroSizedDimensions) {
+  Rng rng(47);
+  for (const GemmKind& kind : kGemmKinds) {
+    for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{0, 5, 7},
+                           {17, 0, 7},
+                           {17, 5, 0},
+                           {0, 0, 0}}) {
+      auto [a, b] = Operands(kind, m, k, n, &rng);
+      ExpectPackedMatchesPortable(kind, a, b, ShapeLabel(m, k, n));
+      Matrix out;
+      kind.fn(GemmIsa::kPortable, a, b, &out);
+      EXPECT_EQ(out.rows(), m);
+      EXPECT_EQ(out.cols(), n);
+      // k == 0 is an empty sum: every element is +0.
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(std::signbit(out.data()[i]), false);
+        EXPECT_EQ(out.data()[i], 0.0f);
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, ThreadCountInvariant) {
+  // Chunks split output column panels; no element is accumulated by two
+  // chunks, so the lane count cannot change a bit.
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(53);
+  for (const GemmKind& kind : kGemmKinds) {
+    auto [a, b] = Operands(kind, 64, 1024, 512, &rng);
+    for (GemmIsa isa : PackedIsas()) {
+      SetParallelThreads(1);
+      Matrix serial;
+      kind.fn(isa, a, b, &serial);
+      SetParallelThreads(4);
+      Matrix parallel;
+      kind.fn(isa, a, b, &parallel);
+      EXPECT_TRUE(SameBits(serial, parallel)) << kind.name;
+    }
+  }
+  SetParallelThreads(saved_threads);
+}
+
+TEST(MatMulKernelTest, PublicEntryPointsMatchPortableAcrossCutOver) {
+  // Batches just below, at and above the packed cut-over all produce the
+  // portable bits through the public API.
+  Rng rng(59);
+  for (size_t m : {gemm_internal::kPackedMinRows - 1,
+                   gemm_internal::kPackedMinRows,
+                   gemm_internal::kPackedMinRows + 1}) {
+    const size_t k = 80, n = 130;
+    Matrix a = RandomMatrix(m, k, &rng);
+    Matrix b = RandomMatrix(k, n, &rng);
+    Matrix bt = b.Transposed();
+    Matrix want;
+    gemm_internal::MatMulIntoWith(GemmIsa::kPortable, a, b, &want);
+    EXPECT_TRUE(SameBits(MatMul(a, b), want)) << "MatMul m=" << m;
+    gemm_internal::MatMulTransBIntoWith(GemmIsa::kPortable, a, bt, &want);
+    EXPECT_TRUE(SameBits(MatMulTransB(a, bt), want)) << "TransB m=" << m;
+    gemm_internal::MatMulTransAIntoWith(GemmIsa::kPortable, a, a, &want);
+    EXPECT_TRUE(SameBits(MatMulTransA(a, a), want)) << "TransA m=" << m;
+  }
+}
+
+TEST(MatMulKernelTest, DispatchedIsaIsSupportedAndReported) {
+  const GemmIsa isa = gemm_internal::DispatchedIsa();
+  EXPECT_TRUE(gemm_internal::IsaSupported(isa));
+  // The widest supported instantiation wins.
+  for (GemmIsa wider : PackedIsas()) {
+    EXPECT_GE(static_cast<int>(isa), static_cast<int>(wider));
+  }
+  EXPECT_EQ(obs::Registry::Global().GetGauge("common.gemm.isa")->value(),
+            static_cast<double>(isa));
 }
 
 TEST(SpanMathTest, SquaredL2AndDot) {

@@ -110,6 +110,26 @@ TEST(WorkspaceTest, SteadyStateInferenceDoesNotAllocate) {
       << "steady-state inference forwards must reuse workspace buffers";
 }
 
+TEST(WorkspaceTest, SteadyStateBackwardDoesNotAllocate) {
+  // A training step through a warmed workspace reuses every buffer: the
+  // forward activations, the layers' backward scratch and the gradients.
+  Sequential net = EveryLayerNet(31);
+  Matrix x = RandomBatch(8, 6, 32);
+  Matrix g = RandomBatch(8, 4, 33);
+  ForwardWorkspace ws;
+  for (int i = 0; i < 2; ++i) {
+    net.Forward(x, &ws, /*training=*/true);
+    net.Backward(g, &ws);
+  }
+  const uint64_t before = Matrix::AllocationCount();
+  for (int i = 0; i < 10; ++i) {
+    net.Forward(x, &ws, /*training=*/true);
+    net.Backward(g, &ws);
+  }
+  EXPECT_EQ(Matrix::AllocationCount(), before)
+      << "steady-state training forward + backward must not allocate";
+}
+
 TEST(WorkspaceTest, DropoutMaskMatchesReferenceStream) {
   const double p = 0.4;
   const uint64_t seed = 1234;
