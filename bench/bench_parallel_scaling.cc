@@ -1,18 +1,22 @@
 // Thread-scaling sweep over the pooled hot paths: GEMM, preprocessing
 // throughput, and one Siamese training epoch, at 1/2/4/8 lanes; plus the
 // fp32 GEMM kernel instantiations (portable, avx2, avx512f) on the paper
-// backbone's training shapes. Emits BENCH_parallel.json so the perf
+// backbone's training shapes; plus the training step's elementwise loops
+// (Adam::Step on the paper backbone, ReLU backward) against scalar copies of
+// their pre-vectorisation form. Emits BENCH_parallel.json so the perf
 // trajectory is tracked across PRs, and fails (exit 1) if any workload is
-// not bit-identical across thread counts or kernel instantiations — the
-// determinism contract of the shared runtime (DESIGN.md, "Parallel
-// runtime") — or if a packed instantiation is not at least 1.2x the
-// portable kernel.
+// not bit-identical across thread counts, kernel instantiations or the
+// before/after loops — the determinism contract of the shared runtime
+// (DESIGN.md, "Parallel runtime") — or if a packed instantiation is not at
+// least 1.2x the portable kernel.
 //
 // Speedups are only meaningful on a machine with that many cores;
 // `hardware_threads` is recorded in the JSON so readers can judge.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +136,14 @@ struct AllocStats {
   double ncm_int8_scratch_per_classify = 0.0;
 };
 
+/// A training-step loop timed in its old scalar form ("before", a copy kept
+/// in this file) and through the library ("after"), on identical inputs.
+struct BeforeAfter {
+  double before = 0.0;
+  double after = 0.0;
+  bool identical = false;
+};
+
 /// One GEMM kernel instantiation timed on the training shapes.
 struct IsaRow {
   const char* isa;
@@ -140,8 +152,10 @@ struct IsaRow {
 };
 
 void Report(const std::vector<Workload>& workloads, bool deterministic,
-            const AllocStats& allocs, const std::vector<IsaRow>& isa_rows) {
+            const AllocStats& allocs, const std::vector<IsaRow>& isa_rows,
+            const BeforeAfter& adam, const BeforeAfter& relu) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
+  WriteHostStamp(&json);
   json.Field("hardware_threads", std::thread::hardware_concurrency())
       .Field("deterministic_across_thread_counts", deterministic)
       .Key("workspace_allocations")
@@ -171,6 +185,26 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
   }
   json.EndArray()
       .EndObject()
+      .Key("training_elementwise")
+      .BeginObject()
+      .Field("shapes", "Adam::Step over the paper backbone's 689,984 "
+                       "parameters; ReLU backward on a 64 x 1024 batch with "
+                       "half the inputs negative; 1 lane")
+      .Key("adam_step_ms")
+      .BeginObject()
+      .Field("before", adam.before)
+      .Field("after", adam.after)
+      .Field("speedup", adam.before / adam.after)
+      .Field("bit_identical", adam.identical)
+      .EndObject()
+      .Key("relu_backward_ns_per_elem")
+      .BeginObject()
+      .Field("before", relu.before)
+      .Field("after", relu.after)
+      .Field("speedup", relu.before / relu.after)
+      .Field("bit_identical", relu.identical)
+      .EndObject()
+      .EndObject()
       .Key("workloads")
       .BeginArray();
   for (const Workload& wl : workloads) {
@@ -199,6 +233,109 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
   // The run's own telemetry rides along: counters/histograms filled by the
   // instrumented runtime while the sweep executed.
   WriteMetricsSnapshot("BENCH_parallel.metrics.json");
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Adam::Step's loop before vectorisation: one element at a time through
+/// possibly-aliased pointers, std::sqrt with its errno path (this file is
+/// built without -fno-math-errno). Same arithmetic, so the same bits.
+void ScalarAdamStep(const nn::Adam::Options& o, int64_t t,
+                    const std::vector<Matrix*>& params,
+                    const std::vector<Matrix*>& grads, std::vector<Matrix>* m,
+                    std::vector<Matrix>* v) {
+  const double lr = o.learning_rate, b1 = o.beta1, b2 = o.beta2;
+  const double eps = o.epsilon;
+  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t));
+  for (size_t i = 0; i < params.size(); ++i) {
+    float* pd = params[i]->data();
+    const float* gd = grads[i]->data();
+    float* md = (*m)[i].data();
+    float* vd = (*v)[i].data();
+    for (size_t j = 0; j < params[i]->size(); ++j) {
+      md[j] = static_cast<float>(b1 * md[j] + (1.0 - b1) * gd[j]);
+      vd[j] = static_cast<float>(
+          b2 * vd[j] + (1.0 - b2) * static_cast<double>(gd[j]) * gd[j]);
+      const double mhat = md[j] / bc1;
+      const double vhat = vd[j] / bc2;
+      pd[j] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps));
+    }
+  }
+}
+
+/// Adam::Step on the paper backbone, 1 lane: median of timed steps, scalar
+/// copy vs library, then both parameter sets compared bit for bit.
+BeforeAfter MeasureAdam() {
+  SetParallelThreads(1);
+  constexpr int kSteps = 30;
+  Rng rng(17);
+  nn::Sequential before_net = nn::BuildPaperBackbone(&rng);
+  nn::Sequential after_net = before_net.Clone();
+  std::vector<Matrix*> before_params = before_net.Params();
+  std::vector<Matrix*> before_grads = before_net.Grads();
+  std::vector<Matrix*> after_params = after_net.Params();
+  std::vector<Matrix*> after_grads = after_net.Grads();
+  for (size_t i = 0; i < before_grads.size(); ++i) {
+    for (size_t j = 0; j < before_grads[i]->size(); ++j) {
+      const float g = static_cast<float>(rng.Normal(0.0, 1e-2));
+      before_grads[i]->data()[j] = g;
+      after_grads[i]->data()[j] = g;
+    }
+  }
+  std::vector<Matrix> m, v;
+  for (const Matrix* p : before_params) {
+    m.emplace_back(p->rows(), p->cols());
+    v.emplace_back(p->rows(), p->cols());
+  }
+  nn::Adam::Options options;
+  nn::Adam adam(after_params, after_grads, options);
+  std::vector<double> before_ms, after_ms;
+  for (int t = 1; t <= kSteps; ++t) {
+    auto t0 = Clock::now();
+    ScalarAdamStep(options, t, before_params, before_grads, &m, &v);
+    before_ms.push_back(Seconds(t0, Clock::now()) * 1e3);
+    t0 = Clock::now();
+    adam.Step();
+    after_ms.push_back(Seconds(t0, Clock::now()) * 1e3);
+  }
+  BeforeAfter result{Median(before_ms), Median(after_ms), true};
+  for (size_t i = 0; i < before_params.size(); ++i) {
+    result.identical &=
+        Fingerprint(before_params[i]->data(), before_params[i]->size()) ==
+        Fingerprint(after_params[i]->data(), after_params[i]->size());
+  }
+  return result;
+}
+
+/// ReLU backward, branchy scalar copy vs Relu::Backward, on the first hidden
+/// layer's 64 x 1024 batch; ns per element, best of 50 passes.
+BeforeAfter MeasureReluBackward() {
+  Rng rng(19);
+  Matrix input(64, 1024), grad(64, 1024);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+    grad.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+  }
+  const size_t n = input.size();
+  Matrix before(64, 1024), after;
+  nn::Relu relu;
+  const Sample old_loop = BestOf(50, [&] {
+    const float* in = input.data();
+    const float* g = grad.data();
+    float* gi = before.data();
+    for (size_t i = 0; i < n; ++i) gi[i] = in[i] <= 0.0f ? 0.0f : g[i];
+    return uint64_t{0};
+  });
+  const Sample library = BestOf(50, [&] {
+    relu.Backward(grad, input, input, /*state=*/nullptr, &after);
+    return uint64_t{0};
+  });
+  return {old_loop.seconds / n * 1e9, library.seconds / n * 1e9,
+          Fingerprint(before.data(), n) == Fingerprint(after.data(), n)};
 }
 
 }  // namespace
@@ -358,6 +495,22 @@ int main() {
     }
   }
 
+  // --- The training step's elementwise loops, before vs after ---
+  const BeforeAfter adam = MeasureAdam();
+  const BeforeAfter relu = MeasureReluBackward();
+  std::printf("adam step (paper backbone) %8.3f ms before, %8.3f ms after "
+              "(x%.2f)%s\n",
+              adam.before, adam.after, adam.before / adam.after,
+              adam.identical ? "" : "  BITS DIFFER");
+  std::printf("relu backward              %8.3f ns/elem before, %8.3f after "
+              "(x%.2f)%s\n",
+              relu.before, relu.after, relu.before / relu.after,
+              relu.identical ? "" : "  BITS DIFFER");
+  if (!adam.identical || !relu.identical) {
+    std::fprintf(stderr, "training-step loops differ from their scalar "
+                         "reference!\n");
+  }
+
   // --- Forward-pass allocation traffic: reused vs fresh workspace ---
   AllocStats allocs;
   {
@@ -468,9 +621,12 @@ int main() {
     }
   }
 
-  Report(workloads, deterministic, allocs, isa_rows);
+  Report(workloads, deterministic, allocs, isa_rows, adam, relu);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
-  return (deterministic && ncm_alloc_free && isa_identical && isa_fast) ? 0
-                                                                     : 1;
+  const bool loops_identical = adam.identical && relu.identical;
+  return (deterministic && ncm_alloc_free && isa_identical && isa_fast &&
+          loops_identical)
+             ? 0
+             : 1;
 }

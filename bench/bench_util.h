@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "magneto.h"
@@ -27,6 +28,42 @@ inline obs::JsonWriter BenchJson(const std::string& bench_name) {
       .Field("schema_version", kBenchSchemaVersion)
       .Field("bench", bench_name);
   return json;
+}
+
+/// Adds a "host" object naming the machine a bench ran on: CPU model,
+/// hardware threads, the vector ISAs the fp32 GEMM can dispatch to, and the
+/// compiler. Timings are only comparable between artifacts from one host.
+inline void WriteHostStamp(obs::JsonWriter* json) {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string text(line);
+      if (text.rfind("model name", 0) != 0) continue;
+      const size_t colon = text.find(':');
+      if (colon == std::string::npos) continue;
+      cpu = text.substr(colon + 1);
+      cpu.erase(0, cpu.find_first_not_of(" \t"));
+      cpu.erase(cpu.find_last_not_of(" \t\n") + 1);
+      break;
+    }
+    std::fclose(f);
+  }
+  std::string isa;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) isa += "avx2 ";
+  if (__builtin_cpu_supports("avx512f")) isa += "avx512f ";
+  if (!isa.empty()) isa.pop_back();
+#endif
+  json->Key("host")
+      .BeginObject()
+      .Field("cpu_model", cpu)
+      .Field("hardware_threads",
+             static_cast<uint64_t>(std::thread::hardware_concurrency()))
+      .Field("isa", isa)
+      .Field("compiler", std::string("g++ ") + __VERSION__)
+      .EndObject();
 }
 
 /// Dumps the process-wide metrics registry next to a bench's main artifact

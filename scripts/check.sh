@@ -10,8 +10,9 @@ ctest --test-dir build -j"$(nproc)" --output-on-failure
 
 # TSan pass over the shared thread pool and the parallel kernels. Forces an
 # oversubscribed pool so races surface even on small CI machines. MatMul*
-# takes in the packed GEMM oracle suite (MatMulKernelTest.*): chunks of
-# column panels, each packed into a per-thread buffer.
+# takes in the packed GEMM oracle suite (MatMulKernelTest.*, the
+# accumulating TransA included): chunks of column panels, each packed into a
+# per-thread buffer.
 cmake -B build-tsan -G Ninja -DMAGNETO_SANITIZE=thread
 cmake --build build-tsan --target common_test obs_test nn_test core_test \
   platform_test
@@ -71,15 +72,18 @@ cmake --build build-asan --target common_test core_test platform_test \
 # int8 exact-rescale arithmetic, NaN-sanitised sorts, the prototype and
 # support-set readers, and the bundle framing; plus the fp32 GEMM kernels
 # (portable and every packed instantiation the host runs, with the Inf/NaN
-# and zero-sized sweeps) and the Linear/workspace training path on top of
-# them. The build aborts on the first report (-fno-sanitize-recover=all), so
-# any UB fails the leg.
+# and zero-sized sweeps, and the accumulating TransA) and the training path
+# on top of them: Linear/workspace, the vectorised Adam and ReLU backward
+# loops with their bit-pinning tests, and the trainer's golden weights
+# digest. The build aborts on the first report (-fno-sanitize-recover=all),
+# so any UB fails the leg.
 cmake -B build-ubsan -G Ninja -DMAGNETO_SANITIZE=undefined
-cmake --build build-ubsan --target common_test core_test nn_test
+cmake --build build-ubsan --target common_test core_test nn_test learn_test
 ./build-ubsan/tests/core_test \
   --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*'
 ./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*:MatMul*'
-./build-ubsan/tests/nn_test --gtest_filter='Linear*:Workspace*'
+./build-ubsan/tests/nn_test --gtest_filter='Linear*:Workspace*:Adam*:Relu*'
+./build-ubsan/tests/learn_test --gtest_filter='SiameseTrainer*'
 
 # CLI telemetry smoke: every run must leave a parseable metrics snapshot and
 # a trace with events.

@@ -6,7 +6,10 @@
 // cut-over or the thread count.
 //   MatMul  — groups of four k-terms, ((a0*b0 + a1*b1) + a2*b2) + a3*b3,
 //             added in k order, then the k % 4 tail one term at a time;
-//   TransA  — one k-term at a time, in k order;
+//   TransA  — one k-term at a time, in k order; the accumulating form
+//             (out += a^T b) finishes each element's k-sum from +0 first and
+//             adds it to out once, as TransA into a temporary followed by
+//             Matrix::AddInPlace would;
 //   TransB  — Dot's four streams (k mod 4, tail into stream 0), combined as
 //             (s0 + s1) + (s2 + s3).
 // The packed kernels use only vector mul and add; -ffp-contract=off
@@ -91,21 +94,27 @@ void PortableMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   });
 }
 
-void PortableTransA(const Matrix& a, const Matrix& b, Matrix* out) {
+/// TransA, or out += a^T b when `add`. Partitioned over output rows
+/// (columns of a): each row's sum is finished over kk in `sum`, in the same
+/// order as a serial loop, and then stored or added once — so results are
+/// bit-identical at any thread count, and the accumulating form matches a
+/// separate GEMM plus AddInPlace.
+void PortableTransA(const Matrix& a, const Matrix& b, Matrix* out, bool add) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  out->Reset(m, n);
-  // Partitioned over output rows (columns of a): each row of the result is
-  // accumulated over kk by exactly one chunk, in the same order as the serial
-  // loop, so results are bit-identical at any thread count. b's rows stream
-  // through each chunk once per kk, as in the serial kernel.
+  if (!add) out->ResetForOverwrite(m, n);
   ParallelFor(0, m, RowGrain(k * n), [&](size_t i0, size_t i1) {
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.RowPtr(kk);
-      const float* brow = b.RowPtr(kk);
-      for (size_t i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        float* orow = out->RowPtr(i);
-        for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+    std::vector<float> row(add ? n : 0);
+    for (size_t i = i0; i < i1; ++i) {
+      float* orow = out->RowPtr(i);
+      float* sum = add ? row.data() : orow;
+      std::fill(sum, sum + n, 0.0f);
+      for (size_t kk = 0; kk < k; ++kk) {
+        const float av = a.RowPtr(kk)[i];
+        const float* brow = b.RowPtr(kk);
+        for (size_t j = 0; j < n; ++j) sum[j] += av * brow[j];
+      }
+      if (add) {
+        for (size_t j = 0; j < n; ++j) orow[j] += sum[j];
       }
     }
   });
@@ -178,12 +187,14 @@ void PackColumns(const Matrix& b, size_t j0, size_t cols, float* panel) {
 }
 
 /// Operands of one packed GEMM call: the output is row-major m x n and every
-/// element sums over k terms.
+/// element sums over k terms. With `add`, each finished sum is added to the
+/// output element instead of stored over it.
 struct PackedCall {
   const Matrix* a;
   const Matrix* b;
   float* out;
   size_t m, k, n;
+  bool add = false;
 };
 
 enum class Op { kMatMul, kTransA, kTransB };
@@ -263,17 +274,25 @@ struct Packed {
     }
   }
 
-  /// Writes the first `cols` columns of each tile row to out + r * ldo.
+  /// Writes the first `cols` columns of each tile row to out + r * ldo, or
+  /// adds them to what is there (out = out + acc, Matrix::AddInPlace's
+  /// operand order) when `add`.
   template <size_t R>
   [[gnu::always_inline]] static inline void Store(const Tile<R>& acc,
                                                   float* out, size_t ldo,
-                                                  size_t cols) {
+                                                  size_t cols, bool add) {
 #pragma GCC unroll 8
     for (size_t r = 0; r < R; ++r) {
+      float* dst = out + r * ldo;
       if (cols == kPanel) {
 #pragma GCC unroll 8
         for (size_t v = 0; v < kVecs; ++v) {
-          *reinterpret_cast<U*>(out + r * ldo + v * W) = acc[r][v];
+          U* d = reinterpret_cast<U*>(dst + v * W);
+          if (add) {
+            *d = *d + acc[r][v];
+          } else {
+            *d = acc[r][v];
+          }
         }
       } else {
         float row[kPanel];
@@ -281,7 +300,11 @@ struct Packed {
         for (size_t v = 0; v < kVecs; ++v) {
           *reinterpret_cast<U*>(row + v * W) = acc[r][v];
         }
-        std::memcpy(out + r * ldo, row, cols * sizeof(float));
+        if (add) {
+          for (size_t c = 0; c < cols; ++c) dst[c] = dst[c] + row[c];
+        } else {
+          std::memcpy(dst, row, cols * sizeof(float));
+        }
       }
     }
   }
@@ -297,7 +320,7 @@ struct Packed {
     AddQuads<R>(acc, a, c.k, panel, groups);
     AddTerms<R>(acc, a + 4 * groups, c.k, 1, panel + 4 * groups * kPanel,
                 c.k - 4 * groups);
-    Store<R>(acc, c.out + i * c.n + j0, c.n, cols);
+    Store<R>(acc, c.out + i * c.n + j0, c.n, cols, c.add);
   }
 
   template <size_t R>
@@ -308,7 +331,7 @@ struct Packed {
     // a is k x m: output row i reads column i of a.
     Tile<R> acc{};
     AddTerms<R>(acc, c.a->data() + i, 1, c.m, panel, c.k);
-    Store<R>(acc, c.out + i * c.n + j0, c.n, cols);
+    Store<R>(acc, c.out + i * c.n + j0, c.n, cols, c.add);
   }
 
   template <size_t R>
@@ -344,7 +367,7 @@ struct Packed {
     Add<R>(s0, s1);
     Add<R>(s2, s3);
     Add<R>(s0, s2);
-    Store<R>(s0, c.out + i * c.n + j0, c.n, cols);
+    Store<R>(s0, c.out + i * c.n + j0, c.n, cols, c.add);
   }
 
   /// dst = dst + src, elementwise.
@@ -517,10 +540,21 @@ void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
   MAGNETO_CHECK(a.rows() == b.rows());
   MAGNETO_CHECK(out != &a && out != &b);
   const PackedKernels* kernels = KernelsFor(isa);
-  if (kernels == nullptr) return PortableTransA(a, b, out);
+  if (kernels == nullptr) return PortableTransA(a, b, out, /*add=*/false);
   out->ResetForOverwrite(a.cols(), b.cols());
   RunPanels(kernels->trans_a,
             {&a, &b, out->data(), a.cols(), a.rows(), b.cols()});
+}
+
+void MatMulTransAAccumulateWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                                Matrix* out) {
+  MAGNETO_CHECK(a.rows() == b.rows());
+  MAGNETO_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
+  MAGNETO_CHECK(out != &a && out != &b);
+  const PackedKernels* kernels = KernelsFor(isa);
+  if (kernels == nullptr) return PortableTransA(a, b, out, /*add=*/true);
+  RunPanels(kernels->trans_a,
+            {&a, &b, out->data(), a.cols(), a.rows(), b.cols(), /*add=*/true});
 }
 
 void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
@@ -556,6 +590,10 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   Matrix out;
   MatMulTransAInto(a, b, &out);
   return out;
+}
+
+void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
+  gemm_internal::MatMulTransAAccumulateWith(BatchIsa(a), a, b, out);
 }
 
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {

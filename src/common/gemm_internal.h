@@ -2,9 +2,10 @@
 #define MAGNETO_COMMON_GEMM_INTERNAL_H_
 
 // Internal to magneto_common: the fp32 GEMM kernels behind MatMulInto,
-// MatMulTransAInto and MatMulTransBInto (common/matrix.h). Library code calls
-// those; this header exists so the kernel oracle tests can run every packed
-// instantiation the host supports against the portable kernel.
+// MatMulTransAInto, MatMulTransAAccumulate and MatMulTransBInto
+// (common/matrix.h). Library code calls those; this header exists so the
+// kernel oracle tests can run every packed instantiation the host supports
+// against the portable kernel.
 
 #include <cstddef>
 
@@ -28,15 +29,17 @@ bool IsaSupported(GemmIsa isa);
 /// call also sets the `common.gemm.isa` gauge.
 GemmIsa DispatchedIsa();
 
-/// The three GEMMs through the named kernel at every batch size (no
-/// cut-over). Same contracts as the public forms; `isa` must be supported.
-/// Every instantiation produces bit-identical results.
+/// The GEMMs through the named kernel at every batch size (no cut-over).
+/// Same contracts as the public forms; `isa` must be supported. Every
+/// instantiation produces bit-identical results.
 void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                     Matrix* out);
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out);
 void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out);
+void MatMulTransAAccumulateWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                                Matrix* out);
 
 }  // namespace magneto::gemm_internal
 

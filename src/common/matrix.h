@@ -167,6 +167,13 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out);
 
+/// out += a^T * b, for an `out` already shaped (m x n). Each element's
+/// k-sum is finished first and added to `out` once, so the result is
+/// bit-identical to MatMulTransAInto into a temporary followed by
+/// `out->AddInPlace(temporary)` — without the temporary or the second pass.
+/// `out` must not alias `a` or `b`.
+void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
+
 /// Stacks `top` above `bottom` (column counts must match).
 Matrix VStack(const Matrix& top, const Matrix& bottom);
 

@@ -41,11 +41,11 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   MAGNETO_CHECK(grad_output.cols() == out_dim_);
   MAGNETO_CHECK(grad_output.rows() == input.rows());
   MAGNETO_CHECK(state != nullptr);
-  // Both parameter gradients land in workspace scratch first and are then
-  // accumulated — same compute order as a freshly-allocated temporary, so
-  // gradients stay bit-identical, without the per-step allocation.
-  MatMulTransAInto(input, grad_output, &state->scratch);
-  grad_weight_.AddInPlace(state->scratch);
+  // Each weight-gradient element's batch sum is finished inside the GEMM and
+  // added to grad_weight_ once: the bits of a GEMM into a temporary plus
+  // AddInPlace, without the temporary or the second pass. The bias column
+  // sums go through the workspace row the same way.
+  MatMulTransAAccumulate(input, grad_output, &grad_weight_);
   grad_output.ColSumInto(&state->scratch_row);
   grad_bias_.AddInPlace(state->scratch_row);
   MatMulTransBInto(grad_output, weight_, grad_input);

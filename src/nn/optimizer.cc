@@ -71,14 +71,14 @@ void Adam::Step() {
 
   for (size_t i = 0; i < params_.size(); ++i) {
     Matrix& p = *params_[i];
-    const Matrix& g = *grads_[i];
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    float* pd = p.data();
-    const float* gd = g.data();
-    float* md = m.data();
-    float* vd = v.data();
-    ParallelFor(0, p.size(), size_t{1} << 16, [&](size_t lo, size_t hi) {
+    // Four distinct buffers: __restrict lets the loop below vectorise (with
+    // -fno-math-errno, std::sqrt is a plain sqrt instruction). Each lane
+    // runs the scalar expression, so the bits match a one-at-a-time loop.
+    float* __restrict pd = p.data();
+    const float* __restrict gd = grads_[i]->data();
+    float* __restrict md = m_[i].data();
+    float* __restrict vd = v_[i].data();
+    ParallelFor(0, p.size(), size_t{1} << 16, [=](size_t lo, size_t hi) {
       for (size_t j = lo; j < hi; ++j) {
         md[j] = static_cast<float>(b1 * md[j] + (1.0 - b1) * gd[j]);
         vd[j] = static_cast<float>(b2 * vd[j] +

@@ -75,6 +75,10 @@ class Adam : public Optimizer {
   void set_learning_rate(double lr) { options_.learning_rate = lr; }
   double learning_rate() const { return options_.learning_rate; }
 
+  /// First and second moment estimates of parameter `i`.
+  const Matrix& first_moment(size_t i) const { return m_[i]; }
+  const Matrix& second_moment(size_t i) const { return v_[i]; }
+
  private:
   Options options_;
   std::vector<Matrix> m_;

@@ -21,8 +21,6 @@ struct LayerState {
   /// Layer-defined forward cache: LayerNorm's x_hat, Dropout's scaled
   /// keep-mask. Untouched by layers with no backward state.
   Matrix cached;
-  /// Backward scratch (Linear's weight-gradient GEMM output).
-  Matrix scratch;
   /// Backward scratch row (Linear's bias gradient: grad_output's column sums).
   Matrix scratch_row;
   /// Per-row scalars (LayerNorm's 1/std).

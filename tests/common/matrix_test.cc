@@ -425,6 +425,108 @@ TEST(MatMulKernelTest, PublicEntryPointsMatchPortableAcrossCutOver) {
   }
 }
 
+// ---- Accumulating TransA (out += a^T b) -------------------------------------
+//
+// The accumulating form must give the bits of TransA into a temporary
+// followed by AddInPlace, through every kernel and across the cut-over.
+
+std::vector<GemmIsa> AllIsas() {
+  std::vector<GemmIsa> isas = PackedIsas();
+  isas.insert(isas.begin(), GemmIsa::kPortable);
+  return isas;
+}
+
+/// Expects MatMulTransAAccumulateWith(isa) on a copy of `init` to match the
+/// portable TransA plus AddInPlace, for every kernel.
+void ExpectAccumulateMatchesTwoPass(const Matrix& a, const Matrix& b,
+                                    const Matrix& init,
+                                    const std::string& label) {
+  Matrix product;
+  gemm_internal::MatMulTransAIntoWith(GemmIsa::kPortable, a, b, &product);
+  Matrix want = init;
+  want.AddInPlace(product);
+  for (GemmIsa isa : AllIsas()) {
+    Matrix got = init;
+    gemm_internal::MatMulTransAAccumulateWith(isa, a, b, &got);
+    EXPECT_TRUE(SameBits(got, want))
+        << "accumulate " << label << " isa " << static_cast<int>(isa);
+  }
+}
+
+TEST(MatMulKernelTest, AccumulateShapeSweepMatchesTwoPass) {
+  Rng rng(67);
+  const GemmKind& trans_a = kGemmKinds[1];
+  for (size_t m : {1, 3, 15, 16, 17, 64, 130}) {
+    for (size_t k : {0, 1, 3, 4, 63, 64, 65, 130, 1024}) {
+      for (size_t n : {1, 15, 17, 33, 512}) {
+        auto [a, b] = Operands(trans_a, m, k, n, &rng);
+        Matrix init = RandomMatrix(m, n, &rng);
+        // Signed zeros in the output: -0 + (+0 sum) must become +0.
+        Scatter({0.0f, -0.0f}, &init, &rng);
+        ExpectAccumulateMatchesTwoPass(a, b, init, ShapeLabel(m, k, n));
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, AccumulateNonFiniteMatchesTwoPass) {
+  // Specials in both operands and in the accumulator: Inf + -Inf makes a
+  // fresh NaN at the final add as well as mid-sum.
+  const std::vector<float> specials = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), DefaultNaN(), 0.0f, -0.0f};
+  Rng rng(71);
+  const GemmKind& trans_a = kGemmKinds[1];
+  for (size_t m : {3, 17, 64}) {
+    for (size_t k : {3, 65, 130}) {
+      for (size_t n : {15, 33}) {
+        auto [a, b] = Operands(trans_a, m, k, n, &rng);
+        Matrix init = RandomMatrix(m, n, &rng);
+        Scatter(specials, &a, &rng);
+        Scatter(specials, &b, &rng);
+        Scatter(specials, &init, &rng);
+        ExpectAccumulateMatchesTwoPass(a, b, init, ShapeLabel(m, k, n));
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, AccumulateThreadCountInvariant) {
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(73);
+  auto [a, b] = Operands(kGemmKinds[1], 512, 64, 1024, &rng);
+  const Matrix init = RandomMatrix(512, 1024, &rng);
+  for (GemmIsa isa : AllIsas()) {
+    SetParallelThreads(1);
+    Matrix serial = init;
+    gemm_internal::MatMulTransAAccumulateWith(isa, a, b, &serial);
+    SetParallelThreads(4);
+    Matrix parallel = init;
+    gemm_internal::MatMulTransAAccumulateWith(isa, a, b, &parallel);
+    EXPECT_TRUE(SameBits(serial, parallel)) << static_cast<int>(isa);
+  }
+  SetParallelThreads(saved_threads);
+}
+
+TEST(MatMulKernelTest, AccumulatePublicEntryPointMatchesAcrossCutOver) {
+  // Batches (rows of a) just below, at and above the packed cut-over.
+  Rng rng(79);
+  for (size_t k : {gemm_internal::kPackedMinRows - 1,
+                   gemm_internal::kPackedMinRows,
+                   gemm_internal::kPackedMinRows + 1}) {
+    const size_t m = 80, n = 130;
+    Matrix a = RandomMatrix(k, m, &rng);
+    Matrix b = RandomMatrix(k, n, &rng);
+    Matrix want = RandomMatrix(m, n, &rng);
+    Matrix got = want;
+    Matrix product;
+    MatMulTransAInto(a, b, &product);
+    want.AddInPlace(product);
+    MatMulTransAAccumulate(a, b, &got);
+    EXPECT_TRUE(SameBits(got, want)) << "batch " << k;
+  }
+}
+
 TEST(MatMulKernelTest, DispatchedIsaIsSupportedAndReported) {
   const GemmIsa isa = gemm_internal::DispatchedIsa();
   EXPECT_TRUE(gemm_internal::IsaSupported(isa));

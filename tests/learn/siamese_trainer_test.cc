@@ -1,6 +1,7 @@
 #include "learn/siamese_trainer.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -246,6 +247,50 @@ TEST(SiameseTrainerTest, ReportShapesMatchOptions) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().epochs.size(), 3u);
   EXPECT_GT(report.value().final_distill_loss(), 0.0);
+}
+
+/// FNV-1a (64-bit) over the raw bytes of every parameter of `net`.
+uint64_t WeightsDigest(nn::Sequential* net) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Matrix* p : net->Params()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p->data());
+    for (size_t i = 0; i < p->size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(SiameseTrainerTest, WeightsDigestUnchanged) {
+  // Golden bits of a pretrain followed by a distilled update, captured once
+  // and never edited: a kernel or optimizer rewrite that changes one bit of
+  // one trained weight fails here. The run covers Linear, ReLU and Dropout
+  // backward, Adam with and without weight decay, the packed GEMM (48-row
+  // pair batches) and the portable one (12-row distillation batches), and
+  // gradient accumulation across two backward passes per step. The bits
+  // depend only on IEEE float arithmetic and the libm the build links;
+  // thread count and GEMM ISA cannot change them.
+  sensors::FeatureDataset old_data = Blobs(2, 20, 12, 0.4, 70);
+  Rng rng(71);
+  nn::Sequential net = nn::BuildMlp(12, {40, 24, 6}, &rng, /*dropout_p=*/0.1);
+  TrainOptions pretrain = FastOptions();
+  pretrain.epochs = 4;
+  pretrain.batch_size = 24;
+  ASSERT_TRUE(SiameseTrainer(pretrain).Train(&net, old_data).ok());
+  EXPECT_EQ(WeightsDigest(&net), 0x36612b4d5407c413ull);
+
+  sensors::FeatureDataset new_data = Blobs(3, 20, 12, 0.4, 72);
+  sensors::FeatureDataset exemplars = Blobs(2, 6, 12, 0.4, 73);
+  nn::Sequential teacher = net.Clone();
+  TrainOptions update = FastOptions();
+  update.epochs = 4;
+  update.batch_size = 24;
+  update.distill_weight = 1.5;
+  update.weight_decay = 1e-4;
+  update.seed = 74;
+  ASSERT_TRUE(
+      SiameseTrainer(update).Train(&net, new_data, &teacher, &exemplars).ok());
+  EXPECT_EQ(WeightsDigest(&net), 0x0cacfd6feaee1420ull);
 }
 
 }  // namespace
