@@ -3,12 +3,14 @@
 // fp32 GEMM kernel instantiations (portable, avx2, avx512f) on the paper
 // backbone's training shapes; plus the training step's elementwise loops
 // (Adam::Step on the paper backbone, ReLU backward) against scalar copies of
-// their pre-vectorisation form. Emits BENCH_parallel.json so the perf
-// trajectory is tracked across PRs, and fails (exit 1) if any workload is
-// not bit-identical across thread counts, kernel instantiations or the
-// before/after loops — the determinism contract of the shared runtime
-// (DESIGN.md, "Parallel runtime") — or if a packed instantiation is not at
-// least 1.2x the portable kernel.
+// their pre-vectorisation form; plus the batch-1 stream window: Denoise and
+// the 80 features against copies of their column-at-a-time form, and the
+// heap allocations of a warmed EdgeRuntime window. Emits BENCH_parallel.json
+// so the perf trajectory is tracked across PRs, and fails (exit 1) if any
+// workload is not bit-identical across thread counts, kernel instantiations
+// or the before/after loops — the determinism contract of the shared runtime
+// (DESIGN.md, "Parallel runtime") — if a packed instantiation is not at
+// least 1.2x the portable kernel, or if a warmed stream window allocates.
 //
 // Speedups are only meaningful on a machine with that many cores;
 // `hardware_threads` is recorded in the JSON so readers can judge.
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <thread>
@@ -134,6 +137,11 @@ struct AllocStats {
   double ncm_scratch_per_classify = 0.0;
   double ncm_fresh_per_classify = 0.0;
   double ncm_int8_scratch_per_classify = 0.0;
+  /// EdgeRuntime::PushFrame on warmed windows of one activity with
+  /// smoothing, drift monitoring and the journal on: heap allocations per
+  /// window (all of its frames), and in the frame that completes it.
+  double stream_per_window = 0.0;
+  double stream_per_completing_call = 0.0;
 };
 
 /// A training-step loop timed in its old scalar form ("before", a copy kept
@@ -151,9 +159,21 @@ struct IsaRow {
   double speedup_vs_portable = 1.0;
 };
 
+void WriteBeforeAfter(obs::JsonWriter* json, const char* key,
+                      const BeforeAfter& row) {
+  json->Key(key)
+      .BeginObject()
+      .Field("before", row.before)
+      .Field("after", row.after)
+      .Field("speedup", row.before / row.after)
+      .Field("bit_identical", row.identical)
+      .EndObject();
+}
+
 void Report(const std::vector<Workload>& workloads, bool deterministic,
             const AllocStats& allocs, const std::vector<IsaRow>& isa_rows,
-            const BeforeAfter& adam, const BeforeAfter& relu) {
+            const BeforeAfter& adam, const BeforeAfter& relu,
+            const BeforeAfter& denoise, const BeforeAfter& features) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
   WriteHostStamp(&json);
   json.Field("hardware_threads", std::thread::hardware_concurrency())
@@ -167,6 +187,9 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Field("ncm_allocs_per_classify_fresh", allocs.ncm_fresh_per_classify)
       .Field("ncm_allocs_per_classify_int8_scratch",
              allocs.ncm_int8_scratch_per_classify)
+      .Field("stream_window_heap_allocations", allocs.stream_per_window)
+      .Field("stream_completing_call_heap_allocations",
+             allocs.stream_per_completing_call)
       .EndObject()
       .Key("gemm_training_shapes")
       .BeginObject()
@@ -189,22 +212,18 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .BeginObject()
       .Field("shapes", "Adam::Step over the paper backbone's 689,984 "
                        "parameters; ReLU backward on a 64 x 1024 batch with "
-                       "half the inputs negative; 1 lane")
-      .Key("adam_step_ms")
+                       "half the inputs negative; 1 lane");
+  WriteBeforeAfter(&json, "adam_step_ms", adam);
+  WriteBeforeAfter(&json, "relu_backward_ns_per_elem", relu);
+  json.EndObject()
+      .Key("stream_window")
       .BeginObject()
-      .Field("before", adam.before)
-      .Field("after", adam.after)
-      .Field("speedup", adam.before / adam.after)
-      .Field("bit_identical", adam.identical)
-      .EndObject()
-      .Key("relu_backward_ns_per_elem")
-      .BeginObject()
-      .Field("before", relu.before)
-      .Field("after", relu.after)
-      .Field("speedup", relu.before / relu.after)
-      .Field("bit_identical", relu.identical)
-      .EndObject()
-      .EndObject()
+      .Field("shapes", "one 120 x 22 window: moving average of 5, then the "
+                       "80 statistical features; median per call over "
+                       "synthetic windows of every base activity; 1 lane");
+  WriteBeforeAfter(&json, "denoise_us", denoise);
+  WriteBeforeAfter(&json, "features_us", features);
+  json.EndObject()
       .Key("workloads")
       .BeginArray();
   for (const Workload& wl : workloads) {
@@ -336,6 +355,229 @@ BeforeAfter MeasureReluBackward() {
   });
   return {old_loop.seconds / n * 1e9, library.seconds / n * 1e9,
           Fingerprint(before.data(), n) == Fingerprint(after.data(), n)};
+}
+
+/// Denoise's moving average before the row sweep: one column at a time
+/// through a strided sliding sum, into a fresh matrix. Same arithmetic per
+/// channel, so the same bits.
+Matrix ColumnWiseMovingAverage(const Matrix& in, size_t window) {
+  Matrix out(in.rows(), in.cols());
+  const size_t n = in.rows();
+  const size_t half = window / 2;
+  for (size_t col = 0; col < in.cols(); ++col) {
+    double sum = 0.0;
+    size_t lo = 0, hi = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t want_lo = i >= half ? i - half : 0;
+      const size_t want_hi = std::min(n, i + half + 1);
+      while (hi < want_hi) sum += in.At(hi++, col);
+      while (lo < want_lo) sum -= in.At(lo++, col);
+      out.At(i, col) = static_cast<float>(sum / static_cast<double>(hi - lo));
+    }
+  }
+  return out;
+}
+
+/// FeatureExtractor::Extract before the row sweep: every statistic copies
+/// its column out and runs the math_utils definition on it, and the IQR
+/// sorts two copies.
+std::vector<float> ColumnWiseFeatures(const Matrix& window) {
+  using sensors::Channel;
+  auto column = [&](Channel ch, std::vector<float>* out) {
+    out->resize(window.rows());
+    for (size_t i = 0; i < window.rows(); ++i) {
+      (*out)[i] = window.At(i, static_cast<size_t>(ch));
+    }
+  };
+  auto column_std = [&](Channel ch, std::vector<float>* buf) {
+    column(ch, buf);
+    return stats::StdDev(buf->data(), buf->size());
+  };
+  auto column_mean = [&](Channel ch, std::vector<float>* buf) {
+    column(ch, buf);
+    return stats::Mean(buf->data(), buf->size());
+  };
+  std::vector<float> out, buf;
+  for (Channel c : {Channel::kAccX, Channel::kAccY, Channel::kAccZ,
+                    Channel::kGyroX, Channel::kGyroY, Channel::kGyroZ,
+                    Channel::kLinAccX, Channel::kLinAccY, Channel::kLinAccZ}) {
+    column(c, &buf);
+    const float* x = buf.data();
+    const size_t n = buf.size();
+    out.push_back(static_cast<float>(stats::Mean(x, n)));
+    out.push_back(static_cast<float>(stats::StdDev(x, n)));
+    out.push_back(static_cast<float>(stats::Min(x, n)));
+    out.push_back(static_cast<float>(stats::Max(x, n)));
+    out.push_back(static_cast<float>(stats::ZeroCrossingRate(x, n)));
+  }
+  const Channel groups[3][3] = {
+      {Channel::kAccX, Channel::kAccY, Channel::kAccZ},
+      {Channel::kGyroX, Channel::kGyroY, Channel::kGyroZ},
+      {Channel::kLinAccX, Channel::kLinAccY, Channel::kLinAccZ}};
+  const size_t lag = std::max<size_t>(1, window.rows() / 10);
+  for (const auto& g : groups) {
+    buf.resize(window.rows());
+    for (size_t i = 0; i < window.rows(); ++i) {
+      const double a = window.At(i, static_cast<size_t>(g[0]));
+      const double b = window.At(i, static_cast<size_t>(g[1]));
+      const double c = window.At(i, static_cast<size_t>(g[2]));
+      buf[i] = static_cast<float>(std::sqrt(a * a + b * b + c * c));
+    }
+    const float* x = buf.data();
+    const size_t n = buf.size();
+    out.push_back(static_cast<float>(stats::Mean(x, n)));
+    out.push_back(static_cast<float>(stats::StdDev(x, n)));
+    out.push_back(static_cast<float>(stats::Skewness(x, n)));
+    out.push_back(static_cast<float>(stats::Kurtosis(x, n)));
+    out.push_back(static_cast<float>(stats::Energy(x, n)));
+    out.push_back(static_cast<float>(stats::MeanAbsDiff(x, n)));
+    out.push_back(static_cast<float>(stats::Autocorrelation(x, n, lag)));
+    out.push_back(static_cast<float>(stats::Quantile(buf, 0.75) -
+                                     stats::Quantile(buf, 0.25)));
+  }
+  std::vector<float> ax, ay, az;
+  column(Channel::kAccX, &ax);
+  column(Channel::kAccY, &ay);
+  column(Channel::kAccZ, &az);
+  const size_t n = ax.size();
+  out.push_back(
+      static_cast<float>(stats::PearsonCorrelation(ax.data(), ay.data(), n)));
+  out.push_back(
+      static_cast<float>(stats::PearsonCorrelation(ax.data(), az.data(), n)));
+  out.push_back(
+      static_cast<float>(stats::PearsonCorrelation(ay.data(), az.data(), n)));
+  out.push_back(static_cast<float>(column_mean(Channel::kGravityZ, &buf)));
+  out.push_back(static_cast<float>((column_std(Channel::kRotX, &buf) +
+                                    column_std(Channel::kRotY, &buf) +
+                                    column_std(Channel::kRotZ, &buf)) /
+                                   3.0));
+  out.push_back(static_cast<float>((column_std(Channel::kMagX, &buf) +
+                                    column_std(Channel::kMagY, &buf) +
+                                    column_std(Channel::kMagZ, &buf)) /
+                                   3.0));
+  out.push_back(static_cast<float>(column_mean(Channel::kPressure, &buf)));
+  out.push_back(static_cast<float>(column_mean(Channel::kLight, &buf)));
+  out.push_back(static_cast<float>(column_mean(Channel::kProximity, &buf)));
+  out.push_back(static_cast<float>(column_mean(Channel::kSpeed, &buf)));
+  out.push_back(static_cast<float>(column_std(Channel::kSpeed, &buf)));
+  return out;
+}
+
+/// Median microseconds per call of `fn` over `windows`: 31 timed rounds,
+/// each one call per window.
+template <typename Fn>
+double MedianUsPerCall(const std::vector<Matrix>& windows, Fn fn) {
+  std::vector<double> us;
+  for (int round = 0; round < 31; ++round) {
+    const auto t0 = Clock::now();
+    for (const Matrix& w : windows) fn(w);
+    us.push_back(Seconds(t0, Clock::now()) * 1e6 /
+                 static_cast<double>(windows.size()));
+  }
+  return Median(us);
+}
+
+/// The stream window's two row sweeps against their column-at-a-time form
+/// on 120 x 22 windows of every base activity: Denoise with the pipeline's
+/// default moving average into a reused matrix, and the 80 features into a
+/// reused buffer. Outputs are compared bit for bit on every window.
+void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features) {
+  SetParallelThreads(1);
+  sensors::SyntheticGenerator gen(31);
+  std::vector<Matrix> raw, denoised;
+  for (const auto& [id, model] : sensors::DefaultActivityLibrary()) {
+    const sensors::Recording rec = gen.Generate(model, 10.0);
+    for (size_t start = 0; start + 120 <= rec.num_samples(); start += 120) {
+      raw.push_back(rec.samples.RowSlice(start, start + 120));
+    }
+  }
+  const preprocess::DenoiseConfig config;
+  Matrix out;
+  denoise->identical = true;
+  for (const Matrix& w : raw) {
+    const Matrix old = ColumnWiseMovingAverage(w, config.window);
+    CheckOk(preprocess::Denoise(w, config, &out), "denoise");
+    denoise->identical &= Fingerprint(old.data(), old.size()) ==
+                          Fingerprint(out.data(), out.size());
+    denoised.push_back(out);
+  }
+  denoise->before = MedianUsPerCall(raw, [&](const Matrix& w) {
+    return ColumnWiseMovingAverage(w, config.window);
+  });
+  denoise->after = MedianUsPerCall(raw, [&](const Matrix& w) {
+    CheckOk(preprocess::Denoise(w, config, &out), "denoise");
+  });
+
+  const preprocess::FeatureExtractor extractor;
+  preprocess::FeatureExtractor::Scratch scratch;
+  std::vector<float> row(preprocess::kNumFeatures);
+  features->identical = true;
+  for (const Matrix& w : denoised) {
+    const std::vector<float> old = ColumnWiseFeatures(w);
+    CheckOk(extractor.Extract(w, &scratch, row.data()), "features");
+    features->identical &= old.size() == row.size() &&
+                           Fingerprint(old.data(), old.size()) ==
+                               Fingerprint(row.data(), row.size());
+  }
+  features->before = MedianUsPerCall(
+      denoised, [&](const Matrix& w) { return ColumnWiseFeatures(w); });
+  features->after = MedianUsPerCall(denoised, [&](const Matrix& w) {
+    CheckOk(extractor.Extract(w, &scratch, row.data()), "features");
+  });
+}
+
+/// Heap allocations of warmed stream windows: a runtime with smoothing,
+/// drift monitoring and the journal on takes 20 windows of one activity to
+/// warm up, then 100 more are counted frame by frame.
+void MeasureStreamAllocations(AllocStats* allocs) {
+  SetParallelThreads(1);
+  core::CloudConfig config = BenchCloudConfig();
+  config.train.epochs = 3;
+  core::CloudInitializer cloud(config);
+  core::ModelBundle bundle =
+      Unwrap(cloud.Initialize(BenchCorpus(/*seed=*/23, /*per_class=*/2),
+                              sensors::ActivityRegistry::BaseActivities()),
+             "stream pretrain");
+  core::SupportSet support = std::move(bundle.support);
+  core::EdgeRuntime runtime(std::move(bundle).ToEdgeModel(),
+                            std::move(support), core::IncrementalOptions{});
+  runtime.EnableSmoothing(core::PredictionSmoother::Options{});
+  runtime.EnableDriftMonitoring(core::DriftMonitor::Options{});
+  runtime.EnableJournal();
+
+  constexpr size_t kWarmup = 20, kWindows = 100, kRows = 120;
+  sensors::SyntheticGenerator gen(29);
+  const sensors::Recording rec = gen.Generate(
+      sensors::DefaultActivityLibrary()[sensors::kStill],
+      static_cast<double>((kWarmup + kWindows) * kRows) /
+          sensors::kDefaultSampleRateHz);
+  if (rec.num_samples() < (kWarmup + kWindows) * kRows) {
+    std::fprintf(stderr, "stream allocations: recording too short\n");
+    std::exit(1);
+  }
+  sensors::Frame frame;
+  uint64_t all = 0, completing = 0;
+  size_t emitted = 0;
+  for (size_t r = 0; r < (kWarmup + kWindows) * kRows; ++r) {
+    std::memcpy(frame.data(), rec.samples.RowPtr(r), sizeof(frame));
+    const uint64_t before = HeapAllocations();
+    auto pred = Unwrap(runtime.PushFrame(frame), "push frame");
+    const uint64_t delta = HeapAllocations() - before;
+    if (r < kWarmup * kRows) continue;
+    all += delta;
+    if (pred.has_value()) {
+      completing += delta;
+      ++emitted;
+    }
+  }
+  if (emitted != kWindows) {
+    std::fprintf(stderr, "stream allocations: %zu windows emitted, want %zu\n",
+                 emitted, kWindows);
+    std::exit(1);
+  }
+  allocs->stream_per_window = static_cast<double>(all) / kWindows;
+  allocs->stream_per_completing_call =
+      static_cast<double>(completing) / kWindows;
 }
 
 }  // namespace
@@ -511,6 +753,22 @@ int main() {
                          "reference!\n");
   }
 
+  // --- The batch-1 stream window: row sweeps before vs after ---
+  BeforeAfter denoise, features;
+  MeasureStreamWindow(&denoise, &features);
+  std::printf("stream denoise             %8.2f us before, %8.2f us after "
+              "(x%.2f)%s\n",
+              denoise.before, denoise.after, denoise.before / denoise.after,
+              denoise.identical ? "" : "  BITS DIFFER");
+  std::printf("stream features            %8.2f us before, %8.2f us after "
+              "(x%.2f)%s\n",
+              features.before, features.after, features.before / features.after,
+              features.identical ? "" : "  BITS DIFFER");
+  if (!denoise.identical || !features.identical) {
+    std::fprintf(stderr, "stream-window sweeps differ from their "
+                         "column-at-a-time reference!\n");
+  }
+
   // --- Forward-pass allocation traffic: reused vs fresh workspace ---
   AllocStats allocs;
   {
@@ -604,6 +862,16 @@ int main() {
     }
   }
 
+  // --- A warmed stream window must not touch the heap ---
+  MeasureStreamAllocations(&allocs);
+  std::printf("stream window allocations: %.2f/window, %.2f in the completing "
+              "PushFrame\n",
+              allocs.stream_per_window, allocs.stream_per_completing_call);
+  const bool stream_alloc_free = allocs.stream_per_window == 0.0;
+  if (!stream_alloc_free) {
+    std::fprintf(stderr, "a warmed stream window allocated on the heap!\n");
+  }
+
   for (const Workload& wl : workloads) {
     std::printf("%-18s", wl.name.c_str());
     for (size_t i = 0; i < wl.threads.size(); ++i) {
@@ -621,12 +889,14 @@ int main() {
     }
   }
 
-  Report(workloads, deterministic, allocs, isa_rows, adam, relu);
+  Report(workloads, deterministic, allocs, isa_rows, adam, relu, denoise,
+         features);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
-  const bool loops_identical = adam.identical && relu.identical;
-  return (deterministic && ncm_alloc_free && isa_identical && isa_fast &&
-          loops_identical)
+  const bool loops_identical = adam.identical && relu.identical &&
+                               denoise.identical && features.identical;
+  return (deterministic && ncm_alloc_free && stream_alloc_free &&
+          isa_identical && isa_fast && loops_identical)
              ? 0
              : 1;
 }

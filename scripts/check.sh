@@ -52,9 +52,14 @@ MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
 # state machine. A bounds slip anywhere here is a remote-input memory bug.
 cmake -B build-asan -G Ninja -DMAGNETO_SANITIZE=address
 cmake --build build-asan --target common_test core_test platform_test \
-  nn_test integration_test
+  nn_test integration_test preprocess_test
 ./build-asan/tests/common_test \
   --gtest_filter='Crc32*:BinarySerial*:*FileIo*:QGemm*'
+# The batch-1 window path: the row-swept denoise and feature sweeps index
+# caller-owned buffers by hand, and the segmentation reader guards the sizes
+# those buffers come from.
+./build-asan/tests/preprocess_test \
+  --gtest_filter='Denoise*:FeatureExtractor*:Pipeline*:Segmentation*'
 # UpdateTransaction* stages/commits/rolls back full model snapshots — the
 # exact place a dangling pointer into swapped-out state would hide.
 # The quantized legs cover the int8 deserializers: the wire-v3 bundle
@@ -75,12 +80,17 @@ cmake --build build-asan --target common_test core_test platform_test \
 # and zero-sized sweeps, and the accumulating TransA) and the training path
 # on top of them: Linear/workspace, the vectorised Adam and ReLU backward
 # loops with their bit-pinning tests, and the trainer's golden weights
-# digest. The build aborts on the first report (-fno-sanitize-recover=all),
-# so any UB fails the leg.
+# digest; and the batch-1 stream window: the row-swept denoise and features
+# with their golden digests, the segmentation reader, the runtime's frame
+# buffer and the smoother's vote table. The build aborts on the first report
+# (-fno-sanitize-recover=all), so any UB fails the leg.
 cmake -B build-ubsan -G Ninja -DMAGNETO_SANITIZE=undefined
-cmake --build build-ubsan --target common_test core_test nn_test learn_test
+cmake --build build-ubsan --target common_test core_test nn_test learn_test \
+  preprocess_test
 ./build-ubsan/tests/core_test \
-  --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*'
+  --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*:EdgeRuntimeTest.*:PredictionSmoother*'
+./build-ubsan/tests/preprocess_test \
+  --gtest_filter='Denoise*:FeatureExtractor*:Pipeline*:Segmentation*'
 ./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*:MatMul*'
 ./build-ubsan/tests/nn_test --gtest_filter='Linear*:Workspace*:Adam*:Relu*'
 ./build-ubsan/tests/learn_test --gtest_filter='SiameseTrainer*'

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/gemm_internal.h"
@@ -89,9 +90,14 @@ void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t row0,
 void PortableMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   out->Reset(m, n);  // the ikj kernel accumulates, so it needs zeros
-  ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
+  const auto rows = [&](size_t row0, size_t row1) {
     MatMulRows(a, b, out, row0, row1);
-  });
+  };
+  // Passed by reference: a std::function holds a reference_wrapper in its
+  // small buffer, while this three-reference closure would be copied to the
+  // heap on every call. Batch-1 inference forwards come through here, and a
+  // warmed stream window must not allocate.
+  ParallelFor(0, m, RowGrain(k * n), std::cref(rows));
 }
 
 /// TransA, or out += a^T b when `add`. Partitioned over output rows

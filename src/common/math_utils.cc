@@ -38,14 +38,18 @@ double Max(const float* x, size_t n) {
 }
 
 double Quantile(std::vector<float> x, double p) {
-  if (x.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
   std::sort(x.begin(), x.end());
-  const double idx = p * static_cast<double>(x.size() - 1);
+  return QuantileSorted(x.data(), x.size(), p);
+}
+
+double QuantileSorted(const float* sorted, size_t n, double p) {
+  if (n == 0) return 0.0;
+  p = std::clamp(p, 0.0, 1.0);
+  const double idx = p * static_cast<double>(n - 1);
   const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, x.size() - 1);
+  const size_t hi = std::min(lo + 1, n - 1);
   const double frac = idx - static_cast<double>(lo);
-  return (1.0 - frac) * x[lo] + frac * x[hi];
+  return (1.0 - frac) * sorted[lo] + frac * sorted[hi];
 }
 
 double Median(const std::vector<float>& x) { return Quantile(x, 0.5); }
@@ -150,7 +154,10 @@ double MeanAbsDiff(const float* x, size_t n) {
 }
 
 double Iqr(const std::vector<float>& x) {
-  return Quantile(x, 0.75) - Quantile(x, 0.25);
+  std::vector<float> sorted = x;
+  std::sort(sorted.begin(), sorted.end());
+  return QuantileSorted(sorted.data(), sorted.size(), 0.75) -
+         QuantileSorted(sorted.data(), sorted.size(), 0.25);
 }
 
 }  // namespace stats

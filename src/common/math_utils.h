@@ -6,10 +6,11 @@
 
 namespace magneto {
 
-/// Scalar statistics over float spans. These back the hand-crafted feature
-/// extractor (`preprocess::FeatureExtractor`); all are single-pass or
-/// two-pass, i.e. linear time, matching the paper's "linear processing time"
-/// claim for the preprocessing function.
+/// Scalar statistics over float spans: the definitions of the hand-crafted
+/// features. `preprocess::FeatureExtractor` computes them fused, in two row
+/// sweeps over all channels, and is tested bit for bit against these. All
+/// are single-pass or two-pass, i.e. linear time, matching the paper's
+/// "linear processing time" claim for the preprocessing function.
 namespace stats {
 
 double Mean(const float* x, size_t n);
@@ -19,6 +20,9 @@ double Min(const float* x, size_t n);
 double Max(const float* x, size_t n);
 /// p in [0,1]; linear interpolation between order statistics. O(n log n).
 double Quantile(std::vector<float> x, double p);
+/// Quantile of `n` values already in ascending order; the interpolation of
+/// `Quantile`, without the copy and the sort.
+double QuantileSorted(const float* sorted, size_t n, double p);
 double Median(const std::vector<float>& x);
 /// Fisher skewness; 0 for n < 2 or zero variance.
 double Skewness(const float* x, size_t n);
@@ -37,7 +41,7 @@ double Autocorrelation(const float* x, size_t n, size_t lag);
 double PearsonCorrelation(const float* x, const float* y, size_t n);
 /// Mean absolute first difference ("jerk" magnitude proxy).
 double MeanAbsDiff(const float* x, size_t n);
-/// Interquartile range (q75 - q25).
+/// Interquartile range (q75 - q25), from one sorted copy of `x`.
 double Iqr(const std::vector<float>& x);
 
 }  // namespace stats

@@ -45,8 +45,9 @@ double DriftMonitor::rolling_distance() const {
 
 bool DriftMonitor::Observe(const Prediction& prediction) {
   Metrics().observations->Increment();
+  // A shifted vector rather than a deque: it stops allocating once full.
+  if (history_.size() == options_.window) history_.erase(history_.begin());
   history_.push_back(prediction);
-  while (history_.size() > options_.window) history_.pop_front();
   if (history_.size() < options_.window) {
     drifting_ = false;  // not enough evidence yet
     return false;

@@ -1,7 +1,7 @@
 #ifndef MAGNETO_CORE_DRIFT_MONITOR_H_
 #define MAGNETO_CORE_DRIFT_MONITOR_H_
 
-#include <deque>
+#include <vector>
 
 #include "core/edge_model.h"
 
@@ -49,7 +49,7 @@ class DriftMonitor {
  private:
   Options options_;
   double baseline_distance_ = 0.0;
-  std::deque<Prediction> history_;
+  std::vector<Prediction> history_;  ///< oldest first, at most `window`
   bool drifting_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "core/edge_model.h"
 
+#include <algorithm>
+
 #include "common/math_utils.h"
 
 namespace magneto::core {
@@ -39,8 +41,9 @@ NamedPrediction EdgeModel::WithName(const Prediction& prediction) const {
 
 Result<NamedPrediction> EdgeModel::InferFeatures(
     const std::vector<float>& features) {
-  return static_cast<const EdgeModel*>(this)->InferFeatures(
-      features, &embed_ws_, &classify_scratch_);
+  features_.ResetForOverwrite(1, features.size());
+  std::copy(features.begin(), features.end(), features_.data());
+  return InferRow(features_, &embed_ws_, &classify_scratch_);
 }
 
 Result<NamedPrediction> EdgeModel::InferFeatures(
@@ -53,15 +56,20 @@ Result<NamedPrediction> EdgeModel::InferFeatures(
 Result<NamedPrediction> EdgeModel::InferFeatures(
     const std::vector<float>& features, nn::ForwardWorkspace* workspace,
     NcmClassifier::Scratch* scratch) const {
+  return InferRow(Matrix(1, features.size(), features), workspace, scratch);
+}
+
+Result<NamedPrediction> EdgeModel::InferRow(
+    const Matrix& features, nn::ForwardWorkspace* workspace,
+    NcmClassifier::Scratch* scratch) const {
   const size_t expected = backbone_.InputDim();
-  if (expected > 0 && features.size() != expected) {
+  if (expected > 0 && features.cols() != expected) {
     return Status::InvalidArgument(
-        "feature vector has dim " + std::to_string(features.size()) +
+        "feature vector has dim " + std::to_string(features.cols()) +
         ", backbone expects " + std::to_string(expected));
   }
-  Matrix batch(1, features.size(), features);
   const Matrix& emb =
-      backbone_.Forward(batch, workspace, /*training=*/false);
+      backbone_.Forward(features, workspace, /*training=*/false);
   Result<Prediction> pred =
       rejection_threshold_ > 0.0
           ? classifier_.ClassifyWithRejection(emb.RowPtr(0), emb.cols(),
@@ -72,9 +80,9 @@ Result<NamedPrediction> EdgeModel::InferFeatures(
 }
 
 Result<NamedPrediction> EdgeModel::InferWindow(const Matrix& raw_window) {
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<float> features,
-                           pipeline_.ProcessWindow(raw_window));
-  return InferFeatures(features);
+  MAGNETO_RETURN_IF_ERROR(
+      pipeline_.ProcessWindow(raw_window, &pipeline_ws_, &features_));
+  return InferRow(features_, &embed_ws_, &classify_scratch_);
 }
 
 Result<std::vector<NamedPrediction>> EdgeModel::InferRecording(

@@ -55,14 +55,17 @@ class EdgeModel : public Embedder {
   // -- Inference --------------------------------------------------------------
 
   /// Full path for one raw window (window_samples x 22): denoise ->
-  /// featurise -> normalise -> embed -> NCM.
+  /// featurise -> normalise -> embed -> NCM, through the model's own
+  /// pipeline, forward and classifier workspaces. Once they are warmed a
+  /// window makes no heap allocation.
   Result<NamedPrediction> InferWindow(const Matrix& raw_window);
 
   /// Segments a recording and predicts each complete window.
   Result<std::vector<NamedPrediction>> InferRecording(
       const sensors::Recording& recording);
 
-  /// Classifies an already-preprocessed feature vector.
+  /// Classifies an already-preprocessed feature vector through the model's
+  /// own workspaces (the vector is copied into a reused 1 x dim row).
   Result<NamedPrediction> InferFeatures(const std::vector<float>& features);
 
   /// Concurrent-serving variant: embeds through `workspace` instead of the
@@ -134,6 +137,11 @@ class EdgeModel : public Embedder {
  private:
   NamedPrediction WithName(const Prediction& prediction) const;
 
+  /// Embeds and classifies one 1 x dim feature row.
+  Result<NamedPrediction> InferRow(const Matrix& features,
+                                   nn::ForwardWorkspace* workspace,
+                                   NcmClassifier::Scratch* scratch) const;
+
   preprocess::Pipeline pipeline_;
   nn::Sequential backbone_;
   NcmClassifier classifier_;
@@ -144,6 +152,10 @@ class EdgeModel : public Embedder {
   /// keeping the classifier scan allocation-free like embed_ws_ does for
   /// the forward pass. The concurrent const path takes a caller-owned one.
   NcmClassifier::Scratch classify_scratch_;
+  /// InferWindow's denoise and feature buffers, and the feature row the
+  /// single-owner paths embed.
+  preprocess::PipelineWorkspace pipeline_ws_;
+  Matrix features_;
 };
 
 /// Computes an open-set rejection threshold empirically: the `percentile`

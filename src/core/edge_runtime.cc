@@ -1,5 +1,7 @@
 #include "core/edge_runtime.h"
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 #include "common/logging.h"
@@ -39,22 +41,19 @@ EdgeRuntime::EdgeRuntime(EdgeModel model, SupportSet support,
       learner_(options),
       sample_rate_hz_(sample_rate_hz) {}
 
-Matrix EdgeRuntime::TakeWindow() {
+void EdgeRuntime::TakeWindow() {
+  static_assert(sizeof(sensors::Frame) == sensors::kNumChannels * sizeof(float),
+                "frames must pack into matrix rows");
   const auto& seg = model_.pipeline().config().segmentation;
-  Matrix window(seg.window_samples, sensors::kNumChannels);
-  for (size_t r = 0; r < seg.window_samples; ++r) {
-    const sensors::Frame& f = stream_buffer_[r];
-    for (size_t c = 0; c < sensors::kNumChannels; ++c) {
-      window.At(r, c) = f[c];
-    }
-  }
+  window_.ResetForOverwrite(seg.window_samples, sensors::kNumChannels);
+  std::memcpy(window_.data(), stream_buffer_.data(),
+              seg.window_samples * sizeof(sensors::Frame));
   // Advance by the stride. With stride > window (gapped sampling) the
   // surplus frames have not arrived yet; remember how many to discard.
   const size_t advance = std::min(seg.stride, stream_buffer_.size());
   stream_buffer_.erase(stream_buffer_.begin(),
                        stream_buffer_.begin() + advance);
   pending_skip_ = seg.stride - advance;
-  return window;
 }
 
 Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
@@ -74,12 +73,12 @@ Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
   if (stream_buffer_.size() < seg.window_samples) {
     return std::optional<NamedPrediction>{};
   }
-  Matrix window = TakeWindow();
+  TakeWindow();
   ++stats_.windows;
   Metrics().windows->Increment();
   obs::TraceSpan span("EdgeRuntime::Classify");
   obs::ScopedTimer classify_timer(Metrics().classify_us);
-  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(window));
+  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(window_));
   ++stats_.predictions;
   Metrics().predictions->Increment();
   if (pred.prediction.is_unknown()) Metrics().rejections->Increment();

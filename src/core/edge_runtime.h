@@ -1,7 +1,6 @@
 #ifndef MAGNETO_CORE_EDGE_RUNTIME_H_
 #define MAGNETO_CORE_EDGE_RUNTIME_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -160,9 +159,9 @@ class EdgeRuntime {
   const SupportSet& support() const { return support_; }
 
  private:
-  /// Pops a full window off the stream buffer as a matrix, advancing by the
-  /// segmentation stride.
-  Matrix TakeWindow();
+  /// Copies a full window off the stream buffer into `window_`, advancing by
+  /// the segmentation stride.
+  void TakeWindow();
 
   sensors::Recording FinishCapture();
 
@@ -183,7 +182,11 @@ class EdgeRuntime {
   std::string auto_checkpoint_path_;  ///< empty = auto-checkpointing off
 
   RuntimeMode mode_ = RuntimeMode::kInference;
-  std::deque<sensors::Frame> stream_buffer_;
+  /// Inference frames not yet consumed, oldest first, in one contiguous
+  /// block. It never holds more than a window, so once the first window has
+  /// filled it the buffer is only shifted, never reallocated.
+  std::vector<sensors::Frame> stream_buffer_;
+  Matrix window_;  ///< the window being classified, reused
   size_t pending_skip_ = 0;  ///< frames to drop (stride > window configs)
   std::vector<sensors::Frame> capture_buffer_;
   std::optional<NamedPrediction> last_prediction_;

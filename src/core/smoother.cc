@@ -1,6 +1,6 @@
 #include "core/smoother.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/logging.h"
 
@@ -13,32 +13,43 @@ PredictionSmoother::PredictionSmoother(Options options) : options_(options) {
 NamedPrediction PredictionSmoother::Push(const NamedPrediction& raw) {
   ++ticks_;
   if (raw.prediction.confidence >= options_.min_confidence) {
+    if (history_.size() == options_.window) history_.erase(history_.begin());
     history_.push_back({raw, ticks_});
-    while (history_.size() > options_.window) history_.pop_front();
   }
   // Age out votes regardless of whether this push was accepted: an entry may
   // vote for the `window` pushes that follow it, after which it expires even
   // if rejected pushes kept it from being displaced. This is what lets the
   // smoother recover from an activity change that arrives as a run of
   // low-confidence windows instead of reporting the stale winner forever.
-  while (!history_.empty() && ticks_ - history_.front().tick > options_.window) {
-    history_.pop_front();
+  auto live = history_.begin();
+  while (live != history_.end() && ticks_ - live->tick > options_.window) {
+    ++live;
   }
+  history_.erase(history_.begin(), live);
   if (history_.empty()) return raw;
 
-  // Confidence-weighted vote over the history.
-  std::map<sensors::ActivityId, double> votes;
+  // Confidence-weighted vote over the history. Each class's mass adds its
+  // votes oldest first; the table stays sorted by id, so the strict `>` scan
+  // below hands ties to the smallest id.
+  votes_.clear();
   double total = 0.0;
   for (const Entry& e : history_) {
-    votes[e.prediction.prediction.activity] += e.prediction.prediction.confidence;
-    total += e.prediction.prediction.confidence;
+    const Prediction& p = e.prediction.prediction;
+    auto it = std::lower_bound(
+        votes_.begin(), votes_.end(), p.activity,
+        [](const Vote& v, sensors::ActivityId id) { return v.activity < id; });
+    if (it == votes_.end() || it->activity != p.activity) {
+      it = votes_.insert(it, Vote{p.activity, 0.0});
+    }
+    it->mass += p.confidence;
+    total += p.confidence;
   }
   sensors::ActivityId winner = raw.prediction.activity;
   double best = -1.0;
-  for (const auto& [label, vote] : votes) {
-    if (vote > best) {
-      best = vote;
-      winner = label;
+  for (const Vote& v : votes_) {
+    if (v.mass > best) {
+      best = v.mass;
+      winner = v.activity;
     }
   }
 

@@ -2,7 +2,7 @@
 #define MAGNETO_CORE_SMOOTHER_H_
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/edge_model.h"
 
@@ -26,7 +26,9 @@ namespace magneto::core {
 /// indefinitely and the smoother would keep reporting it.
 ///
 /// Not thread-safe; in a multi-session deployment each session owns its own
-/// smoother (see platform::EdgeFleet).
+/// smoother (see platform::EdgeFleet). The history and the vote table are
+/// plain vectors that stop growing once the history has been full, so a
+/// warmed smoother pushes without a heap allocation.
 class PredictionSmoother {
  public:
   struct Options {
@@ -50,9 +52,15 @@ class PredictionSmoother {
     NamedPrediction prediction;
     uint64_t tick;  ///< value of ticks_ when the entry was accepted
   };
+  /// One class's confidence mass over the history.
+  struct Vote {
+    sensors::ActivityId activity;
+    double mass;
+  };
 
   Options options_;
-  std::deque<Entry> history_;
+  std::vector<Entry> history_;  ///< oldest first, at most `window` entries
+  std::vector<Vote> votes_;     ///< per-push tally, ascending activity id
   uint64_t ticks_ = 0;  ///< total pushes, accepted or rejected
 };
 

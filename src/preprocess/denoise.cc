@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace magneto::preprocess {
 
 void DenoiseConfig::Serialize(BinaryWriter* writer) const {
@@ -25,20 +27,58 @@ Result<DenoiseConfig> DenoiseConfig::Deserialize(BinaryReader* reader) {
 
 namespace {
 
-// Centred boxcar with shrinking window at the edges. O(n) per channel via a
-// sliding sum.
-void MovingAverageColumn(const Matrix& in, Matrix* out, size_t col,
-                         size_t window) {
+/// Channels whose running state is kept side by side; wider inputs are swept
+/// in blocks of this many, so the state lives on the stack.
+constexpr size_t kBlock = 32;
+
+// Centred boxcar with shrinking window at the edges. O(n) via a sliding sum
+// per channel; the window bounds depend on the row only, so every channel of
+// the block adds and subtracts the same rows in the same order.
+void MovingAverageBlock(const Matrix& in, Matrix* out, size_t c0,
+                        size_t width, size_t window) {
   const size_t n = in.rows();
   const size_t half = window / 2;
-  double sum = 0.0;
+  double sum[kBlock] = {};
   size_t lo = 0, hi = 0;  // current [lo, hi) window
   for (size_t i = 0; i < n; ++i) {
     const size_t want_lo = i >= half ? i - half : 0;
     const size_t want_hi = std::min(n, i + half + 1);
-    while (hi < want_hi) sum += in.At(hi++, col);
-    while (lo < want_lo) sum -= in.At(lo++, col);
-    out->At(i, col) = static_cast<float>(sum / static_cast<double>(hi - lo));
+    for (; hi < want_hi; ++hi) {
+      const float* x = in.RowPtr(hi) + c0;
+      for (size_t c = 0; c < width; ++c) sum[c] += x[c];
+    }
+    for (; lo < want_lo; ++lo) {
+      const float* x = in.RowPtr(lo) + c0;
+      for (size_t c = 0; c < width; ++c) sum[c] -= x[c];
+    }
+    const double count = static_cast<double>(hi - lo);
+    float* y = out->RowPtr(i) + c0;
+    for (size_t c = 0; c < width; ++c) {
+      y[c] = static_cast<float>(sum[c] / count);
+    }
+  }
+}
+
+// y[t] = a*x[t] + (1-a)*y[t-1], seeded with the first sample.
+void LowPassBlock(const Matrix& in, Matrix* out, size_t c0, size_t width,
+                  double alpha) {
+  const size_t n = in.rows();
+  if (n == 0) return;
+  const double keep = 1.0 - alpha;
+  double y[kBlock];
+  const float* x0 = in.RowPtr(0) + c0;
+  float* y0 = out->RowPtr(0) + c0;
+  for (size_t c = 0; c < width; ++c) {
+    y[c] = x0[c];
+    y0[c] = static_cast<float>(y[c]);
+  }
+  for (size_t i = 1; i < n; ++i) {
+    const float* x = in.RowPtr(i) + c0;
+    float* yi = out->RowPtr(i) + c0;
+    for (size_t c = 0; c < width; ++c) {
+      y[c] = alpha * x[c] + keep * y[c];
+      yi[c] = static_cast<float>(y[c]);
+    }
   }
 }
 
@@ -57,21 +97,15 @@ void MedianColumn(const Matrix& in, Matrix* out, size_t col, size_t window) {
   }
 }
 
-void LowPassColumn(const Matrix& in, Matrix* out, size_t col, double alpha) {
-  const size_t n = in.rows();
-  if (n == 0) return;
-  double y = in.At(0, col);
-  out->At(0, col) = static_cast<float>(y);
-  for (size_t i = 1; i < n; ++i) {
-    y = alpha * in.At(i, col) + (1.0 - alpha) * y;
-    out->At(i, col) = static_cast<float>(y);
-  }
-}
-
 }  // namespace
 
-Result<Matrix> Denoise(const Matrix& samples, const DenoiseConfig& config) {
-  if (config.method == DenoiseMethod::kNone) return samples;
+Status Denoise(const Matrix& samples, const DenoiseConfig& config,
+               Matrix* out) {
+  MAGNETO_CHECK(out != &samples);
+  if (config.method == DenoiseMethod::kNone) {
+    out->CopyFrom(samples);
+    return Status::Ok();
+  }
   if (config.method == DenoiseMethod::kLowPass) {
     if (config.alpha <= 0.0 || config.alpha > 1.0) {
       return Status::InvalidArgument("low-pass alpha must be in (0, 1]");
@@ -82,22 +116,31 @@ Result<Matrix> Denoise(const Matrix& samples, const DenoiseConfig& config) {
     }
   }
 
-  Matrix out(samples.rows(), samples.cols());
-  for (size_t c = 0; c < samples.cols(); ++c) {
+  out->ResetForOverwrite(samples.rows(), samples.cols());
+  for (size_t c0 = 0; c0 < samples.cols(); c0 += kBlock) {
+    const size_t width = std::min(kBlock, samples.cols() - c0);
     switch (config.method) {
       case DenoiseMethod::kMovingAverage:
-        MovingAverageColumn(samples, &out, c, config.window);
+        MovingAverageBlock(samples, out, c0, width, config.window);
         break;
       case DenoiseMethod::kMedian:
-        MedianColumn(samples, &out, c, config.window);
+        for (size_t c = c0; c < c0 + width; ++c) {
+          MedianColumn(samples, out, c, config.window);
+        }
         break;
       case DenoiseMethod::kLowPass:
-        LowPassColumn(samples, &out, c, config.alpha);
+        LowPassBlock(samples, out, c0, width, config.alpha);
         break;
       case DenoiseMethod::kNone:
         break;
     }
   }
+  return Status::Ok();
+}
+
+Result<Matrix> Denoise(const Matrix& samples, const DenoiseConfig& config) {
+  Matrix out;
+  MAGNETO_RETURN_IF_ERROR(Denoise(samples, config, &out));
   return out;
 }
 

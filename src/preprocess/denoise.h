@@ -26,9 +26,22 @@ struct DenoiseConfig {
   static Result<DenoiseConfig> Deserialize(BinaryReader* reader);
 };
 
-/// Returns a denoised copy of `samples` (rows = time, cols = channels).
-/// All methods are linear (or near-linear) in the number of samples, keeping
-/// the paper's "preprocessing requires linear time" property.
+/// Writes the denoised `samples` (rows = time, cols = channels) to `out`,
+/// resizing it and reusing its storage: once `out` has held a window of this
+/// shape, every method but kMedian runs without a heap allocation. `out`
+/// must not alias `samples`. All methods are linear (or near-linear) in the
+/// number of samples, keeping the paper's "preprocessing requires linear
+/// time" property.
+///
+/// The moving average and the low-pass filter sweep the rows once with every
+/// channel's running state side by side. Each channel still sees exactly the
+/// operation sequence of a filter run down its own column (the same adds and
+/// subtracts in the same order, one `double` divide per sample), so the
+/// output bits do not depend on the sweep order.
+Status Denoise(const Matrix& samples, const DenoiseConfig& config,
+               Matrix* out);
+
+/// Returns a denoised copy of `samples`; a wrapper over the overload above.
 Result<Matrix> Denoise(const Matrix& samples, const DenoiseConfig& config);
 
 }  // namespace magneto::preprocess

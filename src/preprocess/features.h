@@ -1,6 +1,7 @@
 #ifndef MAGNETO_PREPROCESS_FEATURES_H_
 #define MAGNETO_PREPROCESS_FEATURES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,16 +32,36 @@ inline constexpr size_t kNumFeatures = 80;
 ///            magnetometer std (avg of 3 axes), pressure mean, light mean,
 ///            proximity mean, speed mean, speed std         (8)
 ///
-/// Every statistic is O(window) except IQR/quantiles, which are
-/// O(window log window) on a 120-sample window — constant-bounded per window,
-/// so the pipeline stays linear in stream length.
+/// Every statistic is O(window): the IQR's sort is a radix sort over the
+/// magnitude bits (a signal holding a NaN takes `std::sort`,
+/// O(window log window) on a 120-sample window), so the pipeline stays
+/// linear in stream length.
+///
+/// The statistics are computed in two sweeps over the rows with all 22
+/// channels side by side: sums, min/max and the magnitude signals first,
+/// then the centred moments, zero crossings and cross-axis products around
+/// the means of the first sweep. Every accumulator adds the same terms in
+/// the same order as the one-statistic-at-a-time definitions in
+/// `common/math_utils.h`, so the features are bit-identical to them.
 class FeatureExtractor {
  public:
+  /// Reusable buffers for one extraction. Grown to the window length on
+  /// first use, then reused: a warmed scratch makes `Extract` allocation-free.
+  /// One per concurrent caller.
+  struct Scratch {
+    std::vector<float> magnitude;  ///< |acc|, |gyro|, |lin_acc| back to back
+    std::vector<float> sorted;     ///< one magnitude signal, sorted for IQR
+    std::vector<uint32_t> keys;    ///< the radix sort's two key buffers
+  };
+
   FeatureExtractor() = default;
 
-  /// Computes the 80 features on `window` (rows = time, 22 columns).
-  /// Fails with kInvalidArgument if the window has the wrong channel count or
-  /// fewer than 2 samples.
+  /// Computes the 80 features on `window` (rows = time, 22 columns) into
+  /// `out[0, kNumFeatures)`. Fails with kInvalidArgument if the window has
+  /// the wrong channel count or fewer than 2 samples.
+  Status Extract(const Matrix& window, Scratch* scratch, float* out) const;
+
+  /// Returns the 80 features; a wrapper over the overload above.
   Result<std::vector<float>> Extract(const Matrix& window) const;
 
   /// Stable names for each of the 80 dimensions, for docs and debugging.

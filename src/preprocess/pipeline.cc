@@ -1,5 +1,7 @@
 #include "preprocess/pipeline.h"
 
+#include <algorithm>
+
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,22 +79,26 @@ Result<PipelineConfig> PipelineConfig::Deserialize(BinaryReader* reader) {
   return config;
 }
 
-Result<std::vector<float>> Pipeline::Featurize(const Matrix& window) const {
-  switch (config_.features) {
-    case FeatureMode::kStatistical:
-      return extractor_.Extract(window);
-    case FeatureMode::kSpectral:
-      return spectral_.Extract(window);
-    case FeatureMode::kCombined: {
-      MAGNETO_ASSIGN_OR_RETURN(std::vector<float> stat,
-                               extractor_.Extract(window));
-      MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
-                               spectral_.Extract(window));
-      stat.insert(stat.end(), spec.begin(), spec.end());
-      return stat;
-    }
+Status Pipeline::Featurize(const Matrix& window,
+                           FeatureExtractor::Scratch* scratch,
+                           float* out) const {
+  if (config_.features != FeatureMode::kSpectral) {
+    MAGNETO_RETURN_IF_ERROR(extractor_.Extract(window, scratch, out));
+    out += kNumFeatures;
   }
-  return Status::Internal("unknown feature mode");
+  if (config_.features != FeatureMode::kStatistical) {
+    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
+                             spectral_.Extract(window));
+    std::copy(spec.begin(), spec.end(), out);
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<float>> Pipeline::Featurize(const Matrix& window) const {
+  FeatureExtractor::Scratch scratch;
+  std::vector<float> out(feature_dim());
+  MAGNETO_RETURN_IF_ERROR(Featurize(window, &scratch, out.data()));
+  return out;
 }
 
 Result<sensors::FeatureDataset> Pipeline::RawFeatures(
@@ -177,17 +183,26 @@ Result<sensors::FeatureDataset> Pipeline::Fit(
   return normalizer_.ApplyToDataset(raw);
 }
 
-Result<std::vector<float>> Pipeline::ProcessWindow(const Matrix& window) const {
+Status Pipeline::ProcessWindow(const Matrix& window, PipelineWorkspace* ws,
+                               Matrix* out) const {
   if (!fitted()) {
     return Status::FailedPrecondition("pipeline normalizer not fitted");
   }
   obs::TraceSpan span("Pipeline::ProcessWindow");
   obs::ScopedTimer timer(Metrics().window_us);
   Metrics().stream_windows->Increment();
-  MAGNETO_ASSIGN_OR_RETURN(Matrix denoised, Denoise(window, config_.denoise));
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<float> features, Featurize(denoised));
-  MAGNETO_RETURN_IF_ERROR(normalizer_.Apply(&features));
-  return features;
+  MAGNETO_RETURN_IF_ERROR(Denoise(window, config_.denoise, &ws->denoised));
+  out->ResetForOverwrite(1, feature_dim());
+  MAGNETO_RETURN_IF_ERROR(
+      Featurize(ws->denoised, &ws->features, out->RowPtr(0)));
+  return normalizer_.Apply(out->RowPtr(0), out->cols());
+}
+
+Result<std::vector<float>> Pipeline::ProcessWindow(const Matrix& window) const {
+  PipelineWorkspace ws;
+  Matrix features;
+  MAGNETO_RETURN_IF_ERROR(ProcessWindow(window, &ws, &features));
+  return features.storage();
 }
 
 Result<std::vector<std::vector<float>>> Pipeline::Process(

@@ -37,6 +37,16 @@ struct PipelineConfig {
   static Result<PipelineConfig> Deserialize(BinaryReader* reader);
 };
 
+/// Caller-owned buffers for `Pipeline::ProcessWindow`, as
+/// `nn::ForwardWorkspace` is for the backbone: one per concurrent caller,
+/// grown on the first window and then reused, so a warmed workspace takes a
+/// statistical-feature window through denoising, features and normalisation
+/// without a heap allocation.
+struct PipelineWorkspace {
+  Matrix denoised;
+  FeatureExtractor::Scratch features;
+};
+
 /// The paper's "pre-processing function" (§3.2 item 1): denoising ->
 /// segmentation -> feature extraction -> normalisation, as one serialisable
 /// unit that the cloud ships to the edge.
@@ -68,7 +78,14 @@ class Pipeline {
   Result<std::vector<std::vector<float>>> Process(
       const sensors::Recording& recording) const;
 
-  /// Processes one already-segmented window.
+  /// Processes one already-segmented window into `out`, a 1 x feature_dim()
+  /// row, through the caller's workspace. This is the stream path; a warmed
+  /// `ws` and `out` make it allocation-free in statistical mode.
+  Status ProcessWindow(const Matrix& window, PipelineWorkspace* ws,
+                       Matrix* out) const;
+
+  /// Processes one already-segmented window; a wrapper over the overload
+  /// above.
   Result<std::vector<float>> ProcessWindow(const Matrix& window) const;
 
   /// Processes labeled recordings into a labeled dataset (frozen normaliser).
@@ -82,7 +99,10 @@ class Pipeline {
   size_t feature_dim() const { return FeatureDim(config_.features); }
 
  private:
-  /// Runs the configured feature extractor(s) on one denoised window.
+  /// Runs the configured feature extractor(s) on one denoised window into
+  /// `out[0, feature_dim())`.
+  Status Featurize(const Matrix& window, FeatureExtractor::Scratch* scratch,
+                   float* out) const;
   Result<std::vector<float>> Featurize(const Matrix& window) const;
 
   /// Denoise + segment + featurise, no normalisation.

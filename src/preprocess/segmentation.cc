@@ -12,6 +12,14 @@ Result<SegmentationConfig> SegmentationConfig::Deserialize(
   SegmentationConfig config;
   MAGNETO_ASSIGN_OR_RETURN(config.window_samples, reader->ReadU64());
   MAGNETO_ASSIGN_OR_RETURN(config.stride, reader->ReadU64());
+  if (config.window_samples < 2 || config.window_samples > kMaxSamples) {
+    return Status::Corruption("bad segmentation window: " +
+                              std::to_string(config.window_samples));
+  }
+  if (config.stride == 0 || config.stride > kMaxSamples) {
+    return Status::Corruption("bad segmentation stride: " +
+                              std::to_string(config.stride));
+  }
   return config;
 }
 

@@ -22,7 +22,14 @@ struct SegmentationConfig {
   /// Drop a trailing partial window (always true in this implementation; a
   /// partial window would distort the statistical features).
 
+  /// Upper bound a deserialised `window_samples` or `stride` may take.
+  static constexpr size_t kMaxSamples = size_t{1} << 20;
+
   void Serialize(BinaryWriter* writer) const;
+  /// Fails with kCorruption unless 2 <= window_samples <= kMaxSamples and
+  /// 1 <= stride <= kMaxSamples: a bundle with stride 0 would re-classify on
+  /// every frame while the stream buffer grew without bound, and an absurd
+  /// window would size the runtime's buffers from hostile bytes.
   static Result<SegmentationConfig> Deserialize(BinaryReader* reader);
 };
 

@@ -1,6 +1,7 @@
 #include "core/edge_runtime.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -214,6 +215,54 @@ TEST(EdgeRuntimeTest, GappedStrideSkipsFrames) {
     if (pred.value().has_value()) ++emitted;
   }
   EXPECT_EQ(emitted, 3u);
+}
+
+TEST(EdgeRuntimeTest, StreamedWindowsMatchSegmentedInferWindow) {
+  // The runtime's frame buffer against the batch segmenter: for overlapping
+  // (60), back-to-back (120) and gapped (240) strides on a 120-sample
+  // window, every streamed prediction must equal InferWindow on the matching
+  // Segment() window of the same recording, bit for bit.
+  sensors::SyntheticGenerator gen(412);
+  const sensors::Recording rec =
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kWalk], 6.0);
+  for (size_t stride : {60, 120, 240}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    core::CloudConfig config = testing::SmallCloudConfig();
+    config.pipeline.segmentation.window_samples = 120;
+    config.pipeline.segmentation.stride = stride;
+    core::CloudInitializer cloud(config);
+    auto bundle = cloud.Initialize(testing::SmallCorpus(413),
+                                   sensors::ActivityRegistry::BaseActivities());
+    ASSERT_TRUE(bundle.ok());
+    SupportSet support = std::move(bundle.value().support);
+    EdgeModel model = std::move(bundle).value().ToEdgeModel();
+    EdgeModel reference = model.Clone();
+    EdgeRuntime runtime(std::move(model), std::move(support),
+                        FastUpdateOptions());
+
+    const std::vector<NamedPrediction> streamed = Stream(&runtime, rec);
+    auto windows =
+        preprocess::Segment(rec, reference.pipeline().config().segmentation);
+    ASSERT_TRUE(windows.ok());
+    ASSERT_EQ(streamed.size(), windows.value().size());
+    ASSERT_FALSE(streamed.empty());
+    for (size_t i = 0; i < streamed.size(); ++i) {
+      auto want = reference.InferWindow(windows.value()[i]);
+      ASSERT_TRUE(want.ok());
+      const Prediction& got = streamed[i].prediction;
+      EXPECT_EQ(got.activity, want.value().prediction.activity) << i;
+      EXPECT_EQ(std::memcmp(&got.distance, &want.value().prediction.distance,
+                            sizeof(got.distance)),
+                0)
+          << i;
+      EXPECT_EQ(std::memcmp(&got.confidence,
+                            &want.value().prediction.confidence,
+                            sizeof(got.confidence)),
+                0)
+          << i;
+      EXPECT_EQ(streamed[i].name, want.value().name) << i;
+    }
+  }
 }
 
 TEST(EdgeRuntimeCheckpointTest, SaveAndRestoreRoundTrip) {

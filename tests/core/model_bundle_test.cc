@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -206,6 +207,40 @@ TEST_F(ModelBundleTest, VersionAndLengthErrorsFireOnWellFormedInput) {
   EXPECT_NE(bad_length.status().message().find("truncated bundle body"),
             std::string::npos)
       << bad_length.status().message();
+}
+
+TEST_F(ModelBundleTest, RejectsHostileSegmentation) {
+  // The body opens with the pipeline config: denoise (u8 method, u64 window,
+  // f64 alpha), then segmentation (u64 window_samples, u64 stride). Rewrite
+  // the segmentation fields and re-seal the image with a valid CRC, so only
+  // the config reader stands between the bytes and an EdgeRuntime.
+  const std::string v2 = bundle_->SerializeToString();
+  const std::string body =
+      v2.substr(kHeaderBytes, v2.size() - kHeaderBytes - kFooterBytes);
+  constexpr size_t kSegmentationOffset = 1 + 8 + 8;
+  auto with_segmentation = [&](uint64_t window, uint64_t stride) {
+    BinaryWriter fields;
+    fields.WriteU64(window);
+    fields.WriteU64(stride);
+    std::string patched = body;
+    patched.replace(kSegmentationOffset, fields.size(), fields.buffer());
+    return ModelBundle::FromString(BuildImage(2, patched.size(), patched));
+  };
+  // The offset is right: a sane rewrite loads and carries the new stride.
+  auto sane = with_segmentation(120, 60);
+  ASSERT_TRUE(sane.ok()) << sane.status();
+  EXPECT_EQ(sane.value().pipeline.config().segmentation.stride, 60u);
+
+  const std::pair<uint64_t, uint64_t> kHostile[] = {
+      {120, 0}, {1, 120}, {0, 120}, {(uint64_t{1} << 20) + 1, 120},
+      {120, uint64_t{1} << 40}};
+  for (const auto& [window, stride] : kHostile) {
+    auto res = with_segmentation(window, stride);
+    ASSERT_FALSE(res.ok()) << window << "/" << stride;
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(res.status().message().find("segmentation"), std::string::npos)
+        << res.status().message();
+  }
 }
 
 TEST_F(ModelBundleTest, FuzzEveryTruncationIsRejected) {

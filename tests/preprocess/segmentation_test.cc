@@ -102,5 +102,29 @@ TEST(SegmentationTest, SerializationRoundTrip) {
   EXPECT_EQ(back.value().stride, 30u);
 }
 
+TEST(SegmentationTest, DeserializeRejectsHostileSizes) {
+  auto read = [](uint64_t window, uint64_t stride) {
+    BinaryWriter w;
+    w.WriteU64(window);
+    w.WriteU64(stride);
+    BinaryReader r(w.buffer());
+    return SegmentationConfig::Deserialize(&r);
+  };
+  const uint64_t max = SegmentationConfig::kMaxSamples;
+  EXPECT_TRUE(read(2, 1).ok());
+  EXPECT_TRUE(read(max, max).ok());
+  EXPECT_TRUE(read(120, 60).ok());
+  for (uint64_t window : {uint64_t{0}, uint64_t{1}, max + 1, ~uint64_t{0}}) {
+    auto res = read(window, 120);
+    ASSERT_FALSE(res.ok()) << window;
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption) << window;
+  }
+  for (uint64_t stride : {uint64_t{0}, max + 1, ~uint64_t{0}}) {
+    auto res = read(120, stride);
+    ASSERT_FALSE(res.ok()) << stride;
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption) << stride;
+  }
+}
+
 }  // namespace
 }  // namespace magneto::preprocess
