@@ -33,11 +33,8 @@ MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
 # int8 prototype stores with per-thread scratch, and the EdgeFleet stress
 # tests (closed-loop sessions + open-loop SubmitWindow producers, both with a
 # bundle promotion landing mid-run).
-# The KNN ANN legs: concurrent searches through one shared immutable index
-# with per-thread scratch, and the thread-count determinism contract of the
-# k-means build.
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
-  --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:NcmClassifierTest.Concurrent*'
+  --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:NcmClassifierTest.Concurrent*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
   --gtest_filter='EdgeFleet*'
 # The cloud control plane under TSan: the CloudServer once_flag quantize
@@ -63,37 +60,28 @@ cmake --build build-asan --target common_test core_test platform_test \
 # UpdateTransaction* stages/commits/rolls back full model snapshots — the
 # exact place a dangling pointer into swapped-out state would hide.
 # The quantized legs cover the int8 deserializers: the wire-v3 bundle
-# truncation/bit-flip tests, the SupportSet int8 row reader, and the
-# kQuantizedLinearTag payload fuzz — the validate-before-allocate fix in
-# QuantizedLinear::Deserialize only proves itself under ASan.
-./build-asan/tests/core_test --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSetTest.*Quantized*'
+# truncation/bit-flip tests, the SupportSet reader in both row encodings,
+# and the kQuantizedLinearTag payload fuzz — the validate-before-allocate fix
+# in QuantizedLinear::Deserialize only proves itself under ASan.
+./build-asan/tests/core_test --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'
 ./build-asan/tests/platform_test \
   --gtest_filter='FaultInjector*:BundleTransport*:ChunkFrame*'
 
-# UBSan pass over the classifier scans and the deserializers they read: the
-# int8 exact-rescale arithmetic, NaN-sanitised sorts, the prototype and
-# support-set readers, and the bundle framing; plus the fp32 GEMM kernels
-# (portable and every packed instantiation the host runs, with the Inf/NaN
-# and zero-sized sweeps, and the accumulating TransA) and the training path
-# on top of them: Linear/workspace, the vectorised Adam and ReLU backward
-# loops with their bit-pinning tests, and the trainer's golden weights
-# digest; and the batch-1 stream window: the row-swept denoise and features
-# with their golden digests, the segmentation reader, the runtime's frame
-# buffer and the smoother's vote table. The build aborts on the first report
-# (-fno-sanitize-recover=all), so any UB fails the leg.
+# UBSan pass over the whole suite: every test binary that
+# tests/CMakeLists.txt declares, built under UBSan and run unfiltered. The
+# build aborts on the first report (-fno-sanitize-recover=all), so any UB
+# anywhere fails the leg.
+test_bins="$(sed -n 's/^magneto_add_test(\([a-z_]*\).*/\1/p' tests/CMakeLists.txt)"
 cmake -B build-ubsan -G Ninja -DMAGNETO_SANITIZE=undefined
-cmake --build build-ubsan --target common_test core_test nn_test learn_test \
-  preprocess_test
-./build-ubsan/tests/core_test \
-  --gtest_filter='NcmClassifier*:KnnClassifier*:AnnIndex*:ModelBundle*:SupportSet*:EdgeRuntimeTest.*:PredictionSmoother*'
-./build-ubsan/tests/preprocess_test \
-  --gtest_filter='Denoise*:FeatureExtractor*:Pipeline*:Segmentation*'
-./build-ubsan/tests/common_test --gtest_filter='QGemm*:BinarySerial*:MatMul*'
-./build-ubsan/tests/nn_test --gtest_filter='Linear*:Workspace*:Adam*:Relu*'
-./build-ubsan/tests/learn_test --gtest_filter='SiameseTrainer*'
+# shellcheck disable=SC2086  # one target name per word
+cmake --build build-ubsan --target $test_bins
+for t in $test_bins; do
+  echo "== ubsan $t =="
+  "./build-ubsan/tests/$t"
+done
 
 # CLI telemetry smoke: every run must leave a parseable metrics snapshot and
 # a trace with events.
@@ -241,9 +229,12 @@ cmp "$smoke_dir/m.magneto" "$smoke_dir/updated.magneto.lkg" \
 ./build/tools/magneto inspect "$smoke_dir/updated.magneto" | grep -q 'Gesture Hi' \
   || { echo "learn smoke: committed bundle lacks the new activity" >&2; exit 1; }
 
-for b in build/bench/bench_*; do
-  echo "== $b =="
-  "$b"
+# Only the benches bench/CMakeLists.txt declares: a binary left in build/
+# by a deleted bench must not keep running here.
+for b in $(sed -n 's/^magneto_add_bench(\([a-z_]*\).*/\1/p' \
+    bench/CMakeLists.txt); do
+  echo "== build/bench/$b =="
+  "build/bench/$b"
 done
 
 # bench_quant enforces its own acceptance gates (int8 speedup vs the dequant
@@ -261,16 +252,6 @@ for key in '"schema_version"' '"fleet_rows"' '"completion_curve_s"' \
     '"skew_old_before"'; do
   grep -q "$key" BENCH_cloud_scale.json \
     || { echo "bench_cloud_scale: BENCH_cloud_scale.json missing $key" >&2; exit 1; }
-done
-
-# bench_ann enforces its own gates (recall@1 + speedup at 200 classes,
-# byte-identical exact fallback, bit-identical predictions across thread
-# counts); pin the artifact schema and the embedded check verdicts here.
-for key in '"schema_version"' '"recall_at_1"' '"recall_at_5"' '"nprobe"' \
-    '"speedup"' '"gate_recall_at_1"' '"gate_speedup"' \
-    '"exact_fallback_byte_identical"' '"thread_count_bit_identical"'; do
-  grep -q "$key" BENCH_ann.json \
-    || { echo "bench_ann: BENCH_ann.json missing $key" >&2; exit 1; }
 done
 
 for e in build/examples/*; do

@@ -4,22 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 
 #include "common/parallel.h"
-#include "obs/metrics.h"
 
 namespace magneto::core {
-
-namespace {
-
-obs::Histogram* ScanHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("ann.scan_us");
-  return h;
-}
-
-}  // namespace
 
 Result<KnnClassifier> KnnClassifier::FromSupportSet(const SupportSet& support,
                                                     Embedder* embedder,
@@ -40,16 +28,7 @@ Result<KnnClassifier> KnnClassifier::FromSupportSet(const SupportSet& support,
   sensors::FeatureDataset all = support.AsDataset();
   const Matrix embeddings = embedder->Embed(all.ToMatrix());
   knn.labels_ = all.labels();
-  // The coarse quantizer trains on the fp32 embeddings — before the int8
-  // store drops them — so fp32 and int8 classifiers built from the same
-  // support probe identical lists.
-  if (options.ann.enable && knn.labels_.size() >= options.ann.min_index_size) {
-    MAGNETO_ASSIGN_OR_RETURN(AnnIndex index,
-                             AnnIndex::Build(embeddings, options.ann));
-    knn.ann_index_ = std::make_shared<const AnnIndex>(std::move(index));
-  }
   knn.rows_ = ScanRows(embeddings);
-  if (options.quantize_exemplars) knn.rows_.Quantize();
   return knn;
 }
 
@@ -67,29 +46,21 @@ Result<size_t> KnnClassifier::ScanTopK(const float* embedding, size_t n,
                                    std::to_string(rows_.dim()));
   }
 
-  // Squared distances to the scanned exemplars; ranking by squared distance
-  // is order-identical (sqrt is monotone), so the single sqrt per reported
-  // neighbour is deferred to the vote/margin computation in Classify. The
-  // caller's scratch is reused across calls to keep the per-query cost
-  // allocation-free without the hidden process-lifetime footprint of a
+  // Squared distances to every exemplar; ranking by squared distance is
+  // order-identical (sqrt is monotone), so the single sqrt per reported
+  // neighbour is deferred to the vote/margin computation in Classify.
+  // Reusing the caller's scratch keeps the distance buffer's capacity across
+  // calls without the hidden process-lifetime footprint of a
   // `static thread_local` buffer.
-  const bool use_ann = ann_index_ != nullptr;
-  const uint32_t* candidates = nullptr;
-  if (use_ann) {
-    scratch->candidates.clear();
-    ann_index_->AppendCandidates(embedding, &scratch->ann,
-                                 &scratch->candidates);
-    candidates = scratch->candidates.data();
-  }
-  const size_t count = use_ann ? scratch->candidates.size() : labels_.size();
+  const size_t count = labels_.size();
   std::vector<std::pair<float, uint32_t>>& dist = scratch->dist;
   dist.resize(count);
-  const ScanRows::Query query = rows_.Prepare(embedding, &scratch->q_query);
+  // The store is fp32, so the query needs no int8 buffer.
+  const ScanRows::Query query = rows_.Prepare(embedding, nullptr);
   ParallelFor(0, count, 2048, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      const size_t idx = use_ann ? candidates[i] : i;
-      dist[i] = {static_cast<float>(rows_.SquaredDistance(query, idx)),
-                 static_cast<uint32_t>(idx)};
+      dist[i] = {static_cast<float>(rows_.SquaredDistance(query, i)),
+                 static_cast<uint32_t>(i)};
     }
   });
   const size_t top = std::min(k, dist.size());
@@ -97,20 +68,10 @@ Result<size_t> KnnClassifier::ScanTopK(const float* embedding, size_t n,
   return top;
 }
 
-Result<std::vector<std::pair<float, uint32_t>>> KnnClassifier::Neighbors(
-    const float* embedding, size_t n, size_t k, Scratch* scratch) const {
-  MAGNETO_ASSIGN_OR_RETURN(size_t top, ScanTopK(embedding, n, k, scratch));
-  return std::vector<std::pair<float, uint32_t>>(scratch->dist.begin(),
-                                                 scratch->dist.begin() + top);
-}
-
 Result<Prediction> KnnClassifier::Classify(const float* embedding, size_t n,
                                            Scratch* scratch) const {
-  std::optional<obs::ScopedTimer> timer;
-  if (ann_index_ != nullptr) timer.emplace(ScanHistogram());
   MAGNETO_ASSIGN_OR_RETURN(size_t k,
                            ScanTopK(embedding, n, options_.k, scratch));
-  timer.reset();
   const std::vector<std::pair<float, uint32_t>>& dist = scratch->dist;
 
   std::map<sensors::ActivityId, double> votes;

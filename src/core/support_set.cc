@@ -204,19 +204,22 @@ size_t SupportSet::MemoryBytes() const {
 }
 
 void SupportSet::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(capacity_per_class_);
-  writer->WriteU8(static_cast<uint8_t>(strategy_));
-  writer->WriteU64(dim_);
-  writer->WriteU64(exemplars_.size());
-  for (const auto& [id, rows] : exemplars_) {
-    writer->WriteI64(id);
-    writer->WriteU64(stream_counts_.count(id) ? stream_counts_.at(id) : 0);
-    writer->WriteU64(rows.size());
-    for (const std::vector<float>& row : rows) writer->WriteF32Vector(row);
-  }
+  Write(writer, RowEncoding::kF32);
 }
 
 void SupportSet::SerializeQuantized(BinaryWriter* writer) const {
+  Write(writer, RowEncoding::kInt8);
+}
+
+Result<SupportSet> SupportSet::Deserialize(BinaryReader* reader) {
+  return Read(reader, RowEncoding::kF32);
+}
+
+Result<SupportSet> SupportSet::DeserializeQuantized(BinaryReader* reader) {
+  return Read(reader, RowEncoding::kInt8);
+}
+
+void SupportSet::Write(BinaryWriter* writer, RowEncoding encoding) const {
   writer->WriteU64(capacity_per_class_);
   writer->WriteU8(static_cast<uint8_t>(strategy_));
   writer->WriteU64(dim_);
@@ -227,14 +230,18 @@ void SupportSet::SerializeQuantized(BinaryWriter* writer) const {
     writer->WriteU64(stream_counts_.count(id) ? stream_counts_.at(id) : 0);
     writer->WriteU64(rows.size());
     for (const std::vector<float>& row : rows) {
-      const float scale = QuantizeRowInt8(row.data(), dim_, q.data());
-      writer->WriteF32(scale);
-      writer->WriteI8Vector(q);
+      if (encoding == RowEncoding::kF32) {
+        writer->WriteF32Vector(row);
+      } else {
+        writer->WriteF32(QuantizeRowInt8(row.data(), dim_, q.data()));
+        writer->WriteI8Vector(q);
+      }
     }
   }
 }
 
-Result<SupportSet> SupportSet::DeserializeQuantized(BinaryReader* reader) {
+Result<SupportSet> SupportSet::Read(BinaryReader* reader,
+                                    RowEncoding encoding) {
   MAGNETO_ASSIGN_OR_RETURN(uint64_t capacity, reader->ReadU64());
   MAGNETO_ASSIGN_OR_RETURN(uint8_t strategy, reader->ReadU8());
   if (strategy > static_cast<uint8_t>(SelectionStrategy::kReservoir)) {
@@ -252,54 +259,37 @@ Result<SupportSet> SupportSet::DeserializeQuantized(BinaryReader* reader) {
     MAGNETO_ASSIGN_OR_RETURN(int64_t id, reader->ReadI64());
     MAGNETO_ASSIGN_OR_RETURN(uint64_t seen, reader->ReadU64());
     MAGNETO_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
-    std::vector<std::vector<float>> data;
-    // `rows` comes off the wire: cap the reservation so a hostile count
-    // cannot force a giant allocation before the per-row reads fail.
-    data.reserve(std::min<uint64_t>(rows, 4096));
-    for (uint64_t r = 0; r < rows; ++r) {
-      MAGNETO_ASSIGN_OR_RETURN(float scale, reader->ReadF32());
-      if (!std::isfinite(scale) || scale <= 0.0f) {
-        return Status::Corruption("support row scale not finite-positive");
-      }
-      // Bounded by the already-validated dim: a corrupt length field fails
-      // before allocating.
-      MAGNETO_ASSIGN_OR_RETURN(std::vector<int8_t> q,
-                               reader->ReadI8VectorExpected(set.dim_));
-      std::vector<float> row(set.dim_);
-      for (size_t i = 0; i < row.size(); ++i) {
-        row[i] = static_cast<float>(q[i]) * scale;
-      }
-      data.push_back(std::move(row));
+    if (set.exemplars_.count(id) > 0) {
+      return Status::Corruption("duplicate support class id " +
+                                std::to_string(id));
     }
-    set.exemplars_[id] = std::move(data);
-    set.stream_counts_[id] = seen;
-  }
-  return set;
-}
-
-Result<SupportSet> SupportSet::Deserialize(BinaryReader* reader) {
-  MAGNETO_ASSIGN_OR_RETURN(uint64_t capacity, reader->ReadU64());
-  MAGNETO_ASSIGN_OR_RETURN(uint8_t strategy, reader->ReadU8());
-  if (strategy > static_cast<uint8_t>(SelectionStrategy::kReservoir)) {
-    return Status::Corruption("bad selection strategy: " +
-                              std::to_string(strategy));
-  }
-  SupportSet set(capacity, static_cast<SelectionStrategy>(strategy));
-  MAGNETO_ASSIGN_OR_RETURN(set.dim_, reader->ReadU64());
-  MAGNETO_ASSIGN_OR_RETURN(uint64_t num_classes, reader->ReadU64());
-  for (uint64_t c = 0; c < num_classes; ++c) {
-    MAGNETO_ASSIGN_OR_RETURN(int64_t id, reader->ReadI64());
-    MAGNETO_ASSIGN_OR_RETURN(uint64_t seen, reader->ReadU64());
-    MAGNETO_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
+    if (rows > capacity) {
+      return Status::Corruption("support class " + std::to_string(id) +
+                                " holds " + std::to_string(rows) +
+                                " rows, over capacity " +
+                                std::to_string(capacity));
+    }
     std::vector<std::vector<float>> data;
     // `rows` comes off the wire: cap the reservation so a hostile count
     // cannot force a giant allocation before the per-row reads fail.
     data.reserve(std::min<uint64_t>(rows, 4096));
     for (uint64_t r = 0; r < rows; ++r) {
-      MAGNETO_ASSIGN_OR_RETURN(std::vector<float> row,
-                               reader->ReadF32Vector());
-      if (row.size() != set.dim_) {
-        return Status::Corruption("support row dim mismatch");
+      std::vector<float> row;
+      if (encoding == RowEncoding::kF32) {
+        // Bounded by the already-validated dim: a corrupt length field
+        // fails before allocating.
+        MAGNETO_ASSIGN_OR_RETURN(row, reader->ReadF32VectorExpected(set.dim_));
+      } else {
+        MAGNETO_ASSIGN_OR_RETURN(float scale, reader->ReadF32());
+        if (!std::isfinite(scale) || scale <= 0.0f) {
+          return Status::Corruption("support row scale not finite-positive");
+        }
+        MAGNETO_ASSIGN_OR_RETURN(std::vector<int8_t> q,
+                                 reader->ReadI8VectorExpected(set.dim_));
+        row.resize(set.dim_);
+        for (size_t i = 0; i < row.size(); ++i) {
+          row[i] = static_cast<float>(q[i]) * scale;
+        }
       }
       data.push_back(std::move(row));
     }

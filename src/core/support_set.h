@@ -89,6 +89,18 @@ class SupportSet {
   static Result<SupportSet> DeserializeQuantized(BinaryReader* reader);
 
  private:
+  /// How each exemplar row goes on the wire: a length-prefixed fp32 vector
+  /// (wire v2), or one f32 scale plus a length-prefixed int8 vector (v3).
+  enum class RowEncoding { kF32, kInt8 };
+
+  /// The one codec behind the four public entry points: header, then per
+  /// class (id, reservoir count, rows), each row in `encoding`. The reader
+  /// returns Corruption for a dim over 2^20, and for a repeated class id or
+  /// a class holding more rows than `capacity_per_class`, neither of which
+  /// a writer can produce.
+  void Write(BinaryWriter* writer, RowEncoding encoding) const;
+  static Result<SupportSet> Read(BinaryReader* reader, RowEncoding encoding);
+
   size_t capacity_per_class_;
   SelectionStrategy strategy_;
   size_t dim_ = 0;

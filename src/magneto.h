@@ -33,7 +33,6 @@
 #include "common/status.h"
 #include "compress/compress.h"
 #include "core/activity_journal.h"
-#include "core/ann_index.h"
 #include "core/async_updater.h"
 #include "core/cloud_initializer.h"
 #include "core/cross_validation.h"

@@ -73,7 +73,7 @@ ActivityLibrary DefaultActivityLibrary();
 SignalModel MakeGestureModel(uint64_t seed);
 
 /// Large-vocabulary mode: hundreds of procedurally generated activity
-/// classes for the ANN-index scaling experiments (ids `first_id`,
+/// classes for the many-class scaling experiments (ids `first_id`,
 /// `first_id + 1`, ...). Each class gets its own multi-harmonic motion
 /// signature plus environment-baseline offsets.
 struct LargeVocabularyOptions {
@@ -82,7 +82,7 @@ struct LargeVocabularyOptions {
   /// interpolated toward one shared signature drawn from `seed`. 0 keeps
   /// classes maximally distinct; 1 collapses all of them onto the shared
   /// signature. Raising it squeezes the classes together in feature space,
-  /// which is what actually stresses ANN recall.
+  /// which is what actually stresses classification accuracy.
   double overlap = 0.25;
   uint64_t seed = 1;
   ActivityId first_id = 1000;

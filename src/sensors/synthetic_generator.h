@@ -53,7 +53,7 @@ class SyntheticGenerator {
   /// Large-vocabulary mode: builds the procedural library
   /// (`LargeVocabularyLibrary`) and generates `per_class` labeled
   /// recordings for each of its `vocabulary.num_classes` classes — the data
-  /// substrate for the hundred-class ANN experiments (bench_ann).
+  /// substrate for the many-class enrollment of perfbench's `fleet` workload.
   std::vector<LabeledRecording> GenerateVocabularyDataset(
       const LargeVocabularyOptions& vocabulary, size_t per_class,
       double duration_s);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/test_helpers.h"
+
 namespace magneto {
 namespace {
 
@@ -102,7 +104,7 @@ TEST(BinarySerialTest, LyingLengthPrefixFails) {
 
 TEST(FileIoTest, WriteReadRoundTrip) {
   const std::string path =
-      std::filesystem::temp_directory_path() / "magneto_serial_test.bin";
+      testing::UniqueTempPath("magneto_serial_test.bin");
   const std::string payload("binary\x00payload", 14);
   ASSERT_TRUE(WriteFile(path, payload).ok());
   auto back = ReadFile(path);
@@ -119,7 +121,7 @@ TEST(FileIoTest, MissingFileIsIoError) {
 
 TEST(AtomicFileIoTest, RoundTripAndOverwrite) {
   const std::string path =
-      std::filesystem::temp_directory_path() / "magneto_atomic_test.bin";
+      testing::UniqueTempPath("magneto_atomic_test.bin");
   const std::string first("first\x00payload", 13);
   ASSERT_TRUE(WriteFileAtomic(path, first).ok());
   EXPECT_EQ(ReadFile(path).value(), first);
@@ -136,7 +138,7 @@ TEST(AtomicFileIoTest, PartialWriteLeavesOriginalIntact) {
   // Simulated power loss mid-write: the original file must survive, fully
   // readable — the property that makes `ModelBundle::SaveToFile` safe.
   const std::string path =
-      std::filesystem::temp_directory_path() / "magneto_atomic_partial.bin";
+      testing::UniqueTempPath("magneto_atomic_partial.bin");
   const std::string original = "the deployed bundle we cannot afford to lose";
   ASSERT_TRUE(WriteFileAtomic(path, original).ok());
 

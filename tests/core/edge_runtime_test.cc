@@ -266,8 +266,8 @@ TEST(EdgeRuntimeTest, StreamedWindowsMatchSegmentedInferWindow) {
 }
 
 TEST(EdgeRuntimeCheckpointTest, SaveAndRestoreRoundTrip) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "magneto_runtime_ckpt.magneto";
+  const std::string path =
+      testing::UniqueTempPath("magneto_runtime_ckpt.magneto");
   EdgeRuntime runtime = MakeRuntime(420);
   sensors::SyntheticGenerator gen(9);
   sensors::Recording rec =
@@ -290,8 +290,8 @@ TEST(EdgeRuntimeCheckpointTest, SaveAndRestoreRoundTrip) {
 }
 
 TEST(EdgeRuntimeCheckpointTest, SecondSaveRotatesLastKnownGood) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "magneto_runtime_rotate.magneto";
+  const std::string path =
+      testing::UniqueTempPath("magneto_runtime_rotate.magneto");
   const std::string lkg = EdgeRuntime::LastKnownGoodPath(path);
   EXPECT_EQ(lkg, path + ".lkg");
 
@@ -306,8 +306,8 @@ TEST(EdgeRuntimeCheckpointTest, SecondSaveRotatesLastKnownGood) {
 }
 
 TEST(EdgeRuntimeCheckpointTest, CorruptPrimaryFallsBackToLastKnownGood) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "magneto_runtime_fallback.magneto";
+  const std::string path =
+      testing::UniqueTempPath("magneto_runtime_fallback.magneto");
   const std::string lkg = EdgeRuntime::LastKnownGoodPath(path);
   EdgeRuntime runtime = MakeRuntime(422);
   ASSERT_TRUE(runtime.SaveCheckpoint(path).ok());
@@ -329,8 +329,8 @@ TEST(EdgeRuntimeCheckpointTest, MissingBothCheckpointsFails) {
 }
 
 TEST(EdgeRuntimeCheckpointTest, AutoCheckpointSkipsRolledBackUpdate) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "magneto_runtime_rollback.magneto";
+  const std::string path =
+      testing::UniqueTempPath("magneto_runtime_rollback.magneto");
   const std::string lkg = EdgeRuntime::LastKnownGoodPath(path);
   std::remove(path.c_str());
   std::remove(lkg.c_str());
@@ -366,8 +366,8 @@ TEST(EdgeRuntimeCheckpointTest, AutoCheckpointSkipsRolledBackUpdate) {
 }
 
 TEST(EdgeRuntimeCheckpointTest, AutoCheckpointPersistsCommittedUpdate) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "magneto_runtime_commit.magneto";
+  const std::string path =
+      testing::UniqueTempPath("magneto_runtime_commit.magneto");
   const std::string lkg = EdgeRuntime::LastKnownGoodPath(path);
   std::remove(path.c_str());
   std::remove(lkg.c_str());

@@ -262,176 +262,90 @@ TEST(KnnClassifierTest, NonFiniteExemplarRanksLast) {
   EXPECT_TRUE(std::isinf(nan_pred.value().distance));
 }
 
-// `classes` clusters of `per_class` exemplars each on a widely spaced 2-D
-// grid — large enough to clear a small `min_index_size`.
-SupportSet GridSupport(size_t classes, size_t per_class) {
-  SupportSet support(per_class, SelectionStrategy::kRandom);
-  Rng rng(6);
-  for (size_t c = 0; c < classes; ++c) {
-    const float cx = static_cast<float>(c % 8) * 20.0f;
-    const float cy = static_cast<float>(c / 8) * 20.0f;
+// Identity embedder of any width, for the digest's wider embeddings.
+class WideIdentityEmbedder : public Embedder {
+ public:
+  explicit WideIdentityEmbedder(size_t dim) : dim_(dim) {}
+  Matrix Embed(const Matrix& features) override { return features; }
+  size_t embedding_dim() const override { return dim_; }
+
+ private:
+  size_t dim_;
+};
+
+// Five classes of 520 exemplars (2,600 rows, more than one 2,048-row
+// ParallelFor chunk). Every 50th row of a class carries a NaN, +inf or -inf
+// coordinate; every 10th sits on a small integer lattice shared by all
+// classes, so queries on that lattice meet exact distance ties within and
+// across classes.
+SupportSet DigestSupport(size_t dim, Rng* rng) {
+  const std::vector<sensors::ActivityId> ids = {2, 7, 11, 13, 40};
+  constexpr size_t kPerClass = 520;
+  SupportSet support(kPerClass, SelectionStrategy::kRandom);
+  for (size_t c = 0; c < ids.size(); ++c) {
     sensors::FeatureDataset data;
-    for (size_t i = 0; i < per_class; ++i) {
-      data.Append({cx + static_cast<float>(rng.Normal(0.0, 0.3)),
-                   cy + static_cast<float>(rng.Normal(0.0, 0.3))},
-                  static_cast<sensors::ActivityId>(c));
+    for (size_t i = 0; i < kPerClass; ++i) {
+      std::vector<float> row(dim);
+      if (i % 10 == 3) {
+        for (float& v : row) v = static_cast<float>(rng->UniformInt(-2, 2));
+      } else {
+        for (float& v : row) v = static_cast<float>(rng->Normal(0.0, 1.0));
+        row[0] += 3.0f * static_cast<float>(c);
+      }
+      const size_t at = rng->Index(dim);
+      if (i % 50 == 0) row[at] = std::numeric_limits<float>::quiet_NaN();
+      if (i % 50 == 1) row[at] = std::numeric_limits<float>::infinity();
+      if (i % 50 == 2) row[at] = -std::numeric_limits<float>::infinity();
+      data.Append(row, ids[c]);
     }
-    MAGNETO_CHECK(support
-                      .SetClass(static_cast<sensors::ActivityId>(c), data,
-                                nullptr, &rng)
-                      .ok());
+    MAGNETO_CHECK(support.SetClass(ids[c], data, nullptr, rng).ok());
   }
   return support;
 }
 
-TEST(KnnClassifierTest, AnnFullProbeMatchesExactScanByteForByte) {
-  SupportSet support = GridSupport(16, 8);
-  IdentityEmbedder embedder;
-  auto exact = KnnClassifier::FromSupportSet(support, &embedder, {}).value();
-
-  KnnClassifier::Options ann_options;
-  ann_options.ann.enable = true;
-  ann_options.ann.min_index_size = 1;
-  ann_options.ann.nlist = 8;
-  ann_options.ann.nprobe = 8;  // probe every list -> same candidate pool
-  auto ann = KnnClassifier::FromSupportSet(support, &embedder, ann_options)
-                 .value();
-  ASSERT_TRUE(ann.ann_active());
-  EXPECT_FALSE(exact.ann_active());
-
-  Rng rng(7);
-  for (int t = 0; t < 50; ++t) {
-    const std::vector<float> q{static_cast<float>(rng.Uniform(-5.0, 150.0)),
-                               static_cast<float>(rng.Uniform(-5.0, 45.0))};
-    Prediction pe = exact.Classify(q).value();
-    Prediction pa = ann.Classify(q).value();
-    EXPECT_EQ(std::memcmp(&pe, &pa, sizeof(Prediction)), 0) << "trial " << t;
-  }
-}
-
-TEST(KnnClassifierTest, AnnNarrowProbeKeepsActivityParityOnClusters) {
-  SupportSet support = GridSupport(16, 8);
-  IdentityEmbedder embedder;
-  auto exact = KnnClassifier::FromSupportSet(support, &embedder, {}).value();
-  KnnClassifier::Options ann_options;
-  ann_options.ann.enable = true;
-  ann_options.ann.min_index_size = 1;
-  ann_options.ann.nlist = 16;
-  ann_options.ann.nprobe = 2;
-  auto ann = KnnClassifier::FromSupportSet(support, &embedder, ann_options)
-                 .value();
-  ASSERT_TRUE(ann.ann_active());
-
-  // Query near each cluster center: the right cell is always probed first.
-  Rng rng(8);
-  for (size_t c = 0; c < 16; ++c) {
-    const std::vector<float> q{
-        static_cast<float>(c % 8) * 20.0f +
-            static_cast<float>(rng.Normal(0.0, 0.2)),
-        static_cast<float>(c / 8) * 20.0f +
-            static_cast<float>(rng.Normal(0.0, 0.2))};
-    EXPECT_EQ(ann.Classify(q).value().activity,
-              exact.Classify(q).value().activity)
-        << "class " << c;
-  }
-}
-
-TEST(KnnClassifierTest, AnnBelowThresholdFallsBackToExactScan) {
-  SupportSet support = TwoClusterSupport();
-  IdentityEmbedder embedder;
-  KnnClassifier::Options ann_options;
-  ann_options.ann.enable = true;
-  ann_options.ann.min_index_size = 1000;  // 12 exemplars < threshold
-  auto fallback =
-      KnnClassifier::FromSupportSet(support, &embedder, ann_options).value();
-  EXPECT_FALSE(fallback.ann_active());
-  auto exact = KnnClassifier::FromSupportSet(support, &embedder, {}).value();
-  for (float x : {0.0f, 2.0f, 5.1f, 8.0f, 10.5f}) {
-    const std::vector<float> q{x, 0.0f};
-    Prediction pf = fallback.Classify(q).value();
-    Prediction pe = exact.Classify(q).value();
-    EXPECT_EQ(std::memcmp(&pf, &pe, sizeof(Prediction)), 0) << "x=" << x;
-  }
-}
-
-TEST(KnnClassifierTest, AnnComposesWithInt8Exemplars) {
-  SupportSet support = GridSupport(16, 8);
-  IdentityEmbedder embedder;
-  auto exact = KnnClassifier::FromSupportSet(support, &embedder, {}).value();
-  KnnClassifier::Options options;
-  options.quantize_exemplars = true;
-  options.ann.enable = true;
-  options.ann.min_index_size = 1;
-  options.ann.nlist = 16;
-  options.ann.nprobe = 3;
-  auto ann_q =
-      KnnClassifier::FromSupportSet(support, &embedder, options).value();
-  ASSERT_TRUE(ann_q.ann_active());
-  // The exemplar store is int8 (at this toy dim=2 the per-exemplar
-  // scale+norm overhead eats the win — see QuantizedScanAgreesWithFp32).
-  EXPECT_EQ(ann_q.MemoryBytes(), 128u * (2u + sizeof(float) + sizeof(int32_t)));
-
-  Rng rng(9);
-  KnnClassifier::Scratch scratch;
-  for (size_t c = 0; c < 16; ++c) {
-    const std::vector<float> q{
-        static_cast<float>(c % 8) * 20.0f +
-            static_cast<float>(rng.Normal(0.0, 0.2)),
-        static_cast<float>(c / 8) * 20.0f +
-            static_cast<float>(rng.Normal(0.0, 0.2))};
-    EXPECT_EQ(ann_q.Classify(q.data(), q.size(), &scratch).value().activity,
-              exact.Classify(q).value().activity)
-        << "class " << c;
-  }
-}
-
-TEST(KnnClassifierTest, NeighborsReportsAscendingDistances) {
-  SupportSet support = GridSupport(16, 8);
-  IdentityEmbedder embedder;
-  KnnClassifier::Options options;
-  options.ann.enable = true;
-  options.ann.min_index_size = 1;
-  options.ann.nprobe = 4;
-  auto knn = KnnClassifier::FromSupportSet(support, &embedder, options)
-                 .value();
-  KnnClassifier::Scratch scratch;
-  const std::vector<float> q{20.0f, 0.0f};
-  auto nn = knn.Neighbors(q.data(), q.size(), 5, &scratch).value();
-  ASSERT_EQ(nn.size(), 5u);
-  for (size_t i = 1; i < nn.size(); ++i) {
-    EXPECT_LE(nn[i - 1].first, nn[i].first);
-  }
-  EXPECT_EQ(knn.label(nn[0].second), 1);  // grid class 1 sits at (20, 0)
-}
-
-TEST(KnnClassifierTest, QuantizedScanAgreesWithFp32) {
-  SupportSet support = TwoClusterSupport();
-  IdentityEmbedder embedder;
-  KnnClassifier::Options q_options;
-  q_options.quantize_exemplars = true;
-  auto fp = KnnClassifier::FromSupportSet(support, &embedder, {}).value();
-  auto q =
-      KnnClassifier::FromSupportSet(support, &embedder, q_options).value();
-  // int8 data + fp32 scale + int32 norm per exemplar vs fp32 rows. (At this
-  // toy dim=2 the per-exemplar overhead dominates; the ~4x win needs real
-  // embedding dims — see bench_quant.)
-  EXPECT_EQ(q.MemoryBytes(), 12u * (2u + sizeof(float) + sizeof(int32_t)));
-  EXPECT_EQ(fp.MemoryBytes(), 12u * 2u * sizeof(float));
-
-  // Probes sweep both clusters, staying clear of the x = 5 midline so an
-  // int8 rounding of the exemplars (~0.08 here) can never flip the vote.
-  for (int i = 0; i <= 20; ++i) {
-    const float off = 0.5f + 3.0f * static_cast<float>(i) / 20.0f;
-    for (const std::vector<float>& probe :
-         {std::vector<float>{off, 0.3f}, std::vector<float>{10.0f - off,
-                                                            -0.3f}}) {
-      auto pf = fp.Classify(probe).value();
-      auto pq = q.Classify(probe).value();
-      EXPECT_EQ(pf.activity, pq.activity) << "probe x=" << probe[0];
-      // The exact-rescale distance only differs by the exemplar rounding.
-      EXPECT_NEAR(pf.distance, pq.distance, 0.05 * (pf.distance + 1.0));
+TEST(KnnClassifierTest, ExactScanDigestUnchanged) {
+  // Golden bits of the exact scan, captured once and never edited: a change
+  // to ScanTopK or the vote that moves one bit of one Prediction fails here.
+  // FNV-1a (64-bit) over the bytes of every Prediction, across dims 2, 32
+  // and 128, k = 1, 5 and more than the set holds, weighted and unweighted
+  // votes, non-finite exemplars and queries, and lattice ties.
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t dim : {2u, 32u, 128u}) {
+    Rng rng(80 + dim);
+    const SupportSet support = DigestSupport(dim, &rng);
+    ASSERT_GT(support.TotalSize(), 2048u);
+    std::vector<std::vector<float>> queries;
+    for (int q = 0; q < 12; ++q) {
+      std::vector<float> x(dim);
+      for (float& v : x) {
+        v = q < 4 ? static_cast<float>(rng.UniformInt(-1, 1))
+                  : static_cast<float>(rng.Normal(0.0, 1.5));
+      }
+      if (q >= 4 && q < 9) x[0] += 3.0f * static_cast<float>(q - 4);
+      if (q == 10) x[0] = std::numeric_limits<float>::quiet_NaN();
+      if (q == 11) x[dim - 1] = std::numeric_limits<float>::infinity();
+      queries.push_back(std::move(x));
+    }
+    WideIdentityEmbedder embedder(dim);
+    for (size_t k : {size_t{1}, size_t{5}, support.TotalSize() + 7}) {
+      for (bool weighted : {false, true}) {
+        KnnClassifier::Options options;
+        options.k = k;
+        options.distance_weighted = weighted;
+        auto knn = KnnClassifier::FromSupportSet(support, &embedder, options);
+        ASSERT_TRUE(knn.ok());
+        KnnClassifier::Scratch scratch;
+        for (const std::vector<float>& x : queries) {
+          auto pred = knn.value().Classify(x.data(), x.size(), &scratch);
+          ASSERT_TRUE(pred.ok());
+          unsigned char bytes[sizeof(Prediction)];
+          std::memcpy(bytes, &pred.value(), sizeof(Prediction));
+          for (unsigned char b : bytes) h = (h ^ b) * 0x100000001b3ull;
+        }
+      }
     }
   }
+  EXPECT_EQ(h, 0xb9af5cbbb8e8f495ull);
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST_F(ModelBundleTest, RejectsTrailingGarbageInsideBody) {
 
 TEST_F(ModelBundleTest, FileRoundTrip) {
   const std::string path =
-      std::filesystem::temp_directory_path() / "magneto_bundle_test.magneto";
+      testing::UniqueTempPath("magneto_bundle_test.magneto");
   ASSERT_TRUE(bundle_->SaveToFile(path).ok());
   auto back = ModelBundle::LoadFromFile(path);
   ASSERT_TRUE(back.ok());
@@ -269,7 +269,7 @@ TEST_F(ModelBundleTest, FuzzSeededBitFlipsAreRejected) {
 
 TEST_F(ModelBundleTest, SaveIsAtomicNoTempLeftBehind) {
   const std::string path =
-      std::filesystem::temp_directory_path() / "magneto_bundle_atomic.magneto";
+      testing::UniqueTempPath("magneto_bundle_atomic.magneto");
   ASSERT_TRUE(bundle_->SaveToFile(path).ok());
   EXPECT_FALSE(std::filesystem::exists(AtomicTempPath(path)));
   EXPECT_TRUE(ModelBundle::LoadFromFile(path).ok());
@@ -277,9 +277,10 @@ TEST_F(ModelBundleTest, SaveIsAtomicNoTempLeftBehind) {
 }
 
 TEST_F(ModelBundleTest, LoadWithFallbackPrefersPrimary) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string primary = dir / "magneto_fb_primary.magneto";
-  const std::string fallback = dir / "magneto_fb_lkg.magneto";
+  const std::string primary =
+      testing::UniqueTempPath("magneto_fb_primary.magneto");
+  const std::string fallback =
+      testing::UniqueTempPath("magneto_fb_lkg.magneto");
   ASSERT_TRUE(bundle_->SaveToFile(primary).ok());
   ASSERT_TRUE(bundle_->SaveToFile(fallback).ok());
   bool used_fallback = true;
@@ -292,9 +293,10 @@ TEST_F(ModelBundleTest, LoadWithFallbackPrefersPrimary) {
 }
 
 TEST_F(ModelBundleTest, LoadWithFallbackRecoversFromCorruptPrimary) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string primary = dir / "magneto_fb_corrupt.magneto";
-  const std::string fallback = dir / "magneto_fb_good.magneto";
+  const std::string primary =
+      testing::UniqueTempPath("magneto_fb_corrupt.magneto");
+  const std::string fallback =
+      testing::UniqueTempPath("magneto_fb_good.magneto");
   ASSERT_TRUE(WriteFile(primary, "MGTO garbage, not a bundle").ok());
   ASSERT_TRUE(bundle_->SaveToFile(fallback).ok());
   bool used_fallback = false;

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -347,6 +350,89 @@ TEST(SupportSetTest, DeserializeQuantizedSurvivesTruncation) {
     EXPECT_FALSE(SupportSet::DeserializeQuantized(&r).ok())
         << "truncation at " << len << " parsed";
   }
+}
+
+// A hand-written support payload: one (id, rows) entry per class, every row
+// `dim` wide, in the fp32 (wire v2) or int8 (wire v3) row encoding.
+std::string SupportPayload(
+    bool int8, uint64_t capacity, uint64_t dim,
+    const std::vector<std::pair<int64_t, uint64_t>>& classes) {
+  BinaryWriter w;
+  w.WriteU64(capacity);
+  w.WriteU8(0);  // strategy
+  w.WriteU64(dim);
+  w.WriteU64(classes.size());
+  for (const auto& [id, rows] : classes) {
+    w.WriteI64(id);
+    w.WriteU64(rows);  // seen
+    w.WriteU64(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      if (int8) {
+        w.WriteF32(0.5f);
+        w.WriteI8Vector(std::vector<int8_t>(dim, 3));
+      } else {
+        w.WriteF32Vector(std::vector<float>(dim, 1.5f));
+      }
+    }
+  }
+  return w.buffer();
+}
+
+StatusCode ReadPayloadCode(bool int8, const std::string& bytes) {
+  BinaryReader r(bytes);
+  return (int8 ? SupportSet::DeserializeQuantized(&r)
+               : SupportSet::Deserialize(&r))
+      .status()
+      .code();
+}
+
+// A class id that appears twice used to overwrite the first copy silently.
+void ExpectDuplicateClassIdRejected(bool int8) {
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 4, 2, {{3, 2}, {4, 2}})),
+            StatusCode::kOk);
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 4, 2, {{3, 2}, {3, 2}})),
+            StatusCode::kCorruption);
+}
+
+// More rows than the capacity breaks the bound the memory arithmetic (C2)
+// rests on; SetClass and AddStreamingSample never write one.
+void ExpectRowsOverCapacityRejected(bool int8) {
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 3, 2, {{1, 3}})),
+            StatusCode::kOk);
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 3, 2, {{1, 4}})),
+            StatusCode::kCorruption);
+}
+
+void ExpectDimOverLimitRejected(bool int8) {
+  constexpr uint64_t kMaxDim = 1 << 20;
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 1, kMaxDim, {})),
+            StatusCode::kOk);
+  EXPECT_EQ(ReadPayloadCode(int8, SupportPayload(int8, 1, kMaxDim + 1, {})),
+            StatusCode::kCorruption);
+}
+
+TEST(SupportSetTest, DeserializeRejectsDuplicateClassId) {
+  ExpectDuplicateClassIdRejected(/*int8=*/false);
+}
+
+TEST(SupportSetTest, DeserializeQuantizedRejectsDuplicateClassId) {
+  ExpectDuplicateClassIdRejected(/*int8=*/true);
+}
+
+TEST(SupportSetTest, DeserializeRejectsRowsOverCapacity) {
+  ExpectRowsOverCapacityRejected(/*int8=*/false);
+}
+
+TEST(SupportSetTest, DeserializeQuantizedRejectsRowsOverCapacity) {
+  ExpectRowsOverCapacityRejected(/*int8=*/true);
+}
+
+TEST(SupportSetTest, DeserializeRejectsDimOverLimit) {
+  ExpectDimOverLimitRejected(/*int8=*/false);
+}
+
+TEST(SupportSetTest, DeserializeQuantizedRejectsDimOverLimit) {
+  ExpectDimOverLimitRejected(/*int8=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
+#include "testing/test_helpers.h"
 
 namespace magneto::obs {
 namespace {
@@ -136,7 +137,7 @@ TEST(FlightRecorderTest, ShedBurstRaisesAnomalyOncePerBurst) {
 
 TEST(FlightRecorderTest, AnomalyAutoDumpsToConfiguredPath) {
   const std::string path =
-      ::testing::TempDir() + "flight_recorder_autodump.json";
+      testing::UniqueTempPath("flight_recorder_autodump.json");
   std::remove(path.c_str());
 
   FlightRecorder recorder(8);

@@ -530,7 +530,7 @@ TEST(EdgeFleetTest, ShedBurstDegradesHealthAndAutoDumps) {
   // records in the injected recorder, fire the shed_burst anomaly (with an
   // auto-dump), and push the SLO monitor out of OK.
   const std::string dump_path =
-      ::testing::TempDir() + "fleet_shed_burst_dump.json";
+      testing::UniqueTempPath("fleet_shed_burst_dump.json");
   std::remove(dump_path.c_str());
   obs::FlightRecorder recorder(128);
   recorder.SetShedBurstThreshold(8);

@@ -1,17 +1,17 @@
 #include "sensors/recording_io.h"
 
 #include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "sensors/signal_model.h"
+#include "testing/test_helpers.h"
 
 namespace magneto::sensors {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return testing::UniqueTempPath(name);
 }
 
 std::vector<LabeledRecording> Campaign(uint64_t seed) {
@@ -115,7 +115,9 @@ TEST(FeatureCsvTest, DefaultColumnNames) {
 TEST(FeatureCsvTest, NameCountMismatchRejected) {
   FeatureDataset ds;
   ds.Append({1.0f, 2.0f}, 0);
-  EXPECT_FALSE(WriteFeatureCsv(ds, {"only_one"}, "/tmp/x.csv").ok());
+  EXPECT_FALSE(
+      WriteFeatureCsv(ds, {"only_one"}, TempPath("magneto_bad_header.csv"))
+          .ok());
 }
 
 TEST(RecordingIoTest, MissingFileIsIoError) {

@@ -1,7 +1,12 @@
 #ifndef MAGNETO_TESTS_TESTING_TEST_HELPERS_H_
 #define MAGNETO_TESTS_TESTING_TEST_HELPERS_H_
 
+#include <unistd.h>
+
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "core/cloud_initializer.h"
 #include "core/model_bundle.h"
@@ -9,6 +14,13 @@
 #include "sensors/synthetic_generator.h"
 
 namespace magneto::testing {
+
+/// `name` under gtest's temp dir, prefixed with this process's pid. Test
+/// binaries running at the same time (two builds tested side by side, say)
+/// then never overwrite or delete each other's files.
+inline std::string UniqueTempPath(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
 
 /// A deliberately small cloud configuration so a full pretrain fits in a
 /// unit-test time budget (tiny backbone, few epochs, small support set).
