@@ -63,12 +63,15 @@ cmake --build build-asan --target common_test core_test platform_test \
 # truncation/bit-flip tests, the SupportSet reader in both row encodings,
 # and the kQuantizedLinearTag payload fuzz — the validate-before-allocate fix
 # in QuantizedLinear::Deserialize only proves itself under ASan.
-./build-asan/tests/core_test --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*'
+# EdgeRuntime*/StreamSession* (and EdgeFleet* below) drive the one stream
+# session both owners share: it memcpys buffered frames into a reused window.
+./build-asan/tests/core_test \
+  --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*:EdgeRuntime*:StreamSession*'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'
 ./build-asan/tests/platform_test \
-  --gtest_filter='FaultInjector*:BundleTransport*:ChunkFrame*'
+  --gtest_filter='FaultInjector*:BundleTransport*:ChunkFrame*:EdgeFleet*'
 
 # UBSan pass over the whole suite: every test binary that
 # tests/CMakeLists.txt declares, built under UBSan and run unfiltered. The

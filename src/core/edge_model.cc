@@ -70,11 +70,17 @@ Result<NamedPrediction> EdgeModel::InferRow(
   }
   const Matrix& emb =
       backbone_.Forward(features, workspace, /*training=*/false);
+  return ClassifyEmbedding(emb.RowPtr(0), emb.cols(), scratch);
+}
+
+Result<NamedPrediction> EdgeModel::ClassifyEmbedding(
+    const float* embedding, size_t dim,
+    NcmClassifier::Scratch* scratch) const {
   Result<Prediction> pred =
       rejection_threshold_ > 0.0
-          ? classifier_.ClassifyWithRejection(emb.RowPtr(0), emb.cols(),
+          ? classifier_.ClassifyWithRejection(embedding, dim,
                                               rejection_threshold_, scratch)
-          : classifier_.Classify(emb.RowPtr(0), emb.cols(), scratch);
+          : classifier_.Classify(embedding, dim, scratch);
   if (!pred.ok()) return pred.status();
   return WithName(pred.value());
 }

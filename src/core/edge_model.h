@@ -81,6 +81,12 @@ class EdgeModel : public Embedder {
                                         nn::ForwardWorkspace* workspace,
                                         NcmClassifier::Scratch* scratch) const;
 
+  /// Classifies one embedded row (honouring the rejection threshold) and
+  /// names it; concurrent callers each bring their own `scratch`.
+  Result<NamedPrediction> ClassifyEmbedding(
+      const float* embedding, size_t dim,
+      NcmClassifier::Scratch* scratch) const;
+
   /// Evaluates on a labeled feature dataset; returns (truth, predicted)
   /// pairs for metric computation.
   Result<std::vector<std::pair<sensors::ActivityId, sensors::ActivityId>>>

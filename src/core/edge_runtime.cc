@@ -1,7 +1,5 @@
 #include "core/edge_runtime.h"
 
-#include <algorithm>
-#include <cstring>
 #include <filesystem>
 
 #include "common/logging.h"
@@ -37,62 +35,26 @@ EdgeRuntime::EdgeRuntime(EdgeModel model, SupportSet support,
                          IncrementalOptions options, double sample_rate_hz)
     : model_(std::move(model)),
       support_(std::move(support)),
-      update_options_(options),
       learner_(options),
-      sample_rate_hz_(sample_rate_hz) {}
-
-void EdgeRuntime::TakeWindow() {
-  static_assert(sizeof(sensors::Frame) == sensors::kNumChannels * sizeof(float),
-                "frames must pack into matrix rows");
-  const auto& seg = model_.pipeline().config().segmentation;
-  window_.ResetForOverwrite(seg.window_samples, sensors::kNumChannels);
-  std::memcpy(window_.data(), stream_buffer_.data(),
-              seg.window_samples * sizeof(sensors::Frame));
-  // Advance by the stride. With stride > window (gapped sampling) the
-  // surplus frames have not arrived yet; remember how many to discard.
-  const size_t advance = std::min(seg.stride, stream_buffer_.size());
-  stream_buffer_.erase(stream_buffer_.begin(),
-                       stream_buffer_.begin() + advance);
-  pending_skip_ = seg.stride - advance;
-}
+      sample_rate_hz_(sample_rate_hz),
+      updater_(std::make_unique<AsyncUpdater>(options)),
+      session_({Metrics().frames, Metrics().windows, Metrics().predictions,
+                Metrics().rejections, Metrics().smoother_overrides}) {}
 
 Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
     const sensors::Frame& frame) {
-  ++stats_.frames;
-  Metrics().frames->Increment();
   if (mode_ == RuntimeMode::kRecording) {
+    session_.CountFrame();
     capture_buffer_.push_back(frame);
     return std::optional<NamedPrediction>{};
   }
-  if (pending_skip_ > 0) {
-    --pending_skip_;
-    return std::optional<NamedPrediction>{};
-  }
-  stream_buffer_.push_back(frame);
-  const auto& seg = model_.pipeline().config().segmentation;
-  if (stream_buffer_.size() < seg.window_samples) {
-    return std::optional<NamedPrediction>{};
-  }
-  TakeWindow();
-  ++stats_.windows;
-  Metrics().windows->Increment();
+  const Matrix* window =
+      session_.PushFrame(frame, model_.pipeline().config().segmentation);
+  if (window == nullptr) return std::optional<NamedPrediction>{};
   obs::TraceSpan span("EdgeRuntime::Classify");
   obs::ScopedTimer classify_timer(Metrics().classify_us);
-  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(window_));
-  ++stats_.predictions;
-  Metrics().predictions->Increment();
-  if (pred.prediction.is_unknown()) Metrics().rejections->Increment();
-  if (smoother_ != nullptr) {
-    const sensors::ActivityId raw_activity = pred.prediction.activity;
-    pred = smoother_->Push(pred);
-    if (pred.prediction.activity != raw_activity) {
-      Metrics().smoother_overrides->Increment();
-    }
-  }
-  if (drift_monitor_ != nullptr) drift_monitor_->Observe(pred.prediction);
-  if (journal_ != nullptr) journal_->Record(pred);
-  last_prediction_ = pred;
-  return std::optional<NamedPrediction>(std::move(pred));
+  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(*window));
+  return std::optional<NamedPrediction>(session_.Emit(std::move(pred)));
 }
 
 Status EdgeRuntime::StartRecording() {
@@ -101,9 +63,7 @@ Status EdgeRuntime::StartRecording() {
   }
   mode_ = RuntimeMode::kRecording;
   capture_buffer_.clear();
-  stream_buffer_.clear();  // stale inference context would straddle modes
-  if (smoother_ != nullptr) smoother_->Reset();
-  if (drift_monitor_ != nullptr) drift_monitor_->Reset();
+  session_.ResetContext();  // stale inference context would straddle modes
   return Status::Ok();
 }
 
@@ -149,7 +109,7 @@ Result<UpdateReport> EdgeRuntime::FinishRecordingAndCalibrate(
 }
 
 void EdgeRuntime::OnUpdateCommitted() {
-  ++stats_.updates;
+  ++updates_;
   Metrics().updates->Increment();
   if (auto_checkpoint_path_.empty()) return;
   // The learner only returns success once the staged state is fully
@@ -181,9 +141,6 @@ Status EdgeRuntime::FinishRecordingAndLearnAsync(const std::string& name) {
     return Status::FailedPrecondition("an update is already in flight");
   }
   sensors::Recording rec = FinishCapture();
-  if (updater_ == nullptr) {
-    updater_ = std::make_unique<AsyncUpdater>(update_options_);
-  }
   return updater_->StartLearn(model_, support_, name, {std::move(rec)});
 }
 
@@ -197,43 +154,25 @@ Status EdgeRuntime::FinishRecordingAndCalibrateAsync(const std::string& name) {
   MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
                            model_.registry().IdOf(name));
   sensors::Recording rec = FinishCapture();
-  if (updater_ == nullptr) {
-    updater_ = std::make_unique<AsyncUpdater>(update_options_);
-  }
   return updater_->StartCalibrate(model_, support_, id, {std::move(rec)});
 }
 
-bool EdgeRuntime::UpdatePending() const {
-  return updater_ != nullptr && updater_->busy();
-}
+bool EdgeRuntime::UpdatePending() const { return updater_->busy(); }
 
-bool EdgeRuntime::UpdateReady() const {
-  return updater_ != nullptr && updater_->ready();
-}
+bool EdgeRuntime::UpdateReady() const { return updater_->ready(); }
 
 Result<UpdateReport> EdgeRuntime::CommitUpdate() {
-  if (updater_ == nullptr) {
-    return Status::FailedPrecondition("no update was started");
-  }
   MAGNETO_ASSIGN_OR_RETURN(AsyncUpdater::Outcome outcome, updater_->Take());
   // Atomic from the caller's perspective: between PushFrame calls.
   model_ = std::move(outcome.model);
   support_ = std::move(outcome.support);
-  stream_buffer_.clear();
-  if (smoother_ != nullptr) smoother_->Reset();
-  if (drift_monitor_ != nullptr) drift_monitor_->Reset();
+  session_.ResetContext();
   OnUpdateCommitted();
   return std::move(outcome.report);
 }
 
 ModelBundle EdgeRuntime::ToBundle() const {
-  ModelBundle bundle;
-  bundle.pipeline = model_.pipeline();
-  bundle.backbone = model_.backbone().Clone();
-  bundle.classifier = model_.classifier();
-  bundle.registry = model_.registry();
-  bundle.support = support_;
-  return bundle;
+  return ModelBundle(model_, support_);
 }
 
 std::string EdgeRuntime::LastKnownGoodPath(const std::string& path) {
@@ -276,32 +215,6 @@ Result<EdgeRuntime> EdgeRuntime::FromCheckpoint(const std::string& path,
   SupportSet support = std::move(bundle.support);
   return EdgeRuntime(std::move(bundle).ToEdgeModel(), std::move(support),
                      options, sample_rate_hz);
-}
-
-void EdgeRuntime::EnableSmoothing(PredictionSmoother::Options options) {
-  smoother_ = std::make_unique<PredictionSmoother>(options);
-}
-
-void EdgeRuntime::DisableSmoothing() { smoother_.reset(); }
-
-void EdgeRuntime::EnableDriftMonitoring(DriftMonitor::Options options,
-                                        double baseline_distance) {
-  drift_monitor_ = std::make_unique<DriftMonitor>(options);
-  drift_monitor_->SetBaselineDistance(baseline_distance);
-}
-
-void EdgeRuntime::DisableDriftMonitoring() { drift_monitor_.reset(); }
-
-bool EdgeRuntime::Drifting() const {
-  return drift_monitor_ != nullptr && drift_monitor_->drifting();
-}
-
-void EdgeRuntime::EnableJournal() {
-  const auto& seg = model_.pipeline().config().segmentation;
-  journal_ = std::make_unique<ActivityJournal>(
-      sample_rate_hz_ > 0
-          ? static_cast<double>(seg.stride) / sample_rate_hz_
-          : 1.0);
 }
 
 double EdgeRuntime::recorded_seconds() const {

@@ -7,13 +7,11 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/activity_journal.h"
 #include "core/async_updater.h"
 #include "core/edge_model.h"
 #include "core/incremental_learner.h"
-#include "core/drift_monitor.h"
 #include "core/model_bundle.h"
-#include "core/smoother.h"
+#include "core/stream_session.h"
 #include "core/support_set.h"
 #include "sensors/recording.h"
 #include "sensors/sensor_types.h"
@@ -26,11 +24,8 @@ enum class RuntimeMode : uint8_t {
   kRecording = 1,  ///< accumulate frames for a new-activity capture
 };
 
-/// Lifetime counters of the runtime.
-struct RuntimeStats {
-  size_t frames = 0;
-  size_t windows = 0;
-  size_t predictions = 0;
+/// Lifetime counters of the runtime: its stream's, plus committed updates.
+struct RuntimeStats : StreamStats {
   size_t updates = 0;
 };
 
@@ -43,6 +38,8 @@ struct RuntimeStats {
 /// buffers frames for a new-activity capture — panel (c); finishing the
 /// recording triggers the on-device incremental update — panel (d); the
 /// runtime then resumes inference with the enriched model — panel (e).
+/// The runtime is one `StreamSession` plus the model, the capture buffer and
+/// the learner; `platform::EdgeFleet` streams through the same session type.
 class EdgeRuntime {
  public:
   /// Takes ownership of the deployed model and support set (both came out of
@@ -119,50 +116,47 @@ class EdgeRuntime {
   void EnableAutoCheckpoint(std::string path);
   void DisableAutoCheckpoint();
 
-  // -- Output smoothing ----------------------------------------------------------
+  // -- Stream consumers: smoothing, drift monitoring, activity journal -------
 
   /// Turns on temporal majority smoothing of the prediction stream.
-  void EnableSmoothing(PredictionSmoother::Options options);
-  void DisableSmoothing();
-
-  // -- Drift monitoring ------------------------------------------------------------
+  void EnableSmoothing(PredictionSmoother::Options options) {
+    session_.EnableSmoothing(options);
+  }
+  void DisableSmoothing() { session_.DisableSmoothing(); }
 
   /// Arms the drift monitor on the emitted prediction stream. Pass the
   /// healthy nearest-prototype distance (e.g. from
   /// `CalibrateRejectionThreshold` without headroom) as `baseline_distance`,
   /// or 0 to alarm on confidence only.
   void EnableDriftMonitoring(DriftMonitor::Options options,
-                             double baseline_distance = 0.0);
-  void DisableDriftMonitoring();
-
+                             double baseline_distance = 0.0) {
+    session_.EnableDriftMonitoring(options, baseline_distance);
+  }
+  void DisableDriftMonitoring() { session_.DisableDriftMonitoring(); }
   /// True while the armed monitor recommends calibration.
-  bool Drifting() const;
-
-  // -- Activity journal ---------------------------------------------------------------
+  bool Drifting() const { return session_.Drifting(); }
 
   /// Starts accumulating the on-device activity ledger.
-  void EnableJournal();
-
+  void EnableJournal() {
+    session_.EnableJournal(model_.pipeline().config().segmentation,
+                           sample_rate_hz_);
+  }
   /// The ledger, or nullptr if not enabled.
-  const ActivityJournal* journal() const { return journal_.get(); }
+  const ActivityJournal* journal() const { return session_.journal(); }
 
   // -- Introspection -----------------------------------------------------------
 
   RuntimeMode mode() const { return mode_; }
-  const RuntimeStats& stats() const { return stats_; }
+  RuntimeStats stats() const { return {session_.stats(), updates_}; }
   double recorded_seconds() const;
   const std::optional<NamedPrediction>& last_prediction() const {
-    return last_prediction_;
+    return session_.last_prediction();
   }
   EdgeModel& model() { return model_; }
   const EdgeModel& model() const { return model_; }
   const SupportSet& support() const { return support_; }
 
  private:
-  /// Copies a full window off the stream buffer into `window_`, advancing by
-  /// the segmentation stride.
-  void TakeWindow();
-
   sensors::Recording FinishCapture();
 
   /// Commit point of a successful update: bumps the update counters and,
@@ -171,26 +165,16 @@ class EdgeRuntime {
 
   EdgeModel model_;
   SupportSet support_;
-  IncrementalOptions update_options_;
   IncrementalLearner learner_;
   double sample_rate_hz_;
-  std::unique_ptr<AsyncUpdater> updater_;
-  std::unique_ptr<PredictionSmoother> smoother_;
-  std::unique_ptr<DriftMonitor> drift_monitor_;
-  std::unique_ptr<ActivityJournal> journal_;
+  std::unique_ptr<AsyncUpdater> updater_;  ///< never null
+  StreamSession session_;
 
   std::string auto_checkpoint_path_;  ///< empty = auto-checkpointing off
 
   RuntimeMode mode_ = RuntimeMode::kInference;
-  /// Inference frames not yet consumed, oldest first, in one contiguous
-  /// block. It never holds more than a window, so once the first window has
-  /// filled it the buffer is only shifted, never reallocated.
-  std::vector<sensors::Frame> stream_buffer_;
-  Matrix window_;  ///< the window being classified, reused
-  size_t pending_skip_ = 0;  ///< frames to drop (stride > window configs)
   std::vector<sensors::Frame> capture_buffer_;
-  std::optional<NamedPrediction> last_prediction_;
-  RuntimeStats stats_;
+  size_t updates_ = 0;
 };
 
 }  // namespace magneto::core

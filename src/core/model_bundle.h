@@ -47,6 +47,14 @@ struct ModelBundle {
   uint32_t wire_version = kBundleWireV2;
 
   ModelBundle() = default;
+  /// Deep copy of a deployed model and its support set (backbone weights
+  /// included), at the default wire version.
+  ModelBundle(const EdgeModel& model, const SupportSet& support_set)
+      : pipeline(model.pipeline()),
+        backbone(model.backbone().Clone()),
+        classifier(model.classifier()),
+        registry(model.registry()),
+        support(support_set) {}
   ModelBundle(ModelBundle&&) noexcept = default;
   ModelBundle& operator=(ModelBundle&&) noexcept = default;
 

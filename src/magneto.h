@@ -45,6 +45,7 @@
 #include "core/model_bundle.h"
 #include "core/ncm_classifier.h"
 #include "core/smoother.h"
+#include "core/stream_session.h"
 #include "core/support_set.h"
 #include "learn/ewc.h"
 #include "learn/metrics.h"

@@ -70,65 +70,42 @@ obs::FlightRecorder& Recorder(const FleetOptions& options) {
 /// Flow-event name shared by every s/t/f marker of one request's life.
 constexpr const char* kRequestFlow = "fleet.request";
 
-core::NamedPrediction Nameify(const sensors::ActivityRegistry& registry,
-                              const core::Prediction& prediction) {
-  core::NamedPrediction named;
-  named.prediction = prediction;
-  if (prediction.is_unknown()) {
-    named.name = "Unknown";
-    return named;
+/// What `Create` and `PromoteBundle` refuse to deploy.
+Status CheckDeployable(const core::ModelBundle& bundle) {
+  if (!bundle.pipeline.fitted()) {
+    return Status::FailedPrecondition("bundle pipeline is not fitted");
   }
-  auto name = registry.NameOf(prediction.activity);
-  named.name =
-      name.ok() ? name.value() : ("#" + std::to_string(prediction.activity));
-  return named;
+  if (bundle.classifier.num_classes() == 0) {
+    return Status::FailedPrecondition("bundle classifier has no classes");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
-
-// -- Deployment ---------------------------------------------------------------
-
-EdgeFleet::Deployment::Deployment(core::ModelBundle bundle, uint64_t ver)
-    : pipeline(std::move(bundle.pipeline)),
-      backbone(std::move(bundle.backbone)),
-      classifier(std::move(bundle.classifier)),
-      registry(std::move(bundle.registry)),
-      support(std::move(bundle.support)),
-      version(ver) {
-  input_dim = backbone.InputDim();
-}
-
-core::EdgeModel EdgeFleet::Deployment::SnapshotModel() const {
-  return core::EdgeModel(pipeline, backbone.Clone(), classifier, registry);
-}
 
 // -- Construction -------------------------------------------------------------
 
 EdgeFleet::EdgeFleet(core::ModelBundle bundle, size_t num_sessions,
                      FleetOptions options)
     : options_(std::move(options)) {
-  deployment_ = std::make_shared<const Deployment>(std::move(bundle),
-                                                   /*version=*/1);
-  const auto& seg = deployment_->pipeline.config().segmentation;
-  const double journal_window_s =
-      options_.sample_rate_hz > 0
-          ? static_cast<double>(seg.stride) / options_.sample_rate_hz
-          : 1.0;
+  core::SupportSet support = std::move(bundle.support);
+  deployment_ = std::make_shared<const Deployment>(
+      std::move(bundle).ToEdgeModel(), std::move(support), /*version=*/1);
+  const auto& seg = deployment_->model.pipeline().config().segmentation;
+  const core::StreamSession::Counters counters{
+      Metrics().frames, Metrics().windows, Metrics().predictions};
   sessions_.reserve(num_sessions);
   for (size_t i = 0; i < num_sessions; ++i) {
-    auto session = std::make_unique<Session>();
+    auto session = std::make_unique<Session>(counters);
     session->deployment_version = deployment_->version;
-    if (options_.enable_smoothing) {
-      session->smoother =
-          std::make_unique<core::PredictionSmoother>(options_.smoother);
-    }
+    core::StreamSession& stream = session->stream;
+    if (options_.enable_smoothing) stream.EnableSmoothing(options_.smoother);
     if (options_.enable_drift_monitoring) {
-      session->drift = std::make_unique<core::DriftMonitor>(options_.drift);
-      session->drift->SetBaselineDistance(options_.drift_baseline_distance);
+      stream.EnableDriftMonitoring(options_.drift,
+                                   options_.drift_baseline_distance);
     }
     if (options_.enable_journal) {
-      session->journal =
-          std::make_unique<core::ActivityJournal>(journal_window_s);
+      stream.EnableJournal(seg, options_.sample_rate_hz);
     }
     sessions_.push_back(std::move(session));
   }
@@ -164,12 +141,7 @@ Result<std::unique_ptr<EdgeFleet>> EdgeFleet::Create(core::ModelBundle bundle,
     return Status::InvalidArgument(
         "admission_capacity must be >= 1 when serve_threads > 0");
   }
-  if (!bundle.pipeline.fitted()) {
-    return Status::FailedPrecondition("bundle pipeline is not fitted");
-  }
-  if (bundle.classifier.num_classes() == 0) {
-    return Status::FailedPrecondition("bundle classifier has no classes");
-  }
+  MAGNETO_RETURN_IF_ERROR(CheckDeployable(bundle));
   return std::unique_ptr<EdgeFleet>(
       new EdgeFleet(std::move(bundle), num_sessions, std::move(options)));
 }
@@ -182,10 +154,15 @@ std::shared_ptr<const EdgeFleet::Deployment> EdgeFleet::CurrentDeployment()
   return deployment_;
 }
 
-void EdgeFleet::InstallDeployment(
-    std::shared_ptr<const Deployment> deployment) {
+void EdgeFleet::Promote(core::EdgeModel model, core::SupportSet support) {
+  // Copy-on-swap: the new deployment is fully built before the pointer
+  // flips, so no reader ever sees a half-initialized model, and in-flight
+  // classifications keep their pinned snapshot alive through the shared_ptr.
+  auto next = std::make_shared<const Deployment>(
+      std::move(model), std::move(support), next_version_.fetch_add(1));
   std::lock_guard<std::mutex> lock(deploy_mu_);
-  deployment_ = std::move(deployment);
+  deployment_ = std::move(next);
+  Metrics().promotions->Increment();
 }
 
 uint64_t EdgeFleet::deployment_version() const {
@@ -193,26 +170,15 @@ uint64_t EdgeFleet::deployment_version() const {
 }
 
 Status EdgeFleet::PromoteBundle(core::ModelBundle bundle) {
-  if (!bundle.pipeline.fitted()) {
-    return Status::FailedPrecondition("bundle pipeline is not fitted");
-  }
-  if (bundle.classifier.num_classes() == 0) {
-    return Status::FailedPrecondition("bundle classifier has no classes");
-  }
-  // Copy-on-swap: the new deployment is fully built before the pointer
-  // flips, so no reader ever sees a half-initialized model, and in-flight
-  // classifications keep their pinned snapshot alive through the shared_ptr.
-  auto next = std::make_shared<const Deployment>(std::move(bundle),
-                                                 next_version_.fetch_add(1));
-  InstallDeployment(std::move(next));
-  Metrics().promotions->Increment();
+  MAGNETO_RETURN_IF_ERROR(CheckDeployable(bundle));
+  core::SupportSet support = std::move(bundle.support);
+  Promote(std::move(bundle).ToEdgeModel(), std::move(support));
   return Status::Ok();
 }
 
 Status EdgeFleet::BeginLearn(const std::string& name,
                              std::vector<sensors::Recording> recordings) {
   std::shared_ptr<const Deployment> dep = CurrentDeployment();
-  core::EdgeModel snapshot = dep->SnapshotModel();
   core::AsyncUpdater* updater = nullptr;
   {
     std::lock_guard<std::mutex> lock(update_mu_);
@@ -221,7 +187,8 @@ Status EdgeFleet::BeginLearn(const std::string& name,
     }
     updater = updater_.get();
   }
-  return updater->StartLearn(snapshot, dep->support, name,
+  // The updater copies the pinned model once for its worker.
+  return updater->StartLearn(dep->model, dep->support, name,
                              std::move(recordings));
 }
 
@@ -247,8 +214,8 @@ Result<core::UpdateReport> EdgeFleet::PromoteUpdate() {
   // Take() blocks for the trainer; the sessions keep classifying on the
   // current deployment the whole time (update_mu_ is not held here).
   // A failed update rolled back inside the learner's transaction and
-  // surfaces as an error Outcome — it stops here, before PromoteBundle, so
-  // a failed update can never reach a serving session and the deployment
+  // surfaces as an error Outcome — it stops here, before Promote, so a
+  // failed update can never reach a serving session and the deployment
   // version does not advance.
   Result<core::AsyncUpdater::Outcome> taken = updater->Take();
   if (!taken.ok()) {
@@ -256,25 +223,13 @@ Result<core::UpdateReport> EdgeFleet::PromoteUpdate() {
     return taken.status();
   }
   core::AsyncUpdater::Outcome outcome = std::move(taken).value();
-  core::ModelBundle bundle;
-  bundle.pipeline = outcome.model.pipeline();
-  bundle.backbone = std::move(outcome.model.backbone());
-  bundle.classifier = outcome.model.classifier();
-  bundle.registry = outcome.model.registry();
-  bundle.support = std::move(outcome.support);
-  MAGNETO_RETURN_IF_ERROR(PromoteBundle(std::move(bundle)));
+  Promote(std::move(outcome.model), std::move(outcome.support));
   return std::move(outcome.report);
 }
 
 core::ModelBundle EdgeFleet::ToBundle() const {
   std::shared_ptr<const Deployment> dep = CurrentDeployment();
-  core::ModelBundle bundle;
-  bundle.pipeline = dep->pipeline;
-  bundle.backbone = dep->backbone.Clone();
-  bundle.classifier = dep->classifier;
-  bundle.registry = dep->registry;
-  bundle.support = dep->support;
-  return bundle;
+  return core::ModelBundle(dep->model, dep->support);
 }
 
 // -- Micro-batched classification ---------------------------------------------
@@ -282,17 +237,18 @@ core::ModelBundle EdgeFleet::ToBundle() const {
 void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
   Metrics().batches->Increment();
   Metrics().batch_size->Record(static_cast<double>(batch.size()));
-  const Deployment& dep = *batch.front()->deployment;
+  const core::EdgeModel& model = batch.front()->deployment->model;
+  const size_t input_dim = model.backbone().InputDim();
 
   // Validate dims first so a malformed request degrades to a per-request
   // error, never a malformed stack.
   std::vector<PendingRequest*> valid;
   valid.reserve(batch.size());
   for (PendingRequest* req : batch) {
-    if (dep.input_dim > 0 && req->features->size() != dep.input_dim) {
+    if (input_dim > 0 && req->features->size() != input_dim) {
       req->status = Status::InvalidArgument(
           "feature vector has dim " + std::to_string(req->features->size()) +
-          ", backbone expects " + std::to_string(dep.input_dim));
+          ", backbone expects " + std::to_string(input_dim));
       continue;
     }
     valid.push_back(req);
@@ -326,7 +282,7 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
   // + newly promoted) embed in parallel with zero shared mutable state. The
   // workspace reaches its high-water shape once and is reused thereafter.
   static thread_local nn::ForwardWorkspace ws;
-  const Matrix& embeddings = dep.backbone.Forward(stacked, &ws);
+  const Matrix& embeddings = model.backbone().Forward(stacked, &ws);
   const uint64_t embed_end_ns = obs::RequestContext::NowNs();
   for (PendingRequest* req : valid) {
     if (req->ctx != nullptr) {
@@ -341,15 +297,10 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
   // promotion — share nothing.
   static thread_local core::NcmClassifier::Scratch ncm_scratch;
   for (size_t r = 0; r < valid.size(); ++r) {
-    Result<core::Prediction> pred =
-        options_.rejection_threshold > 0.0
-            ? dep.classifier.ClassifyWithRejection(
-                  embeddings.RowPtr(r), embeddings.cols(),
-                  options_.rejection_threshold, &ncm_scratch)
-            : dep.classifier.Classify(embeddings.RowPtr(r),
-                                      embeddings.cols(), &ncm_scratch);
+    Result<core::NamedPrediction> pred = model.ClassifyEmbedding(
+        embeddings.RowPtr(r), embeddings.cols(), &ncm_scratch);
     if (pred.ok()) {
-      valid[r]->prediction = pred.value();
+      valid[r]->prediction = std::move(pred).value();
     } else {
       valid[r]->status = pred.status();
     }
@@ -357,18 +308,6 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
       valid[r]->ctx->Stamp(obs::RequestStage::kClassifyEnd);
     }
   }
-}
-
-Result<core::Prediction> EdgeFleet::ClassifyBatched(
-    std::shared_ptr<const Deployment> deployment,
-    const std::vector<float>& features) {
-  Metrics().requests->Increment();
-  PendingRequest req;
-  req.features = &features;
-  req.deployment = std::move(deployment);
-  EnqueueAndServe({&req});
-  if (!req.status.ok()) return req.status;
-  return req.prediction;
 }
 
 void EdgeFleet::EnqueueAndServe(
@@ -449,9 +388,9 @@ bool EdgeFleet::SubmitWindow(size_t session, std::vector<float> features) {
   {
     std::lock_guard<std::mutex> lock(s.mu);
     if (admitted) {
-      ++s.stats.submitted;
+      ++s.submitted;
     } else {
-      ++s.stats.rejected;
+      ++s.rejected;
     }
   }
   if (admitted) {
@@ -551,13 +490,8 @@ void EdgeFleet::ServeChunk(std::vector<Submission> chunk) {
     Session& s = *sessions_[chunk[i].session];
     {
       std::lock_guard<std::mutex> lock(s.mu);
-      ++s.stats.windows;
-      Metrics().windows->Increment();
-      if (requests[i].status.ok()) {
-        ++s.stats.predictions;
-        Metrics().predictions->Increment();
-        s.last = Nameify(dep->registry, requests[i].prediction);
-      }
+      s.stream.EmitUnordered(requests[i].status.ok() ? &requests[i].prediction
+                                                     : nullptr);
     }
     PublishObservability(chunk[i].ctx, requests[i], dep->version);
   }
@@ -622,65 +556,35 @@ Result<std::optional<core::NamedPrediction>> EdgeFleet::PushFrame(
   }
   Session& s = *sessions_[session];
   std::lock_guard<std::mutex> lock(s.mu);
-  ++s.stats.frames;
-  Metrics().frames->Increment();
-
   std::shared_ptr<const Deployment> dep = CurrentDeployment();
   if (s.deployment_version != dep->version) {
     // A promotion landed since this session's last frame: stale stream
     // context (a half-filled window, smoother votes, drift evidence) would
-    // straddle two models. Same semantics as EdgeRuntime::CommitUpdate; the
-    // journal intentionally survives — it is a user-facing ledger.
-    s.stream.clear();
-    s.pending_skip = 0;
-    if (s.smoother != nullptr) s.smoother->Reset();
-    if (s.drift != nullptr) s.drift->Reset();
+    // straddle two models.
+    s.stream.ResetContext();
     s.deployment_version = dep->version;
     Metrics().session_resets->Increment();
   }
-
-  if (s.pending_skip > 0) {
-    --s.pending_skip;
-    return std::optional<core::NamedPrediction>{};
-  }
-  s.stream.push_back(frame);
-  const auto& seg = dep->pipeline.config().segmentation;
-  if (s.stream.size() < seg.window_samples) {
-    return std::optional<core::NamedPrediction>{};
-  }
-
-  Matrix window(seg.window_samples, sensors::kNumChannels);
-  for (size_t r = 0; r < seg.window_samples; ++r) {
-    const sensors::Frame& f = s.stream[r];
-    for (size_t c = 0; c < sensors::kNumChannels; ++c) {
-      window.At(r, c) = f[c];
-    }
-  }
-  const size_t advance = std::min<size_t>(seg.stride, s.stream.size());
-  s.stream.erase(s.stream.begin(), s.stream.begin() + advance);
-  s.pending_skip = seg.stride - advance;
-  ++s.stats.windows;
-  Metrics().windows->Increment();
+  const preprocess::Pipeline& pipeline = dep->model.pipeline();
+  const Matrix* window =
+      s.stream.PushFrame(frame, pipeline.config().segmentation);
+  if (window == nullptr) return std::optional<core::NamedPrediction>{};
 
   // Featurization is const and thread-safe: it runs right here on the
   // session thread. Only the backbone forward goes through the batcher.
   MAGNETO_ASSIGN_OR_RETURN(std::vector<float> features,
-                           dep->pipeline.ProcessWindow(window));
-  core::Prediction prediction;
+                           pipeline.ProcessWindow(*window));
+  PendingRequest req;
+  req.features = &features;
+  req.deployment = std::move(dep);
   {
     obs::ScopedTimer classify_timer(Metrics().classify_us);
-    MAGNETO_ASSIGN_OR_RETURN(prediction,
-                             ClassifyBatched(dep, features));
+    Metrics().requests->Increment();
+    EnqueueAndServe({&req});
   }
-  ++s.stats.predictions;
-  Metrics().predictions->Increment();
-
-  core::NamedPrediction named = Nameify(dep->registry, prediction);
-  if (s.smoother != nullptr) named = s.smoother->Push(named);
-  if (s.drift != nullptr) s.drift->Observe(named.prediction);
-  if (s.journal != nullptr) s.journal->Record(named);
-  s.last = named;
-  return std::optional<core::NamedPrediction>(std::move(named));
+  MAGNETO_RETURN_IF_ERROR(req.status);
+  return std::optional<core::NamedPrediction>(
+      s.stream.Emit(std::move(req.prediction)));
 }
 
 // -- Introspection ------------------------------------------------------------
@@ -688,24 +592,24 @@ Result<std::optional<core::NamedPrediction>> EdgeFleet::PushFrame(
 FleetSessionStats EdgeFleet::session_stats(size_t session) const {
   const Session& s = *sessions_[session];
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.stats;
+  return {s.stream.stats(), s.submitted, s.rejected};
 }
 
 std::optional<core::NamedPrediction> EdgeFleet::last_prediction(
     size_t session) const {
   const Session& s = *sessions_[session];
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.last;
+  return s.stream.last_prediction();
 }
 
 const core::ActivityJournal* EdgeFleet::journal(size_t session) const {
-  return sessions_[session]->journal.get();
+  return sessions_[session]->stream.journal();
 }
 
 bool EdgeFleet::Drifting(size_t session) const {
   const Session& s = *sessions_[session];
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.drift != nullptr && s.drift->drifting();
+  return s.stream.Drifting();
 }
 
 }  // namespace magneto::platform

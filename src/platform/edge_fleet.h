@@ -2,7 +2,6 @@
 #define MAGNETO_PLATFORM_EDGE_FLEET_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,16 +13,11 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/request_context.h"
-#include "core/activity_journal.h"
 #include "core/async_updater.h"
-#include "core/drift_monitor.h"
-#include "core/edge_model.h"
 #include "core/incremental_learner.h"
 #include "core/model_bundle.h"
-#include "core/ncm_classifier.h"
-#include "core/smoother.h"
-#include "core/support_set.h"
+#include "core/stream_session.h"
+#include "obs/request_context.h"
 #include "sensors/recording.h"
 #include "sensors/sensor_types.h"
 
@@ -53,8 +47,6 @@ struct FleetOptions {
   /// 0 disables the open-loop path (`SubmitWindow` then check-fails).
   size_t serve_threads = 0;
   double sample_rate_hz = sensors::kDefaultSampleRateHz;
-  /// Open-set rejection threshold applied at classification (0 = off).
-  double rejection_threshold = 0.0;
   /// Per-session temporal smoothing of the prediction stream.
   bool enable_smoothing = false;
   core::PredictionSmoother::Options smoother;
@@ -75,11 +67,8 @@ struct FleetOptions {
   obs::SloMonitor* slo_monitor = nullptr;
 };
 
-/// Per-session lifetime counters (mirror of core::RuntimeStats).
-struct FleetSessionStats {
-  size_t frames = 0;
-  size_t windows = 0;
-  size_t predictions = 0;
+/// Per-session lifetime counters: the stream's, plus open-loop admissions.
+struct FleetSessionStats : core::StreamStats {
   /// Open-loop path only: windows admitted via SubmitWindow, and windows
   /// shed because the admission queue was full.
   size_t submitted = 0;
@@ -96,26 +85,26 @@ struct FleetSessionStats {
 ///
 /// Three kinds of state, three rules:
 ///
-///  1. **Shared immutable deployment** — pipeline, backbone, NCM classifier,
-///     registry, support set. Held as `shared_ptr<const Deployment>` and
-///     never mutated after construction; every reader works off a snapshot
-///     it pins with its own reference. The backbone included: all
-///     forward-pass state lives in a caller-owned `nn::ForwardWorkspace`,
-///     so `Sequential::Forward` is const and any number of threads embed
+///  1. **Shared immutable deployment** — a `core::EdgeModel` plus its
+///     support set, held as `shared_ptr<const Deployment>` and never mutated
+///     after construction; every reader works off a snapshot it pins with
+///     its own reference. The backbone included: all forward-pass state
+///     lives in a caller-owned `nn::ForwardWorkspace`, so
+///     `Sequential::Forward` is const and any number of threads embed
 ///     through the same weights concurrently, each with its own
-///     (thread-local) workspace. There is no embedding mutex anywhere in
-///     the fleet.
-///  2. **Per-session mutable state** — stream buffer, smoother, drift
-///     monitor, journal, stats. Guarded by a per-session mutex; sessions
-///     never touch each other's state, so S sessions classify concurrently
-///     with zero shared-state contention outside the batcher handoff.
+///     (thread-local) workspace. There is no embedding mutex in the fleet.
+///  2. **Per-session mutable state** — a `core::StreamSession` (the one
+///     `core::EdgeRuntime` streams through) plus open-loop counters, guarded
+///     by a per-session mutex; sessions never touch each other's state, so
+///     S sessions classify concurrently with zero shared-state contention
+///     outside the batcher handoff.
 ///  3. **Copy-on-swap promotion** — `PromoteBundle` (or `PromoteUpdate`,
-///     which takes an `AsyncUpdater` outcome) builds a complete new
-///     deployment and swaps the shared pointer. In-flight classifications
-///     keep the snapshot they pinned and finish on the old model; no
-///     request ever observes a half-updated deployment and nothing stalls.
-///     A session notices the new version on its next `PushFrame` and resets
-///     its stream context (same semantics as `EdgeRuntime::CommitUpdate`).
+///     which installs an `AsyncUpdater` outcome's model and support set)
+///     builds a complete new deployment and swaps the shared pointer.
+///     In-flight classifications keep the snapshot they pinned and finish on
+///     the old model; no request ever observes a half-updated deployment and
+///     nothing stalls. A session notices the new version on its next
+///     `PushFrame` and calls `StreamSession::ResetContext`.
 ///
 /// ## Cross-request micro-batching
 ///
@@ -203,8 +192,8 @@ class EdgeFleet {
   /// one. Sessions reset their stream context on their next PushFrame.
   Status PromoteBundle(core::ModelBundle bundle);
 
-  /// Snapshots the current deployment and learns `name` on a background
-  /// thread (the sessions keep serving the current model meanwhile).
+  /// Learns `name` on a background thread from a copy of the current
+  /// deployment (the sessions keep serving the current model meanwhile).
   Status BeginLearn(const std::string& name,
                     std::vector<sensors::Recording> recordings);
 
@@ -234,20 +223,11 @@ class EdgeFleet {
 
  private:
   /// The immutable-shared half of the fleet. Genuinely const after
-  /// construction — the backbone's Forward is const (state lives in the
-  /// caller's workspace), so no mutex or `mutable` is needed anywhere.
+  /// construction — only the model's const paths run, so no mutex or
+  /// `mutable` is needed anywhere.
   struct Deployment {
-    Deployment(core::ModelBundle bundle, uint64_t version);
-
-    /// Deep copy for background-update snapshots.
-    core::EdgeModel SnapshotModel() const;
-
-    preprocess::Pipeline pipeline;
-    nn::Sequential backbone;
-    core::NcmClassifier classifier;
-    sensors::ActivityRegistry registry;
-    core::SupportSet support{200, core::SelectionStrategy::kHerding};
-    size_t input_dim = 0;  ///< backbone input width, for batch validation
+    const core::EdgeModel model;
+    core::SupportSet support;
     uint64_t version = 0;
   };
 
@@ -258,7 +238,7 @@ class EdgeFleet {
   struct PendingRequest {
     const std::vector<float>* features = nullptr;
     std::shared_ptr<const Deployment> deployment;
-    core::Prediction prediction;
+    core::NamedPrediction prediction;
     Status status = Status::Ok();
     bool done = false;  ///< guarded by batch_mu_
     /// Request-scoped tracing context (open-loop path only; closed-loop
@@ -279,14 +259,12 @@ class EdgeFleet {
   };
 
   struct Session {
+    explicit Session(core::StreamSession::Counters counters)
+        : stream(counters) {}
     mutable std::mutex mu;
-    std::deque<sensors::Frame> stream;
-    size_t pending_skip = 0;
-    std::unique_ptr<core::PredictionSmoother> smoother;
-    std::unique_ptr<core::DriftMonitor> drift;
-    std::unique_ptr<core::ActivityJournal> journal;
-    FleetSessionStats stats;
-    std::optional<core::NamedPrediction> last;
+    core::StreamSession stream;
+    size_t submitted = 0;  ///< open-loop windows admitted
+    size_t rejected = 0;   ///< open-loop windows shed
     uint64_t deployment_version = 0;  ///< last version this session saw
   };
 
@@ -294,13 +272,8 @@ class EdgeFleet {
             FleetOptions options);
 
   std::shared_ptr<const Deployment> CurrentDeployment() const;
-  void InstallDeployment(std::shared_ptr<const Deployment> deployment);
-
-  /// Enqueues `features` (pinned to `deployment`) and blocks until a
-  /// micro-batch (possibly led by this thread) classifies it.
-  Result<core::Prediction> ClassifyBatched(
-      std::shared_ptr<const Deployment> deployment,
-      const std::vector<float>& features);
+  /// Swaps in `model` + `support` as the next deployment version.
+  void Promote(core::EdgeModel model, core::SupportSet support);
 
   /// Pushes `requests` into the micro-batcher and blocks until every one is
   /// classified, leading batches whenever a leader slot is free. The shared

@@ -217,6 +217,52 @@ TEST(EdgeRuntimeTest, GappedStrideSkipsFrames) {
   EXPECT_EQ(emitted, 3u);
 }
 
+/// Counts the frames pushed until `runtime` emits its next prediction.
+size_t FramesToNextPrediction(EdgeRuntime* runtime) {
+  const sensors::Frame frame{};
+  for (size_t n = 1; n <= 1000; ++n) {
+    auto pred = runtime->PushFrame(frame);
+    EXPECT_TRUE(pred.ok()) << pred.status();
+    if (pred.ok() && pred.value().has_value()) return n;
+  }
+  return 0;
+}
+
+TEST(EdgeRuntimeTest, GappedStrideSkipResetsWithStreamContext) {
+  // Window 120, stride 240: every window leaves 120 frames to discard.
+  // Starting a recording and committing an update both drop the stream
+  // context, and the pending discard is part of it, so the first window
+  // afterwards takes a fresh 120 frames, not 240.
+  core::CloudConfig config = testing::SmallCloudConfig();
+  config.pipeline.segmentation.window_samples = 120;
+  config.pipeline.segmentation.stride = 240;
+  core::CloudInitializer cloud(config);
+  auto gapped = cloud.Initialize(testing::SmallCorpus(414),
+                                 sensors::ActivityRegistry::BaseActivities());
+  ASSERT_TRUE(gapped.ok());
+  SupportSet support = std::move(gapped.value().support);
+  IncrementalOptions options;
+  options.train.epochs = 2;
+  options.train.batch_size = 16;
+  options.train.seed = 7;
+  EdgeRuntime runtime(std::move(gapped).value().ToEdgeModel(),
+                      std::move(support), options);
+
+  EXPECT_EQ(FramesToNextPrediction(&runtime), 120u);
+  ASSERT_TRUE(runtime.StartRecording().ok());
+  runtime.CancelRecording();
+  EXPECT_EQ(FramesToNextPrediction(&runtime), 120u);
+
+  ASSERT_TRUE(runtime.StartRecording().ok());
+  sensors::SyntheticGenerator gen(415);
+  Stream(&runtime, gen.Generate(sensors::MakeGestureModel(51), 8.0));
+  ASSERT_TRUE(runtime.FinishRecordingAndLearnAsync("Gesture Hi").ok());
+  EXPECT_EQ(FramesToNextPrediction(&runtime), 120u);
+  auto report = runtime.CommitUpdate();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(FramesToNextPrediction(&runtime), 120u);
+}
+
 TEST(EdgeRuntimeTest, StreamedWindowsMatchSegmentedInferWindow) {
   // The runtime's frame buffer against the batch segmenter: for overlapping
   // (60), back-to-back (120) and gapped (240) strides on a 120-sample

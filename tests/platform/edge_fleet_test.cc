@@ -103,6 +103,71 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
   }
   EXPECT_GE(predictions, 5u);
   EXPECT_EQ(fleet->session_stats(0).predictions, predictions);
+
+  // The same holds for overlapping (60) and gapped (240) strides on a
+  // 120-sample window, with smoothing, drift monitoring and the journal on
+  // for both sides: the emitted (smoothed) stream, the drift verdict after
+  // every frame and the journal's ledger all agree.
+  for (size_t stride : {60, 240}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    core::CloudConfig config = testing::SmallCloudConfig();
+    config.pipeline.segmentation.window_samples = 120;
+    config.pipeline.segmentation.stride = stride;
+    core::CloudInitializer cloud(config);
+    auto bundle = cloud.Initialize(testing::SmallCorpus(413),
+                                   sensors::ActivityRegistry::BaseActivities());
+    ASSERT_TRUE(bundle.ok());
+    core::SupportSet strided_support = std::move(bundle.value().support);
+    core::EdgeRuntime strided(std::move(bundle).value().ToEdgeModel(),
+                              std::move(strided_support), FastUpdateOptions());
+    core::PredictionSmoother::Options smoother;
+    smoother.window = 3;
+    core::DriftMonitor::Options drift;
+    drift.window = 4;
+    drift.min_confidence = 0.9;
+    const double baseline = 0.5;
+    strided.EnableSmoothing(smoother);
+    strided.EnableDriftMonitoring(drift, baseline);
+    strided.EnableJournal();
+    FleetOptions options;
+    options.enable_smoothing = true;
+    options.smoother = smoother;
+    options.enable_drift_monitoring = true;
+    options.drift = drift;
+    options.drift_baseline_distance = baseline;
+    options.enable_journal = true;
+    auto strided_fleet =
+        EdgeFleet::Create(strided.ToBundle(), 1, options).value();
+
+    size_t strided_predictions = 0;
+    for (const sensors::Frame& frame : frames) {
+      auto from_runtime = strided.PushFrame(frame);
+      auto from_fleet = strided_fleet->PushFrame(0, frame);
+      ASSERT_TRUE(from_runtime.ok());
+      ASSERT_TRUE(from_fleet.ok());
+      ASSERT_EQ(from_runtime.value().has_value(),
+                from_fleet.value().has_value());
+      ASSERT_EQ(strided.Drifting(), strided_fleet->Drifting(0));
+      if (!from_fleet.value().has_value()) continue;
+      ++strided_predictions;
+      const core::NamedPrediction& a = *from_runtime.value();
+      const core::NamedPrediction& b = *from_fleet.value();
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(std::memcmp(&a.prediction, &b.prediction,
+                            sizeof(core::Prediction)),
+                0);
+    }
+    EXPECT_GE(strided_predictions, 2u);
+    EXPECT_EQ(strided_fleet->session_stats(0).predictions,
+              strided.stats().predictions);
+    EXPECT_EQ(strided_fleet->session_stats(0).windows,
+              strided.stats().windows);
+    ASSERT_NE(strided.journal(), nullptr);
+    ASSERT_NE(strided_fleet->journal(0), nullptr);
+    EXPECT_EQ(strided.journal()->Totals(), strided_fleet->journal(0)->Totals());
+    EXPECT_EQ(strided.journal()->bouts().size(),
+              strided_fleet->journal(0)->bouts().size());
+  }
 }
 
 TEST(EdgeFleetTest, SessionsHaveIndependentState) {
