@@ -4,11 +4,13 @@
 // backbone's training shapes; plus the training step's elementwise loops
 // (Adam::Step on the paper backbone, ReLU backward) against scalar copies of
 // their pre-vectorisation form; plus the batch-1 stream window: Denoise and
-// the 80 features against copies of their column-at-a-time form, and the
-// heap allocations of a warmed EdgeRuntime window. Emits BENCH_parallel.json
-// so the perf trajectory is tracked across PRs, and fails (exit 1) if any
-// workload is not bit-identical across thread counts, kernel instantiations
-// or the before/after loops — the determinism contract of the shared runtime
+// the 80 features against copies of their column-at-a-time form, the
+// batch-1 backbone forward through the portable kernel and the column-block
+// kernel at 1, 2 and 4 lanes, and the heap allocations of a warmed
+// EdgeRuntime window at 1 and 4 lanes. Emits BENCH_parallel.json so the
+// perf trajectory is tracked across PRs, and fails (exit 1) if any workload
+// is not bit-identical across thread counts, kernel instantiations or the
+// before/after loops — the determinism contract of the shared runtime
 // (DESIGN.md, "Parallel runtime") — if a packed instantiation is not at
 // least 1.2x the portable kernel, or if a warmed stream window allocates.
 //
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <string>
 #include <thread>
@@ -138,10 +141,15 @@ struct AllocStats {
   double ncm_fresh_per_classify = 0.0;
   double ncm_int8_scratch_per_classify = 0.0;
   /// EdgeRuntime::PushFrame on warmed windows of one activity with
-  /// smoothing, drift monitoring and the journal on: heap allocations per
-  /// window (all of its frames), and in the frame that completes it.
-  double stream_per_window = 0.0;
-  double stream_per_completing_call = 0.0;
+  /// smoothing, drift monitoring and the journal on, per pool lane count:
+  /// heap allocations per window (all of its frames), and in the frame that
+  /// completes it.
+  struct Stream {
+    size_t lanes = 1;
+    double per_window = 0.0;
+    double per_completing_call = 0.0;
+  };
+  std::vector<Stream> stream;
 };
 
 /// A training-step loop timed in its old scalar form ("before", a copy kept
@@ -150,6 +158,14 @@ struct BeforeAfter {
   double before = 0.0;
   double after = 0.0;
   bool identical = false;
+};
+
+/// The batch-1 backbone forward at one pool lane count, microseconds per
+/// forward: the portable kernel before, the dispatched column-block kernel
+/// after.
+struct ForwardRow {
+  size_t lanes = 1;
+  BeforeAfter us;
 };
 
 /// One GEMM kernel instantiation timed on the training shapes.
@@ -170,10 +186,14 @@ void WriteBeforeAfter(obs::JsonWriter* json, const char* key,
       .EndObject();
 }
 
+/// `lanes_<n>` keys for a per-lane-count object.
+std::string LanesKey(size_t lanes) { return "lanes_" + std::to_string(lanes); }
+
 void Report(const std::vector<Workload>& workloads, bool deterministic,
             const AllocStats& allocs, const std::vector<IsaRow>& isa_rows,
             const BeforeAfter& adam, const BeforeAfter& relu,
-            const BeforeAfter& denoise, const BeforeAfter& features) {
+            const BeforeAfter& denoise, const BeforeAfter& features,
+            const std::vector<ForwardRow>& forward) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
   WriteHostStamp(&json);
   json.Field("hardware_threads", std::thread::hardware_concurrency())
@@ -187,9 +207,16 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Field("ncm_allocs_per_classify_fresh", allocs.ncm_fresh_per_classify)
       .Field("ncm_allocs_per_classify_int8_scratch",
              allocs.ncm_int8_scratch_per_classify)
-      .Field("stream_window_heap_allocations", allocs.stream_per_window)
-      .Field("stream_completing_call_heap_allocations",
-             allocs.stream_per_completing_call)
+      .Key("stream_window_heap_allocations")
+      .BeginObject();
+  for (const AllocStats::Stream& row : allocs.stream) {
+    json.Field(LanesKey(row.lanes), row.per_window);
+  }
+  json.EndObject().Key("stream_completing_call_heap_allocations").BeginObject();
+  for (const AllocStats::Stream& row : allocs.stream) {
+    json.Field(LanesKey(row.lanes), row.per_completing_call);
+  }
+  json.EndObject()
       .EndObject()
       .Key("gemm_training_shapes")
       .BeginObject()
@@ -223,6 +250,17 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
                        "synthetic windows of every base activity; 1 lane");
   WriteBeforeAfter(&json, "denoise_us", denoise);
   WriteBeforeAfter(&json, "features_us", features);
+  json.EndObject()
+      .Key("batch1_forward_us")
+      .BeginObject()
+      .Field("shapes", "the paper backbone 80-1024-512-128-64-128 on one "
+                       "1 x 80 row, bias and ReLU included; before: the "
+                       "portable kernel, one serial chunk per layer; after: "
+                       "the dispatched column-block kernel across the pool; "
+                       "median of 31 blocks of 100 back-to-back forwards");
+  for (const ForwardRow& row : forward) {
+    WriteBeforeAfter(&json, LanesKey(row.lanes).c_str(), row.us);
+  }
   json.EndObject()
       .Key("workloads")
       .BeginArray();
@@ -526,9 +564,80 @@ void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features) {
   });
 }
 
-/// Heap allocations of warmed stream windows: a runtime with smoothing,
-/// drift monitoring and the journal on takes 20 windows of one activity to
-/// warm up, then 100 more are counted frame by frame.
+/// One forward of `net` on `x`: each Linear through `gemm` plus its bias,
+/// every other layer through its own Forward. Returns the output buffer.
+template <typename Gemm>
+const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
+                          Gemm gemm, Matrix buffers[2]) {
+  const Matrix* in = &x;
+  for (size_t i = 0; i < net.num_layers(); ++i) {
+    Matrix* out = &buffers[i % 2];
+    const nn::Layer& layer = net.layer(i);
+    if (const auto* linear = dynamic_cast<const nn::Linear*>(&layer)) {
+      gemm(*in, linear->weight(), out);
+      const float* bias = linear->bias().data();
+      float* row = out->data();
+      for (size_t c = 0; c < out->cols(); ++c) row[c] += bias[c];
+    } else {
+      layer.Forward(*in, /*training=*/false, /*state=*/nullptr, out);
+    }
+    in = out;
+  }
+  return *in;
+}
+
+/// The batch-1 paper-backbone forward at 1, 2 and 4 lanes, through the
+/// portable kernel and through MatMulInto's column-block kernel. The two
+/// sides alternate in blocks of back-to-back forwards, as windows of a
+/// stream arrive, so each lane's weight slice stays in its core's cache
+/// across the block; the outputs are compared bit for bit.
+std::vector<ForwardRow> MeasureBatch1Forward() {
+  Rng rng(37);
+  const nn::Sequential net = nn::BuildPaperBackbone(&rng);
+  Matrix x(1, preprocess::kNumFeatures);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+  }
+  const auto portable = [](const Matrix& a, const Matrix& b, Matrix* out) {
+    gemm_internal::MatMulIntoWith(gemm_internal::GemmIsa::kPortable, a, b,
+                                  out);
+  };
+  const auto dispatched = [](const Matrix& a, const Matrix& b, Matrix* out) {
+    MatMulInto(a, b, out);
+  };
+  constexpr int kRounds = 31, kBlock = 100;
+  Matrix before_buffers[2], after_buffers[2];
+  std::vector<ForwardRow> rows;
+  for (size_t lanes : {1, 2, 4}) {
+    SetParallelThreads(lanes);
+    std::vector<double> before_us, after_us;
+    for (int round = 0; round < kRounds; ++round) {
+      auto t0 = Clock::now();
+      for (int i = 0; i < kBlock; ++i) {
+        ForwardWith(net, x, portable, before_buffers);
+      }
+      before_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
+      t0 = Clock::now();
+      for (int i = 0; i < kBlock; ++i) {
+        ForwardWith(net, x, dispatched, after_buffers);
+      }
+      after_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
+    }
+    const Matrix& want = ForwardWith(net, x, portable, before_buffers);
+    const Matrix& got = ForwardWith(net, x, dispatched, after_buffers);
+    rows.push_back({lanes,
+                    {Median(before_us), Median(after_us),
+                     Fingerprint(want.data(), want.size()) ==
+                         Fingerprint(got.data(), got.size())}});
+  }
+  return rows;
+}
+
+/// Heap allocations of warmed stream windows at 1 lane and at the stream
+/// pool's 4: a runtime with smoothing, drift monitoring and the journal on
+/// takes 20 windows of one activity to warm up at each lane count, then 100
+/// more are counted frame by frame. A multi-lane batch-1 forward goes
+/// through the pool's hand-off, which the 1-lane run never reaches.
 void MeasureStreamAllocations(AllocStats* allocs) {
   SetParallelThreads(1);
   core::CloudConfig config = BenchCloudConfig();
@@ -546,38 +655,45 @@ void MeasureStreamAllocations(AllocStats* allocs) {
   runtime.EnableJournal();
 
   constexpr size_t kWarmup = 20, kWindows = 100, kRows = 120;
+  constexpr size_t kLaneCounts[] = {1, 4};
+  constexpr size_t kRowsPerRun = (kWarmup + kWindows) * kRows;
   sensors::SyntheticGenerator gen(29);
   const sensors::Recording rec = gen.Generate(
       sensors::DefaultActivityLibrary()[sensors::kStill],
-      static_cast<double>((kWarmup + kWindows) * kRows) /
+      static_cast<double>(std::size(kLaneCounts) * kRowsPerRun) /
           sensors::kDefaultSampleRateHz);
-  if (rec.num_samples() < (kWarmup + kWindows) * kRows) {
+  if (rec.num_samples() < std::size(kLaneCounts) * kRowsPerRun) {
     std::fprintf(stderr, "stream allocations: recording too short\n");
     std::exit(1);
   }
   sensors::Frame frame;
-  uint64_t all = 0, completing = 0;
-  size_t emitted = 0;
-  for (size_t r = 0; r < (kWarmup + kWindows) * kRows; ++r) {
-    std::memcpy(frame.data(), rec.samples.RowPtr(r), sizeof(frame));
-    const uint64_t before = HeapAllocations();
-    auto pred = Unwrap(runtime.PushFrame(frame), "push frame");
-    const uint64_t delta = HeapAllocations() - before;
-    if (r < kWarmup * kRows) continue;
-    all += delta;
-    if (pred.has_value()) {
-      completing += delta;
-      ++emitted;
+  for (size_t run = 0; run < std::size(kLaneCounts); ++run) {
+    SetParallelThreads(kLaneCounts[run]);
+    uint64_t all = 0, completing = 0;
+    size_t emitted = 0;
+    for (size_t r = 0; r < kRowsPerRun; ++r) {
+      std::memcpy(frame.data(), rec.samples.RowPtr(run * kRowsPerRun + r),
+                  sizeof(frame));
+      const uint64_t before = HeapAllocations();
+      auto pred = Unwrap(runtime.PushFrame(frame), "push frame");
+      const uint64_t delta = HeapAllocations() - before;
+      if (r < kWarmup * kRows) continue;
+      all += delta;
+      if (pred.has_value()) {
+        completing += delta;
+        ++emitted;
+      }
     }
+    if (emitted != kWindows) {
+      std::fprintf(stderr,
+                   "stream allocations: %zu windows emitted, want %zu\n",
+                   emitted, kWindows);
+      std::exit(1);
+    }
+    allocs->stream.push_back({kLaneCounts[run],
+                              static_cast<double>(all) / kWindows,
+                              static_cast<double>(completing) / kWindows});
   }
-  if (emitted != kWindows) {
-    std::fprintf(stderr, "stream allocations: %zu windows emitted, want %zu\n",
-                 emitted, kWindows);
-    std::exit(1);
-  }
-  allocs->stream_per_window = static_cast<double>(all) / kWindows;
-  allocs->stream_per_completing_call =
-      static_cast<double>(completing) / kWindows;
 }
 
 }  // namespace
@@ -862,12 +978,31 @@ int main() {
     }
   }
 
-  // --- A warmed stream window must not touch the heap ---
+  // --- The batch-1 backbone forward: portable vs column-block kernel ---
+  const std::vector<ForwardRow> forward = MeasureBatch1Forward();
+  bool forward_identical = true;
+  for (const ForwardRow& row : forward) {
+    std::printf("batch-1 forward %zu lane(s) %8.2f us before, %8.2f us after "
+                "(x%.2f)%s\n",
+                row.lanes, row.us.before, row.us.after,
+                row.us.before / row.us.after,
+                row.us.identical ? "" : "  BITS DIFFER");
+    forward_identical &= row.us.identical;
+  }
+  if (!forward_identical) {
+    std::fprintf(stderr, "the batch-1 forward differs from the portable "
+                         "kernel's!\n");
+  }
+
+  // --- A warmed stream window must not touch the heap, at any lane count ---
   MeasureStreamAllocations(&allocs);
-  std::printf("stream window allocations: %.2f/window, %.2f in the completing "
-              "PushFrame\n",
-              allocs.stream_per_window, allocs.stream_per_completing_call);
-  const bool stream_alloc_free = allocs.stream_per_window == 0.0;
+  bool stream_alloc_free = true;
+  for (const AllocStats::Stream& row : allocs.stream) {
+    std::printf("stream window allocations, %zu lane(s): %.2f/window, %.2f in "
+                "the completing PushFrame\n",
+                row.lanes, row.per_window, row.per_completing_call);
+    stream_alloc_free &= row.per_window == 0.0;
+  }
   if (!stream_alloc_free) {
     std::fprintf(stderr, "a warmed stream window allocated on the heap!\n");
   }
@@ -890,11 +1025,12 @@ int main() {
   }
 
   Report(workloads, deterministic, allocs, isa_rows, adam, relu, denoise,
-         features);
+         features, forward);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
   const bool loops_identical = adam.identical && relu.identical &&
-                               denoise.identical && features.identical;
+                               denoise.identical && features.identical &&
+                               forward_identical;
   return (deterministic && ncm_alloc_free && stream_alloc_free &&
           isa_identical && isa_fast && loops_identical)
              ? 0

@@ -1,5 +1,7 @@
-// fp32 GEMM: the portable row-partitioned kernels and the packed,
-// register-blocked kernel they hand batches of >= kPackedMinRows rows to.
+// fp32 GEMM: the portable row-partitioned kernels (the oracle), the packed,
+// register-blocked kernel that batches of >= kPackedMinRows rows take, and
+// the column-block kernel that smaller MatMul batches (the batch-1 forward)
+// take.
 //
 // Bit-identity contract: every output element is accumulated in exactly the
 // portable kernel's order, so results do not depend on the ISA, the batch
@@ -12,8 +14,9 @@
 //             Matrix::AddInPlace would;
 //   TransB  — Dot's four streams (k mod 4, tail into stream 0), combined as
 //             (s0 + s1) + (s2 + s3).
-// The packed kernels use only vector mul and add; -ffp-contract=off
-// (src/CMakeLists.txt) keeps the compiler from fusing them into FMAs.
+// The packed and column-block kernels use only vector mul and add;
+// -ffp-contract=off (src/CMakeLists.txt) keeps the compiler from fusing them
+// into FMAs.
 
 #include <algorithm>
 #include <cstdint>
@@ -437,12 +440,185 @@ struct Packed {
   }
 };
 
+// ---- Column-block kernel (MatMul batches below kPackedMinRows) -------------
+//
+// A ParallelFor chunk is a block of output columns, and every element of
+// the block is finished inside it, so the split never divides a sum. Within
+// the block, tiles of R rows x C vectors keep their accumulators in
+// registers across all of k and read B's rows in place: a batch-1 layer
+// reads each weight once, and the lane that owns a block reads the same
+// weights every call. The per-element order is MatMulRows': groups of four
+// k-terms as ((a0*b0 + a1*b1) + a2*b2) + a3*b3 in k order, then the k % 4
+// tail a term at a time (its 64-wide k tiles are multiples of four, so only
+// the last one has a tail), from a +0 start.
+
+/// Columns per chunk are a multiple of this (the widest vector), so only
+/// the last chunk of a row holds a partial vector.
+constexpr size_t kColumnQuantum = 16;
+/// Widest chunk: 128 columns are 512 contiguous bytes of every weight row.
+constexpr size_t kMaxChunkColumns = 128;
+/// A layer is cut into at least this many chunks when it is big enough, so
+/// a phone-class four-core pool can spread it over every core.
+constexpr size_t kMinChunks = 4;
+/// Least multiply-adds worth a chunk of their own; a smaller layer is one
+/// chunk and runs on its caller.
+constexpr size_t kMinChunkMacs = 1u << 14;
+
+/// Columns per chunk for an m x k by k x n product: a kMinChunks-th of n,
+/// at most kMaxChunkColumns, and never so narrow that a chunk has fewer
+/// than kMinChunkMacs multiply-adds. Depends only on the shape.
+size_t ChunkColumns(size_t m, size_t k, size_t n) {
+  const size_t min_columns = kMinChunkMacs / std::max<size_t>(1, m * k);
+  const size_t columns =
+      std::max((n + kMinChunks - 1) / kMinChunks, min_columns);
+  const size_t rounded =
+      (columns + kColumnQuantum - 1) / kColumnQuantum * kColumnQuantum;
+  return std::clamp<size_t>(rounded, kColumnQuantum, kMaxChunkColumns);
+}
+
+/// Operands of one column-block MatMul: out (m x n) = a (m x k) * b (k x n),
+/// all row-major.
+struct ColumnCall {
+  const float* a;
+  const float* b;
+  float* out;
+  size_t m, k, n;
+};
+
+/// The kernel body, written once over a GCC vector of W floats (W == 1 is
+/// the scalar tail of a row whose width is not a multiple of the vector).
+/// Everything is always_inline, as in Packed, so each instantiation compiles
+/// under its wrapper's target attribute.
+template <int W>
+struct Columns {
+  typedef float V __attribute__((vector_size(W * sizeof(float))));
+  typedef float U __attribute__((vector_size(W * sizeof(float)),
+                                 aligned(alignof(float)), may_alias));
+
+  /// Accumulator registers per tile: half the vector register file
+  /// (AVX-512: 16 of 32 zmm; AVX2 and SSE: 8 of 16), leaving room for the
+  /// four B values of a group and their products.
+  static constexpr size_t kAccs = W == 16 ? 16 : 8;
+  static constexpr size_t kMaxRows = 4;
+
+  /// Rows [i, i + R) x columns [j, j + C * W) of the output.
+  template <size_t R, size_t C>
+  [[gnu::always_inline]] static inline void Tile(const ColumnCall& c,
+                                                 size_t i, size_t j) {
+    const size_t k = c.k, n = c.n, groups = k / 4;
+    const float* a = c.a + i * k;
+    const float* b = c.b + j;
+    V acc[R][C] = {};
+    for (size_t g = 0; g < groups; ++g) {
+      const float* b0 = b + 4 * g * n;
+#pragma GCC unroll 16
+      for (size_t v = 0; v < C; ++v) {
+        const V x0 = *reinterpret_cast<const U*>(b0 + v * W);
+        const V x1 = *reinterpret_cast<const U*>(b0 + n + v * W);
+        const V x2 = *reinterpret_cast<const U*>(b0 + 2 * n + v * W);
+        const V x3 = *reinterpret_cast<const U*>(b0 + 3 * n + v * W);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < R; ++r) {
+          const float* ar = a + r * k + 4 * g;
+          acc[r][v] = acc[r][v] +
+                      (((ar[0] * x0 + ar[1] * x1) + ar[2] * x2) + ar[3] * x3);
+        }
+      }
+    }
+    for (size_t kk = 4 * groups; kk < k; ++kk) {
+#pragma GCC unroll 16
+      for (size_t v = 0; v < C; ++v) {
+        const V x = *reinterpret_cast<const U*>(b + kk * n + v * W);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < R; ++r) {
+          acc[r][v] = acc[r][v] + a[r * k + kk] * x;
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      float* dst = c.out + (i + r) * n + j;
+#pragma GCC unroll 16
+      for (size_t v = 0; v < C; ++v) {
+        *reinterpret_cast<U*>(dst + v * W) = acc[r][v];
+      }
+    }
+  }
+
+  /// The `left` (< C + 1) vectors at the end of a block as one tile.
+  template <size_t R, size_t C>
+  [[gnu::always_inline]] static inline void LastTile(const ColumnCall& c,
+                                                     size_t i, size_t j,
+                                                     size_t left) {
+    if constexpr (C > 0) {
+      if (left == C) return Tile<R, C>(c, i, j);
+      LastTile<R, C - 1>(c, i, j, left);
+    }
+  }
+
+  /// Rows [i, i + R) across columns [j0, j1): full tiles, then one narrower
+  /// tile of the whole vectors left. Returns the first column not covered.
+  template <size_t R>
+  [[gnu::always_inline]] static inline size_t RowTiles(const ColumnCall& c,
+                                                       size_t i, size_t j0,
+                                                       size_t j1) {
+    constexpr size_t kCols =
+        std::clamp<size_t>(kAccs / R, 1, kMaxChunkColumns / W);
+    size_t j = j0;
+    for (; j + kCols * W <= j1; j += kCols * W) Tile<R, kCols>(c, i, j);
+    const size_t left = (j1 - j) / W;
+    if (left > 0) LastTile<R, kCols - 1>(c, i, j, left);
+    return j + left * W;
+  }
+
+  /// Every row of the output across columns [j0, j1), in tiles of up to
+  /// kMaxRows rows; returns the first column not covered (j1 unless the
+  /// block ends in a partial vector).
+  [[gnu::always_inline]] static inline size_t Block(const ColumnCall& c,
+                                                    size_t j0, size_t j1) {
+    size_t i = 0, covered = j1;
+    for (; i + kMaxRows <= c.m; i += kMaxRows) {
+      covered = RowTiles<kMaxRows>(c, i, j0, j1);
+    }
+    switch (c.m - i) {
+      case 3:
+        covered = RowTiles<3>(c, i, j0, j1);
+        break;
+      case 2:
+        covered = RowTiles<2>(c, i, j0, j1);
+        break;
+      case 1:
+        covered = RowTiles<1>(c, i, j0, j1);
+        break;
+      default:
+        break;
+    }
+    return covered;
+  }
+};
+
+/// Columns [j0, j1) of the output through the W-wide body, and the columns
+/// past the last whole vector one at a time.
+template <int W>
+[[gnu::always_inline]] inline void ColumnBlock(const ColumnCall& c, size_t j0,
+                                               size_t j1) {
+  const size_t covered = c.m == 0 ? j1 : Columns<W>::Block(c, j0, j1);
+  if (covered < j1) Columns<1>::Block(c, covered, j1);
+}
+
+using ColumnFn = void (*)(const ColumnCall&, size_t, size_t);
+
+void ColumnBlockPortable(const ColumnCall& c, size_t j0, size_t j1) {
+  ColumnBlock<4>(c, j0, j1);
+}
+
 using PanelFn = void (*)(const PackedCall&, size_t, size_t);
 
 struct PackedKernels {
   PanelFn mat_mul;
   PanelFn trans_a;
   PanelFn trans_b;
+  ColumnFn columns;
 };
 
 #ifdef MAGNETO_GEMM_X86
@@ -459,9 +635,13 @@ struct PackedKernels {
       const PackedCall& c, size_t p0, size_t p1) {                           \
     Packed<lanes>::Panels<Op::kTransB>(c, p0, p1);                           \
   }                                                                          \
-  constexpr PackedKernels k##isa##Kernels{MatMulPanels##isa,                 \
-                                          TransAPanels##isa,                 \
-                                          TransBPanels##isa};
+  __attribute__((target(target_name))) void ColumnBlock##isa(                \
+      const ColumnCall& c, size_t j0, size_t j1) {                           \
+    ColumnBlock<lanes>(c, j0, j1);                                           \
+  }                                                                          \
+  constexpr PackedKernels k##isa##Kernels{                                   \
+      MatMulPanels##isa, TransAPanels##isa, TransBPanels##isa,               \
+      ColumnBlock##isa};
 
 MAGNETO_GEMM_INSTANTIATE(Avx2, "avx2", 8)
 MAGNETO_GEMM_INSTANTIATE(Avx512f, "avx512f", 16)
@@ -495,6 +675,19 @@ void RunPanels(PanelFn fn, const PackedCall& call) {
       std::max<size_t>(1, kFlopsPerChunk / (call.m * call.k * kPanel + 1));
   ParallelFor(0, panels, grain,
               [&](size_t p0, size_t p1) { fn(call, p0, p1); });
+}
+
+/// Runs the column-block kernel for `isa` over every column chunk of the
+/// output. The closure goes to ParallelFor by std::cref: it would not fit
+/// std::function's small buffer, and a warmed stream window must not
+/// allocate.
+void RunColumns(GemmIsa isa, const ColumnCall& call) {
+  const PackedKernels* kernels = KernelsFor(isa);
+  const ColumnFn fn = kernels == nullptr ? ColumnBlockPortable
+                                         : kernels->columns;
+  const auto block = [&](size_t j0, size_t j1) { fn(call, j0, j1); };
+  ParallelFor(0, call.n, ChunkColumns(call.m, call.k, call.n),
+              std::cref(block));
 }
 
 GemmIsa BatchIsa(const Matrix& a) {
@@ -541,6 +734,15 @@ void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
             {&a, &b, out->data(), a.rows(), a.cols(), b.cols()});
 }
 
+void MatMulColumnsIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                           Matrix* out) {
+  MAGNETO_CHECK(a.cols() == b.rows());
+  MAGNETO_CHECK(out != &a && out != &b);
+  out->ResetForOverwrite(a.rows(), b.cols());  // every element is stored
+  RunColumns(isa, {a.data(), b.data(), out->data(), a.rows(), a.cols(),
+                   b.cols()});
+}
+
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out) {
   MAGNETO_CHECK(a.rows() == b.rows());
@@ -579,7 +781,11 @@ void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
 using gemm_internal::BatchIsa;
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  gemm_internal::MatMulIntoWith(BatchIsa(a), a, b, out);
+  const gemm_internal::GemmIsa isa = gemm_internal::DispatchedIsa();
+  if (a.rows() < gemm_internal::kPackedMinRows) {
+    return gemm_internal::MatMulColumnsIntoWith(isa, a, b, out);
+  }
+  gemm_internal::MatMulIntoWith(isa, a, b, out);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

@@ -17,9 +17,12 @@ namespace magneto::gemm_internal {
 /// reports.
 enum class GemmIsa : int { kPortable = 0, kAvx2 = 1, kAvx512f = 2 };
 
-/// Batches below this many rows of `a` run the portable kernel whatever the
-/// host supports: the batch-1 forward is memory-bound, and packing a panel
-/// would not pay for itself.
+/// Batches below this many rows of `a` do not pack: a panel of B would be
+/// swept by too few rows to pay for its copy. MatMul takes the column-block
+/// kernel there (MatMulColumnsIntoWith): the weights are read in place, and
+/// a batch-1 layer is split by output columns across the pool so each
+/// lane's slice of the weights stays in its own core's L2. TransA and
+/// TransB take the portable kernels.
 inline constexpr size_t kPackedMinRows = 16;
 
 /// True if this build and this CPU can run `isa` (kPortable always can).
@@ -34,6 +37,13 @@ GemmIsa DispatchedIsa();
 /// instantiation produces bit-identical results.
 void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                     Matrix* out);
+/// MatMul through the column-block kernel, which MatMulInto runs below
+/// kPackedMinRows rows, at any batch size. kPortable names its baseline
+/// instantiation (4-wide vectors), not the portable oracle that
+/// MatMulIntoWith(kPortable, ...) runs; every instantiation reproduces the
+/// oracle's bits.
+void MatMulColumnsIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
+                           Matrix* out);
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out);
 void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,

@@ -1,11 +1,15 @@
 #include "common/parallel.h"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,6 +21,16 @@ namespace magneto {
 
 namespace {
 
+/// How long a worker keeps polling for the next region after it leaves one,
+/// and how long a submitter polls for straggling chunks, before either
+/// blocks on a condition variable. A batch-1 stream window runs one region
+/// per backbone layer a few microseconds apart, and between one window's
+/// last layer and the next window's first the caller spends ~30-40 us on
+/// classification and preprocessing; the budget covers that gap with room
+/// to spare, so a steady stream never pays a futex wake. An idle pool stops
+/// spinning after one budget.
+constexpr std::chrono::microseconds kSpinBudget{200};
+
 /// Static handles: registry lookup happens once per process, the hot path
 /// only touches the atomics behind the pointers.
 struct PoolMetrics {
@@ -24,6 +38,7 @@ struct PoolMetrics {
       obs::Registry::Global().GetCounter("parallel.regions");
   obs::Counter* serial_regions =
       obs::Registry::Global().GetCounter("parallel.regions_serial");
+  obs::Counter* wakes = obs::Registry::Global().GetCounter("parallel.wakes");
   obs::Counter* chunks = obs::Registry::Global().GetCounter("parallel.chunks");
   obs::Counter* worker_chunks =
       obs::Registry::Global().GetCounter("parallel.chunks_worker");
@@ -62,95 +77,248 @@ size_t DefaultThreadCount() {
   return hw == 0 ? 1 : hw;
 }
 
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Polls `ready` for up to kSpinBudget; true as soon as it holds. Yields
+/// the CPU every few microseconds: the scheduler may have put the thread
+/// this one waits for on the same CPU, and a spin without yields would keep
+/// it off for the whole budget.
+template <typename Ready>
+bool SpinUntil(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) return true;
+      CpuRelax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
+}
+
+/// Moves the calling worker to the CPU `lane` places after `home` in its
+/// allowed set, then allows the whole set again. The lanes start on
+/// distinct CPUs even where the scheduler never balances load (a cpuset
+/// with sched_load_balance off keeps every thread on the CPU it was created
+/// on, so all lanes would share the submitter's); where it does balance,
+/// it stays free to move them.
+void SpreadFrom(int home, size_t lane) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (home < 0 ||
+      pthread_getaffinity_np(pthread_self(), sizeof(allowed), &allowed) != 0) {
+    return;
+  }
+  const int count = CPU_COUNT(&allowed);
+  if (count < 2 || !CPU_ISSET(home, &allowed)) return;
+  int rank = 0;  // position of `home` among the allowed CPUs
+  for (int c = 0; c < home; ++c) rank += CPU_ISSET(c, &allowed) ? 1 : 0;
+  const int target = static_cast<int>((rank + lane) % count);
+  int cpu = 0;
+  for (int seen = -1;; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed) && ++seen == target) break;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+    pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+  }
+#else
+  (void)home;
+  (void)lane;
+#endif
+}
+
+int CurrentCpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
 }  // namespace
 
-/// One in-flight parallel region. Workers pull chunk indices from an atomic
-/// counter; the last finished chunk wakes the submitting thread. The job is
-/// heap-held (shared_ptr) because a late-waking worker may still poke the
-/// chunk counter after the submitter has already observed completion.
+/// The pool owns one job slot that every region reuses, so a region
+/// allocates nothing.
+///
+/// Hand-off protocol (DESIGN.md §4b):
+///   - `epoch` is even while a region is published and odd while the
+///     submitter rewrites the slot. A worker joins a region by incrementing
+///     `inside` and then re-reading `epoch`; if it is still the even value
+///     the worker saw, the submitter of the next region has not started and
+///     will wait for this worker to leave before it touches the slot.
+///   - The submitter makes the epoch odd, waits until `inside` is 0 (a
+///     worker that woke late may still be claiming the previous region's
+///     exhausted chunks), rewrites the slot, publishes the next even epoch,
+///     and notifies `work_cv` only if some worker is asleep on it.
+///   - Every lane claims chunks from its own home range first and then
+///     steals from the others', so a batch-1 layer gives each lane the same
+///     columns window after window and its weight slice stays in that core's
+///     cache.
+///   - Workers and the submitter spin for kSpinBudget before they sleep; the
+///     sleepers and submitter_sleeping flags let the other side skip the
+///     condition variable when nobody waits on it.
 struct ThreadPool::Impl {
-  struct Job {
-    size_t begin = 0;
+  /// One lane's range of chunk indices. Padded to a cache line: each lane
+  /// claims from its own cursor until its range runs out.
+  struct alignas(64) Cursor {
+    std::atomic<size_t> next{0};
     size_t end = 0;
-    size_t grain = 1;
-    size_t num_chunks = 0;
-    const std::function<void(size_t, size_t)>* fn = nullptr;
-    std::atomic<size_t> next_chunk{0};
-    std::atomic<size_t> done_chunks{0};
-    std::exception_ptr error;  // first captured exception, under error_mutex
-    std::mutex error_mutex;
   };
 
-  std::mutex mutex;                 // guards job/epoch/stop and cv waits
-  std::condition_variable work_cv;  // workers wait here for a new epoch
-  std::condition_variable done_cv;  // the submitter waits here
-  std::shared_ptr<Job> job;
-  uint64_t epoch = 0;
-  bool stop = false;
+  // ---- The job slot: written only while `epoch` is odd and `inside` is 0.
+  size_t begin = 0;
+  size_t end = 0;
+  size_t grain = 1;
+  size_t num_chunks = 0;
+  const std::function<void(size_t, size_t)>* fn = nullptr;
+  std::vector<Cursor> cursors;  // one per lane, sized with the workers
+  alignas(64) std::atomic<size_t> done_chunks{0};
+  std::mutex error_mutex;    // guards error
+  std::exception_ptr error;  // first captured exception of the region
+
+  alignas(64) std::atomic<uint64_t> epoch{0};
+  std::atomic<size_t> inside{0};    // workers inside the published region
+  std::atomic<size_t> sleepers{0};  // workers blocked (or blocking) on work_cv
+  std::atomic<bool> submitter_sleeping{false};
+  std::atomic<bool> stop{false};
+
+  std::mutex mutex;                 // pairs with both condition variables
+  std::condition_variable work_cv;  // sleeping workers wait for an epoch
+  std::condition_variable done_cv;  // a sleeping submitter waits for chunks
   std::vector<std::thread> workers;
-  // Serialises external submitters; nested calls never take this path.
+  // Held by the thread whose region owns the pool (and by SetThreadCount);
+  // a submitter that finds it taken runs its region inline.
   std::mutex submit_mutex;
 
-  /// `chunk_counter` attributes executed chunks to worker vs submitter
-  /// lanes (the per-worker utilization split in the metrics snapshot).
-  void RunChunks(Job* j, obs::Counter* chunk_counter) {
-    for (;;) {
-      const size_t c = j->next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= j->num_chunks) return;
-      chunk_counter->Increment();
-      const size_t b = j->begin + c * j->grain;
-      const size_t e = std::min(j->end, b + j->grain);
-      try {
-        (*j->fn)(b, e);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(j->error_mutex);
-        if (!j->error) j->error = std::current_exception();
-      }
-      if (j->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          j->num_chunks) {
-        // Last chunk: wake the submitter. Take the pool mutex so the wake
-        // cannot race ahead of the submitter's wait.
-        std::lock_guard<std::mutex> lock(mutex);
-        done_cv.notify_all();
+  /// Runs chunks for `lane` until every cursor is exhausted: its own range
+  /// first, then the other lanes' in turn. `chunk_counter` attributes
+  /// executed chunks to worker vs submitter lanes.
+  void RunChunks(size_t lane, obs::Counter* chunk_counter) {
+    const size_t lanes = cursors.size();
+    for (size_t step = 0; step < lanes; ++step) {
+      Cursor& cursor = cursors[(lane + step) % lanes];
+      for (;;) {
+        const size_t c = cursor.next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= cursor.end) break;
+        chunk_counter->Increment();
+        const size_t b = begin + c * grain;
+        const size_t e = std::min(end, b + grain);
+        try {
+          (*fn)(b, e);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+        if (done_chunks.fetch_add(1) + 1 == num_chunks &&
+            submitter_sleeping.load()) {
+          // Last chunk and the submitter blocked: take the mutex so the
+          // notify cannot fall between its predicate check and its wait.
+          std::lock_guard<std::mutex> lock(mutex);
+          done_cv.notify_one();
+        }
       }
     }
   }
 
-  void WorkerLoop() {
+  void WorkerLoop(size_t lane, uint64_t seen, int home) {
+    SpreadFrom(home, lane);
     t_inside_pool = true;
-    uint64_t seen_epoch = 0;
     for (;;) {
-      std::shared_ptr<Job> j;
-      {
+      uint64_t e = seen;
+      const auto ready = [&] {
+        e = epoch.load();
+        return stop.load(std::memory_order_relaxed) ||
+               (e != seen && e % 2 == 0);
+      };
+      if (!SpinUntil(ready)) {
         std::unique_lock<std::mutex> lock(mutex);
-        work_cv.wait(lock, [&] {
-          return stop || (job != nullptr && epoch != seen_epoch);
-        });
-        if (stop) return;
-        seen_epoch = epoch;
-        j = job;
+        sleepers.fetch_add(1);
+        work_cv.wait(lock, ready);
+        sleepers.fetch_sub(1);
       }
-      RunChunks(j.get(), Metrics().worker_chunks);
+      if (stop.load(std::memory_order_relaxed)) return;
+      inside.fetch_add(1);
+      if (epoch.load() != e) {
+        // The next region's submitter got in first and is rewriting the
+        // slot; start over on its epoch.
+        inside.fetch_sub(1, std::memory_order_release);
+        continue;
+      }
+      seen = e;
+      RunChunks(lane, Metrics().worker_chunks);
+      inside.fetch_sub(1, std::memory_order_release);
     }
   }
 
   void StartWorkers(size_t n) {
+    cursors = std::vector<Cursor>(n + 1);
     workers.reserve(n);
+    const uint64_t seen = epoch.load();
+    const int home = CurrentCpu();
     for (size_t i = 0; i < n; ++i) {
-      workers.emplace_back([this] { WorkerLoop(); });
+      workers.emplace_back(
+          [this, i, seen, home] { WorkerLoop(i + 1, seen, home); });
     }
   }
 
   void StopWorkers() {
     {
       std::lock_guard<std::mutex> lock(mutex);
-      stop = true;
+      stop.store(true);
     }
     work_cv.notify_all();
     for (std::thread& t : workers) t.join();
     workers.clear();
-    std::lock_guard<std::mutex> lock(mutex);
-    stop = false;
+    stop.store(false);
+  }
+
+  /// Waits until no worker is inside the previous region, then writes the
+  /// region into the slot and hands each lane its home range of chunks.
+  /// The caller holds submit_mutex.
+  void Publish(size_t b, size_t e, size_t g, size_t chunks,
+               const std::function<void(size_t, size_t)>* body) {
+    const uint64_t old = epoch.load(std::memory_order_relaxed);
+    epoch.store(old + 1);  // odd: workers that have not joined stay out
+    if (!SpinUntil([&] { return inside.load() == 0; })) {
+      while (inside.load() != 0) std::this_thread::yield();
+    }
+    begin = b;
+    end = e;
+    grain = g;
+    num_chunks = chunks;
+    fn = body;
+    done_chunks.store(0, std::memory_order_relaxed);
+    const size_t lanes = cursors.size();
+    const size_t per_lane = (chunks + lanes - 1) / lanes;
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      const size_t first = std::min(chunks, lane * per_lane);
+      cursors[lane].next.store(first, std::memory_order_relaxed);
+      cursors[lane].end = std::min(chunks, first + per_lane);
+    }
+    epoch.store(old + 2);
+    if (sleepers.load() > 0) {
+      { std::lock_guard<std::mutex> lock(mutex); }
+      work_cv.notify_all();
+      Metrics().wakes->Increment();
+    }
+  }
+
+  /// Blocks until every chunk of the published region is done: spins first,
+  /// then sleeps on done_cv.
+  void AwaitChunks() {
+    const auto done = [&] { return done_chunks.load() == num_chunks; };
+    if (SpinUntil(done)) return;
+    std::unique_lock<std::mutex> lock(mutex);
+    submitter_sleeping.store(true);
+    done_cv.wait(lock, done);
+    submitter_sleeping.store(false);
   }
 };
 
@@ -186,10 +354,17 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   if (grain == 0) grain = 1;
   const size_t num_chunks = (end - begin + grain - 1) / grain;
 
-  // Serial path: nested call, single-lane pool, or a range that fits in one
-  // chunk. Walk the identical chunk sequence so per-chunk kernels see the
-  // same subranges as the threaded path.
-  if (t_inside_pool || impl_->workers.empty() || num_chunks == 1) {
+  // Serial path: nested call, single-lane pool, a range that fits in one
+  // chunk, or a pool busy with another thread's region (a batch-1 forward
+  // must not queue behind a training GEMM, nor concurrent serving threads
+  // behind each other). Walk the identical chunk sequence so per-chunk
+  // kernels see the same subranges as the threaded path.
+  std::unique_lock<std::mutex> submit_lock;
+  if (!t_inside_pool && !impl_->workers.empty() && num_chunks > 1) {
+    submit_lock = std::unique_lock<std::mutex>(impl_->submit_mutex,
+                                               std::try_to_lock);
+  }
+  if (!submit_lock.owns_lock()) {
     // Counter-only telemetry here: this branch also serves nested calls from
     // inside workers, which are far too hot for clocks or spans.
     Metrics().serial_regions->Increment();
@@ -208,40 +383,25 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   obs::TraceSpan span("ParallelFor");
   obs::ScopedTimer region_timer(Metrics().region_us);
 
-  std::lock_guard<std::mutex> submit_lock(impl_->submit_mutex);
-  auto job = std::make_shared<Impl::Job>();
-  job->begin = begin;
-  job->end = end;
-  job->grain = grain;
-  job->num_chunks = num_chunks;
-  job->fn = &fn;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->job = job;
-    ++impl_->epoch;
-  }
-  impl_->work_cv.notify_all();
+  impl_->Publish(begin, end, grain, num_chunks, &fn);
   {
     InsidePoolGuard guard;
-    impl_->RunChunks(job.get(), Metrics().submitter_chunks);
+    impl_->RunChunks(0, Metrics().submitter_chunks);
   }
-  {
-    // Time the submitter's idle tail: how long it waits for straggler
-    // workers after running out of chunks itself (load-imbalance signal).
-    const auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->done_cv.wait(lock, [&] {
-      return job->done_chunks.load(std::memory_order_acquire) ==
-             job->num_chunks;
-    });
-    impl_->job.reset();
-    Metrics().submit_wait_us->Record(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wait_start)
-            .count() *
-        1e6);
+  // Time the submitter's idle tail: how long it waits for straggler
+  // workers after running out of chunks itself (load-imbalance signal).
+  const auto wait_start = std::chrono::steady_clock::now();
+  impl_->AwaitChunks();
+  Metrics().submit_wait_us->Record(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wait_start)
+          .count() *
+      1e6);
+  if (impl_->error) {
+    std::exception_ptr error = std::move(impl_->error);
+    impl_->error = nullptr;
+    std::rethrow_exception(error);
   }
-  if (job->error) std::rethrow_exception(job->error);
 }
 
 void ParallelFor(size_t begin, size_t end, size_t grain,

@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <utility>
 
 namespace magneto::nn {
 
@@ -8,10 +9,17 @@ Linear::Linear(size_t in_dim, size_t out_dim)
     : in_dim_(in_dim),
       out_dim_(out_dim),
       weight_(in_dim, out_dim),
-      bias_(1, out_dim),
-      grad_weight_(in_dim, out_dim),
-      grad_bias_(1, out_dim) {
+      bias_(1, out_dim) {
   MAGNETO_CHECK(in_dim > 0 && out_dim > 0);
+}
+
+Linear::Linear(Matrix weight, Matrix bias)
+    : in_dim_(weight.rows()),
+      out_dim_(weight.cols()),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)) {
+  MAGNETO_CHECK(in_dim_ > 0 && out_dim_ > 0);
+  MAGNETO_CHECK(bias_.rows() == 1 && bias_.cols() == out_dim_);
 }
 
 Linear::Linear(size_t in_dim, size_t out_dim, Rng* rng)
@@ -41,6 +49,7 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   MAGNETO_CHECK(grad_output.cols() == out_dim_);
   MAGNETO_CHECK(grad_output.rows() == input.rows());
   MAGNETO_CHECK(state != nullptr);
+  EnsureGrads();
   // Each weight-gradient element's batch sum is finished inside the GEMM and
   // added to grad_weight_ once: the bits of a GEMM into a temporary plus
   // AddInPlace, without the temporary or the second pass. The bias column
@@ -51,7 +60,19 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   MatMulTransBInto(grad_output, weight_, grad_input);
 }
 
+std::vector<Matrix*> Linear::Grads() {
+  EnsureGrads();
+  return {&grad_weight_, &grad_bias_};
+}
+
+void Linear::EnsureGrads() {
+  if (!grad_weight_.empty()) return;
+  grad_weight_ = Matrix(in_dim_, out_dim_);
+  grad_bias_ = Matrix(1, out_dim_);
+}
+
 void Linear::ZeroGrad() {
+  // Empty buffers are zero gradients already.
   grad_weight_.Fill(0.0f);
   grad_bias_.Fill(0.0f);
 }
@@ -62,10 +83,7 @@ std::string Linear::name() const {
 }
 
 std::unique_ptr<Layer> Linear::Clone() const {
-  auto clone = std::make_unique<Linear>(in_dim_, out_dim_);
-  clone->weight_ = weight_;
-  clone->bias_ = bias_;
-  return clone;
+  return std::unique_ptr<Layer>(new Linear(weight_, bias_));
 }
 
 void Linear::Serialize(BinaryWriter* writer) const {
@@ -91,10 +109,8 @@ Result<std::unique_ptr<Linear>> Linear::Deserialize(BinaryReader* reader) {
   if (w.size() != in_dim * out_dim || b.size() != out_dim) {
     return Status::Corruption("linear layer payload size mismatch");
   }
-  auto layer = std::make_unique<Linear>(in_dim, out_dim);
-  layer->weight_ = Matrix(in_dim, out_dim, std::move(w));
-  layer->bias_ = Matrix(1, out_dim, std::move(b));
-  return layer;
+  return std::unique_ptr<Linear>(new Linear(
+      Matrix(in_dim, out_dim, std::move(w)), Matrix(1, out_dim, std::move(b))));
 }
 
 }  // namespace magneto::nn

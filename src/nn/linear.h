@@ -28,7 +28,9 @@ class Linear : public Layer {
                 Matrix* grad_input) override;
 
   std::vector<Matrix*> Params() override { return {&weight_, &bias_}; }
-  std::vector<Matrix*> Grads() override { return {&grad_weight_, &grad_bias_}; }
+  /// Sizes the gradient buffers (zeros) on first use, so a layer that
+  /// only serves inference never holds a weight-sized gradient.
+  std::vector<Matrix*> Grads() override;
   void ZeroGrad() override;
 
   LayerType type() const override { return LayerType::kLinear; }
@@ -52,8 +54,14 @@ class Linear : public Layer {
   size_t out_dim_;
   Matrix weight_;       ///< in_dim x out_dim
   Matrix bias_;         ///< 1 x out_dim
-  Matrix grad_weight_;
+  Matrix grad_weight_;  ///< empty until Grads() or Backward()
   Matrix grad_bias_;
+
+  /// Adopts `weight` (in_dim x out_dim) and `bias` (1 x out_dim) without
+  /// first zero-filling a weight-sized buffer (Clone, Deserialize).
+  Linear(Matrix weight, Matrix bias);
+
+  void EnsureGrads();
 };
 
 }  // namespace magneto::nn

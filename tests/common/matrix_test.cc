@@ -527,6 +527,86 @@ TEST(MatMulKernelTest, AccumulatePublicEntryPointMatchesAcrossCutOver) {
   }
 }
 
+// ---- Column-block kernel (MatMul below kPackedMinRows) ---------------------
+//
+// Every instantiation of the column-block kernel, kPortable's baseline one
+// included, must reproduce the portable oracle bit for bit at every lane
+// count: ragged quads and 64-wide k tiles, partial vectors and partial
+// chunks, and non-finite operands.
+
+/// Runs the column-block kernel for every supported ISA at 1, 3 and 4
+/// lanes on random operands of every (m, k, n) in the sweep, with `specials`
+/// scattered through both, and expects the oracle's bits.
+void ExpectColumnKernelMatchesPortable(const std::vector<size_t>& ks,
+                                       const std::vector<size_t>& ns,
+                                       const std::vector<float>& specials) {
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(83);
+  for (size_t k : ks) {
+    for (size_t n : ns) {
+      Matrix b = RandomMatrix(k, n, &rng);
+      if (!specials.empty()) Scatter(specials, &b, &rng);
+      std::vector<std::pair<Matrix, Matrix>> cases;  // (a, oracle) per m
+      for (size_t m = 1; m < gemm_internal::kPackedMinRows; ++m) {
+        Matrix a = RandomMatrix(m, k, &rng);
+        if (!specials.empty()) Scatter(specials, &a, &rng);
+        Matrix want;
+        gemm_internal::MatMulIntoWith(GemmIsa::kPortable, a, b, &want);
+        cases.emplace_back(std::move(a), std::move(want));
+      }
+      for (size_t lanes : {1, 3, 4}) {
+        SetParallelThreads(lanes);
+        for (const auto& [a, want] : cases) {
+          for (GemmIsa isa : AllIsas()) {
+            Matrix got(want.rows(), want.cols());
+            got.Fill(std::numeric_limits<float>::quiet_NaN());
+            gemm_internal::MatMulColumnsIntoWith(isa, a, b, &got);
+            ASSERT_TRUE(SameBits(got, want))
+                << ShapeLabel(a.rows(), k, n) << " isa "
+                << static_cast<int>(isa) << " lanes " << lanes;
+          }
+        }
+      }
+    }
+  }
+  SetParallelThreads(saved_threads);
+}
+
+TEST(MatMulKernelTest, ColumnKernelSmallBatchSweepBitIdenticalToPortable) {
+  ExpectColumnKernelMatchesPortable({1, 3, 4, 63, 64, 65, 80, 130, 1024},
+                                    {1, 15, 16, 17, 127, 128, 129, 512, 1024},
+                                    {});
+}
+
+TEST(MatMulKernelTest, ColumnKernelNonFiniteInputsBitIdenticalToPortable) {
+  // NaN, +-Inf and signed zeros in both operands: fresh NaNs mid-sum, and
+  // -0 products added to the +0 start.
+  ExpectColumnKernelMatchesPortable(
+      {3, 65, 130}, {15, 17, 129},
+      {std::numeric_limits<float>::infinity(),
+       -std::numeric_limits<float>::infinity(), DefaultNaN(), 0.0f, -0.0f});
+}
+
+TEST(MatMulKernelTest, ColumnKernelZeroSizedDimensions) {
+  Rng rng(89);
+  for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{0, 5, 7},
+                         {3, 0, 7},
+                         {3, 5, 0}}) {
+    const Matrix a = RandomMatrix(m, k, &rng), b = RandomMatrix(k, n, &rng);
+    for (GemmIsa isa : AllIsas()) {
+      Matrix out;
+      gemm_internal::MatMulColumnsIntoWith(isa, a, b, &out);
+      EXPECT_EQ(out.rows(), m);
+      EXPECT_EQ(out.cols(), n);
+      // k == 0 is an empty sum: every element is +0.
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(std::signbit(out.data()[i]), false);
+        EXPECT_EQ(out.data()[i], 0.0f);
+      }
+    }
+  }
+}
+
 TEST(MatMulKernelTest, DispatchedIsaIsSupportedAndReported) {
   const GemmIsa isa = gemm_internal::DispatchedIsa();
   EXPECT_TRUE(gemm_internal::IsaSupported(isa));

@@ -1,11 +1,15 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/metrics.h"
 
 namespace magneto {
 namespace {
@@ -125,6 +129,87 @@ TEST_F(ParallelTest, ManyConcurrentRegionsStayCoherent) {
     });
     ASSERT_EQ(sum.load(), 64u * 63u / 2u);
   }
+}
+
+/// Runs one region over [0, n) in chunks of `grain` and expects every index
+/// to have been visited exactly once.
+void ExpectCoverage(size_t n, size_t grain) {
+  std::vector<std::atomic<int>> hits(n);
+  ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
+  }
+}
+
+uint64_t Wakes() {
+  return obs::Registry::Global().GetCounter("parallel.wakes")->value();
+}
+
+TEST_F(ParallelTest, BackToBackRegionsFasterThanSpinBudget) {
+  // Regions microseconds apart: workers are still spinning on the last
+  // epoch, and late ones must never run a chunk of the next region twice.
+  SetParallelThreads(4);
+  for (int round = 0; round < 2000; ++round) ExpectCoverage(16, 1);
+}
+
+TEST_F(ParallelTest, RegionAfterWorkersWentToSleep) {
+  SetParallelThreads(4);
+  ExpectCoverage(64, 4);
+  // Far past the spin budget: every worker is blocked on the condition
+  // variable, and the next region has to wake one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t wakes = Wakes();
+  ExpectCoverage(64, 4);
+  EXPECT_GT(Wakes(), wakes);
+  ExpectCoverage(64, 4);
+}
+
+TEST_F(ParallelTest, SetThreadCountWhileWorkersSpin) {
+  for (size_t threads : {4, 2, 8, 1, 3, 4}) {
+    SetParallelThreads(threads);
+    ASSERT_EQ(ParallelThreads(), threads);
+    ExpectCoverage(1000, 7);  // workers spin after this; resize at once
+  }
+}
+
+TEST_F(ParallelTest, ExceptionThrownInSpunUpRegion) {
+  SetParallelThreads(4);
+  ExpectCoverage(64, 1);  // leaves the workers spinning
+  for (int round = 0; round < 50; ++round) {
+    EXPECT_THROW(ParallelFor(0, 64, 1,
+                             [&](size_t lo, size_t) {
+                               if (lo % 16 == 5) throw std::runtime_error("x");
+                             }),
+                 std::runtime_error);
+    ExpectCoverage(64, 1);
+  }
+}
+
+TEST_F(ParallelTest, AlternatingSmallAndLargeRegionsCoverEveryIndex) {
+  // Two-chunk regions that the submitter often finishes alone, between
+  // regions with many more chunks than lanes.
+  SetParallelThreads(4);
+  for (int round = 0; round < 10'000; ++round) {
+    if (round % 2 == 0) {
+      ExpectCoverage(2, 1);
+    } else {
+      ExpectCoverage(1000, 7);
+    }
+  }
+}
+
+TEST_F(ParallelTest, ConcurrentSubmittersEachCoverTheirRanges) {
+  // One thread's region holds the pool; the others' run inline meanwhile.
+  SetParallelThreads(4);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 3; ++t) {
+    submitters.emplace_back([] {
+      for (int round = 0; round < 300; ++round) ExpectCoverage(200, 9);
+    });
+  }
+  for (std::thread& t : submitters) t.join();
 }
 
 }  // namespace

@@ -122,6 +122,34 @@ TEST(LinearTest, DeserializeRejectsPayloadMismatch) {
   EXPECT_FALSE(Linear::Deserialize(&r).ok());
 }
 
+TEST(LinearTest, GradientBuffersAreSizedOnFirstUse) {
+  // A serving layer holds its weights and bias only; Clone and Deserialize
+  // adopt their buffers. Grads() hands training zeros of the right shape.
+  uint64_t before = Matrix::AllocationCount();
+  Linear layer(64, 32);
+  EXPECT_EQ(Matrix::AllocationCount() - before, 2u);
+  before = Matrix::AllocationCount();
+  auto clone = layer.Clone();
+  EXPECT_EQ(Matrix::AllocationCount() - before, 2u);
+  BinaryWriter w;
+  layer.Serialize(&w);
+  BinaryReader r(w.buffer());
+  ASSERT_EQ(r.ReadU8().value(), static_cast<uint8_t>(LayerType::kLinear));
+  before = Matrix::AllocationCount();
+  ASSERT_TRUE(Linear::Deserialize(&r).ok());
+  EXPECT_EQ(Matrix::AllocationCount() - before, 0u);  // adopts the vectors
+
+  const std::vector<Matrix*> grads = layer.Grads();
+  ASSERT_EQ(grads.size(), 2u);
+  EXPECT_EQ(grads[0]->rows(), 64u);
+  EXPECT_EQ(grads[0]->cols(), 32u);
+  EXPECT_EQ(grads[1]->rows(), 1u);
+  EXPECT_EQ(grads[1]->cols(), 32u);
+  for (const Matrix* g : grads) {
+    for (size_t i = 0; i < g->size(); ++i) EXPECT_EQ(g->data()[i], 0.0f);
+  }
+}
+
 TEST(LinearTest, NameDescribesShape) {
   Linear layer(80, 128);
   EXPECT_EQ(layer.name(), "Linear(80->128)");
