@@ -6,11 +6,11 @@
 // their pre-vectorisation form; plus the batch-1 stream window: Denoise and
 // the 80 features against copies of their column-at-a-time form, the
 // batch-1 backbone forward through the portable kernel and the column-block
-// kernel at 1, 2 and 4 lanes, and the heap allocations of a warmed
-// EdgeRuntime window at 1 and 4 lanes. Emits BENCH_parallel.json so the
-// perf trajectory is tracked across PRs, and fails (exit 1) if any workload
-// is not bit-identical across thread counts, kernel instantiations or the
-// before/after loops — the determinism contract of the shared runtime
+// kernel at 1, 2 and 4 lanes (and batches of 2, 4 and 8 at 1 and 4 lanes),
+// and the heap allocations of a warmed EdgeRuntime window at 1 and 4
+// lanes. Emits BENCH_parallel.json so the perf trajectory is tracked across
+// PRs, and fails (exit 1) if any workload is not bit-identical across
+// thread counts, kernel instantiations or the before/after loops — the determinism contract of the shared runtime
 // (DESIGN.md, "Parallel runtime") — if a packed instantiation is not at
 // least 1.2x the portable kernel, or if a warmed stream window allocates.
 //
@@ -160,10 +160,11 @@ struct BeforeAfter {
   bool identical = false;
 };
 
-/// The batch-1 backbone forward at one pool lane count, microseconds per
-/// forward: the portable kernel before, the dispatched column-block kernel
-/// after.
+/// The small-batch backbone forward at one batch size and pool lane count,
+/// microseconds per forward: the portable kernel before, the dispatched
+/// column-block kernel after.
 struct ForwardRow {
+  size_t rows = 1;
   size_t lanes = 1;
   BeforeAfter us;
 };
@@ -259,7 +260,22 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
                        "the dispatched column-block kernel across the pool; "
                        "median of 31 blocks of 100 back-to-back forwards");
   for (const ForwardRow& row : forward) {
-    WriteBeforeAfter(&json, LanesKey(row.lanes).c_str(), row.us);
+    if (row.rows == 1) {
+      WriteBeforeAfter(&json, LanesKey(row.lanes).c_str(), row.us);
+    }
+  }
+  json.EndObject()
+      .Key("small_batch_forward_us")
+      .BeginObject()
+      .Field("shapes", "as batch1_forward_us on m x 80 rows (the micro-"
+                       "batches EdgeFleet's serve threads stack), keyed "
+                       "rows_<m>_lanes_<n>");
+  for (const ForwardRow& row : forward) {
+    if (row.rows > 1) {
+      const std::string key =
+          "rows_" + std::to_string(row.rows) + "_" + LanesKey(row.lanes);
+      WriteBeforeAfter(&json, key.c_str(), row.us);
+    }
   }
   json.EndObject()
       .Key("workloads")
@@ -586,17 +602,19 @@ const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
   return *in;
 }
 
-/// The batch-1 paper-backbone forward at 1, 2 and 4 lanes, through the
-/// portable kernel and through MatMulInto's column-block kernel. The two
-/// sides alternate in blocks of back-to-back forwards, as windows of a
-/// stream arrive, so each lane's weight slice stays in its core's cache
-/// across the block; the outputs are compared bit for bit.
-std::vector<ForwardRow> MeasureBatch1Forward() {
+/// The paper-backbone forward through the portable kernel and through
+/// MatMulInto's column-block kernel: batch 1 (the stream) at 1, 2 and 4
+/// lanes, and batches of 2, 4 and 8 rows (a fleet serve thread's
+/// micro-batches) at 1 and 4 lanes. The two sides alternate in blocks of
+/// back-to-back forwards, as windows of a stream arrive, so each lane's
+/// weight slice stays in its core's cache across the block; the outputs are
+/// compared bit for bit.
+std::vector<ForwardRow> MeasureSmallBatchForward() {
   Rng rng(37);
   const nn::Sequential net = nn::BuildPaperBackbone(&rng);
-  Matrix x(1, preprocess::kNumFeatures);
-  for (size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+  Matrix inputs(8, preprocess::kNumFeatures);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
   }
   const auto portable = [](const Matrix& a, const Matrix& b, Matrix* out) {
     gemm_internal::MatMulIntoWith(gemm_internal::GemmIsa::kPortable, a, b,
@@ -607,9 +625,15 @@ std::vector<ForwardRow> MeasureBatch1Forward() {
   };
   constexpr int kRounds = 31, kBlock = 100;
   Matrix before_buffers[2], after_buffers[2];
+  const struct {
+    size_t rows, lanes;
+  } cases[] = {{1, 1}, {1, 2}, {1, 4}, {2, 1}, {4, 1},
+               {8, 1}, {2, 4}, {4, 4}, {8, 4}};
   std::vector<ForwardRow> rows;
-  for (size_t lanes : {1, 2, 4}) {
-    SetParallelThreads(lanes);
+  for (const auto& shape : cases) {
+    SetParallelThreads(shape.lanes);
+    Matrix x(shape.rows, inputs.cols());
+    std::copy(inputs.data(), inputs.data() + x.size(), x.data());
     std::vector<double> before_us, after_us;
     for (int round = 0; round < kRounds; ++round) {
       auto t0 = Clock::now();
@@ -625,7 +649,7 @@ std::vector<ForwardRow> MeasureBatch1Forward() {
     }
     const Matrix& want = ForwardWith(net, x, portable, before_buffers);
     const Matrix& got = ForwardWith(net, x, dispatched, after_buffers);
-    rows.push_back({lanes,
+    rows.push_back({shape.rows, shape.lanes,
                     {Median(before_us), Median(after_us),
                      Fingerprint(want.data(), want.size()) ==
                          Fingerprint(got.data(), got.size())}});
@@ -978,19 +1002,19 @@ int main() {
     }
   }
 
-  // --- The batch-1 backbone forward: portable vs column-block kernel ---
-  const std::vector<ForwardRow> forward = MeasureBatch1Forward();
+  // --- The small-batch backbone forward: portable vs column-block kernel ---
+  const std::vector<ForwardRow> forward = MeasureSmallBatchForward();
   bool forward_identical = true;
   for (const ForwardRow& row : forward) {
-    std::printf("batch-1 forward %zu lane(s) %8.2f us before, %8.2f us after "
-                "(x%.2f)%s\n",
-                row.lanes, row.us.before, row.us.after,
+    std::printf("batch-%zu forward %zu lane(s) %8.2f us before, %8.2f us "
+                "after (x%.2f)%s\n",
+                row.rows, row.lanes, row.us.before, row.us.after,
                 row.us.before / row.us.after,
                 row.us.identical ? "" : "  BITS DIFFER");
     forward_identical &= row.us.identical;
   }
   if (!forward_identical) {
-    std::fprintf(stderr, "the batch-1 forward differs from the portable "
+    std::fprintf(stderr, "a small-batch forward differs from the portable "
                          "kernel's!\n");
   }
 

@@ -193,8 +193,7 @@ struct ThreadPool::Impl {
   std::condition_variable work_cv;  // sleeping workers wait for an epoch
   std::condition_variable done_cv;  // a sleeping submitter waits for chunks
   std::vector<std::thread> workers;
-  // Held by the thread whose region owns the pool (and by SetThreadCount);
-  // a submitter that finds it taken runs its region inline.
+  // Serialises external submitters; nested calls never take this path.
   std::mutex submit_mutex;
 
   /// Runs chunks for `lane` until every cursor is exhausted: its own range
@@ -354,17 +353,10 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   if (grain == 0) grain = 1;
   const size_t num_chunks = (end - begin + grain - 1) / grain;
 
-  // Serial path: nested call, single-lane pool, a range that fits in one
-  // chunk, or a pool busy with another thread's region (a batch-1 forward
-  // must not queue behind a training GEMM, nor concurrent serving threads
-  // behind each other). Walk the identical chunk sequence so per-chunk
-  // kernels see the same subranges as the threaded path.
-  std::unique_lock<std::mutex> submit_lock;
-  if (!t_inside_pool && !impl_->workers.empty() && num_chunks > 1) {
-    submit_lock = std::unique_lock<std::mutex>(impl_->submit_mutex,
-                                               std::try_to_lock);
-  }
-  if (!submit_lock.owns_lock()) {
+  // Serial path: nested call, single-lane pool, or a range that fits in one
+  // chunk. Walk the identical chunk sequence so per-chunk kernels see the
+  // same subranges as the threaded path.
+  if (t_inside_pool || impl_->workers.empty() || num_chunks == 1) {
     // Counter-only telemetry here: this branch also serves nested calls from
     // inside workers, which are far too hot for clocks or spans.
     Metrics().serial_regions->Increment();
@@ -383,6 +375,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   obs::TraceSpan span("ParallelFor");
   obs::ScopedTimer region_timer(Metrics().region_us);
 
+  std::lock_guard<std::mutex> submit_lock(impl_->submit_mutex);
   impl_->Publish(begin, end, grain, num_chunks, &fn);
   {
     InsidePoolGuard guard;

@@ -24,9 +24,8 @@ namespace magneto {
 ///   3. `std::thread::hardware_concurrency()`.
 ///
 /// Nested `ParallelFor` calls (from inside a worker) run serially inline —
-/// the outer loop already owns the pool — and so does a call from a second
-/// thread while another thread's region holds it. Exceptions thrown by `fn`
-/// are captured and rethrown on the calling thread after all chunks finish.
+/// the outer loop already owns the pool. Exceptions thrown by `fn` are
+/// captured and rethrown on the calling thread after all chunks finish.
 ///
 /// Between regions the workers spin for a bounded time before they sleep,
 /// so a stream of small regions (one per layer of a batch-1 forward) pays

@@ -201,7 +201,7 @@ TEST_F(ParallelTest, AlternatingSmallAndLargeRegionsCoverEveryIndex) {
 }
 
 TEST_F(ParallelTest, ConcurrentSubmittersEachCoverTheirRanges) {
-  // One thread's region holds the pool; the others' run inline meanwhile.
+  // External submitters queue for the pool one region at a time.
   SetParallelThreads(4);
   std::vector<std::thread> submitters;
   for (int t = 0; t < 3; ++t) {
