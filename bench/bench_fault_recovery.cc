@@ -80,6 +80,7 @@ int Run() {
   }
 
   obs::JsonWriter json = BenchJson("fault_recovery");
+  WriteHostStamp(&json);
   json.Field("bundle_bytes", static_cast<uint64_t>(payload.size()))
       .Field("chunk_bytes",
              static_cast<uint64_t>(platform::TransportOptions{}.chunk_bytes))

@@ -129,9 +129,11 @@ ClosedLoopResult DriveClosedLoop(
 
   std::atomic<int> failures{0};
   std::vector<std::thread> drivers;
+  const int home = CurrentCpu();
   const auto t0 = Clock::now();
   for (size_t s = 0; s < streams.size(); ++s) {
     drivers.emplace_back([&, s] {
+      SpreadFrom(home, s);
       for (const sensors::Frame& frame : streams[s]) {
         if (!fleet->PushFrame(s, frame).ok()) failures.fetch_add(1);
       }

@@ -161,8 +161,7 @@ struct BeforeAfter {
 };
 
 /// The small-batch backbone forward at one batch size and pool lane count,
-/// microseconds per forward: the portable kernel before, the dispatched
-/// column-block kernel after.
+/// microseconds per forward: row-major weights before, weight panels after.
 struct ForwardRow {
   size_t rows = 1;
   size_t lanes = 1;
@@ -255,10 +254,12 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Key("batch1_forward_us")
       .BeginObject()
       .Field("shapes", "the paper backbone 80-1024-512-128-64-128 on one "
-                       "1 x 80 row, bias and ReLU included; before: the "
-                       "portable kernel, one serial chunk per layer; after: "
-                       "the dispatched column-block kernel across the pool; "
-                       "median of 31 blocks of 100 back-to-back forwards");
+                       "1 x 80 row, bias and ReLU included, through the "
+                       "dispatched column-block kernel across the pool; "
+                       "before: row-major weights read in place; after: "
+                       "weights in 128-column panels (nn::Linear's "
+                       "storage); median of 31 blocks of 100 back-to-back "
+                       "forwards");
   for (const ForwardRow& row : forward) {
     if (row.rows == 1) {
       WriteBeforeAfter(&json, LanesKey(row.lanes).c_str(), row.us);
@@ -580,20 +581,26 @@ void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features) {
   });
 }
 
-/// One forward of `net` on `x`: each Linear through `gemm` plus its bias,
-/// every other layer through its own Forward. Returns the output buffer.
-template <typename Gemm>
+/// One forward of `net` on `x`. With `row_major` (a row-major copy of each
+/// Linear's weights, in layer order), each Linear runs MatMulInto on its
+/// copy plus its bias: the storage every Linear had before weight panels.
+/// Without it, every layer runs its own Forward. Returns the output buffer.
 const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
-                          Gemm gemm, Matrix buffers[2]) {
+                          const std::vector<Matrix>* row_major,
+                          Matrix buffers[2]) {
   const Matrix* in = &x;
+  size_t linear = 0;
   for (size_t i = 0; i < net.num_layers(); ++i) {
     Matrix* out = &buffers[i % 2];
     const nn::Layer& layer = net.layer(i);
-    if (const auto* linear = dynamic_cast<const nn::Linear*>(&layer)) {
-      gemm(*in, linear->weight(), out);
-      const float* bias = linear->bias().data();
-      float* row = out->data();
-      for (size_t c = 0; c < out->cols(); ++c) row[c] += bias[c];
+    const auto* fc = dynamic_cast<const nn::Linear*>(&layer);
+    if (row_major != nullptr && fc != nullptr) {
+      MatMulInto(*in, (*row_major)[linear++], out);
+      const float* bias = fc->bias().data();
+      for (size_t r = 0; r < out->rows(); ++r) {
+        float* row = out->RowPtr(r);
+        for (size_t c = 0; c < out->cols(); ++c) row[c] += bias[c];
+      }
     } else {
       layer.Forward(*in, /*training=*/false, /*state=*/nullptr, out);
     }
@@ -602,57 +609,55 @@ const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
   return *in;
 }
 
-/// The paper-backbone forward through the portable kernel and through
-/// MatMulInto's column-block kernel: batch 1 (the stream) at 1, 2 and 4
-/// lanes, and batches of 2, 4 and 8 rows (a fleet serve thread's
-/// micro-batches) at 1 and 4 lanes. The two sides alternate in blocks of
-/// back-to-back forwards, as windows of a stream arrive, so each lane's
-/// weight slice stays in its core's cache across the block; the outputs are
-/// compared bit for bit.
+/// The paper-backbone forward through the dispatched small-batch kernel
+/// with row-major weights read in place (before) and with the weights in
+/// 128-column panels, as nn::Linear stores them (after): batches of 1, 2, 4
+/// and 8 rows (the stream, and a fleet serve thread's micro-batches) at 1,
+/// 2 and 4 lanes. The two sides alternate in blocks of back-to-back
+/// forwards, as windows of a stream arrive, so each lane's weight slice
+/// stays in its core's cache across the block; the outputs are compared bit
+/// for bit.
 std::vector<ForwardRow> MeasureSmallBatchForward() {
   Rng rng(37);
   const nn::Sequential net = nn::BuildPaperBackbone(&rng);
+  std::vector<Matrix> row_major;
+  for (size_t i = 0; i < net.num_layers(); ++i) {
+    if (const auto* fc = dynamic_cast<const nn::Linear*>(&net.layer(i))) {
+      row_major.push_back(fc->WeightRowMajor());
+    }
+  }
   Matrix inputs(8, preprocess::kNumFeatures);
   for (size_t i = 0; i < inputs.size(); ++i) {
     inputs.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
   }
-  const auto portable = [](const Matrix& a, const Matrix& b, Matrix* out) {
-    gemm_internal::MatMulIntoWith(gemm_internal::GemmIsa::kPortable, a, b,
-                                  out);
-  };
-  const auto dispatched = [](const Matrix& a, const Matrix& b, Matrix* out) {
-    MatMulInto(a, b, out);
-  };
   constexpr int kRounds = 31, kBlock = 100;
   Matrix before_buffers[2], after_buffers[2];
-  const struct {
-    size_t rows, lanes;
-  } cases[] = {{1, 1}, {1, 2}, {1, 4}, {2, 1}, {4, 1},
-               {8, 1}, {2, 4}, {4, 4}, {8, 4}};
   std::vector<ForwardRow> rows;
-  for (const auto& shape : cases) {
-    SetParallelThreads(shape.lanes);
-    Matrix x(shape.rows, inputs.cols());
-    std::copy(inputs.data(), inputs.data() + x.size(), x.data());
-    std::vector<double> before_us, after_us;
-    for (int round = 0; round < kRounds; ++round) {
-      auto t0 = Clock::now();
-      for (int i = 0; i < kBlock; ++i) {
-        ForwardWith(net, x, portable, before_buffers);
+  for (size_t batch : {1, 2, 4, 8}) {
+    for (size_t lanes : {1, 2, 4}) {
+      SetParallelThreads(lanes);
+      Matrix x(batch, inputs.cols());
+      std::copy(inputs.data(), inputs.data() + x.size(), x.data());
+      std::vector<double> before_us, after_us;
+      for (int round = 0; round < kRounds; ++round) {
+        auto t0 = Clock::now();
+        for (int i = 0; i < kBlock; ++i) {
+          ForwardWith(net, x, &row_major, before_buffers);
+        }
+        before_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
+        t0 = Clock::now();
+        for (int i = 0; i < kBlock; ++i) {
+          ForwardWith(net, x, nullptr, after_buffers);
+        }
+        after_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
       }
-      before_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
-      t0 = Clock::now();
-      for (int i = 0; i < kBlock; ++i) {
-        ForwardWith(net, x, dispatched, after_buffers);
-      }
-      after_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
+      const Matrix& want = ForwardWith(net, x, &row_major, before_buffers);
+      const Matrix& got = ForwardWith(net, x, nullptr, after_buffers);
+      rows.push_back({batch, lanes,
+                      {Median(before_us), Median(after_us),
+                       Fingerprint(want.data(), want.size()) ==
+                           Fingerprint(got.data(), got.size())}});
     }
-    const Matrix& want = ForwardWith(net, x, portable, before_buffers);
-    const Matrix& got = ForwardWith(net, x, dispatched, after_buffers);
-    rows.push_back({shape.rows, shape.lanes,
-                    {Median(before_us), Median(after_us),
-                     Fingerprint(want.data(), want.size()) ==
-                         Fingerprint(got.data(), got.size())}});
   }
   return rows;
 }
@@ -1002,7 +1007,7 @@ int main() {
     }
   }
 
-  // --- The small-batch backbone forward: portable vs column-block kernel ---
+  // --- The small-batch backbone forward: row-major vs panel weights ---
   const std::vector<ForwardRow> forward = MeasureSmallBatchForward();
   bool forward_identical = true;
   for (const ForwardRow& row : forward) {
@@ -1014,8 +1019,8 @@ int main() {
     forward_identical &= row.us.identical;
   }
   if (!forward_identical) {
-    std::fprintf(stderr, "a small-batch forward differs from the portable "
-                         "kernel's!\n");
+    std::fprintf(stderr, "a small-batch forward on panel weights differs "
+                         "from the row-major one!\n");
   }
 
   // --- A warmed stream window must not touch the heap, at any lane count ---

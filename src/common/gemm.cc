@@ -19,7 +19,6 @@
 // into FMAs.
 
 #include <algorithm>
-#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -54,12 +53,13 @@ size_t RowGrain(size_t flops_per_row) {
 }
 
 /// Tiled ikj kernel over the output-row range [row0, row1). The kk loop is
-/// 4-way unrolled into independent axpy streams: branch-free bodies with
-/// contiguous float accumulation that auto-vectorize cleanly. Accumulation
-/// order per output row depends only on the k tiling, so row partitioning
-/// never changes results.
-void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t row0,
-                size_t row1) {
+/// 4-way unrolled into independent axpy streams over each panel of B's row
+/// (one panel when B is row-major): branch-free bodies with contiguous
+/// float accumulation that auto-vectorize cleanly. Accumulation order per
+/// output row depends only on the k tiling, so row partitioning never
+/// changes results.
+void MatMulRows(const Matrix& a, const Matrix& b, const PanelIndex& bi,
+                Matrix* out, size_t row0, size_t row1) {
   const size_t k = a.cols(), n = b.cols();
   for (size_t i0 = row0; i0 < row1; i0 += kTile) {
     const size_t i1 = std::min(i0 + kTile, row1);
@@ -67,34 +67,42 @@ void MatMulRows(const Matrix& a, const Matrix& b, Matrix* out, size_t row0,
       const size_t k1 = std::min(k0 + kTile, k);
       for (size_t i = i0; i < i1; ++i) {
         const float* arow = a.RowPtr(i);
-        float* orow = out->RowPtr(i);
         size_t kk = k0;
         for (; kk + 4 <= k1; kk += 4) {
           const float a0 = arow[kk], a1 = arow[kk + 1];
           const float a2 = arow[kk + 2], a3 = arow[kk + 3];
-          const float* b0 = b.RowPtr(kk);
-          const float* b1 = b.RowPtr(kk + 1);
-          const float* b2 = b.RowPtr(kk + 2);
-          const float* b3 = b.RowPtr(kk + 3);
-          for (size_t j = 0; j < n; ++j) {
-            orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+          for (size_t p = 0; p < n; p += bi.Stride(p)) {
+            const size_t w = bi.Stride(p);
+            const float* b0 = b.data() + bi.Offset(kk, p);
+            const float* b1 = b0 + w;
+            const float* b2 = b1 + w;
+            const float* b3 = b2 + w;
+            float* orow = out->RowPtr(i) + p;
+            for (size_t j = 0; j < w; ++j) {
+              orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+            }
           }
         }
         for (; kk < k1; ++kk) {
           const float av = arow[kk];
-          const float* brow = b.RowPtr(kk);
-          for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+          for (size_t p = 0; p < n; p += bi.Stride(p)) {
+            const size_t w = bi.Stride(p);
+            const float* brow = b.data() + bi.Offset(kk, p);
+            float* orow = out->RowPtr(i) + p;
+            for (size_t j = 0; j < w; ++j) orow[j] += av * brow[j];
+          }
         }
       }
     }
   }
 }
 
-void PortableMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
+void PortableMatMul(const Matrix& a, const Matrix& b, const PanelIndex& bi,
+                    Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   out->Reset(m, n);  // the ikj kernel accumulates, so it needs zeros
   const auto rows = [&](size_t row0, size_t row1) {
-    MatMulRows(a, b, out, row0, row1);
+    MatMulRows(a, b, bi, out, row0, row1);
   };
   // Passed by reference: a std::function holds a reference_wrapper in its
   // small buffer, while this three-reference closure would be copied to the
@@ -103,40 +111,58 @@ void PortableMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   ParallelFor(0, m, RowGrain(k * n), std::cref(rows));
 }
 
-/// TransA, or out += a^T b when `add`. Partitioned over output rows
-/// (columns of a): each row's sum is finished over kk in `sum`, in the same
-/// order as a serial loop, and then stored or added once — so results are
+/// TransA, or out += a^T b when `add`, with `out` stored as `oi` says.
+/// Partitioned over output rows (columns of a): each row's sum is finished
+/// over kk in `sum`, one panel of the row at a time, in the same order as a
+/// serial loop, and then stored or added once — so results are
 /// bit-identical at any thread count, and the accumulating form matches a
 /// separate GEMM plus AddInPlace.
-void PortableTransA(const Matrix& a, const Matrix& b, Matrix* out, bool add) {
+void PortableTransA(const Matrix& a, const Matrix& b, Matrix* out,
+                    const PanelIndex& oi, bool add) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   if (!add) out->ResetForOverwrite(m, n);
   ParallelFor(0, m, RowGrain(k * n), [&](size_t i0, size_t i1) {
     std::vector<float> row(add ? n : 0);
     for (size_t i = i0; i < i1; ++i) {
-      float* orow = out->RowPtr(i);
-      float* sum = add ? row.data() : orow;
-      std::fill(sum, sum + n, 0.0f);
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float av = a.RowPtr(kk)[i];
-        const float* brow = b.RowPtr(kk);
-        for (size_t j = 0; j < n; ++j) sum[j] += av * brow[j];
-      }
-      if (add) {
-        for (size_t j = 0; j < n; ++j) orow[j] += sum[j];
+      for (size_t p = 0; p < n; p += oi.Stride(p)) {
+        const size_t w = oi.Stride(p);
+        float* orow = out->data() + oi.Offset(i, p);
+        float* sum = add ? row.data() : orow;
+        std::fill(sum, sum + w, 0.0f);
+        for (size_t kk = 0; kk < k; ++kk) {
+          const float av = a.RowPtr(kk)[i];
+          const float* brow = b.RowPtr(kk) + p;
+          for (size_t j = 0; j < w; ++j) sum[j] += av * brow[j];
+        }
+        if (add) {
+          for (size_t j = 0; j < w; ++j) orow[j] += sum[j];
+        }
       }
     }
   });
 }
 
-void PortableTransB(const Matrix& a, const Matrix& b, Matrix* out) {
+/// out = a b^T with b (n x k) stored as `bi` says. A row of b that spans
+/// panels is gathered once per chunk so Dot reads it contiguously.
+void PortableTransB(const Matrix& a, const Matrix& b, const PanelIndex& bi,
+                    Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   out->ResetForOverwrite(m, n);  // every element is assigned below
+  const bool gather = k > 0 && bi.Stride(0) < k;
   ParallelFor(0, m, RowGrain(k * n), [&](size_t row0, size_t row1) {
-    for (size_t i = row0; i < row1; ++i) {
-      const float* arow = a.RowPtr(i);
-      float* orow = out->RowPtr(i);
-      for (size_t j = 0; j < n; ++j) orow[j] = Dot(arow, b.RowPtr(j), k);
+    std::vector<float> row(gather ? k : 0);
+    for (size_t j = 0; j < n; ++j) {
+      const float* brow = b.RowPtr(j);
+      if (gather) {
+        for (size_t p = 0; p < k; p += bi.Stride(p)) {
+          std::memcpy(row.data() + p, b.data() + bi.Offset(j, p),
+                      bi.Stride(p) * sizeof(float));
+        }
+        brow = row.data();
+      }
+      for (size_t i = row0; i < row1; ++i) {
+        out->At(i, j) = Dot(a.RowPtr(i), brow, k);
+      }
     }
   });
 }
@@ -153,39 +179,46 @@ void PortableTransB(const Matrix& a, const Matrix& b, Matrix* out) {
 
 constexpr size_t kPanel = 32;
 
+// Every kPanel-wide slice and every 64-wide k block lies inside one
+// kPanelColumns-wide weight panel.
+static_assert(kPanelColumns % kPanel == 0 && kPanelColumns % 64 == 0);
+
 /// Per-thread, grow-only, 64-byte-aligned storage for one packed panel (at
 /// most 128 KiB at k = 1024). Grows to the largest k seen, never shrinks.
 float* PanelBuffer(size_t floats) {
-  constexpr size_t kAlignFloats = 16;
-  thread_local std::vector<float> buffer;
-  if (buffer.size() < floats + kAlignFloats) {
-    buffer.resize(floats + kAlignFloats);
-  }
-  const auto addr = reinterpret_cast<uintptr_t>(buffer.data());
-  return buffer.data() + (64 - addr % 64) % 64 / sizeof(float);
+  thread_local std::vector<float, CacheAlignedAllocator<float>> buffer;
+  if (buffer.size() < floats) buffer.resize(floats);
+  return buffer.data();
 }
 
 /// Packs b[kk][j0, j0 + cols) for every kk into panel row kk (MatMul and
-/// TransA: B is k x n in both).
-void PackRows(const Matrix& b, size_t j0, size_t cols, float* panel) {
-  for (size_t kk = 0; kk < b.rows(); ++kk) {
+/// TransA: B is k x n in both, stored as `bi` says).
+void PackRows(const Matrix& b, const PanelIndex& bi, size_t j0, size_t cols,
+              float* panel) {
+  const float* src = b.data() + bi.Offset(0, j0);
+  const size_t stride = bi.Stride(j0);
+  for (size_t kk = 0; kk < b.rows(); ++kk, src += stride) {
     float* dst = panel + kk * kPanel;
-    std::memcpy(dst, b.RowPtr(kk) + j0, cols * sizeof(float));
+    std::memcpy(dst, src, cols * sizeof(float));
     std::fill(dst + cols, dst + kPanel, 0.0f);
   }
 }
 
 /// Packs the transpose of b's rows [j0, j0 + cols) into panel row kk
-/// (TransB: B is n x k, so panel row kk holds b[j0 + jj][kk]).
-void PackColumns(const Matrix& b, size_t j0, size_t cols, float* panel) {
+/// (TransB: B is n x k, stored as `bi` says, so panel row kk holds
+/// b[j0 + jj][kk]).
+void PackColumns(const Matrix& b, const PanelIndex& bi, size_t j0,
+                 size_t cols, float* panel) {
   // Blocks of 64 panel rows (8 KiB) stay in L1 while all columns land.
   constexpr size_t kBlock = 64;
   const size_t k = b.cols();
   for (size_t k0 = 0; k0 < k; k0 += kBlock) {
     const size_t k1 = std::min(k0 + kBlock, k);
     for (size_t jj = 0; jj < cols; ++jj) {
-      const float* src = b.RowPtr(j0 + jj);
-      for (size_t kk = k0; kk < k1; ++kk) panel[kk * kPanel + jj] = src[kk];
+      const float* src = b.data() + bi.Offset(j0 + jj, k0);
+      for (size_t kk = k0; kk < k1; ++kk) {
+        panel[kk * kPanel + jj] = src[kk - k0];
+      }
     }
   }
   if (cols < kPanel) {
@@ -195,13 +228,16 @@ void PackColumns(const Matrix& b, size_t j0, size_t cols, float* panel) {
   }
 }
 
-/// Operands of one packed GEMM call: the output is row-major m x n and every
-/// element sums over k terms. With `add`, each finished sum is added to the
-/// output element instead of stored over it.
+/// Operands of one packed GEMM call: the output is m x n, stored as `oi`
+/// says, and every element sums over k terms; B is stored as `bi` says.
+/// With `add`, each finished sum is added to the output element instead of
+/// stored over it.
 struct PackedCall {
   const Matrix* a;
   const Matrix* b;
+  PanelIndex bi;
   float* out;
+  PanelIndex oi;
   size_t m, k, n;
   bool add = false;
 };
@@ -283,13 +319,18 @@ struct Packed {
     }
   }
 
-  /// Writes the first `cols` columns of each tile row to out + r * ldo, or
-  /// adds them to what is there (out = out + acc, Matrix::AddInPlace's
-  /// operand order) when `add`.
+  /// Writes the first `cols` columns of each tile row to output rows
+  /// [i, i + R) at column j0, or adds them to what is there (out = out +
+  /// acc, Matrix::AddInPlace's operand order) when the call adds. A slice
+  /// of kPanel columns lies in one panel of the output.
   template <size_t R>
   [[gnu::always_inline]] static inline void Store(const Tile<R>& acc,
-                                                  float* out, size_t ldo,
-                                                  size_t cols, bool add) {
+                                                  const PackedCall& c,
+                                                  size_t i, size_t j0,
+                                                  size_t cols) {
+    float* out = c.out + c.oi.Offset(i, j0);
+    const size_t ldo = c.oi.Stride(j0);
+    const bool add = c.add;
 #pragma GCC unroll 8
     for (size_t r = 0; r < R; ++r) {
       float* dst = out + r * ldo;
@@ -329,7 +370,7 @@ struct Packed {
     AddQuads<R>(acc, a, c.k, panel, groups);
     AddTerms<R>(acc, a + 4 * groups, c.k, 1, panel + 4 * groups * kPanel,
                 c.k - 4 * groups);
-    Store<R>(acc, c.out + i * c.n + j0, c.n, cols, c.add);
+    Store<R>(acc, c, i, j0, cols);
   }
 
   template <size_t R>
@@ -340,7 +381,7 @@ struct Packed {
     // a is k x m: output row i reads column i of a.
     Tile<R> acc{};
     AddTerms<R>(acc, c.a->data() + i, 1, c.m, panel, c.k);
-    Store<R>(acc, c.out + i * c.n + j0, c.n, cols, c.add);
+    Store<R>(acc, c, i, j0, cols);
   }
 
   template <size_t R>
@@ -376,7 +417,7 @@ struct Packed {
     Add<R>(s0, s1);
     Add<R>(s2, s3);
     Add<R>(s0, s2);
-    Store<R>(s0, c.out + i * c.n + j0, c.n, cols, c.add);
+    Store<R>(s0, c, i, j0, cols);
   }
 
   /// dst = dst + src, elementwise.
@@ -426,9 +467,9 @@ struct Packed {
     for (size_t p = p0; p < p1; ++p) {
       const size_t j0 = p * kPanel, cols = std::min(kPanel, c.n - j0);
       if constexpr (op == Op::kTransB) {
-        PackColumns(*c.b, j0, cols, panel);
+        PackColumns(*c.b, c.bi, j0, cols, panel);
       } else {
-        PackRows(*c.b, j0, cols, panel);
+        PackRows(*c.b, c.bi, j0, cols, panel);
       }
       constexpr size_t rows = op == Op::kTransB ? kStreamRows : kRows;
       size_t i = 0;
@@ -445,18 +486,21 @@ struct Packed {
 // A ParallelFor chunk is a block of output columns, and every element of
 // the block is finished inside it, so the split never divides a sum. Within
 // the block, tiles of R rows x C vectors keep their accumulators in
-// registers across all of k and read B's rows in place: a batch-1 layer
+// registers across all of k and read B where it is stored: a batch-1 layer
 // reads each weight once, and the lane that owns a block reads the same
-// weights every call. The per-element order is MatMulRows': groups of four
-// k-terms as ((a0*b0 + a1*b1) + a2*b2) + a3*b3 in k order, then the k % 4
-// tail a term at a time (its 64-wide k tiles are multiples of four, so only
-// the last one has a tail), from a +0 start.
+// weights every call. A chunk is at most kPanelColumns wide; with B in
+// Layout::kPanels its slice of the weights is one contiguous block, and a
+// chunk that straddles a panel edge runs as one sub-block per panel. The
+// per-element order is MatMulRows': groups of four k-terms as
+// ((a0*b0 + a1*b1) + a2*b2) + a3*b3 in k order, then the k % 4 tail a term
+// at a time (its 64-wide k tiles are multiples of four, so only the last
+// one has a tail), from a +0 start.
 
 /// Columns per chunk are a multiple of this (the widest vector), so only
 /// the last chunk of a row holds a partial vector.
 constexpr size_t kColumnQuantum = 16;
-/// Widest chunk: 128 columns are 512 contiguous bytes of every weight row.
-constexpr size_t kMaxChunkColumns = 128;
+/// Widest chunk: one weight panel, 512 contiguous bytes per k row.
+constexpr size_t kMaxChunkColumns = kPanelColumns;
 /// A layer is cut into at least this many chunks when it is big enough, so
 /// a phone-class four-core pool can spread it over every core.
 constexpr size_t kMinChunks = 4;
@@ -476,13 +520,16 @@ size_t ChunkColumns(size_t m, size_t k, size_t n) {
   return std::clamp<size_t>(rounded, kColumnQuantum, kMaxChunkColumns);
 }
 
-/// Operands of one column-block MatMul: out (m x n) = a (m x k) * b (k x n),
-/// all row-major.
+/// Operands of one column block: out (m x w) = a (m x k) * b (k x w), where
+/// a is row-major, row kk of b starts kk * ldb floats after `b`, and output
+/// row i starts i * ldo floats after `out`.
 struct ColumnCall {
   const float* a;
   const float* b;
+  size_t ldb;
   float* out;
-  size_t m, k, n;
+  size_t ldo;
+  size_t m, k;
 };
 
 /// The kernel body, written once over a GCC vector of W floats (W == 1 is
@@ -505,18 +552,18 @@ struct Columns {
   template <size_t R, size_t C>
   [[gnu::always_inline]] static inline void Tile(const ColumnCall& c,
                                                  size_t i, size_t j) {
-    const size_t k = c.k, n = c.n, groups = k / 4;
+    const size_t k = c.k, ldb = c.ldb, groups = k / 4;
     const float* a = c.a + i * k;
     const float* b = c.b + j;
     V acc[R][C] = {};
     for (size_t g = 0; g < groups; ++g) {
-      const float* b0 = b + 4 * g * n;
+      const float* b0 = b + 4 * g * ldb;
 #pragma GCC unroll 16
       for (size_t v = 0; v < C; ++v) {
         const V x0 = *reinterpret_cast<const U*>(b0 + v * W);
-        const V x1 = *reinterpret_cast<const U*>(b0 + n + v * W);
-        const V x2 = *reinterpret_cast<const U*>(b0 + 2 * n + v * W);
-        const V x3 = *reinterpret_cast<const U*>(b0 + 3 * n + v * W);
+        const V x1 = *reinterpret_cast<const U*>(b0 + ldb + v * W);
+        const V x2 = *reinterpret_cast<const U*>(b0 + 2 * ldb + v * W);
+        const V x3 = *reinterpret_cast<const U*>(b0 + 3 * ldb + v * W);
 #pragma GCC unroll 4
         for (size_t r = 0; r < R; ++r) {
           const float* ar = a + r * k + 4 * g;
@@ -528,7 +575,7 @@ struct Columns {
     for (size_t kk = 4 * groups; kk < k; ++kk) {
 #pragma GCC unroll 16
       for (size_t v = 0; v < C; ++v) {
-        const V x = *reinterpret_cast<const U*>(b + kk * n + v * W);
+        const V x = *reinterpret_cast<const U*>(b + kk * ldb + v * W);
 #pragma GCC unroll 4
         for (size_t r = 0; r < R; ++r) {
           acc[r][v] = acc[r][v] + a[r * k + kk] * x;
@@ -537,7 +584,7 @@ struct Columns {
     }
 #pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r) {
-      float* dst = c.out + (i + r) * n + j;
+      float* dst = c.out + (i + r) * c.ldo + j;
 #pragma GCC unroll 16
       for (size_t v = 0; v < C; ++v) {
         *reinterpret_cast<U*>(dst + v * W) = acc[r][v];
@@ -677,17 +724,27 @@ void RunPanels(PanelFn fn, const PackedCall& call) {
               [&](size_t p0, size_t p1) { fn(call, p0, p1); });
 }
 
-/// Runs the column-block kernel for `isa` over every column chunk of the
-/// output. The closure goes to ParallelFor by std::cref: it would not fit
-/// std::function's small buffer, and a warmed stream window must not
-/// allocate.
-void RunColumns(GemmIsa isa, const ColumnCall& call) {
+/// Runs the column-block kernel for `isa` over every column chunk of
+/// out = a * b, with b stored as `bi` says: each chunk as one sub-block per
+/// panel it touches. The closure goes to ParallelFor by std::cref: it would
+/// not fit std::function's small buffer, and a warmed stream window must
+/// not allocate.
+void RunColumns(GemmIsa isa, const Matrix& a, const Matrix& b,
+                const PanelIndex& bi, Matrix* out) {
   const PackedKernels* kernels = KernelsFor(isa);
   const ColumnFn fn = kernels == nullptr ? ColumnBlockPortable
                                          : kernels->columns;
-  const auto block = [&](size_t j0, size_t j1) { fn(call, j0, j1); };
-  ParallelFor(0, call.n, ChunkColumns(call.m, call.k, call.n),
-              std::cref(block));
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  const auto block = [&](size_t j0, size_t j1) {
+    for (size_t j = j0; j < j1;) {
+      const size_t end = std::min(j1, bi.First(j) + bi.Stride(j));
+      fn({a.data(), b.data() + bi.Offset(0, j), bi.Stride(j),
+          out->data() + j, n, m, k},
+         0, end - j);
+      j = end;
+    }
+  };
+  ParallelFor(0, n, ChunkColumns(m, k, n), std::cref(block));
 }
 
 GemmIsa BatchIsa(const Matrix& a) {
@@ -723,69 +780,78 @@ GemmIsa DispatchedIsa() {
   return isa;
 }
 
-void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                    Matrix* out) {
+void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b, Matrix* out,
+                    Layout b_layout) {
   MAGNETO_CHECK(a.cols() == b.rows());
   MAGNETO_CHECK(out != &a && out != &b);
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  const PanelIndex bi(k, n, b_layout);
   const PackedKernels* kernels = KernelsFor(isa);
-  if (kernels == nullptr) return PortableMatMul(a, b, out);
-  out->ResetForOverwrite(a.rows(), b.cols());  // every element is stored
+  if (kernels == nullptr) return PortableMatMul(a, b, bi, out);
+  out->ResetForOverwrite(m, n);  // every element is stored
   RunPanels(kernels->mat_mul,
-            {&a, &b, out->data(), a.rows(), a.cols(), b.cols()});
+            {&a, &b, bi, out->data(), PanelIndex(m, n, Layout::kRowMajor), m,
+             k, n});
 }
 
 void MatMulColumnsIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                           Matrix* out) {
+                           Matrix* out, Layout b_layout) {
   MAGNETO_CHECK(a.cols() == b.rows());
   MAGNETO_CHECK(out != &a && out != &b);
   out->ResetForOverwrite(a.rows(), b.cols());  // every element is stored
-  RunColumns(isa, {a.data(), b.data(), out->data(), a.rows(), a.cols(),
-                   b.cols()});
+  RunColumns(isa, a, b, PanelIndex(b.rows(), b.cols(), b_layout), out);
 }
 
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out) {
   MAGNETO_CHECK(a.rows() == b.rows());
   MAGNETO_CHECK(out != &a && out != &b);
+  const size_t m = a.cols(), k = a.rows(), n = b.cols();
+  const PanelIndex rows(k, n, Layout::kRowMajor), oi(m, n, Layout::kRowMajor);
   const PackedKernels* kernels = KernelsFor(isa);
-  if (kernels == nullptr) return PortableTransA(a, b, out, /*add=*/false);
-  out->ResetForOverwrite(a.cols(), b.cols());
-  RunPanels(kernels->trans_a,
-            {&a, &b, out->data(), a.cols(), a.rows(), b.cols()});
+  if (kernels == nullptr) return PortableTransA(a, b, out, oi, /*add=*/false);
+  out->ResetForOverwrite(m, n);
+  RunPanels(kernels->trans_a, {&a, &b, rows, out->data(), oi, m, k, n});
 }
 
 void MatMulTransAAccumulateWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                                Matrix* out) {
+                                Matrix* out, Layout out_layout) {
   MAGNETO_CHECK(a.rows() == b.rows());
   MAGNETO_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
   MAGNETO_CHECK(out != &a && out != &b);
+  const size_t m = a.cols(), k = a.rows(), n = b.cols();
+  const PanelIndex rows(k, n, Layout::kRowMajor), oi(m, n, out_layout);
   const PackedKernels* kernels = KernelsFor(isa);
-  if (kernels == nullptr) return PortableTransA(a, b, out, /*add=*/true);
+  if (kernels == nullptr) return PortableTransA(a, b, out, oi, /*add=*/true);
   RunPanels(kernels->trans_a,
-            {&a, &b, out->data(), a.cols(), a.rows(), b.cols(), /*add=*/true});
+            {&a, &b, rows, out->data(), oi, m, k, n, /*add=*/true});
 }
 
 void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                          Matrix* out) {
+                          Matrix* out, Layout b_layout) {
   MAGNETO_CHECK(a.cols() == b.cols());
   MAGNETO_CHECK(out != &a && out != &b);
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  const PanelIndex bi(n, k, b_layout);
   const PackedKernels* kernels = KernelsFor(isa);
-  if (kernels == nullptr) return PortableTransB(a, b, out);
-  out->ResetForOverwrite(a.rows(), b.rows());
+  if (kernels == nullptr) return PortableTransB(a, b, bi, out);
+  out->ResetForOverwrite(m, n);
   RunPanels(kernels->trans_b,
-            {&a, &b, out->data(), a.rows(), a.cols(), b.rows()});
+            {&a, &b, bi, out->data(), PanelIndex(m, n, Layout::kRowMajor), m,
+             k, n});
 }
 
 }  // namespace gemm_internal
 
 using gemm_internal::BatchIsa;
 
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
+                Layout b_layout) {
   const gemm_internal::GemmIsa isa = gemm_internal::DispatchedIsa();
   if (a.rows() < gemm_internal::kPackedMinRows) {
-    return gemm_internal::MatMulColumnsIntoWith(isa, a, b, out);
+    return gemm_internal::MatMulColumnsIntoWith(isa, a, b, out, b_layout);
   }
-  gemm_internal::MatMulIntoWith(isa, a, b, out);
+  gemm_internal::MatMulIntoWith(isa, a, b, out, b_layout);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -804,12 +870,39 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
-  gemm_internal::MatMulTransAAccumulateWith(BatchIsa(a), a, b, out);
+void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out,
+                            Layout out_layout) {
+  gemm_internal::MatMulTransAAccumulateWith(BatchIsa(a), a, b, out,
+                                            out_layout);
 }
 
-void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  gemm_internal::MatMulTransBIntoWith(BatchIsa(a), a, b, out);
+void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out,
+                      Layout b_layout) {
+  gemm_internal::MatMulTransBIntoWith(BatchIsa(a), a, b, out, b_layout);
+}
+
+void RowMajorToPanels(size_t rows, size_t cols, const void* src,
+                      float* dst) {
+  const gemm_internal::PanelIndex index(rows, cols, Layout::kPanels);
+  const auto* bytes = static_cast<const unsigned char*>(src);
+  for (size_t p = 0; p < cols; p += index.Stride(p)) {
+    for (size_t r = 0; r < rows; ++r) {
+      std::memcpy(dst + index.Offset(r, p),
+                  bytes + (r * cols + p) * sizeof(float),
+                  index.Stride(p) * sizeof(float));
+    }
+  }
+}
+
+void PanelsToRowMajor(size_t rows, size_t cols, const float* src,
+                      float* dst) {
+  const gemm_internal::PanelIndex index(rows, cols, Layout::kPanels);
+  for (size_t p = 0; p < cols; p += index.Stride(p)) {
+    for (size_t r = 0; r < rows; ++r) {
+      std::memcpy(dst + r * cols + p, src + index.Offset(r, p),
+                  index.Stride(p) * sizeof(float));
+    }
+  }
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {

@@ -23,9 +23,19 @@ uint64_t Matrix::AllocationCount() {
   return g_matrix_allocations.load(std::memory_order_relaxed);
 }
 
-Matrix::Matrix(size_t rows, size_t cols, std::vector<float> data)
-    : rows_(rows), cols_(cols), data_(std::move(data)) {
+Matrix::Matrix(size_t rows, size_t cols, const std::vector<float>& data)
+    : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
   MAGNETO_CHECK(data_.size() == rows_ * cols_);
+  if (!data_.empty()) BumpAllocations();
+}
+
+Matrix Matrix::Adopt(size_t rows, size_t cols, Storage data) {
+  MAGNETO_CHECK(data.size() == rows * cols);
+  Matrix out;
+  out.rows_ = rows;
+  out.cols_ = cols;
+  out.data_ = std::move(data);
+  return out;
 }
 
 std::vector<float> Matrix::Row(size_t r) const {

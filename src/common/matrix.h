@@ -3,12 +3,51 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 
 namespace magneto {
+
+/// std::allocator with 64-byte alignment: a buffer starts on a cache line,
+/// so a 64-byte vector load at a multiple of 16 floats never spans two.
+/// It over-allocates 64 bytes from plain operator new and keeps the block's
+/// address just below the aligned pointer. (operator new with an
+/// align_val_t goes to glibc's memalign, whose split blocks fragmented the
+/// heap enough to raise the stream's peak RSS by about 6 MiB.)
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr size_t kAlignment = 64;
+
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    char* block =
+        static_cast<char*>(::operator new(n * sizeof(T) + kAlignment));
+    // operator new aligns to at least 16, so there are 16 or more bytes
+    // below the aligned pointer for the block's address.
+    char* aligned =
+        block + (kAlignment - reinterpret_cast<uintptr_t>(block) % kAlignment);
+    std::memcpy(aligned - sizeof(block), &block, sizeof(block));
+    return reinterpret_cast<T*>(aligned);
+  }
+  void deallocate(T* p, size_t) {
+    char* block;
+    std::memcpy(&block, reinterpret_cast<char*>(p) - sizeof(block),
+                sizeof(block));
+    ::operator delete(block);
+  }
+  template <typename U>
+  bool operator==(const CacheAlignedAllocator<U>&) const {
+    return true;
+  }
+};
 
 /// Dense row-major float matrix.
 ///
@@ -20,9 +59,11 @@ namespace magneto {
 /// register-blocked kernel built for the host's widest vector ISA
 /// (common/gemm.cc); every GEMM kernel accumulates each output element in
 /// one fixed order, so results are bit-identical at any ISA and thread
-/// count.
+/// count. The buffer is 64-byte aligned (CacheAlignedAllocator).
 class Matrix {
  public:
+  using Storage = std::vector<float, CacheAlignedAllocator<float>>;
+
   Matrix() : rows_(0), cols_(0) {}
 
   /// Creates a `rows` x `cols` matrix, zero-initialised.
@@ -32,7 +73,10 @@ class Matrix {
   }
 
   /// Creates a matrix from row-major data. `data.size()` must be rows*cols.
-  Matrix(size_t rows, size_t cols, std::vector<float> data);
+  Matrix(size_t rows, size_t cols, const std::vector<float>& data);
+
+  /// A matrix that adopts `data` (rows*cols floats) without copying it.
+  static Matrix Adopt(size_t rows, size_t cols, Storage data);
 
   Matrix(const Matrix& other)
       : rows_(other.rows_), cols_(other.cols_), data_(other.data_) {
@@ -78,7 +122,7 @@ class Matrix {
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
-  const std::vector<float>& storage() const { return data_; }
+  std::span<const float> storage() const { return data_; }
 
   /// Copies row `r` into a new vector.
   std::vector<float> Row(size_t r) const;
@@ -144,8 +188,28 @@ class Matrix {
 
   size_t rows_;
   size_t cols_;
-  std::vector<float> data_;
+  Storage data_;
 };
+
+/// How a GEMM operand stores its elements.
+///   kRowMajor — row after row, as every Matrix does unless stated;
+///   kPanels   — the columns are cut into panels of kPanelColumns (the last
+///               one narrower); each panel is a rows x width row-major
+///               block, and the panels follow one another. A matrix of at
+///               most kPanelColumns columns is the same in both.
+/// nn::Linear keeps its weight (and weight gradient) in kPanels: the
+/// batch-1 kernel splits a layer into chunks of at most kPanelColumns
+/// output columns, and each chunk then reads one contiguous, 64-byte
+/// aligned block of the weights (common/gemm_internal.h).
+enum class Layout { kRowMajor, kPanels };
+inline constexpr size_t kPanelColumns = 128;
+
+/// Copies the rows x cols row-major floats at `src` (any alignment) to
+/// `dst` in Layout::kPanels. The two must not overlap.
+void RowMajorToPanels(size_t rows, size_t cols, const void* src, float* dst);
+/// Copies rows x cols floats stored in Layout::kPanels at `src` to
+/// row-major `dst`. The two must not overlap.
+void PanelsToRowMajor(size_t rows, size_t cols, const float* src, float* dst);
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
@@ -162,17 +226,21 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 // decomposition (so results are bit-identical to the producer forms), but the
 // result lands in a caller-owned buffer that is resized in place — a buffer
 // reused at a stable shape never touches the allocator. `out` must not alias
-// `a` or `b`.
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
+// `a` or `b`. `b_layout` says how `b` is stored; the output is row-major, and
+// the result does not depend on the layout.
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
+                Layout b_layout = Layout::kRowMajor);
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out);
-void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out);
+void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out,
+                      Layout b_layout = Layout::kRowMajor);
 
-/// out += a^T * b, for an `out` already shaped (m x n). Each element's
-/// k-sum is finished first and added to `out` once, so the result is
-/// bit-identical to MatMulTransAInto into a temporary followed by
-/// `out->AddInPlace(temporary)` — without the temporary or the second pass.
-/// `out` must not alias `a` or `b`.
-void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
+/// out += a^T * b, for an `out` already shaped (m x n) and stored in
+/// `out_layout`. Each element's k-sum is finished first and added to `out`
+/// once, so the result is bit-identical to MatMulTransAInto into a temporary
+/// followed by `out->AddInPlace(temporary)` — without the temporary or the
+/// second pass. `out` must not alias `a` or `b`.
+void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* out,
+                            Layout out_layout = Layout::kRowMajor);
 
 /// Stacks `top` above `bottom` (column counts must match).
 Matrix VStack(const Matrix& top, const Matrix& bottom);

@@ -100,12 +100,8 @@ bool SpinUntil(Ready ready) {
   }
 }
 
-/// Moves the calling worker to the CPU `lane` places after `home` in its
-/// allowed set, then allows the whole set again. The lanes start on
-/// distinct CPUs even where the scheduler never balances load (a cpuset
-/// with sched_load_balance off keeps every thread on the CPU it was created
-/// on, so all lanes would share the submitter's); where it does balance,
-/// it stays free to move them.
+}  // namespace
+
 void SpreadFrom(int home, size_t lane) {
 #if defined(__linux__)
   cpu_set_t allowed;
@@ -141,8 +137,6 @@ int CurrentCpu() {
   return -1;
 #endif
 }
-
-}  // namespace
 
 /// The pool owns one job slot that every region reuses, so a region
 /// allocates nothing.

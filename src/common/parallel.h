@@ -61,6 +61,19 @@ class ThreadPool {
   Impl* impl_;
 };
 
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int CurrentCpu();
+
+/// Moves the calling thread to the CPU `lane` places after `home` in its
+/// allowed set, then allows the whole set again. Threads started this way
+/// (pool workers, EdgeFleet's serve workers) begin on distinct CPUs even
+/// where the scheduler never balances load: a cpuset with
+/// sched_load_balance off keeps every thread on the CPU it was created on,
+/// so all of them would share their creator's. Where the scheduler does
+/// balance, it stays free to move them. A no-op for home < 0 or fewer than
+/// two allowed CPUs.
+void SpreadFrom(int home, size_t lane);
+
 /// Convenience wrappers over ThreadPool::Global().
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);

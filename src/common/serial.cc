@@ -59,7 +59,7 @@ void BinaryWriter::WriteString(const std::string& s) {
   buffer_.append(s);
 }
 
-void BinaryWriter::WriteF32Vector(const std::vector<float>& v) {
+void BinaryWriter::WriteF32Vector(std::span<const float> v) {
   WriteU64(v.size());
   if (!v.empty()) {
     buffer_.append(reinterpret_cast<const char*>(v.data()),
@@ -185,16 +185,24 @@ Result<std::vector<int8_t>> BinaryReader::ReadI8Vector() {
 
 Result<std::vector<float>> BinaryReader::ReadF32VectorExpected(
     uint64_t expected) {
+  MAGNETO_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
+                           ReadF32VectorBytes(expected));
+  std::vector<float> v(expected);
+  if (expected > 0) std::memcpy(v.data(), bytes.data(), bytes.size());
+  return v;
+}
+
+Result<std::span<const uint8_t>> BinaryReader::ReadF32VectorBytes(
+    uint64_t expected) {
   MAGNETO_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
   if (n != expected) {
     return Status::Corruption("f32 vector count " + std::to_string(n) +
                               " != expected " + std::to_string(expected));
   }
   MAGNETO_RETURN_IF_ERROR(Require(n * sizeof(float)));
-  std::vector<float> v(n);
-  if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(float));
-  pos_ += n * sizeof(float);
-  return v;
+  const std::span<const uint8_t> bytes(data_ + pos_, n * sizeof(float));
+  pos_ += bytes.size();
+  return bytes;
 }
 
 Result<std::vector<int8_t>> BinaryReader::ReadI8VectorExpected(

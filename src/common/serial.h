@@ -2,6 +2,7 @@
 #define MAGNETO_COMMON_SERIAL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ class BinaryWriter {
   void WriteString(const std::string& s);
 
   /// u64 count + packed f32 payload.
-  void WriteF32Vector(const std::vector<float>& v);
+  void WriteF32Vector(std::span<const float> v);
 
   /// u64 count + packed i64 payload.
   void WriteI64Vector(const std::vector<int64_t>& v);
@@ -87,6 +88,10 @@ class BinaryReader {
   /// allocation.
   Result<std::vector<float>> ReadF32VectorExpected(uint64_t expected);
   Result<std::vector<int8_t>> ReadI8VectorExpected(uint64_t expected);
+  /// ReadF32VectorExpected without the copy: a view of the `expected`
+  /// floats' bytes in the buffer (any alignment; memcpy them out), valid
+  /// while the buffer is.
+  Result<std::span<const uint8_t>> ReadF32VectorBytes(uint64_t expected);
 
   size_t position() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }

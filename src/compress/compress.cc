@@ -52,8 +52,8 @@ Result<double> PruneByMagnitude(nn::Sequential* net, double fraction) {
   for (size_t i = 0; i < net->num_layers(); ++i) {
     if (net->layer(i).type() != nn::LayerType::kLinear) continue;
     auto& linear = static_cast<nn::Linear&>(net->layer(i));
-    Matrix& w = linear.weight();
     if (fraction == 0.0) continue;
+    Matrix w = linear.WeightRowMajor();
 
     // Per-layer magnitude threshold at the requested quantile. Ties at the
     // threshold are all pruned, so the achieved sparsity can slightly exceed
@@ -71,6 +71,7 @@ Result<double> PruneByMagnitude(nn::Sequential* net, double fraction) {
     for (size_t j = 0; j < w.size(); ++j) {
       if (std::fabs(w.data()[j]) <= threshold) w.data()[j] = 0.0f;
     }
+    linear.SetWeightRowMajor(w);
   }
   return Sparsity(*net);
 }
@@ -78,7 +79,7 @@ Result<double> PruneByMagnitude(nn::Sequential* net, double fraction) {
 double Sparsity(const nn::Sequential& net) {
   size_t zeros = 0, total = 0;
   for (const nn::Linear* linear : LinearLayers(net)) {
-    const Matrix& w = linear->weight();
+    const Matrix w = linear->WeightRowMajor();
     total += w.size();
     for (size_t j = 0; j < w.size(); ++j) {
       if (w.data()[j] == 0.0f) ++zeros;
@@ -91,7 +92,7 @@ double Sparsity(const nn::Sequential& net) {
 size_t SparseEncodedBytes(const nn::Sequential& net) {
   size_t bytes = 0;
   for (const nn::Linear* linear : LinearLayers(net)) {
-    const Matrix& w = linear->weight();
+    const Matrix w = linear->WeightRowMajor();
     size_t nnz = 0;
     for (size_t j = 0; j < w.size(); ++j) {
       if (w.data()[j] != 0.0f) ++nnz;
@@ -118,7 +119,7 @@ Result<nn::Sequential> FactorizeBackbone(const nn::Sequential& net,
     const auto& linear = static_cast<const nn::Linear&>(layer);
     const size_t in = linear.in_dim();
     const size_t n_out = linear.out_dim();
-    MAGNETO_ASSIGN_OR_RETURN(SvdResult svd, Svd(linear.weight()));
+    MAGNETO_ASSIGN_OR_RETURN(SvdResult svd, Svd(linear.WeightRowMajor()));
     size_t k = RankForEnergy(svd, energy_fraction);
     // Only factor when the two thin layers are actually smaller.
     if (k * (in + n_out) >= in * n_out) {
@@ -127,20 +128,23 @@ Result<nn::Sequential> FactorizeBackbone(const nn::Sequential& net,
     }
     // W ~ (U_k sqrt(S)) * (sqrt(S) Vt_k): split the spectrum evenly so both
     // factors stay well-scaled.
-    auto first = std::make_unique<nn::Linear>(in, k);
-    auto second = std::make_unique<nn::Linear>(k, n_out);
+    Matrix first_weight(in, k), second_weight(k, n_out);
     for (size_t r = 0; r < in; ++r) {
       for (size_t c = 0; c < k; ++c) {
-        first->weight().At(r, c) =
+        first_weight.At(r, c) =
             svd.u.At(r, c) * std::sqrt(std::max(0.0f, svd.s[c]));
       }
     }
     for (size_t r = 0; r < k; ++r) {
       const float root = std::sqrt(std::max(0.0f, svd.s[r]));
       for (size_t c = 0; c < n_out; ++c) {
-        second->weight().At(r, c) = root * svd.vt.At(r, c);
+        second_weight.At(r, c) = root * svd.vt.At(r, c);
       }
     }
+    auto first = std::make_unique<nn::Linear>(in, k);
+    auto second = std::make_unique<nn::Linear>(k, n_out);
+    first->SetWeightRowMajor(first_weight);
+    second->SetWeightRowMajor(second_weight);
     second->bias() = linear.bias();
     out.Add(std::move(first));
     out.Add(std::move(second));

@@ -86,7 +86,6 @@
 #include "sensors/activity.h"
 #include "sensors/context.h"
 #include "sensors/dataset.h"
-#include "sensors/faults.h"
 #include "sensors/recording.h"
 #include "sensors/recording_io.h"
 #include "sensors/sensor_types.h"

@@ -1,6 +1,8 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <utility>
 
 namespace magneto::nn {
@@ -25,17 +27,32 @@ Linear::Linear(Matrix weight, Matrix bias)
 Linear::Linear(size_t in_dim, size_t out_dim, Rng* rng)
     : Linear(in_dim, out_dim) {
   // He-uniform: U(-limit, limit), limit = sqrt(6 / fan_in). Suits the ReLU
-  // MLP backbone.
+  // MLP backbone. Drawn in row-major order, so each (row, column) gets the
+  // same value whatever the storage layout.
   const double limit = std::sqrt(6.0 / static_cast<double>(in_dim));
-  for (size_t i = 0; i < weight_.size(); ++i) {
-    weight_.data()[i] = static_cast<float>(rng->Uniform(-limit, limit));
+  Matrix drawn(in_dim, out_dim);
+  for (size_t i = 0; i < drawn.size(); ++i) {
+    drawn.data()[i] = static_cast<float>(rng->Uniform(-limit, limit));
   }
+  SetWeightRowMajor(drawn);
+}
+
+Matrix Linear::WeightRowMajor() const {
+  Matrix out;
+  out.ResetForOverwrite(in_dim_, out_dim_);
+  PanelsToRowMajor(in_dim_, out_dim_, weight_.data(), out.data());
+  return out;
+}
+
+void Linear::SetWeightRowMajor(const Matrix& weight) {
+  MAGNETO_CHECK(weight.rows() == in_dim_ && weight.cols() == out_dim_);
+  RowMajorToPanels(in_dim_, out_dim_, weight.data(), weight_.data());
 }
 
 void Linear::Forward(const Matrix& input, bool /*training*/,
                      LayerState* /*state*/, Matrix* output) const {
   MAGNETO_CHECK(input.cols() == in_dim_);
-  MatMulInto(input, weight_, output);
+  MatMulInto(input, weight_, output, Layout::kPanels);
   for (size_t r = 0; r < output->rows(); ++r) {
     float* row = output->RowPtr(r);
     const float* b = bias_.RowPtr(0);
@@ -54,10 +71,10 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   // added to grad_weight_ once: the bits of a GEMM into a temporary plus
   // AddInPlace, without the temporary or the second pass. The bias column
   // sums go through the workspace row the same way.
-  MatMulTransAAccumulate(input, grad_output, &grad_weight_);
+  MatMulTransAAccumulate(input, grad_output, &grad_weight_, Layout::kPanels);
   grad_output.ColSumInto(&state->scratch_row);
   grad_bias_.AddInPlace(state->scratch_row);
-  MatMulTransBInto(grad_output, weight_, grad_input);
+  MatMulTransBInto(grad_output, weight_, grad_input, Layout::kPanels);
 }
 
 std::vector<Matrix*> Linear::Grads() {
@@ -90,7 +107,7 @@ void Linear::Serialize(BinaryWriter* writer) const {
   writer->WriteU8(static_cast<uint8_t>(LayerType::kLinear));
   writer->WriteU64(in_dim_);
   writer->WriteU64(out_dim_);
-  writer->WriteF32Vector(weight_.storage());
+  writer->WriteF32Vector(WeightRowMajor().storage());
   writer->WriteF32Vector(bias_.storage());
 }
 
@@ -104,13 +121,18 @@ Result<std::unique_ptr<Linear>> Linear::Deserialize(BinaryReader* reader) {
   if (in_dim == 0 || out_dim == 0 || in_dim > kMaxDim || out_dim > kMaxDim) {
     return Status::Corruption("linear layer dimensions out of range");
   }
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<float> w, reader->ReadF32Vector());
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<float> b, reader->ReadF32Vector());
-  if (w.size() != in_dim * out_dim || b.size() != out_dim) {
-    return Status::Corruption("linear layer payload size mismatch");
-  }
-  return std::unique_ptr<Linear>(new Linear(
-      Matrix(in_dim, out_dim, std::move(w)), Matrix(1, out_dim, std::move(b))));
+  // The row-major wire bytes go straight into panel order: one
+  // weight-sized buffer, which the layer adopts.
+  MAGNETO_ASSIGN_OR_RETURN(std::span<const uint8_t> w,
+                           reader->ReadF32VectorBytes(in_dim * out_dim));
+  MAGNETO_ASSIGN_OR_RETURN(std::span<const uint8_t> b,
+                           reader->ReadF32VectorBytes(out_dim));
+  Matrix::Storage weight(in_dim * out_dim), bias(out_dim);
+  RowMajorToPanels(in_dim, out_dim, w.data(), weight.data());
+  std::memcpy(bias.data(), b.data(), b.size());
+  return std::unique_ptr<Linear>(
+      new Linear(Matrix::Adopt(in_dim, out_dim, std::move(weight)),
+                 Matrix::Adopt(1, out_dim, std::move(bias))));
 }
 
 }  // namespace magneto::nn

@@ -12,6 +12,13 @@
 namespace magneto::nn {
 
 /// Fully-connected layer: y = x W + b, with W of shape (in_dim x out_dim).
+///
+/// W and its gradient are stored in Layout::kPanels (common/matrix.h), the
+/// order the batch-1 GEMM kernel streams them in, and there is no second,
+/// row-major copy. Params() and Grads() hand out that storage: optimisers
+/// and regularisers treat it elementwise, which is layout-blind. Everything
+/// that needs W by (row, column) goes through WeightRowMajor() and
+/// SetWeightRowMajor(); the wire format stays row-major.
 class Linear : public Layer {
  public:
   /// Weights start at zero; call an initialiser (see initializer.h) or use
@@ -40,8 +47,10 @@ class Linear : public Layer {
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return out_dim_; }
 
-  Matrix& weight() { return weight_; }
-  const Matrix& weight() const { return weight_; }
+  /// A row-major copy of W (in_dim x out_dim).
+  Matrix WeightRowMajor() const;
+  /// Replaces W with the row-major `weight` (in_dim x out_dim).
+  void SetWeightRowMajor(const Matrix& weight);
   Matrix& bias() { return bias_; }
   const Matrix& bias() const { return bias_; }
 
@@ -52,13 +61,14 @@ class Linear : public Layer {
  private:
   size_t in_dim_;
   size_t out_dim_;
-  Matrix weight_;       ///< in_dim x out_dim
+  Matrix weight_;       ///< in_dim x out_dim, Layout::kPanels
   Matrix bias_;         ///< 1 x out_dim
-  Matrix grad_weight_;  ///< empty until Grads() or Backward()
+  Matrix grad_weight_;  ///< empty until Grads() or Backward(); kPanels
   Matrix grad_bias_;
 
-  /// Adopts `weight` (in_dim x out_dim) and `bias` (1 x out_dim) without
-  /// first zero-filling a weight-sized buffer (Clone, Deserialize).
+  /// Adopts `weight` (in_dim x out_dim, already in Layout::kPanels) and
+  /// `bias` (1 x out_dim) without first zero-filling a weight-sized buffer
+  /// (Clone, Deserialize).
   Linear(Matrix weight, Matrix bias);
 
   void EnsureGrads();

@@ -56,7 +56,7 @@ Result<std::unique_ptr<QuantizedLinear>> QuantizedLinear::FromLinear(
   layer->in_dim_ = source.in_dim();
   layer->out_dim_ = source.out_dim();
   MAGNETO_ASSIGN_OR_RETURN(layer->weight_,
-                           QuantizedMatrix::Quantize(source.weight()));
+                           QuantizedMatrix::Quantize(source.WeightRowMajor()));
   layer->bias_ = source.bias().Row(0);
   for (float b : layer->bias_) {
     if (!std::isfinite(b)) {
@@ -118,7 +118,7 @@ std::string QuantizedLinear::name() const {
 
 float QuantizedLinear::MaxWeightError(const Linear& source) const {
   Matrix dequantized = weight_.Dequantize();
-  dequantized.SubInPlace(source.weight());
+  dequantized.SubInPlace(source.WeightRowMajor());
   return dequantized.AbsMax();
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/parallel.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/slo_monitor.h"
@@ -111,8 +112,14 @@ EdgeFleet::EdgeFleet(core::ModelBundle bundle, size_t num_sessions,
   }
   Metrics().sessions->Set(static_cast<double>(num_sessions));
   workers_.reserve(options_.serve_threads);
+  // Each serve worker starts on its own CPU, away from its creator's (which
+  // usually drives the fleet), as the pool's workers do.
+  const int home = CurrentCpu();
   for (size_t i = 0; i < options_.serve_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, home, i] {
+      SpreadFrom(home, i + 1);
+      WorkerLoop();
+    });
   }
 }
 

@@ -202,7 +202,8 @@ Result<std::vector<float>> Pipeline::ProcessWindow(const Matrix& window) const {
   PipelineWorkspace ws;
   Matrix features;
   MAGNETO_RETURN_IF_ERROR(ProcessWindow(window, &ws, &features));
-  return features.storage();
+  return std::vector<float>(features.storage().begin(),
+                            features.storage().end());
 }
 
 Result<std::vector<std::vector<float>>> Pipeline::Process(

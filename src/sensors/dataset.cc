@@ -8,7 +8,7 @@ namespace magneto::sensors {
 
 FeatureDataset::FeatureDataset(Matrix features, std::vector<ActivityId> labels)
     : dim_(features.cols()),
-      data_(features.storage()),
+      data_(features.storage().begin(), features.storage().end()),
       labels_(std::move(labels)) {
   MAGNETO_CHECK(features.rows() == labels_.size());
 }

@@ -1,6 +1,7 @@
 #include "common/matrix.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -228,9 +229,17 @@ struct GemmKind {
 };
 
 constexpr GemmKind kGemmKinds[] = {
-    {"MatMul", gemm_internal::MatMulIntoWith, false, false},
+    {"MatMul",
+     [](GemmIsa isa, const Matrix& a, const Matrix& b, Matrix* out) {
+       gemm_internal::MatMulIntoWith(isa, a, b, out);
+     },
+     false, false},
     {"TransA", gemm_internal::MatMulTransAIntoWith, true, false},
-    {"TransB", gemm_internal::MatMulTransBIntoWith, false, true},
+    {"TransB",
+     [](GemmIsa isa, const Matrix& a, const Matrix& b, Matrix* out) {
+       gemm_internal::MatMulTransBIntoWith(isa, a, b, out);
+     },
+     false, true},
 };
 
 Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -603,6 +612,164 @@ TEST(MatMulKernelTest, ColumnKernelZeroSizedDimensions) {
         EXPECT_EQ(std::signbit(out.data()[i]), false);
         EXPECT_EQ(out.data()[i], 0.0f);
       }
+    }
+  }
+}
+
+// ---- Weights in 128-column panels (Layout::kPanels) ------------------------
+//
+// Every kernel that reads or writes a weight must give, on the panel copy,
+// the bits the portable oracle gives on the row-major weights.
+
+Matrix Panels(const Matrix& row_major) {
+  Matrix out(row_major.rows(), row_major.cols());
+  RowMajorToPanels(row_major.rows(), row_major.cols(), row_major.data(),
+                   out.data());
+  return out;
+}
+
+Matrix RowMajor(const Matrix& panels) {
+  Matrix out(panels.rows(), panels.cols());
+  PanelsToRowMajor(panels.rows(), panels.cols(), panels.data(), out.data());
+  return out;
+}
+
+TEST(PanelLayoutTest, RoundTripsAndAddressesEveryElement) {
+  Rng rng(97);
+  for (auto [rows, cols] : {std::pair<size_t, size_t>{7, 300},
+                            {3, 128},
+                            {2, 129},
+                            {5, 257},
+                            {4, 1},
+                            {0, 300},
+                            {3, 0}}) {
+    const Matrix w = RandomMatrix(rows, cols, &rng);
+    const Matrix p = Panels(w);
+    EXPECT_TRUE(SameBits(RowMajor(p), w)) << rows << "x" << cols;
+    const gemm_internal::PanelIndex index(rows, cols, Layout::kPanels);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(p.data()[index.Offset(r, c)], w.At(r, c))
+            << rows << "x" << cols << " (" << r << ", " << c << ")";
+      }
+    }
+    // At most one panel wide, the two layouts are the same bytes.
+    if (cols <= kPanelColumns) {
+      EXPECT_TRUE(SameBits(p, w));
+    }
+  }
+}
+
+TEST(PanelLayoutTest, MatrixStorageIsCacheLineAligned) {
+  for (auto [rows, cols] : {std::pair<size_t, size_t>{1, 1},
+                            {1, 80},
+                            {1024, 512},
+                            {3, 7}}) {
+    const Matrix m(rows, cols);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data()) % 64, 0u)
+        << rows << "x" << cols;
+    Matrix copy = m;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(copy.data()) % 64, 0u);
+  }
+}
+
+TEST(MatMulKernelTest, PanelColumnKernelBitIdenticalToPortable) {
+  // The batch-1 path: m = 1..15 through the column-block kernel on the
+  // backbone's layer shapes and ragged ones (a last panel of 44 or 1
+  // columns, chunks that straddle a panel edge), at 1 and 4 lanes, every
+  // instantiation, against the oracle on the row-major weights.
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(101);
+  for (auto [k, n] : {std::pair<size_t, size_t>{80, 1024},
+                      {1024, 512},
+                      {512, 128},
+                      {64, 128},
+                      {7, 300},
+                      {1024, 257}}) {
+    const Matrix w = RandomMatrix(k, n, &rng);
+    const Matrix p = Panels(w);
+    for (size_t m = 1; m < gemm_internal::kPackedMinRows; ++m) {
+      const Matrix a = RandomMatrix(m, k, &rng);
+      Matrix want;
+      gemm_internal::MatMulIntoWith(GemmIsa::kPortable, a, w, &want);
+      for (size_t lanes : {1, 4}) {
+        SetParallelThreads(lanes);
+        for (GemmIsa isa : AllIsas()) {
+          Matrix got(m, n);
+          got.Fill(std::numeric_limits<float>::quiet_NaN());
+          gemm_internal::MatMulColumnsIntoWith(isa, a, p, &got,
+                                               Layout::kPanels);
+          ASSERT_TRUE(SameBits(got, want))
+              << ShapeLabel(m, k, n) << " isa " << static_cast<int>(isa)
+              << " lanes " << lanes;
+        }
+        Matrix got;
+        MatMulInto(a, p, &got, Layout::kPanels);
+        ASSERT_TRUE(SameBits(got, want))
+            << "MatMulInto " << ShapeLabel(m, k, n) << " lanes " << lanes;
+      }
+    }
+  }
+  SetParallelThreads(saved_threads);
+}
+
+TEST(MatMulKernelTest, PanelWeightsThroughEveryKernelMatchRowMajor) {
+  // The training paths: the packed MatMul (PackRows), TransB on the weights
+  // (PackColumns; the backward pass's grad_input) and TransA accumulated
+  // into a panel gradient (the packed Store), plus the portable kernels
+  // below the cut-over, each against the row-major computation.
+  Rng rng(103);
+  for (size_t m : {1, 3, 15, 16, 17, 64}) {
+    for (auto [k, n] : {std::pair<size_t, size_t>{3, 300},
+                        {65, 257},
+                        {130, 129},
+                        {64, 128},
+                        {80, 1024}}) {
+      const std::string label = ShapeLabel(m, k, n);
+      const Matrix w = RandomMatrix(k, n, &rng);
+      const Matrix p = Panels(w);
+      const Matrix a = RandomMatrix(m, k, &rng);
+      // out = a * W.
+      Matrix want;
+      gemm_internal::MatMulIntoWith(GemmIsa::kPortable, a, w, &want);
+      for (GemmIsa isa : AllIsas()) {
+        Matrix got;
+        gemm_internal::MatMulIntoWith(isa, a, p, &got, Layout::kPanels);
+        EXPECT_TRUE(SameBits(got, want))
+            << "MatMul " << label << " isa " << static_cast<int>(isa);
+      }
+      // grad_input = g * W^T, g (m x n): W is TransB's second operand, so
+      // its panels cut the summed dimension.
+      const Matrix g = RandomMatrix(m, n, &rng);
+      gemm_internal::MatMulTransBIntoWith(GemmIsa::kPortable, g, w, &want);
+      for (GemmIsa isa : AllIsas()) {
+        Matrix got;
+        gemm_internal::MatMulTransBIntoWith(isa, g, p, &got, Layout::kPanels);
+        EXPECT_TRUE(SameBits(got, want))
+            << "TransB " << label << " isa " << static_cast<int>(isa);
+      }
+      Matrix got;
+      MatMulTransBInto(g, p, &got, Layout::kPanels);
+      EXPECT_TRUE(SameBits(got, want)) << "MatMulTransBInto " << label;
+      // grad_weight += x^T * g, x (m x k): the accumulator is in panels.
+      Matrix init = RandomMatrix(k, n, &rng);
+      Scatter({0.0f, -0.0f}, &init, &rng);
+      Matrix product;
+      gemm_internal::MatMulTransAIntoWith(GemmIsa::kPortable, a, g, &product);
+      Matrix sum = init;
+      sum.AddInPlace(product);
+      for (GemmIsa isa : AllIsas()) {
+        Matrix acc = Panels(init);
+        gemm_internal::MatMulTransAAccumulateWith(isa, a, g, &acc,
+                                                  Layout::kPanels);
+        EXPECT_TRUE(SameBits(RowMajor(acc), sum))
+            << "TransA accumulate " << label << " isa "
+            << static_cast<int>(isa);
+      }
+      Matrix acc = Panels(init);
+      MatMulTransAAccumulate(a, g, &acc, Layout::kPanels);
+      EXPECT_TRUE(SameBits(RowMajor(acc), sum))
+          << "MatMulTransAAccumulate " << label;
     }
   }
 }

@@ -60,8 +60,8 @@ TEST(BinarySerialTest, StringRoundTrip) {
 
 TEST(BinarySerialTest, VectorRoundTrip) {
   BinaryWriter w;
-  w.WriteF32Vector({1.5f, -2.5f, 0.0f});
-  w.WriteF32Vector({});
+  w.WriteF32Vector(std::vector<float>{1.5f, -2.5f, 0.0f});
+  w.WriteF32Vector(std::vector<float>{});
   w.WriteI64Vector({-1, 0, 99});
   BinaryReader r(w.buffer());
   EXPECT_EQ(r.ReadF32Vector().value(), (std::vector<float>{1.5f, -2.5f, 0.0f}));
@@ -89,7 +89,7 @@ TEST(BinarySerialTest, TruncatedStringFails) {
 
 TEST(BinarySerialTest, TruncatedVectorFails) {
   BinaryWriter w;
-  w.WriteF32Vector({1, 2, 3, 4});
+  w.WriteF32Vector(std::vector<float>{1, 2, 3, 4});
   BinaryReader r(w.buffer().data(), w.buffer().size() - 1);
   EXPECT_FALSE(r.ReadF32Vector().ok());
 }

@@ -131,7 +131,7 @@ TEST(FactorizeTest, LowRankLayerIsCompressedLosslessly) {
   Matrix u = RandomBatch(40, 2, 16);
   Matrix v = RandomBatch(2, 30, 17);
   auto layer = std::make_unique<nn::Linear>(40, 30);
-  layer->weight() = MatMul(u, v);
+  layer->SetWeightRowMajor(MatMul(u, v));
   layer->bias().Fill(0.25f);
   nn::Sequential net;
   net.Add(std::move(layer));

@@ -187,7 +187,7 @@ TEST(NcmClassifierTest, DeserializeRejectsDimMismatch) {
   w.WriteU64(3);  // dim 3
   w.WriteU64(1);  // one prototype
   w.WriteI64(0);
-  w.WriteF32Vector({1.0f, 2.0f});  // but only 2 floats
+  w.WriteF32Vector(std::vector<float>{1.0f, 2.0f});  // but only 2 floats
   BinaryReader r(w.buffer());
   EXPECT_FALSE(NcmClassifier::Deserialize(&r).ok());
 }
@@ -200,7 +200,7 @@ TEST(NcmClassifierTest, DeserializeRejectsZeroWidthPrototypes) {
   w.WriteU64(0);  // dim 0
   w.WriteU64(1);  // one prototype
   w.WriteI64(4);
-  w.WriteF32Vector({});
+  w.WriteF32Vector(std::vector<float>{});
   BinaryReader r(w.buffer());
   auto res = NcmClassifier::Deserialize(&r);
   ASSERT_FALSE(res.ok());
@@ -214,9 +214,9 @@ TEST(NcmClassifierTest, DeserializeRejectsDuplicateClassId) {
   w.WriteU64(2);
   w.WriteU64(2);
   w.WriteI64(3);
-  w.WriteF32Vector({1.0f, 2.0f});
+  w.WriteF32Vector(std::vector<float>{1.0f, 2.0f});
   w.WriteI64(3);
-  w.WriteF32Vector({5.0f, 6.0f});
+  w.WriteF32Vector(std::vector<float>{5.0f, 6.0f});
   BinaryReader r(w.buffer());
   auto res = NcmClassifier::Deserialize(&r);
   ASSERT_FALSE(res.ok());

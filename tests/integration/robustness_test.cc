@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "magneto.h"
+#include "testing/faults.h"
 #include "testing/test_helpers.h"
 
 namespace magneto {
@@ -34,16 +35,16 @@ TEST_F(RobustnessTest, PipelineStaysFiniteUnderEveryFaultKind) {
   sensors::SyntheticGenerator gen(1);
   Rng rng(2);
   for (auto kind :
-       {sensors::FaultKind::kDropout, sensors::FaultKind::kFreeze,
-        sensors::FaultKind::kSaturate, sensors::FaultKind::kSpikes}) {
+       {testing::FaultKind::kDropout, testing::FaultKind::kFreeze,
+        testing::FaultKind::kSaturate, testing::FaultKind::kSpikes}) {
     sensors::Recording rec = gen.Generate(
         sensors::DefaultActivityLibrary()[sensors::kWalk], 4.0);
-    sensors::FaultSpec fault;
+    testing::FaultSpec fault;
     fault.kind = kind;
     fault.channel = sensors::Channel::kAccX;
     fault.start_s = 0.0;
     fault.duration_s = 4.0;
-    sensors::Recording faulty = InjectFaults(rec, {fault}, &rng);
+    sensors::Recording faulty = testing::InjectFaults(rec, {fault}, &rng);
     auto windows = model.pipeline().Process(faulty);
     ASSERT_TRUE(windows.ok());
     for (const auto& features : windows.value()) {
@@ -74,7 +75,7 @@ TEST_F(RobustnessTest, HeavyRandomFaultsDegradeGracefully) {
     for (const auto& p : clean.value()) clean_cm.Add(id, p.prediction.activity);
 
     sensors::Recording faulty =
-        InjectFaults(rec, sensors::RandomFaults(6, 4.0, &rng), &rng);
+        testing::InjectFaults(rec, testing::RandomFaults(6, 4.0, &rng), &rng);
     auto preds = model.InferRecording(faulty);
     ASSERT_TRUE(preds.ok());
     for (const auto& p : preds.value()) {
@@ -116,17 +117,17 @@ TEST_F(RobustnessTest, SmoothedRuntimeRidesThroughFaultBursts) {
   sensors::Recording rec = gen.Generate(
       sensors::DefaultActivityLibrary()[sensors::kRun], 10.0);
   // A one-second total accelerometer dropout mid-stream.
-  std::vector<sensors::FaultSpec> faults;
+  std::vector<testing::FaultSpec> faults;
   for (auto ch : {sensors::Channel::kAccX, sensors::Channel::kAccY,
                   sensors::Channel::kAccZ}) {
-    sensors::FaultSpec f;
+    testing::FaultSpec f;
     f.channel = ch;
-    f.kind = sensors::FaultKind::kDropout;
+    f.kind = testing::FaultKind::kDropout;
     f.start_s = 5.0;
     f.duration_s = 1.0;
     faults.push_back(f);
   }
-  sensors::Recording faulty = InjectFaults(rec, faults, &rng);
+  sensors::Recording faulty = testing::InjectFaults(rec, faults, &rng);
 
   size_t correct = 0, total = 0;
   for (size_t i = 0; i < faulty.num_samples(); ++i) {

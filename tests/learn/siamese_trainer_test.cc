@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/linear.h"
+
 namespace magneto::learn {
 namespace {
 
@@ -291,6 +293,55 @@ TEST(SiameseTrainerTest, WeightsDigestUnchanged) {
   ASSERT_TRUE(
       SiameseTrainer(update).Train(&net, new_data, &teacher, &exemplars).ok());
   EXPECT_EQ(WeightsDigest(&net), 0x0cacfd6feaee1420ull);
+}
+
+
+/// FNV-1a (64-bit) over every Linear layer's weights in row-major order,
+/// then its bias, so the value does not depend on how a Linear stores them.
+uint64_t RowMajorWeightsDigest(const nn::Sequential& net) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const Matrix& m) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+    for (size_t i = 0; i < m.size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  };
+  for (size_t i = 0; i < net.num_layers(); ++i) {
+    if (net.layer(i).type() != nn::LayerType::kLinear) continue;
+    const auto& linear = static_cast<const nn::Linear&>(net.layer(i));
+    mix(linear.WeightRowMajor());
+    mix(linear.bias());
+  }
+  return h;
+}
+
+TEST(SiameseTrainerTest, WideWeightsDigestUnchanged) {
+  // Golden bits, captured once and never edited, of a net whose first layer
+  // is wider than one 128-column weight panel (12 -> 200 -> 40): a pretrain
+  // (48-row pair batches through the packed GEMM) and a distilled update
+  // (12-row batches through the column-block kernel and the portable
+  // TransA/TransB). The digest reads the weights in row-major order.
+  sensors::FeatureDataset old_data = Blobs(2, 20, 12, 0.4, 80);
+  Rng rng(81);
+  nn::Sequential net = nn::BuildMlp(12, {200, 40}, &rng);
+  TrainOptions pretrain = FastOptions();
+  pretrain.epochs = 3;
+  pretrain.batch_size = 24;
+  ASSERT_TRUE(SiameseTrainer(pretrain).Train(&net, old_data).ok());
+  EXPECT_EQ(RowMajorWeightsDigest(net), 0x9a31dc26a3b5b06bull);
+
+  sensors::FeatureDataset new_data = Blobs(3, 20, 12, 0.4, 82);
+  sensors::FeatureDataset exemplars = Blobs(2, 6, 12, 0.4, 83);
+  nn::Sequential teacher = net.Clone();
+  TrainOptions update = FastOptions();
+  update.epochs = 3;
+  update.batch_size = 24;
+  update.distill_weight = 1.5;
+  update.weight_decay = 1e-4;
+  update.seed = 84;
+  ASSERT_TRUE(
+      SiameseTrainer(update).Train(&net, new_data, &teacher, &exemplars).ok());
+  EXPECT_EQ(RowMajorWeightsDigest(net), 0x606eb7c841f4f9e7ull);
 }
 
 }  // namespace

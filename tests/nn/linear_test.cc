@@ -1,6 +1,11 @@
 #include "nn/linear.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
+
+#include "common/parallel.h"
+#include "nn/sequential.h"
 
 namespace magneto::nn {
 namespace {
@@ -8,7 +13,7 @@ namespace {
 TEST(LinearTest, ForwardComputesAffineMap) {
   Linear layer(2, 3);
   // W = [[1,2,3],[4,5,6]], b = [0.5, -0.5, 1]
-  layer.weight() = Matrix(2, 3, {1, 2, 3, 4, 5, 6});
+  layer.SetWeightRowMajor(Matrix(2, 3, {1, 2, 3, 4, 5, 6}));
   layer.bias() = Matrix(1, 3, {0.5f, -0.5f, 1.0f});
   Matrix x(1, 2, {1, 2});
   Matrix y;
@@ -20,7 +25,7 @@ TEST(LinearTest, ForwardComputesAffineMap) {
 
 TEST(LinearTest, ForwardBatches) {
   Linear layer(2, 2);
-  layer.weight() = Matrix(2, 2, {1, 0, 0, 1});  // identity
+  layer.SetWeightRowMajor(Matrix(2, 2, {1, 0, 0, 1}));  // identity
   Matrix x(3, 2, {1, 2, 3, 4, 5, 6});
   Matrix y;
   layer.Forward(x, /*training=*/false, /*state=*/nullptr, &y);
@@ -30,7 +35,7 @@ TEST(LinearTest, ForwardBatches) {
 
 TEST(LinearTest, BackwardShapesAndGradients) {
   Linear layer(2, 2);
-  layer.weight() = Matrix(2, 2, {1, 2, 3, 4});
+  layer.SetWeightRowMajor(Matrix(2, 2, {1, 2, 3, 4}));
   Matrix x(1, 2, {1, 1});
   LayerState state;
   Matrix y;
@@ -52,7 +57,7 @@ TEST(LinearTest, BackwardShapesAndGradients) {
 
 TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   Linear layer(1, 1);
-  layer.weight() = Matrix(1, 1, {2});
+  layer.SetWeightRowMajor(Matrix(1, 1, {2}));
   Matrix x(1, 1, {3});
   LayerState state;
   Matrix y;
@@ -71,8 +76,9 @@ TEST(LinearTest, HeInitialisationIsBoundedAndNonZero) {
   Linear layer(100, 50, &rng);
   const double limit = std::sqrt(6.0 / 100.0);
   bool any_nonzero = false;
-  for (size_t i = 0; i < layer.weight().size(); ++i) {
-    const float w = layer.weight().data()[i];
+  const Matrix weight = layer.WeightRowMajor();
+  for (size_t i = 0; i < weight.size(); ++i) {
+    const float w = weight.data()[i];
     EXPECT_LE(std::fabs(w), limit + 1e-6);
     any_nonzero = any_nonzero || w != 0.0f;
   }
@@ -88,9 +94,12 @@ TEST(LinearTest, CloneCopiesParametersDeeply) {
   Linear layer(3, 3, &rng);
   auto clone = layer.Clone();
   auto* cloned = static_cast<Linear*>(clone.get());
-  EXPECT_FLOAT_EQ(cloned->weight().At(1, 1), layer.weight().At(1, 1));
-  layer.weight().At(1, 1) += 5.0f;
-  EXPECT_NE(cloned->weight().At(1, 1), layer.weight().At(1, 1));
+  Matrix weight = layer.WeightRowMajor();
+  EXPECT_FLOAT_EQ(cloned->WeightRowMajor().At(1, 1), weight.At(1, 1));
+  weight.At(1, 1) += 5.0f;
+  layer.SetWeightRowMajor(weight);
+  EXPECT_NE(cloned->WeightRowMajor().At(1, 1),
+            layer.WeightRowMajor().At(1, 1));
 }
 
 TEST(LinearTest, SerializationRoundTrip) {
@@ -105,9 +114,10 @@ TEST(LinearTest, SerializationRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value()->in_dim(), 4u);
   EXPECT_EQ(back.value()->out_dim(), 2u);
-  for (size_t i = 0; i < layer.weight().size(); ++i) {
-    EXPECT_FLOAT_EQ(back.value()->weight().data()[i],
-                    layer.weight().data()[i]);
+  const Matrix want = layer.WeightRowMajor();
+  const Matrix got = back.value()->WeightRowMajor();
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_FLOAT_EQ(got.data()[i], want.data()[i]);
   }
   EXPECT_FLOAT_EQ(back.value()->bias().At(0, 1), -2.5f);
 }
@@ -116,8 +126,8 @@ TEST(LinearTest, DeserializeRejectsPayloadMismatch) {
   BinaryWriter w;
   w.WriteU64(2);
   w.WriteU64(2);
-  w.WriteF32Vector({1.0f});  // should be 4 weights
-  w.WriteF32Vector({0.0f, 0.0f});
+  w.WriteF32Vector(std::vector<float>{1.0f});  // should be 4 weights
+  w.WriteF32Vector(std::vector<float>{0.0f, 0.0f});
   BinaryReader r(w.buffer());
   EXPECT_FALSE(Linear::Deserialize(&r).ok());
 }
@@ -148,6 +158,41 @@ TEST(LinearTest, GradientBuffersAreSizedOnFirstUse) {
   for (const Matrix* g : grads) {
     for (size_t i = 0; i < g->size(); ++i) EXPECT_EQ(g->data()[i], 0.0f);
   }
+}
+
+TEST(LinearTest, HoldsOneAlignedWeightCopyAndWarmedForwardAllocatesNothing) {
+  // Each Linear of the paper backbone keeps exactly in x out weight floats
+  // (its panels, with no row-major copy beside them) on a cache line, and
+  // a warmed batch-1 forward makes no Matrix allocation at 1 or 4 lanes.
+  Rng rng(9);
+  Sequential net = BuildPaperBackbone(&rng);
+  size_t linears = 0;
+  for (size_t i = 0; i < net.num_layers(); ++i) {
+    auto* linear = dynamic_cast<Linear*>(&net.layer(i));
+    if (linear == nullptr) continue;
+    ++linears;
+    const std::vector<Matrix*> params = linear->Params();
+    ASSERT_EQ(params.size(), 2u);
+    EXPECT_EQ(params[0]->size(), linear->in_dim() * linear->out_dim());
+    EXPECT_EQ(params[1]->size(), linear->out_dim());
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(params[0]->data()) % 64, 0u);
+  }
+  EXPECT_EQ(linears, 5u);
+
+  const size_t saved_threads = ParallelThreads();
+  Matrix x(1, net.InputDim());
+  for (size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+  }
+  ForwardWorkspace ws;
+  for (size_t lanes : {1, 4}) {
+    SetParallelThreads(lanes);
+    net.Forward(x, &ws);
+    const uint64_t before = Matrix::AllocationCount();
+    for (int i = 0; i < 3; ++i) net.Forward(x, &ws);
+    EXPECT_EQ(Matrix::AllocationCount() - before, 0u) << lanes << " lanes";
+  }
+  SetParallelThreads(saved_threads);
 }
 
 TEST(LinearTest, NameDescribesShape) {

@@ -84,7 +84,9 @@ TEST(QuantizedMatrixTest, RejectsNonFiniteWeights) {
 
 TEST(QuantizedLinearTest, FromLinearRejectsNonFiniteWeights) {
   Linear fp32 = RandomLinear(4, 3, 11);
-  fp32.weight().At(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  Matrix weight = fp32.WeightRowMajor();
+  weight.At(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  fp32.SetWeightRowMajor(weight);
   EXPECT_FALSE(QuantizedLinear::FromLinear(fp32).ok());
 }
 
@@ -147,7 +149,7 @@ TEST(QuantizedLinearTest, KernelBitIdenticalAcrossThreads) {
 TEST(QuantizedLinearTest, MaxWeightErrorSmall) {
   Linear fp32 = RandomLinear(32, 16, 4);
   auto q = MustFromLinear(fp32);
-  EXPECT_LT(q->MaxWeightError(fp32), fp32.weight().AbsMax() / 100.0f);
+  EXPECT_LT(q->MaxWeightError(fp32), fp32.WeightRowMajor().AbsMax() / 100.0f);
 }
 
 TEST(QuantizedLinearTest, SerializationRoundTrip) {

@@ -113,8 +113,8 @@ TEST(NormalizerTest, SerializationRoundTrip) {
 TEST(NormalizerTest, DeserializeRejectsMismatchedVectors) {
   BinaryWriter w;
   w.WriteU8(1);  // kZScore
-  w.WriteF32Vector({1.0f, 2.0f});
-  w.WriteF32Vector({1.0f});
+  w.WriteF32Vector(std::vector<float>{1.0f, 2.0f});
+  w.WriteF32Vector(std::vector<float>{1.0f});
   BinaryReader r(w.buffer());
   EXPECT_FALSE(Normalizer::Deserialize(&r).ok());
 }

@@ -1,4 +1,4 @@
-#include "sensors/faults.h"
+#include "testing/faults.h"
 
 #include <cmath>
 
@@ -9,6 +9,11 @@
 
 namespace magneto::sensors {
 namespace {
+
+using testing::FaultKind;
+using testing::FaultSpec;
+using testing::InjectFaults;
+using testing::RandomFaults;
 
 Recording WalkRecording(double seconds = 4.0) {
   SyntheticGenerator gen(1);

@@ -1,13 +1,14 @@
-#include "sensors/faults.h"
+#include "testing/faults.h"
 
 #include <algorithm>
 #include <cmath>
 
-namespace magneto::sensors {
+namespace magneto::testing {
 
-Recording InjectFaults(const Recording& recording,
-                       const std::vector<FaultSpec>& faults, Rng* rng) {
-  Recording out = recording;
+sensors::Recording InjectFaults(const sensors::Recording& recording,
+                                const std::vector<FaultSpec>& faults,
+                                Rng* rng) {
+  sensors::Recording out = recording;
   const double rate = recording.sample_rate_hz;
   for (const FaultSpec& fault : faults) {
     const size_t ch = static_cast<size_t>(fault.channel);
@@ -59,7 +60,8 @@ std::vector<FaultSpec> RandomFaults(size_t count, double duration_s,
   faults.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     FaultSpec fault;
-    fault.channel = static_cast<Channel>(rng->Index(kNumChannels));
+    fault.channel =
+        static_cast<sensors::Channel>(rng->Index(sensors::kNumChannels));
     fault.kind = static_cast<FaultKind>(rng->Index(4));
     fault.duration_s = rng->Uniform(0.2, duration_s / 2.0);
     fault.start_s = rng->Uniform(0.0, duration_s - fault.duration_s);
@@ -69,4 +71,4 @@ std::vector<FaultSpec> RandomFaults(size_t count, double duration_s,
   return faults;
 }
 
-}  // namespace magneto::sensors
+}  // namespace magneto::testing

@@ -1,5 +1,5 @@
-#ifndef MAGNETO_SENSORS_FAULTS_H_
-#define MAGNETO_SENSORS_FAULTS_H_
+#ifndef MAGNETO_TESTING_FAULTS_H_
+#define MAGNETO_TESTING_FAULTS_H_
 
 #include <cstdint>
 #include <vector>
@@ -8,7 +8,10 @@
 #include "sensors/recording.h"
 #include "sensors/sensor_types.h"
 
-namespace magneto::sensors {
+namespace magneto::testing {
+
+// Sensor-fault injection for the robustness tests: recordings with
+// channels that drop out, freeze, saturate or spike.
 
 /// How a sensor channel misbehaves during a fault interval.
 enum class FaultKind : uint8_t {
@@ -21,7 +24,7 @@ enum class FaultKind : uint8_t {
 /// One injected fault: `channel` misbehaves as `kind` during
 /// [start_s, start_s + duration_s).
 struct FaultSpec {
-  Channel channel = Channel::kAccX;
+  sensors::Channel channel = sensors::Channel::kAccX;
   FaultKind kind = FaultKind::kDropout;
   double start_s = 0.0;
   double duration_s = 1.0;
@@ -33,13 +36,14 @@ struct FaultSpec {
 /// stacks misbehave like this routinely; the robustness tests check that the
 /// preprocessing pipeline keeps producing finite features and the classifier
 /// degrades instead of crashing.
-Recording InjectFaults(const Recording& recording,
-                       const std::vector<FaultSpec>& faults, Rng* rng);
+sensors::Recording InjectFaults(const sensors::Recording& recording,
+                                const std::vector<FaultSpec>& faults,
+                                Rng* rng);
 
 /// Samples `count` random faults spread over a recording of `duration_s`.
 std::vector<FaultSpec> RandomFaults(size_t count, double duration_s,
                                     Rng* rng);
 
-}  // namespace magneto::sensors
+}  // namespace magneto::testing
 
-#endif  // MAGNETO_SENSORS_FAULTS_H_
+#endif  // MAGNETO_TESTING_FAULTS_H_
