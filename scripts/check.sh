@@ -37,12 +37,11 @@ MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
   --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:NcmClassifierTest.Concurrent*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
   --gtest_filter='EdgeFleet*'
-# The cloud control plane under TSan: the CloudServer once_flag quantize
-# cache + thread-local RemoteInfer workspaces (both former data races), the
-# sharded device tables with provisioning workers on independent links, and
-# registry publishers racing artifact readers.
+# The cloud server under TSan: the CloudServer once_flag quantize cache and
+# the thread-local RemoteInfer workspaces (both former data races), and many
+# devices running the edge protocol against one server at once.
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
-  --gtest_filter='CloudServer*:CloudControlPlane*:ProtocolsTest.MultiDeviceConcurrentEdgeProtocolRuns'
+  --gtest_filter='CloudServer*:ProtocolsTest.MultiDeviceConcurrentEdgeProtocolRuns'
 
 # ASan pass over the untrusted-input surface: serializer corruption and
 # overflow regressions, the atomic-write fault hook, and the lossy-transport
@@ -63,13 +62,16 @@ cmake --build build-asan --target common_test core_test platform_test \
 # truncation/bit-flip tests, the SupportSet reader in both row encodings,
 # and the kQuantizedLinearTag payload fuzz — the validate-before-allocate fix
 # in QuantizedLinear::Deserialize only proves itself under ASan.
+# ValidPayloadFuzzTest.* parses every prefix of a valid chunk frame, support
+# set (both row encodings) and recording from an exact-size copy, so a read
+# past the end traps here.
 # EdgeRuntime*/StreamSession* (and EdgeFleet* below) drive the one stream
 # session both owners share: it memcpys buffered frames into a reused window.
 ./build-asan/tests/core_test \
   --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*:EdgeRuntime*:StreamSession*'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
-  --gtest_filter='*QuantizedLinearPayloadFuzz*'
+  --gtest_filter='*QuantizedLinearPayloadFuzz*:ValidPayloadFuzzTest.*'
 ./build-asan/tests/platform_test \
   --gtest_filter='FaultInjector*:BundleTransport*:ChunkFrame*:EdgeFleet*'
 
@@ -177,25 +179,6 @@ grep -q '"slo.health_state"' "$smoke_dir/fleet_open_metrics.json" \
 grep -q '^slo: ' "$smoke_dir/fleet_open.txt" \
   || { echo "obs smoke: missing SLO health summary line" >&2; exit 1; }
 
-# Control-plane smoke: provision a simulated fleet with churn and walk a
-# staged canary rollout. The rollout must complete, devices must actually
-# have churned mid-transfer and resumed (cloud.resumed == 0 means the
-# chunk-level resume path was bypassed), and the version histogram must land
-# on v2.
-./build/tools/magneto cloud --bundle "$smoke_dir/m.magneto" --devices 800 \
-  --workers 8 --metrics-out "$smoke_dir/cloud_metrics.json" \
-  | tee "$smoke_dir/cloud.txt"
-grep -q '^rollout completed' "$smoke_dir/cloud.txt" \
-  || { echo "cloud smoke: staged rollout did not complete" >&2; exit 1; }
-grep -q 'version histogram:  v2=800' "$smoke_dir/cloud.txt" \
-  || { echo "cloud smoke: fleet did not converge to v2" >&2; exit 1; }
-grep -Eq '"cloud\.resumed": [1-9]' "$smoke_dir/cloud_metrics.json" \
-  || { echo "cloud smoke: expected nonzero resumed transfers under churn" >&2; exit 1; }
-grep -Eq '"cloud\.churn_disconnects": [1-9]' "$smoke_dir/cloud_metrics.json" \
-  || { echo "cloud smoke: expected nonzero churn disconnects" >&2; exit 1; }
-grep -Eq '"cloud\.rollouts": [1-9]' "$smoke_dir/cloud_metrics.json" \
-  || { echo "cloud smoke: rollout counter missing" >&2; exit 1; }
-
 # Transactional-update smoke: inject a failure mid-update and prove the
 # all-or-nothing contract end to end. The checkpoint written before the
 # failed update must be byte-identical to the input bundle (nothing staged
@@ -246,15 +229,6 @@ for key in '"schema_version"' '"speedup_int8_vs_reference"' \
     '"bundle_ratio"' '"accuracy_delta"'; do
   grep -q "$key" BENCH_quant.json \
     || { echo "bench_quant: BENCH_quant.json missing $key" >&2; exit 1; }
-done
-
-# bench_cloud_scale enforces its own gates (rollout completes, resumed
-# transfers nonzero under churn); pin the artifact schema here.
-for key in '"schema_version"' '"fleet_rows"' '"completion_curve_s"' \
-    '"devices_per_second"' '"rollout"' '"resumed_sessions"' \
-    '"skew_old_before"'; do
-  grep -q "$key" BENCH_cloud_scale.json \
-    || { echo "bench_cloud_scale: BENCH_cloud_scale.json missing $key" >&2; exit 1; }
 done
 
 for e in build/examples/*; do

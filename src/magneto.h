@@ -68,7 +68,6 @@
 #include "obs/slo_monitor.h"
 #include "obs/trace.h"
 #include "platform/bundle_transport.h"
-#include "platform/cloud_control_plane.h"
 #include "platform/cloud_server.h"
 #include "platform/edge_device.h"
 #include "platform/edge_fleet.h"

@@ -113,42 +113,21 @@ constexpr const char* kDeliveryFlow = "net.delivery";
 
 Result<std::string> BundleTransport::Deliver(Direction direction,
                                              PayloadKind kind,
-                                             const std::string& payload,
-                                             uint32_t resume_from_chunk) {
+                                             const std::string& payload) {
   obs::TraceSpan span("BundleTransport::Deliver");
   const uint64_t flow_id = obs::NextRequestId();
   obs::TraceFlowBegin(kDeliveryFlow, flow_id);
   report_ = TransportReport{};
   const uint32_t total_chunks = static_cast<uint32_t>(
       (payload.size() + options_.chunk_bytes - 1) / options_.chunk_bytes);
-  if (resume_from_chunk > total_chunks) {
-    obs::TraceFlowEnd(kDeliveryFlow, flow_id);
-    return Status::InvalidArgument(
-        "resume_from_chunk " + std::to_string(resume_from_chunk) +
-        " beyond total " + std::to_string(total_chunks));
-  }
-  const size_t resume_offset =
-      static_cast<size_t>(resume_from_chunk) * options_.chunk_bytes;
-  report_.payload_bytes = payload.size() - resume_offset;
-  report_.first_chunk = resume_from_chunk;
-  report_.next_chunk = resume_from_chunk;
-  report_.total_chunks = total_chunks;
-  report_.chunk_attempts.assign(total_chunks - resume_from_chunk, 0);
-
-  // A session that disconnects (budget) or aborts (retry exhaustion) ends at
-  // `last_chunk`; the caller resumes from report_.next_chunk later.
-  uint32_t last_chunk = total_chunks;
-  if (options_.session_chunk_budget > 0 &&
-      resume_from_chunk + options_.session_chunk_budget < total_chunks) {
-    last_chunk = resume_from_chunk +
-                 static_cast<uint32_t>(options_.session_chunk_budget);
-  }
+  report_.payload_bytes = payload.size();
+  report_.chunk_attempts.assign(total_chunks, 0);
 
   std::string received;
-  received.reserve(payload.size() - resume_offset);
+  received.reserve(payload.size());
   // Resume-from-last-good-chunk is structural: `received` only ever grows by
   // validated chunks, and a failed attempt re-sends the current chunk only.
-  for (uint32_t index = resume_from_chunk; index < last_chunk; ++index) {
+  for (uint32_t index = 0; index < total_chunks; ++index) {
     obs::TraceSpan chunk_span("BundleTransport::Chunk");
     obs::TraceFlowStep(kDeliveryFlow, flow_id);
     const size_t begin = static_cast<size_t>(index) * options_.chunk_bytes;
@@ -161,7 +140,7 @@ Result<std::string> BundleTransport::Deliver(Direction direction,
     for (size_t attempt = 1; attempt <= options_.max_attempts_per_chunk;
          ++attempt) {
       ++report_.attempts;
-      ++report_.chunk_attempts[index - resume_from_chunk];
+      ++report_.chunk_attempts[index];
       report_.wire_bytes += frame.size();
       if (attempt > 1) {
         ++report_.retries;
@@ -170,9 +149,9 @@ Result<std::string> BundleTransport::Deliver(Direction direction,
         report_.backoff_seconds += wait;
         report_.seconds += wait;
       }
-      // The session's first chunk and every retry (re-)establish the stream
-      // (pay latency); healthy back-to-back chunks pay serialization only.
-      const bool pay_latency = index == resume_from_chunk || attempt > 1;
+      // Chunk 0 and every retry (re-)establish the stream (pay latency);
+      // healthy back-to-back chunks pay serialization only.
+      const bool pay_latency = index == 0 || attempt > 1;
       Delivery delivery = link_->SendPayload(direction, kind, frame,
                                              pay_latency);
       report_.seconds += delivery.seconds;
@@ -185,18 +164,14 @@ Result<std::string> BundleTransport::Deliver(Direction direction,
       }
       received.append(decoded.value());
       Metrics().chunks->Increment();
-      Metrics().chunk_attempts->Record(static_cast<double>(
-          report_.chunk_attempts[index - resume_from_chunk]));
+      Metrics().chunk_attempts->Record(
+          static_cast<double>(report_.chunk_attempts[index]));
       chunk_delivered = true;
       ++report_.chunks;
-      report_.next_chunk = index + 1;
       break;
     }
     if (!chunk_delivered) {
       Metrics().failures->Increment();
-      // Validated chunks survive the abort so a reconnect can resume from
-      // report_.next_chunk without re-paying for them.
-      report_.partial = std::move(received);
       // The flow ends on failure too: a dangling `s` with no `f` would make
       // the exported trace fail validation (tools/validate_trace.py).
       obs::TraceFlowEnd(kDeliveryFlow, flow_id);
@@ -208,26 +183,18 @@ Result<std::string> BundleTransport::Deliver(Direction direction,
   }
 
   // Belt and braces: the per-chunk CRCs already guarantee integrity, but the
-  // whole-session check makes a clean return synonymous with byte-identical
-  // delivery of the chunk range this session covered.
-  const size_t covered = std::min(
-      payload.size() - resume_offset,
-      static_cast<size_t>(last_chunk - resume_from_chunk) *
-          options_.chunk_bytes);
-  if (received.size() != covered ||
+  // whole-payload check makes a clean return synonymous with byte-identical
+  // delivery.
+  if (received.size() != payload.size() ||
       Crc32(received.data(), received.size()) !=
-          Crc32(payload.data() + resume_offset, covered)) {
+          Crc32(payload.data(), payload.size())) {
     Metrics().failures->Increment();
     obs::TraceFlowEnd(kDeliveryFlow, flow_id);
     return Status::Corruption("reassembled bundle does not match source");
   }
-  // On a clean session the return value already carries the suffix;
-  // `partial` is only populated on the abort path above.
-  if (resume_from_chunk == 0 && last_chunk == total_chunks) {
-    report_.delivered = true;
-    Metrics().deliveries->Increment();
-    Metrics().delivery_ms->Record(report_.seconds * 1e3);
-  }
+  report_.delivered = true;
+  Metrics().deliveries->Increment();
+  Metrics().delivery_ms->Record(report_.seconds * 1e3);
   obs::TraceFlowEnd(kDeliveryFlow, flow_id);
   return received;
 }

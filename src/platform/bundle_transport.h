@@ -27,13 +27,6 @@ struct TransportOptions {
   double backoff_max_s = 2.0;
   double jitter_fraction = 0.1;
   uint64_t jitter_seed = 1;
-
-  /// Chunks deliverable in one `Deliver` session before the (simulated)
-  /// connection drops; 0 = unlimited. The fleet simulator uses this to model
-  /// a device churning mid-transfer: `Deliver` returns Ok with the partial
-  /// suffix and `report().next_chunk < report().total_chunks`, and the
-  /// caller reconnects later with `resume_from_chunk = next_chunk`.
-  size_t session_chunk_budget = 0;
 };
 
 /// What one delivery session cost and how it went.
@@ -43,32 +36,14 @@ struct TransportReport {
   size_t chunks = 0;    ///< chunks validated by the receiver this session
   size_t attempts = 0;  ///< total chunk send attempts
   size_t retries = 0;   ///< attempts beyond the first per chunk
-  /// True once the *whole payload* has been delivered by this session, i.e.
-  /// the session started at chunk 0 and reached `total_chunks`. A resumed or
-  /// budget-limited session that ends cleanly but covers only a sub-range
-  /// leaves this false; the caller owns cross-session reassembly.
-  bool delivered = false;
+  bool delivered = false;  ///< the whole payload arrived byte-identical
 
   double seconds = 0.0;          ///< simulated end-to-end delivery latency
   double backoff_seconds = 0.0;  ///< portion of `seconds` spent backing off
 
-  /// Chunking of the *full* payload this session is part of, and where the
-  /// next session should resume: `first_chunk` is what the caller passed as
-  /// `resume_from_chunk`, `next_chunk` is the first chunk NOT yet delivered
-  /// (== total_chunks once everything arrived).
-  uint32_t first_chunk = 0;
-  uint32_t next_chunk = 0;
-  uint32_t total_chunks = 0;
-
-  /// Populated only when `Deliver` aborts with kResourceExhausted: the
-  /// receiver-validated payload bytes that DID arrive before the abort, in
-  /// chunk order, so a reconnecting caller never re-pays for them. Clean
-  /// sessions return their bytes as `Deliver`'s value and leave this empty.
-  std::string partial;
-
-  /// Attempts per chunk of this session, indexed from `first_chunk` — the
-  /// resume contract: a fault on chunk k bumps only
-  /// `chunk_attempts[k - first_chunk]`; chunks before k are never re-sent.
+  /// Attempts per chunk, indexed from chunk 0 — the resume contract: a
+  /// fault on chunk k bumps only `chunk_attempts[k]`; chunks before k are
+  /// never re-sent.
   std::vector<size_t> chunk_attempts;
 
   /// Caller-payload bytes per simulated second of delivery.
@@ -103,17 +78,8 @@ class BundleTransport {
   /// Delivers `payload` over the link; returns the reassembled, CRC-verified
   /// receiver copy, or kResourceExhausted once a chunk exceeds its retry
   /// budget. `report()` is valid (and partially filled) either way.
-  ///
-  /// `resume_from_chunk` continues an interrupted delivery of the SAME
-  /// payload: frames are indexed over the full payload, only chunks
-  /// [resume_from_chunk, total) are sent, and the returned string is that
-  /// suffix — the caller appends it to what earlier sessions delivered.
-  /// With `options.session_chunk_budget` set, a session may also end cleanly
-  /// before the last chunk (simulated disconnect); check
-  /// `report().next_chunk` to tell a full delivery from a partial one.
   Result<std::string> Deliver(Direction direction, PayloadKind kind,
-                              const std::string& payload,
-                              uint32_t resume_from_chunk = 0);
+                              const std::string& payload);
 
   const TransportReport& report() const { return report_; }
   const TransportOptions& options() const { return options_; }

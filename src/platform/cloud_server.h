@@ -33,10 +33,10 @@ namespace magneto::platform {
 ///     under a `std::once_flag` (concurrent first callers block until the
 ///     winner finishes) and serves the immutable cached bytes thereafter.
 ///   * `RemoteInfer` runs the server-side model through a thread-local
-///     forward workspace — the backbone's `Forward` is const (PR 6), so N
+///     forward workspace — the backbone's `Forward` is const, so N
 ///     inference requests share the weights with zero locks.
-/// This is the contract the `CloudControlPlane` relies on when many
-/// provisioning workers and inference frontends hit one tenant server.
+/// `ProtocolsTest.MultiDeviceConcurrentEdgeProtocolRuns` and the
+/// `CloudServerTest.Concurrent*` cases hold it to this under TSan.
 class CloudServer {
  public:
   explicit CloudServer(core::CloudConfig config)
@@ -47,8 +47,8 @@ class CloudServer {
                   const sensors::ActivityRegistry& registry);
 
   /// Adopts an already-trained bundle (e.g. loaded from disk) instead of
-  /// pretraining — the control-plane path where training happened earlier
-  /// or elsewhere. Same single-writer rules as `Pretrain`.
+  /// pretraining; `Pretrain` trains and then delegates here. Same
+  /// single-writer rules as `Pretrain`.
   Status AdoptBundle(core::ModelBundle bundle);
 
   bool pretrained() const { return model_ != nullptr; }
@@ -65,8 +65,9 @@ class CloudServer {
   Result<std::string> ServeQuantizedBundleBytes() const;
 
   /// Re-encodes a serialized fp32 (wire v2) bundle as the quantized wire-v3
-  /// variant. Pure function of the bytes; the control plane uses it to build
-  /// per-tenant registry artifacts without a live server.
+  /// variant. Pure function of the bytes: `ServeQuantizedBundleBytes` builds
+  /// its cache with it, and perfbench's fleet phase encodes an enrolled
+  /// bundle with it without a live server.
   static Result<std::string> EncodeQuantizedBundle(
       const std::string& fp32_bytes);
 

@@ -179,5 +179,144 @@ TEST(ReaderFuzzTest, PipelineDeserializeOnGarbage) {
   SUCCEED();
 }
 
+// Truncation and bit-flip fuzzing that starts from a *valid* payload.
+// Garbage rarely gets past a parser's header; breaking real bytes one bit at
+// a time reaches every field. Each strict prefix is parsed from its own
+// exact-size copy, so under ASan a read past the prefix traps. Every prefix
+// must fail; each of `kFlipTrials` seeded single-bit flips must fail or give
+// `use` an object that works (with the bytes it came from). Returns how many
+// flips still parsed.
+constexpr int kFlipTrials = 2000;
+
+template <typename Parse, typename Use>
+size_t FuzzValidPayload(const std::string& wire, uint64_t seed,
+                        const Parse& parse, const Use& use) {
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(parse(wire.substr(0, len)).ok())
+        << "prefix of " << len << "/" << wire.size() << " bytes parsed";
+  }
+  Rng rng(seed);
+  size_t parsed = 0;
+  for (int trial = 0; trial < kFlipTrials; ++trial) {
+    std::string bytes = wire;
+    const size_t bit = rng.Index(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    auto result = parse(bytes);
+    if (!result.ok()) continue;
+    ++parsed;
+    use(result.value(), bytes);
+  }
+  return parsed;
+}
+
+TEST(ValidPayloadFuzzTest, ChunkFrameRejectsEveryTruncationAndBitFlip) {
+  Rng rng(11);
+  std::string chunk(517, '\0');
+  for (char& c : chunk) c = static_cast<char>(rng.UniformInt(-128, 127));
+  const uint32_t index = 2, total = 5;
+  const uint64_t payload_bytes = 4 * 4096 + chunk.size();
+  const std::string frame =
+      platform::EncodeChunkFrame(index, total, payload_bytes, chunk);
+  ASSERT_EQ(
+      platform::DecodeChunkFrame(frame, index, total, payload_bytes).value(),
+      chunk);
+  const auto parse = [&](const std::string& bytes) {
+    return platform::DecodeChunkFrame(bytes, index, total, payload_bytes);
+  };
+  // The magic, the header checks and the CRC-32 leave no field where a
+  // single flipped bit goes unnoticed.
+  EXPECT_EQ(FuzzValidPayload(frame, 12, parse,
+                             [](const std::string&, const std::string&) {}),
+            0u);
+}
+
+// A support set of 3 classes x up to 4 rows of dim 6, small enough that
+// every prefix can be parsed.
+core::SupportSet SmallSupportSet() {
+  core::SupportSet set(4, core::SelectionStrategy::kRandom);
+  Rng rng(13);
+  for (sensors::ActivityId id : {0, 3, 7}) {
+    sensors::FeatureDataset data;
+    for (size_t i = 0; i < 3 + static_cast<size_t>(id % 2); ++i) {
+      std::vector<float> row(6);
+      for (float& v : row) v = static_cast<float>(rng.Normal(id, 1.0));
+      data.Append(row, id);
+    }
+    EXPECT_TRUE(set.SetClass(id, data, nullptr, &rng).ok());
+  }
+  return set;
+}
+
+// What a caller does with a loaded support set: read each class back as a
+// matrix, flatten it into the retraining set, and save it again.
+void ExpectUsable(const core::SupportSet& set, const std::string&) {
+  size_t rows = 0;
+  for (sensors::ActivityId id : set.Classes()) {
+    auto exemplars = set.ClassExemplars(id);
+    ASSERT_TRUE(exemplars.ok());
+    EXPECT_EQ(exemplars.value().rows(), set.ClassSize(id));
+    EXPECT_LE(set.ClassSize(id), set.capacity_per_class());
+    rows += set.ClassSize(id);
+  }
+  EXPECT_EQ(set.TotalSize(), rows);
+  EXPECT_EQ(set.AsDataset().size(), rows);
+  BinaryWriter again;
+  set.Serialize(&again);
+  BinaryReader reader(again.buffer());
+  EXPECT_TRUE(core::SupportSet::Deserialize(&reader).ok());
+}
+
+TEST(ValidPayloadFuzzTest, SupportSetF32RowsSurviveTruncationAndBitFlips) {
+  BinaryWriter writer;
+  SmallSupportSet().Serialize(&writer);
+  const auto parse = [](const std::string& bytes) {
+    BinaryReader reader(bytes);
+    return core::SupportSet::Deserialize(&reader);
+  };
+  ASSERT_TRUE(parse(writer.buffer()).ok());
+  // Flips inside an fp32 row still parse, so some survivors are expected.
+  EXPECT_GT(FuzzValidPayload(writer.buffer(), 14, parse, ExpectUsable), 0u);
+}
+
+TEST(ValidPayloadFuzzTest, SupportSetInt8RowsSurviveTruncationAndBitFlips) {
+  BinaryWriter writer;
+  SmallSupportSet().SerializeQuantized(&writer);
+  const auto parse = [](const std::string& bytes) {
+    BinaryReader reader(bytes);
+    return core::SupportSet::DeserializeQuantized(&reader);
+  };
+  ASSERT_TRUE(parse(writer.buffer()).ok());
+  EXPECT_GT(FuzzValidPayload(writer.buffer(), 15, parse, ExpectUsable), 0u);
+}
+
+TEST(ValidPayloadFuzzTest, RecordingSurvivesTruncationAndBitFlips) {
+  sensors::Recording recording;
+  recording.samples = Matrix(12, sensors::kNumChannels);
+  Rng rng(16);
+  for (size_t r = 0; r < recording.samples.rows(); ++r) {
+    for (size_t c = 0; c < recording.samples.cols(); ++c) {
+      recording.samples(r, c) = static_cast<float>(rng.Normal(0.0, 2.0));
+    }
+  }
+  BinaryWriter writer;
+  sensors::SerializeRecording(recording, &writer);
+  const auto parse = [](const std::string& bytes) {
+    BinaryReader reader(bytes);
+    return sensors::DeserializeRecording(&reader);
+  };
+  ASSERT_TRUE(parse(writer.buffer()).ok());
+  // Every field is stored verbatim, so a survivor re-encodes to the very
+  // bytes it was read from.
+  const auto use = [](const sensors::Recording& survivor,
+                      const std::string& bytes) {
+    EXPECT_EQ(survivor.samples.size(),
+              survivor.num_samples() * survivor.num_channels());
+    BinaryWriter again;
+    sensors::SerializeRecording(survivor, &again);
+    EXPECT_EQ(again.buffer(), bytes);
+  };
+  EXPECT_GT(FuzzValidPayload(writer.buffer(), 17, parse, use), 0u);
+}
+
 }  // namespace
 }  // namespace magneto

@@ -58,20 +58,6 @@
 ///       actually form (watch "mean batch" exceed 1 as R climbs past the
 ///       service capacity).
 ///
-///   magneto cloud --bundle <bundle> [--devices N] [--workers T]
-///                 [--shards S] [--seed N] [--faulty-frac P] [--drop-rate P]
-///                 [--corrupt-rate P] [--churn-frac P] [--quantized-frac P]
-///                 [--max-reconnects R] [--rollout 0|1] [--stages CSV]
-///                 [--halt-threshold P] [--rtt-ms MS] [--mbps M]
-///       Fleet control plane: registers the bundle as a tenant of the
-///       sharded `CloudControlPlane`, provisions N simulated devices
-///       concurrently over lossy links (per-device arrival times, fault
-///       rates, and mid-transfer churn with chunk-level resume), then — with
-///       --rollout 1 (default) — publishes a second version and walks a
-///       staged canary rollout across the same fleet, printing per-stage
-///       failure rates, version skew, and the final version histogram.
-///       Deterministic for a fixed --seed at any --workers/--shards.
-///
 ///   magneto collect --out data.msns [--users N] [--seconds S] [--seed N]
 ///       Writes a synthetic multi-user collection campaign to disk.
 ///
@@ -722,112 +708,6 @@ int CmdFleet(const Args& args) {
   return 0;
 }
 
-int CmdCloud(const Args& args) {
-  auto bundle = core::ModelBundle::LoadFromFile(args.Get("bundle", ""));
-  if (!bundle.ok()) return Fail(bundle.status(), "load bundle");
-
-  // Adopt the on-disk bundle into a server (no retraining) and front it
-  // with the control plane.
-  platform::CloudServer server(core::CloudConfig{});
-  Status adopted = server.AdoptBundle(std::move(bundle).value());
-  if (!adopted.ok()) return Fail(adopted, "adopt bundle");
-
-  platform::CloudControlPlane::Options options;
-  options.num_shards = static_cast<size_t>(args.GetInt("shards", 16));
-  options.provision_workers =
-      static_cast<size_t>(args.GetInt("workers", 8));
-  options.max_reconnects =
-      static_cast<size_t>(args.GetInt("max-reconnects", 8));
-  platform::CloudControlPlane plane(options);
-
-  auto tenant = plane.RegisterTenant("cli", server);
-  if (!tenant.ok()) return Fail(tenant.status(), "register tenant");
-
-  platform::FleetSpec spec;
-  spec.num_devices = static_cast<size_t>(args.GetInt("devices", 10000));
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  spec.faulty_fraction = args.GetDouble("faulty-frac", 0.2);
-  spec.drop_rate = args.GetDouble("drop-rate", 0.2);
-  spec.corrupt_rate = args.GetDouble("corrupt-rate", 0.05);
-  spec.churn_fraction = args.GetDouble("churn-frac", 0.1);
-  spec.quantized_fraction = args.GetDouble("quantized-frac", 0.5);
-  spec.rtt_ms = args.GetDouble("rtt-ms", 50.0);
-  spec.bandwidth_mbps = args.GetDouble("mbps", 10.0);
-
-  std::printf("provisioning %zu devices (%zu workers, %zu shards, "
-              "faulty %.0f%%, churn %.0f%%, int8 %.0f%%)...\n",
-              spec.num_devices, options.provision_workers,
-              options.num_shards, spec.faulty_fraction * 100.0,
-              spec.churn_fraction * 100.0, spec.quantized_fraction * 100.0);
-  auto fleet = plane.ProvisionFleet(tenant.value(), spec);
-  if (!fleet.ok()) return Fail(fleet.status(), "provision fleet");
-  const platform::FleetReport& fr = fleet.value();
-  std::printf("provisioned %zu/%zu (%zu failed) in %.2f s wall "
-              "(%.0f devices/s)\n",
-              fr.provisioned, fr.devices, fr.failed, fr.wall_seconds,
-              fr.devices_per_second);
-  std::printf("  fp32 %zu / int8 %zu, %zu churned, %zu resumed sessions, "
-              "%.1f MB wire\n",
-              fr.fp32_devices, fr.int8_devices, fr.churned_devices,
-              fr.resumed_sessions,
-              static_cast<double>(fr.wire_bytes) / 1e6);
-  std::printf("  sim completion p50 %.1f s / p90 %.1f s / p99 %.1f s\n",
-              fr.CompletionQuantile(0.5), fr.CompletionQuantile(0.9),
-              fr.CompletionQuantile(0.99));
-
-  if (args.GetInt("rollout", 1) != 0) {
-    // Publish the same model as version 2 (the contents do not matter for
-    // the rollout mechanics) and walk a staged canary across the fleet.
-    auto v1 = plane.Artifact(tenant.value(), 1);
-    if (!v1.ok()) return Fail(v1.status(), "fetch v1");
-    auto v2 = plane.PublishVersionBytes(tenant.value(), v1.value()->fp32_bytes);
-    if (!v2.ok()) return Fail(v2.status(), "publish v2");
-
-    platform::RolloutPolicy policy;
-    policy.halt_failure_rate = args.GetDouble("halt-threshold", 0.25);
-    const std::string stages = args.Get("stages", "");
-    if (!stages.empty()) {
-      policy.stages.clear();
-      size_t pos = 0;
-      while (pos < stages.size()) {
-        size_t comma = stages.find(',', pos);
-        if (comma == std::string::npos) comma = stages.size();
-        policy.stages.push_back(std::stod(stages.substr(pos, comma - pos)));
-        pos = comma + 1;
-      }
-    }
-
-    std::printf("rolling out v%llu in %zu stages...\n",
-                static_cast<unsigned long long>(v2.value()),
-                policy.stages.size());
-    auto rollout = plane.RunRollout(tenant.value(), v2.value(), policy, spec);
-    if (!rollout.ok()) return Fail(rollout.status(), "rollout");
-    const platform::RolloutReport& rr = rollout.value();
-    for (const platform::StageRecord& stage : rr.stage_records) {
-      std::printf("  stage %4.0f%%: %6zu targeted, %6zu updated, %5zu "
-                  "failed (%.1f%%), skew before: %zu old / %zu new\n",
-                  stage.fraction * 100.0, stage.targeted, stage.updated,
-                  stage.failed, stage.failure_rate * 100.0,
-                  stage.skew_old_before, stage.skew_new_before);
-    }
-    std::printf("rollout %s: %zu updated, %zu failed, %zu pinned, "
-                "%zu skipped, %zu resumed sessions\n",
-                platform::RolloutStateName(rr.state), rr.devices_updated,
-                rr.devices_failed, rr.devices_pinned, rr.devices_skipped,
-                rr.resumed_sessions);
-
-    auto counts = plane.VersionCounts(tenant.value());
-    if (!counts.ok()) return Fail(counts.status(), "version counts");
-    std::printf("version histogram:");
-    for (const auto& [version, count] : counts.value()) {
-      std::printf("  v%llu=%zu", static_cast<unsigned long long>(version),
-                  count);
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
 int CmdCollect(const Args& args) {
   const std::string out = args.Get("out", "campaign.msns");
   const size_t users = static_cast<size_t>(args.GetInt("users", 8));
@@ -904,7 +784,7 @@ int CmdExportCsv(const Args& args) {
 void Usage() {
   std::fprintf(stderr,
                "usage: magneto <pretrain|inspect|simulate|learn|calibrate|compress|"
-               "fleet|cloud|collect|crossval|export-csv> "
+               "fleet|collect|crossval|export-csv> "
                "[flags]\n(see the header of tools/magneto_cli.cc)\n");
 }
 
@@ -927,7 +807,6 @@ int Dispatch(const std::string& command, const Args& args, int argc,
   if (command == "calibrate") return CmdCalibrate(args);
   if (command == "compress") return CmdCompress(args);
   if (command == "fleet") return CmdFleet(args);
-  if (command == "cloud") return CmdCloud(args);
   if (command == "collect") return CmdCollect(args);
   if (command == "crossval") return CmdCrossval(args);
   if (command == "export-csv") return CmdExportCsv(args);
