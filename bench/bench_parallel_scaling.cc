@@ -5,10 +5,11 @@
 // (Adam::Step on the paper backbone, ReLU backward) against scalar copies of
 // their pre-vectorisation form; plus the batch-1 stream window: Denoise and
 // the 80 features against copies of their column-at-a-time form, the
-// batch-1 backbone forward through the portable kernel and the column-block
-// kernel at 1, 2 and 4 lanes (and batches of 2, 4 and 8 at 1 and 4 lanes),
-// and the heap allocations of a warmed EdgeRuntime window at 1 and 4
-// lanes. Emits BENCH_parallel.json so the perf trajectory is tracked across
+// completing frame's preprocessing (whole window at once vs the streamed
+// featurizer's Finish), the batch-1 backbone forward through the portable
+// kernel and the column-block kernel at 1, 2 and 4 lanes (and batches of 2,
+// 4 and 8 at 1 and 4 lanes), and the heap allocations of a warmed
+// EdgeRuntime window at 1 and 4 lanes. Emits BENCH_parallel.json so the perf trajectory is tracked across
 // PRs, and fails (exit 1) if any workload is not bit-identical across
 // thread counts, kernel instantiations or the before/after loops — the determinism contract of the shared runtime
 // (DESIGN.md, "Parallel runtime") — if a packed instantiation is not at
@@ -193,6 +194,7 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
             const AllocStats& allocs, const std::vector<IsaRow>& isa_rows,
             const BeforeAfter& adam, const BeforeAfter& relu,
             const BeforeAfter& denoise, const BeforeAfter& features,
+            const BeforeAfter& completing,
             const std::vector<ForwardRow>& forward) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
   WriteHostStamp(&json);
@@ -247,9 +249,14 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .BeginObject()
       .Field("shapes", "one 120 x 22 window: moving average of 5, then the "
                        "80 statistical features; median per call over "
-                       "synthetic windows of every base activity; 1 lane");
+                       "synthetic windows of every base activity; 1 lane. "
+                       "completing_frame_preprocess_us: the window's whole "
+                       "denoise + features (before) vs WindowFeaturizer::"
+                       "Finish after 120 pushed rows (after), timed per "
+                       "window");
   WriteBeforeAfter(&json, "denoise_us", denoise);
   WriteBeforeAfter(&json, "features_us", features);
+  WriteBeforeAfter(&json, "completing_frame_preprocess_us", completing);
   json.EndObject()
       .Key("batch1_forward_us")
       .BeginObject()
@@ -535,8 +542,13 @@ double MedianUsPerCall(const std::vector<Matrix>& windows, Fn fn) {
 /// The stream window's two row sweeps against their column-at-a-time form
 /// on 120 x 22 windows of every base activity: Denoise with the pipeline's
 /// default moving average into a reused matrix, and the 80 features into a
-/// reused buffer. Outputs are compared bit for bit on every window.
-void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features) {
+/// reused buffer. Then the preprocessing left to the frame that completes a
+/// window: all of it when the whole window is denoised and featurised at
+/// once (before), only `WindowFeaturizer::Finish` once the first 120 rows
+/// went through `Push` as they arrived (after). Outputs are compared bit for
+/// bit on every window.
+void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features,
+                         BeforeAfter* completing) {
   SetParallelThreads(1);
   sensors::SyntheticGenerator gen(31);
   std::vector<Matrix> raw, denoised;
@@ -579,6 +591,42 @@ void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features) {
   features->after = MedianUsPerCall(denoised, [&](const Matrix& w) {
     CheckOk(extractor.Extract(w, &scratch, row.data()), "features");
   });
+
+  // Per window: the completing frame's share, timed alone; the featurizer's
+  // pushes run untimed just before it, as the window's frames would.
+  preprocess::WindowFeaturizer featurizer;
+  std::vector<float> streamed(preprocess::kNumFeatures);
+  auto push_all = [&](const Matrix& w) {
+    featurizer.Begin(config, w.rows(), /*statistical=*/true);
+    for (size_t r = 0; r < w.rows(); ++r) featurizer.Push(w.data());
+  };
+  completing->identical = true;
+  for (const Matrix& w : raw) {
+    CheckOk(preprocess::Denoise(w, config, &out), "denoise");
+    CheckOk(extractor.Extract(out, &scratch, row.data()), "features");
+    push_all(w);
+    CheckOk(featurizer.Finish(w.data(), streamed.data()), "finish");
+    completing->identical &= Fingerprint(row.data(), row.size()) ==
+                             Fingerprint(streamed.data(), streamed.size());
+  }
+  std::vector<double> before_us, after_us;
+  for (int round = 0; round < 31; ++round) {
+    double before = 0.0, after = 0.0;
+    for (const Matrix& w : raw) {
+      auto t0 = Clock::now();
+      CheckOk(preprocess::Denoise(w, config, &out), "denoise");
+      CheckOk(extractor.Extract(out, &scratch, row.data()), "features");
+      before += Seconds(t0, Clock::now());
+      push_all(w);
+      t0 = Clock::now();
+      CheckOk(featurizer.Finish(w.data(), streamed.data()), "finish");
+      after += Seconds(t0, Clock::now());
+    }
+    before_us.push_back(before * 1e6 / static_cast<double>(raw.size()));
+    after_us.push_back(after * 1e6 / static_cast<double>(raw.size()));
+  }
+  completing->before = Median(before_us);
+  completing->after = Median(after_us);
 }
 
 /// One forward of `net` on `x`. With `row_major` (a row-major copy of each
@@ -899,8 +947,8 @@ int main() {
   }
 
   // --- The batch-1 stream window: row sweeps before vs after ---
-  BeforeAfter denoise, features;
-  MeasureStreamWindow(&denoise, &features);
+  BeforeAfter denoise, features, completing;
+  MeasureStreamWindow(&denoise, &features, &completing);
   std::printf("stream denoise             %8.2f us before, %8.2f us after "
               "(x%.2f)%s\n",
               denoise.before, denoise.after, denoise.before / denoise.after,
@@ -909,9 +957,18 @@ int main() {
               "(x%.2f)%s\n",
               features.before, features.after, features.before / features.after,
               features.identical ? "" : "  BITS DIFFER");
+  std::printf("stream completing frame     %8.2f us before, %8.2f us after "
+              "(x%.2f)%s\n",
+              completing.before, completing.after,
+              completing.before / completing.after,
+              completing.identical ? "" : "  BITS DIFFER");
   if (!denoise.identical || !features.identical) {
     std::fprintf(stderr, "stream-window sweeps differ from their "
                          "column-at-a-time reference!\n");
+  }
+  if (!completing.identical) {
+    std::fprintf(stderr, "streamed window features differ from the "
+                         "whole-window path!\n");
   }
 
   // --- Forward-pass allocation traffic: reused vs fresh workspace ---
@@ -1054,12 +1111,12 @@ int main() {
   }
 
   Report(workloads, deterministic, allocs, isa_rows, adam, relu, denoise,
-         features, forward);
+         features, completing, forward);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
   const bool loops_identical = adam.identical && relu.identical &&
                                denoise.identical && features.identical &&
-                               forward_identical;
+                               completing.identical && forward_identical;
   return (deterministic && ncm_alloc_free && stream_alloc_free &&
           isa_identical && isa_fast && loops_identical)
              ? 0

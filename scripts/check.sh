@@ -51,11 +51,12 @@ cmake --build build-asan --target common_test core_test platform_test \
   nn_test integration_test preprocess_test
 ./build-asan/tests/common_test \
   --gtest_filter='Crc32*:BinarySerial*:*FileIo*:QGemm*'
-# The batch-1 window path: the row-swept denoise and feature sweeps index
-# caller-owned buffers by hand, and the segmentation reader guards the sizes
-# those buffers come from.
+# The batch-1 window path: the row denoiser and the feature sweeps index
+# caller-owned buffers by hand (the window featurizer reads the raw rows from
+# its caller's buffer as they arrive), and the segmentation reader guards the
+# sizes those buffers come from.
 ./build-asan/tests/preprocess_test \
-  --gtest_filter='Denoise*:FeatureExtractor*:Pipeline*:Segmentation*'
+  --gtest_filter='Denoise*:FeatureExtractor*:WindowFeaturizer*:Pipeline*:Segmentation*'
 # UpdateTransaction* stages/commits/rolls back full model snapshots — the
 # exact place a dangling pointer into swapped-out state would hide.
 # The quantized legs cover the int8 deserializers: the wire-v3 bundle
@@ -66,7 +67,9 @@ cmake --build build-asan --target common_test core_test platform_test \
 # set (both row encodings) and recording from an exact-size copy, so a read
 # past the end traps here.
 # EdgeRuntime*/StreamSession* (and EdgeFleet* below) drive the one stream
-# session both owners share: it memcpys buffered frames into a reused window.
+# session both owners share: it pushes each frame into its featurizer, which
+# reads the raw rows out of the session's shifted frame buffer, and replays
+# the retained frames of an overlapping stride into it.
 ./build-asan/tests/core_test \
   --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*:EdgeRuntime*:StreamSession*'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'

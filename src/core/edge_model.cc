@@ -87,8 +87,12 @@ Result<NamedPrediction> EdgeModel::ClassifyEmbedding(
 
 Result<NamedPrediction> EdgeModel::InferWindow(const Matrix& raw_window) {
   MAGNETO_RETURN_IF_ERROR(
-      pipeline_.ProcessWindow(raw_window, &pipeline_ws_, &features_));
+      pipeline_.ProcessWindow(raw_window, &featurizer_, &features_));
   return InferRow(features_, &embed_ws_, &classify_scratch_);
+}
+
+Result<NamedPrediction> EdgeModel::InferFeatureRow(const Matrix& features) {
+  return InferRow(features, &embed_ws_, &classify_scratch_);
 }
 
 Result<std::vector<NamedPrediction>> EdgeModel::InferRecording(

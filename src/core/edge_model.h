@@ -57,8 +57,14 @@ class EdgeModel : public Embedder {
   /// Full path for one raw window (window_samples x 22): denoise ->
   /// featurise -> normalise -> embed -> NCM, through the model's own
   /// pipeline, forward and classifier workspaces. Once they are warmed a
-  /// window makes no heap allocation.
+  /// window makes no heap allocation. The pipeline runs the operator a
+  /// stream feeds frame by frame (`preprocess::WindowFeaturizer`), so a
+  /// streamed window gives the same bits.
   Result<NamedPrediction> InferWindow(const Matrix& raw_window);
+
+  /// Embeds and classifies one preprocessed 1 x dim feature row (a stream's
+  /// finished window) through the model's own workspaces.
+  Result<NamedPrediction> InferFeatureRow(const Matrix& features);
 
   /// Segments a recording and predicts each complete window.
   Result<std::vector<NamedPrediction>> InferRecording(
@@ -158,9 +164,9 @@ class EdgeModel : public Embedder {
   /// keeping the classifier scan allocation-free like embed_ws_ does for
   /// the forward pass. The concurrent const path takes a caller-owned one.
   NcmClassifier::Scratch classify_scratch_;
-  /// InferWindow's denoise and feature buffers, and the feature row the
-  /// single-owner paths embed.
-  preprocess::PipelineWorkspace pipeline_ws_;
+  /// InferWindow's featurizer, and the feature row the single-owner paths
+  /// embed.
+  preprocess::WindowFeaturizer featurizer_;
   Matrix features_;
 };
 

@@ -48,12 +48,16 @@ Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
     capture_buffer_.push_back(frame);
     return std::optional<NamedPrediction>{};
   }
-  const Matrix* window =
-      session_.PushFrame(frame, model_.pipeline().config().segmentation);
-  if (window == nullptr) return std::optional<NamedPrediction>{};
+  const preprocess::Pipeline& pipeline = model_.pipeline();
+  if (!session_.PushFrame(frame, pipeline)) {
+    return std::optional<NamedPrediction>{};
+  }
   obs::TraceSpan span("EdgeRuntime::Classify");
   obs::ScopedTimer classify_timer(Metrics().classify_us);
-  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(*window));
+  MAGNETO_ASSIGN_OR_RETURN(const Matrix* features,
+                           session_.FinishWindow(pipeline));
+  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred,
+                           model_.InferFeatureRow(*features));
   return std::optional<NamedPrediction>(session_.Emit(std::move(pred)));
 }
 

@@ -1,7 +1,8 @@
 #include "core/stream_session.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "common/logging.h"
 
 namespace magneto::core {
 
@@ -18,28 +19,47 @@ void StreamSession::CountFrame() {
   Bump(counters_.frames);
 }
 
-const Matrix* StreamSession::PushFrame(
-    const sensors::Frame& frame, const preprocess::SegmentationConfig& seg) {
+bool StreamSession::PushFrame(const sensors::Frame& frame,
+                              const preprocess::Pipeline& pipeline) {
   static_assert(sizeof(sensors::Frame) == sensors::kNumChannels * sizeof(float),
                 "frames must pack into matrix rows");
   CountFrame();
+  if (window_complete_) NextWindow(pipeline);
   if (pending_skip_ > 0) {
     --pending_skip_;
-    return nullptr;
+    return false;
   }
+  const size_t window = pipeline.config().segmentation.window_samples;
+  if (buffer_.empty()) pipeline.BeginWindow(window, &featurizer_);
   buffer_.push_back(frame);
-  if (buffer_.size() < seg.window_samples) return nullptr;
-  window_.ResetForOverwrite(seg.window_samples, sensors::kNumChannels);
-  std::memcpy(window_.data(), buffer_.data(),
-              seg.window_samples * sizeof(sensors::Frame));
-  // Advance by the stride. With stride > window (gapped sampling) the
-  // surplus frames have not arrived yet; remember how many to discard.
-  const size_t advance = std::min(seg.stride, buffer_.size());
-  buffer_.erase(buffer_.begin(), buffer_.begin() + advance);
-  pending_skip_ = seg.stride - advance;
+  featurizer_.Push(RawRows());
+  if (buffer_.size() < window) return false;
+  window_complete_ = true;
   ++stats_.windows;
   Bump(counters_.windows);
-  return &window_;
+  return true;
+}
+
+Result<const Matrix*> StreamSession::FinishWindow(
+    const preprocess::Pipeline& pipeline) {
+  MAGNETO_CHECK(window_complete_ && featurizer_.pushed() == buffer_.size());
+  MAGNETO_RETURN_IF_ERROR(
+      pipeline.FinishWindow(RawRows(), &featurizer_, &features_));
+  return &features_;
+}
+
+void StreamSession::NextWindow(const preprocess::Pipeline& pipeline) {
+  window_complete_ = false;
+  // Advance by the stride. With stride > window (gapped sampling) the
+  // surplus frames have not arrived yet; remember how many to discard.
+  const size_t stride = pipeline.config().segmentation.stride;
+  const size_t advance = std::min(stride, buffer_.size());
+  buffer_.erase(buffer_.begin(), buffer_.begin() + advance);
+  pending_skip_ = stride - advance;
+  if (buffer_.empty()) return;
+  pipeline.BeginWindow(pipeline.config().segmentation.window_samples,
+                       &featurizer_);
+  while (featurizer_.pushed() < buffer_.size()) featurizer_.Push(RawRows());
 }
 
 void StreamSession::CountPrediction(const NamedPrediction& prediction) {
@@ -73,6 +93,7 @@ void StreamSession::EmitUnordered(const NamedPrediction* prediction) {
 
 void StreamSession::ResetContext() {
   buffer_.clear();
+  window_complete_ = false;
   pending_skip_ = 0;
   if (smoother_ != nullptr) smoother_->Reset();
   if (drift_monitor_ != nullptr) drift_monitor_->Reset();

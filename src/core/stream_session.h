@@ -11,7 +11,7 @@
 #include "core/edge_model.h"
 #include "core/smoother.h"
 #include "obs/metrics.h"
-#include "preprocess/segmentation.h"
+#include "preprocess/pipeline.h"
 
 namespace magneto::core {
 
@@ -27,9 +27,12 @@ struct StreamStats {
 /// optional smoother -> drift monitor -> journal chain before it is emitted.
 /// `EdgeRuntime` owns one; `platform::EdgeFleet` owns one per session.
 ///
-/// The session never classifies: its owner passes the current segmentation
-/// with every frame, classifies the returned window with its own model and
-/// hands the raw prediction to `Emit`. Single-owner; it takes no lock.
+/// Each frame is preprocessed as it arrives: the session feeds it to its
+/// one `preprocess::WindowFeaturizer`, so the frame that completes a window
+/// only finishes the features (`FinishWindow`). The session never
+/// classifies: its owner passes the current pipeline with every frame,
+/// classifies the finished feature row with its own model and hands the raw
+/// prediction to `Emit`. Single-owner; it takes no lock.
 class StreamSession {
  public:
   /// Process-wide counters bumped with the stats; null ones are skipped.
@@ -46,11 +49,20 @@ class StreamSession {
   /// Counts a frame that bypasses the stream (a recording capture).
   void CountFrame();
 
-  /// Counts and buffers one frame; returns the window it completes (valid
-  /// until the next call) or nullptr. Windows start `seg.stride` frames
-  /// apart; with stride > window the frames between them are dropped.
-  const Matrix* PushFrame(const sensors::Frame& frame,
-                          const preprocess::SegmentationConfig& seg);
+  /// Counts one frame, buffers it and pushes it into the window's
+  /// featurizer; returns true when it completes a window, which
+  /// `FinishWindow` then turns into features. Windows start `seg.stride`
+  /// frames apart (`seg` is `pipeline`'s segmentation); with stride > window
+  /// the frames between them are dropped, with stride < window the next
+  /// window's featurizer is fed the retained frames on the next call.
+  bool PushFrame(const sensors::Frame& frame,
+                 const preprocess::Pipeline& pipeline);
+
+  /// After `PushFrame` returned true, once: the completed window's
+  /// normalised feature row (1 x pipeline.feature_dim()), valid until the
+  /// next call. `pipeline` must be the one the window's frames were pushed
+  /// with.
+  Result<const Matrix*> FinishWindow(const preprocess::Pipeline& pipeline);
 
   /// Counts the raw prediction of the last window, runs it through the
   /// smoother, drift monitor and journal, and returns (and keeps as
@@ -62,9 +74,10 @@ class StreamSession {
   /// place in the stream, so the smoother, drift monitor and journal skip it.
   void EmitUnordered(const NamedPrediction* prediction);
 
-  /// Drops the stream context — buffered frames, a pending gapped-stride
-  /// skip, smoother votes, drift evidence — so nothing straddles a mode
-  /// switch or a model swap. The journal, a user-facing ledger, survives.
+  /// Drops the stream context — buffered frames and the window featurized
+  /// so far, a pending gapped-stride skip, smoother votes, drift evidence —
+  /// so nothing straddles a mode switch or a model swap. The journal, a
+  /// user-facing ledger, survives.
   void ResetContext();
 
   void EnableSmoothing(PredictionSmoother::Options options) {
@@ -101,12 +114,19 @@ class StreamSession {
 
  private:
   void CountPrediction(const NamedPrediction& prediction);
+  /// Starts the window after a completed one: advances the buffer by the
+  /// stride and replays the frames it keeps into the featurizer.
+  void NextWindow(const preprocess::Pipeline& pipeline);
+  const float* RawRows() const { return buffer_.front().data(); }
 
   Counters counters_;
-  /// Frames not yet consumed, oldest first, in one contiguous block of at
-  /// most a window: once filled it is only shifted, never reallocated.
+  /// The current window's frames, oldest first, in one contiguous block of
+  /// at most a window: once filled it is only shifted, never reallocated.
+  /// The featurizer reads its raw rows from here.
   std::vector<sensors::Frame> buffer_;
-  Matrix window_;            ///< the window being classified, reused
+  preprocess::WindowFeaturizer featurizer_;  ///< the current window's
+  Matrix features_;  ///< the finished window's feature row, reused
+  bool window_complete_ = false;  ///< buffer_ holds a whole window
   size_t pending_skip_ = 0;  ///< frames to drop (stride > window configs)
   std::unique_ptr<PredictionSmoother> smoother_;
   std::unique_ptr<DriftMonitor> drift_monitor_;

@@ -291,6 +291,14 @@ Result<SupportSet> SupportSet::Read(BinaryReader* reader,
           row[i] = static_cast<float>(q[i]) * scale;
         }
       }
+      // A flipped exponent bit parses into inf/NaN (or a scale whose
+      // product with a code overflows); such a row would poison every
+      // prototype and distance built from it.
+      if (!std::all_of(row.begin(), row.end(),
+                       [](float v) { return std::isfinite(v); })) {
+        return Status::Corruption("support class " + std::to_string(id) +
+                                  " holds a non-finite exemplar");
+      }
       data.push_back(std::move(row));
     }
     set.exemplars_[id] = std::move(data);

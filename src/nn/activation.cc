@@ -18,6 +18,7 @@ void Relu::Backward(const Matrix& grad_output, const Matrix& input,
                     const Matrix& /*output*/, LayerState* /*state*/,
                     Matrix* grad_input) {
   MAGNETO_CHECK(grad_output.SameShape(input));
+  if (grad_input == nullptr) return;
   grad_input->ResetForOverwrite(grad_output.rows(), grad_output.cols());
   const float* g = grad_output.data();
   const float* in = input.data();
@@ -46,6 +47,7 @@ void Tanh::Backward(const Matrix& grad_output, const Matrix& /*input*/,
                     const Matrix& output, LayerState* /*state*/,
                     Matrix* grad_input) {
   MAGNETO_CHECK(grad_output.SameShape(output));
+  if (grad_input == nullptr) return;
   grad_input->ResetForOverwrite(grad_output.rows(), grad_output.cols());
   const float* g = grad_output.data();
   const float* y = output.data();
@@ -73,6 +75,7 @@ void Sigmoid::Backward(const Matrix& grad_output, const Matrix& /*input*/,
                        const Matrix& output, LayerState* /*state*/,
                        Matrix* grad_input) {
   MAGNETO_CHECK(grad_output.SameShape(output));
+  if (grad_input == nullptr) return;
   grad_input->ResetForOverwrite(grad_output.rows(), grad_output.cols());
   const float* g = grad_output.data();
   const float* y = output.data();

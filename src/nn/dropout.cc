@@ -39,6 +39,7 @@ void Dropout::Forward(const Matrix& input, bool training, LayerState* state,
 void Dropout::Backward(const Matrix& grad_output, const Matrix& /*input*/,
                        const Matrix& /*output*/, LayerState* state,
                        Matrix* grad_input) {
+  if (grad_input == nullptr) return;
   if (p_ == 0.0 || state == nullptr || !state->flag) {
     grad_input->CopyFrom(grad_output);
     return;

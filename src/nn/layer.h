@@ -53,6 +53,8 @@ class Layer {
   /// that forward and `state` is the slot it recorded into (required).
   /// Accumulates parameter gradients and writes dLoss/dInput into
   /// `grad_input` (a reusable caller buffer; must not alias `grad_output`).
+  /// A null `grad_input` skips dLoss/dInput: no caller reads the first
+  /// layer's.
   virtual void Backward(const Matrix& grad_output, const Matrix& input,
                         const Matrix& output, LayerState* state,
                         Matrix* grad_input) = 0;

@@ -56,7 +56,7 @@ void LayerNorm::Backward(const Matrix& grad_output, const Matrix& /*input*/,
   MAGNETO_CHECK(grad_output.rows() == state->cached.rows());
   MAGNETO_CHECK(grad_output.cols() == dim_);
   const size_t batch = grad_output.rows();
-  grad_input->ResetForOverwrite(batch, dim_);
+  if (grad_input != nullptr) grad_input->ResetForOverwrite(batch, dim_);
   const float* g = gamma_.RowPtr(0);
   const double n = static_cast<double>(dim_);
   for (size_t r = 0; r < batch; ++r) {
@@ -69,6 +69,7 @@ void LayerNorm::Backward(const Matrix& grad_output, const Matrix& /*input*/,
       gg[j] += dy[j] * xhat[j];
       gb[j] += dy[j];
     }
+    if (grad_input == nullptr) continue;
     // Input gradient:
     // dx = inv_std/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)),
     // with dxhat = dy * gamma.

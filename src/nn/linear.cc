@@ -74,7 +74,9 @@ void Linear::Backward(const Matrix& grad_output, const Matrix& input,
   MatMulTransAAccumulate(input, grad_output, &grad_weight_, Layout::kPanels);
   grad_output.ColSumInto(&state->scratch_row);
   grad_bias_.AddInPlace(state->scratch_row);
-  MatMulTransBInto(grad_output, weight_, grad_input, Layout::kPanels);
+  if (grad_input != nullptr) {
+    MatMulTransBInto(grad_output, weight_, grad_input, Layout::kPanels);
+  }
 }
 
 std::vector<Matrix*> Linear::Grads() {

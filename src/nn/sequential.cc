@@ -46,25 +46,19 @@ const Matrix& Sequential::Forward(const Matrix& input, ForwardWorkspace* ws,
   return *x;
 }
 
-const Matrix& Sequential::Backward(const Matrix& grad_output,
-                                   ForwardWorkspace* ws) {
+void Sequential::Backward(const Matrix& grad_output, ForwardWorkspace* ws) {
   MAGNETO_CHECK(ws != nullptr);
   MAGNETO_CHECK(ws->recorded_ && ws->recorded_net_ == this &&
                 ws->recorded_layers_ == layers_.size());
-  if (layers_.empty()) {
-    ws->grad_[0].CopyFrom(grad_output);
-    return ws->grad_[0];
-  }
   const Matrix* g = &grad_output;
   size_t flip = 0;
   for (size_t i = layers_.size(); i-- > 0;) {
-    Matrix* gi = &ws->grad_[flip];
+    Matrix* gi = i > 0 ? &ws->grad_[flip] : nullptr;
     layers_[i]->Backward(*g, ws->acts_[i], ws->acts_[i + 1], &ws->states_[i],
                          gi);
     g = gi;
     flip ^= 1;
   }
-  return *g;
 }
 
 std::vector<Matrix*> Sequential::Params() {

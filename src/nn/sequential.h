@@ -56,9 +56,9 @@ class Sequential {
 
   /// Backpropagates through the activations recorded in `ws` (which must be
   /// the workspace of the matching recorded `Forward`); every layer
-  /// accumulates its parameter gradients. Returns dLoss/dInput, pointing
-  /// into `ws` (valid until the workspace's next backward).
-  const Matrix& Backward(const Matrix& grad_output, ForwardWorkspace* ws);
+  /// accumulates its parameter gradients. dLoss/dInput of the network is
+  /// not computed: the first layer gets a null `grad_input`.
+  void Backward(const Matrix& grad_output, ForwardWorkspace* ws);
 
   std::vector<Matrix*> Params();
   std::vector<Matrix*> Grads();

@@ -252,9 +252,9 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
   std::vector<PendingRequest*> valid;
   valid.reserve(batch.size());
   for (PendingRequest* req : batch) {
-    if (input_dim > 0 && req->features->size() != input_dim) {
+    if (input_dim > 0 && req->features.size() != input_dim) {
       req->status = Status::InvalidArgument(
-          "feature vector has dim " + std::to_string(req->features->size()) +
+          "feature vector has dim " + std::to_string(req->features.size()) +
           ", backbone expects " + std::to_string(input_dim));
       continue;
     }
@@ -266,10 +266,10 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
   // NcmClassifier::FromSupportSet uses to re-embed a whole support set.
   // Row-independent kernels keep each row's result identical to a
   // batch-of-one forward, so batch composition never changes a prediction.
-  const size_t dim = valid.front()->features->size();
+  const size_t dim = valid.front()->features.size();
   Matrix stacked(valid.size(), dim);
   for (size_t r = 0; r < valid.size(); ++r) {
-    std::memcpy(stacked.RowPtr(r), valid[r]->features->data(),
+    std::memcpy(stacked.RowPtr(r), valid[r]->features.data(),
                 dim * sizeof(float));
   }
   // The flow chain hops onto the combiner thread here: this batch may be
@@ -476,7 +476,7 @@ void EdgeFleet::ServeChunk(std::vector<Submission> chunk) {
   pointers.reserve(chunk.size());
   for (size_t i = 0; i < chunk.size(); ++i) {
     Metrics().requests->Increment();
-    requests[i].features = &chunk[i].features;
+    requests[i].features = chunk[i].features;
     requests[i].deployment = dep;
     requests[i].ctx = &chunk[i].ctx;
     // No flow step here: the dequeue hop is already visible as this
@@ -573,16 +573,16 @@ Result<std::optional<core::NamedPrediction>> EdgeFleet::PushFrame(
     Metrics().session_resets->Increment();
   }
   const preprocess::Pipeline& pipeline = dep->model.pipeline();
-  const Matrix* window =
-      s.stream.PushFrame(frame, pipeline.config().segmentation);
-  if (window == nullptr) return std::optional<core::NamedPrediction>{};
+  if (!s.stream.PushFrame(frame, pipeline)) {
+    return std::optional<core::NamedPrediction>{};
+  }
 
-  // Featurization is const and thread-safe: it runs right here on the
-  // session thread. Only the backbone forward goes through the batcher.
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<float> features,
-                           pipeline.ProcessWindow(*window));
+  // Featurization runs right here on the session thread, in the session's
+  // own featurizer. Only the backbone forward goes through the batcher.
+  MAGNETO_ASSIGN_OR_RETURN(const Matrix* features,
+                           s.stream.FinishWindow(pipeline));
   PendingRequest req;
-  req.features = &features;
+  req.features = {features->RowPtr(0), features->cols()};
   req.deployment = std::move(dep);
   {
     obs::ScopedTimer classify_timer(Metrics().classify_us);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -236,7 +237,9 @@ class EdgeFleet {
   /// classified by the matching backbone even when a promotion lands while
   /// it queues.
   struct PendingRequest {
-    const std::vector<float>* features = nullptr;
+    /// The window's feature row, owned by the caller (a session's feature
+    /// row or a submission), which blocks until the request is served.
+    std::span<const float> features;
     std::shared_ptr<const Deployment> deployment;
     core::NamedPrediction prediction;
     Status status = Status::Ok();

@@ -1,9 +1,9 @@
 #include "preprocess/denoise.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/logging.h"
+#include "sensors/sensor_types.h"
 
 namespace magneto::preprocess {
 
@@ -25,116 +25,129 @@ Result<DenoiseConfig> DenoiseConfig::Deserialize(BinaryReader* reader) {
   return config;
 }
 
-namespace {
-
-/// Channels whose running state is kept side by side; wider inputs are swept
-/// in blocks of this many, so the state lives on the stack.
-constexpr size_t kBlock = 32;
-
-// Centred boxcar with shrinking window at the edges. O(n) via a sliding sum
-// per channel; the window bounds depend on the row only, so every channel of
-// the block adds and subtracts the same rows in the same order.
-void MovingAverageBlock(const Matrix& in, Matrix* out, size_t c0,
-                        size_t width, size_t window) {
-  const size_t n = in.rows();
-  const size_t half = window / 2;
-  double sum[kBlock] = {};
-  size_t lo = 0, hi = 0;  // current [lo, hi) window
-  for (size_t i = 0; i < n; ++i) {
-    const size_t want_lo = i >= half ? i - half : 0;
-    const size_t want_hi = std::min(n, i + half + 1);
-    for (; hi < want_hi; ++hi) {
-      const float* x = in.RowPtr(hi) + c0;
-      for (size_t c = 0; c < width; ++c) sum[c] += x[c];
-    }
-    for (; lo < want_lo; ++lo) {
-      const float* x = in.RowPtr(lo) + c0;
-      for (size_t c = 0; c < width; ++c) sum[c] -= x[c];
-    }
-    const double count = static_cast<double>(hi - lo);
-    float* y = out->RowPtr(i) + c0;
-    for (size_t c = 0; c < width; ++c) {
-      y[c] = static_cast<float>(sum[c] / count);
-    }
-  }
-}
-
-// y[t] = a*x[t] + (1-a)*y[t-1], seeded with the first sample.
-void LowPassBlock(const Matrix& in, Matrix* out, size_t c0, size_t width,
-                  double alpha) {
-  const size_t n = in.rows();
-  if (n == 0) return;
-  const double keep = 1.0 - alpha;
-  double y[kBlock];
-  const float* x0 = in.RowPtr(0) + c0;
-  float* y0 = out->RowPtr(0) + c0;
-  for (size_t c = 0; c < width; ++c) {
-    y[c] = x0[c];
-    y0[c] = static_cast<float>(y[c]);
-  }
-  for (size_t i = 1; i < n; ++i) {
-    const float* x = in.RowPtr(i) + c0;
-    float* yi = out->RowPtr(i) + c0;
-    for (size_t c = 0; c < width; ++c) {
-      y[c] = alpha * x[c] + keep * y[c];
-      yi[c] = static_cast<float>(y[c]);
-    }
-  }
-}
-
-void MedianColumn(const Matrix& in, Matrix* out, size_t col, size_t window) {
-  const size_t n = in.rows();
-  const size_t half = window / 2;
-  std::vector<float> buf;
-  buf.reserve(window);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t lo = i >= half ? i - half : 0;
-    const size_t hi = std::min(n, i + half + 1);
-    buf.clear();
-    for (size_t j = lo; j < hi; ++j) buf.push_back(in.At(j, col));
-    std::nth_element(buf.begin(), buf.begin() + (buf.size() / 2), buf.end());
-    out->At(i, col) = buf[buf.size() / 2];
-  }
-}
-
-}  // namespace
-
-Status Denoise(const Matrix& samples, const DenoiseConfig& config,
-               Matrix* out) {
-  MAGNETO_CHECK(out != &samples);
-  if (config.method == DenoiseMethod::kNone) {
-    out->CopyFrom(samples);
-    return Status::Ok();
-  }
+Status RowDenoiser::Begin(const DenoiseConfig& config, size_t rows,
+                          size_t cols) {
   if (config.method == DenoiseMethod::kLowPass) {
     if (config.alpha <= 0.0 || config.alpha > 1.0) {
       return Status::InvalidArgument("low-pass alpha must be in (0, 1]");
     }
-  } else {
+  } else if (config.method != DenoiseMethod::kNone) {
     if (config.window == 0 || config.window % 2 == 0) {
       return Status::InvalidArgument("denoise window must be odd and >= 1");
     }
   }
+  config_ = config;
+  rows_ = rows;
+  cols_ = cols;
+  half_ = config.window / 2;
+  pushed_ = emitted_ = lo_ = 0;
+  state_.assign(config.method == DenoiseMethod::kNone ? 0 : cols, 0.0);
+  return Status::Ok();
+}
 
-  out->ResetForOverwrite(samples.rows(), samples.cols());
-  for (size_t c0 = 0; c0 < samples.cols(); c0 += kBlock) {
-    const size_t width = std::min(kBlock, samples.cols() - c0);
-    switch (config.method) {
-      case DenoiseMethod::kMovingAverage:
-        MovingAverageBlock(samples, out, c0, width, config.window);
-        break;
-      case DenoiseMethod::kMedian:
-        for (size_t c = c0; c < c0 + width; ++c) {
-          MedianColumn(samples, out, c, config.window);
-        }
-        break;
-      case DenoiseMethod::kLowPass:
-        LowPassBlock(samples, out, c0, width, config.alpha);
-        break;
-      case DenoiseMethod::kNone:
-        break;
+size_t RowDenoiser::Push(const float* raw, float* out) {
+  return cols_ == sensors::kNumChannels
+             ? PushRow<sensors::kNumChannels>(raw, out)
+             : PushRow<0>(raw, out);
+}
+
+size_t RowDenoiser::Finish(const float* raw, float* out) {
+  MAGNETO_CHECK(pushed_ == rows_);
+  while (emitted_ < rows_) {
+    if (config_.method == DenoiseMethod::kMovingAverage) {
+      if (cols_ == sensors::kNumChannels) {
+        EmitMovingAverage<sensors::kNumChannels>(raw, emitted_, out);
+      } else {
+        EmitMovingAverage<0>(raw, emitted_, out);
+      }
+    } else {
+      EmitMedian(raw, emitted_, out);
     }
   }
+  return rows_;
+}
+
+template <size_t kCols>
+size_t RowDenoiser::PushRow(const float* raw, float* out) {
+  MAGNETO_CHECK(pushed_ < rows_);
+  const size_t cols = kCols != 0 ? kCols : cols_;
+  const size_t k = pushed_++;
+  const float* x = raw + k * cols;
+  double* s = state_.data();
+  switch (config_.method) {
+    case DenoiseMethod::kNone:
+      std::copy(x, x + cols, out + k * cols);
+      emitted_ = pushed_;
+      break;
+    case DenoiseMethod::kLowPass: {
+      // y[t] = a*x[t] + (1-a)*y[t-1], seeded with the first sample.
+      float* y = out + k * cols;
+      if (k == 0) {
+        for (size_t c = 0; c < cols; ++c) s[c] = x[c];
+      } else {
+        const double alpha = config_.alpha, keep = 1.0 - alpha;
+        for (size_t c = 0; c < cols; ++c) s[c] = alpha * x[c] + keep * s[c];
+      }
+      for (size_t c = 0; c < cols; ++c) y[c] = static_cast<float>(s[c]);
+      emitted_ = pushed_;
+      break;
+    }
+    case DenoiseMethod::kMovingAverage:
+      for (size_t c = 0; c < cols; ++c) s[c] += x[c];
+      if (k >= half_) EmitMovingAverage<kCols>(raw, k - half_, out);
+      break;
+    case DenoiseMethod::kMedian:
+      if (k >= half_) EmitMedian(raw, k - half_, out);
+      break;
+  }
+  return emitted_;
+}
+
+// Centred boxcar with a shrinking window at the edges: row i averages raw
+// rows [i - half, i + half] clipped to the signal, all of which have been
+// added to the sliding sums; the rows that left the window are subtracted
+// first, oldest first.
+template <size_t kCols>
+void RowDenoiser::EmitMovingAverage(const float* raw, size_t i, float* out) {
+  const size_t cols = kCols != 0 ? kCols : cols_;
+  double* s = state_.data();
+  const size_t want_lo = i >= half_ ? i - half_ : 0;
+  for (; lo_ < want_lo; ++lo_) {
+    const float* x = raw + lo_ * cols;
+    for (size_t c = 0; c < cols; ++c) s[c] -= x[c];
+  }
+  const double count = static_cast<double>(pushed_ - lo_);
+  float* y = out + i * cols;
+  for (size_t c = 0; c < cols; ++c) y[c] = static_cast<float>(s[c] / count);
+  emitted_ = i + 1;
+}
+
+// Centred running median over the same clipped window, one channel at a
+// time through nth_element on the window in row order.
+void RowDenoiser::EmitMedian(const float* raw, size_t i, float* out) {
+  const size_t lo = i >= half_ ? i - half_ : 0;
+  float* y = out + i * cols_;
+  for (size_t c = 0; c < cols_; ++c) {
+    median_.clear();
+    for (size_t j = lo; j < pushed_; ++j) median_.push_back(raw[j * cols_ + c]);
+    const auto mid = median_.begin() + (median_.size() / 2);
+    std::nth_element(median_.begin(), mid, median_.end());
+    y[c] = *mid;
+  }
+  emitted_ = i + 1;
+}
+
+Status Denoise(const Matrix& samples, const DenoiseConfig& config,
+               Matrix* out) {
+  MAGNETO_CHECK(out != &samples);
+  RowDenoiser denoiser;
+  MAGNETO_RETURN_IF_ERROR(
+      denoiser.Begin(config, samples.rows(), samples.cols()));
+  out->ResetForOverwrite(samples.rows(), samples.cols());
+  for (size_t i = 0; i < samples.rows(); ++i) {
+    denoiser.Push(samples.data(), out->data());
+  }
+  denoiser.Finish(samples.data(), out->data());
   return Status::Ok();
 }
 

@@ -79,25 +79,19 @@ Result<PipelineConfig> PipelineConfig::Deserialize(BinaryReader* reader) {
   return config;
 }
 
-Status Pipeline::Featurize(const Matrix& window,
-                           FeatureExtractor::Scratch* scratch,
-                           float* out) const {
+Result<std::vector<float>> Pipeline::Featurize(const Matrix& window) const {
+  std::vector<float> out;
+  out.reserve(feature_dim());
   if (config_.features != FeatureMode::kSpectral) {
-    MAGNETO_RETURN_IF_ERROR(extractor_.Extract(window, scratch, out));
-    out += kNumFeatures;
+    out.resize(kNumFeatures);
+    FeatureExtractor::Scratch scratch;
+    MAGNETO_RETURN_IF_ERROR(extractor_.Extract(window, &scratch, out.data()));
   }
   if (config_.features != FeatureMode::kStatistical) {
     MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
                              spectral_.Extract(window));
-    std::copy(spec.begin(), spec.end(), out);
+    out.insert(out.end(), spec.begin(), spec.end());
   }
-  return Status::Ok();
-}
-
-Result<std::vector<float>> Pipeline::Featurize(const Matrix& window) const {
-  FeatureExtractor::Scratch scratch;
-  std::vector<float> out(feature_dim());
-  MAGNETO_RETURN_IF_ERROR(Featurize(window, &scratch, out.data()));
   return out;
 }
 
@@ -183,25 +177,50 @@ Result<sensors::FeatureDataset> Pipeline::Fit(
   return normalizer_.ApplyToDataset(raw);
 }
 
-Status Pipeline::ProcessWindow(const Matrix& window, PipelineWorkspace* ws,
-                               Matrix* out) const {
+void Pipeline::BeginWindow(size_t n, WindowFeaturizer* featurizer) const {
+  featurizer->Begin(config_.denoise, n,
+                    config_.features != FeatureMode::kSpectral);
+}
+
+Status Pipeline::FinishWindow(const float* raw, WindowFeaturizer* featurizer,
+                              Matrix* out) const {
   if (!fitted()) {
     return Status::FailedPrecondition("pipeline normalizer not fitted");
   }
-  obs::TraceSpan span("Pipeline::ProcessWindow");
+  obs::TraceSpan span("Pipeline::FinishWindow");
   obs::ScopedTimer timer(Metrics().window_us);
   Metrics().stream_windows->Increment();
-  MAGNETO_RETURN_IF_ERROR(Denoise(window, config_.denoise, &ws->denoised));
   out->ResetForOverwrite(1, feature_dim());
-  MAGNETO_RETURN_IF_ERROR(
-      Featurize(ws->denoised, &ws->features, out->RowPtr(0)));
-  return normalizer_.Apply(out->RowPtr(0), out->cols());
+  float* row = out->RowPtr(0);
+  MAGNETO_RETURN_IF_ERROR(featurizer->Finish(raw, row));
+  if (config_.features != FeatureMode::kStatistical) {
+    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
+                             spectral_.Extract(featurizer->denoised()));
+    std::copy(spec.begin(), spec.end(),
+              row + (config_.features == FeatureMode::kSpectral
+                         ? 0
+                         : kNumFeatures));
+  }
+  return normalizer_.Apply(row, out->cols());
+}
+
+Status Pipeline::ProcessWindow(const Matrix& window,
+                               WindowFeaturizer* featurizer,
+                               Matrix* out) const {
+  if (window.cols() != sensors::kNumChannels) {
+    return Status::InvalidArgument(
+        "window must have " + std::to_string(sensors::kNumChannels) +
+        " channels, got " + std::to_string(window.cols()));
+  }
+  BeginWindow(window.rows(), featurizer);
+  for (size_t i = 0; i < window.rows(); ++i) featurizer->Push(window.data());
+  return FinishWindow(window.data(), featurizer, out);
 }
 
 Result<std::vector<float>> Pipeline::ProcessWindow(const Matrix& window) const {
-  PipelineWorkspace ws;
+  WindowFeaturizer featurizer;
   Matrix features;
-  MAGNETO_RETURN_IF_ERROR(ProcessWindow(window, &ws, &features));
+  MAGNETO_RETURN_IF_ERROR(ProcessWindow(window, &featurizer, &features));
   return std::vector<float>(features.storage().begin(),
                             features.storage().end());
 }

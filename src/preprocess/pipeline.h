@@ -10,6 +10,7 @@
 #include "preprocess/normalization.h"
 #include "preprocess/segmentation.h"
 #include "preprocess/spectral_features.h"
+#include "preprocess/window_featurizer.h"
 #include "sensors/dataset.h"
 #include "sensors/synthetic_generator.h"
 
@@ -35,16 +36,6 @@ struct PipelineConfig {
 
   void Serialize(BinaryWriter* writer) const;
   static Result<PipelineConfig> Deserialize(BinaryReader* reader);
-};
-
-/// Caller-owned buffers for `Pipeline::ProcessWindow`, as
-/// `nn::ForwardWorkspace` is for the backbone: one per concurrent caller,
-/// grown on the first window and then reused, so a warmed workspace takes a
-/// statistical-feature window through denoising, features and normalisation
-/// without a heap allocation.
-struct PipelineWorkspace {
-  Matrix denoised;
-  FeatureExtractor::Scratch features;
 };
 
 /// The paper's "pre-processing function" (§3.2 item 1): denoising ->
@@ -78,10 +69,27 @@ class Pipeline {
   Result<std::vector<std::vector<float>>> Process(
       const sensors::Recording& recording) const;
 
+  /// Starts `featurizer` on a window of `n` raw rows: this pipeline's
+  /// denoising, and the statistical features' first sweep when the mode
+  /// reads them. A stream pushes each frame into it as the frame arrives.
+  void BeginWindow(size_t n, WindowFeaturizer* featurizer) const;
+
+  /// Finishes the window `featurizer` holds (`raw`: its raw rows, back to
+  /// back) into `out`, a 1 x feature_dim() row: the rest of the features,
+  /// then the frozen normaliser. A warmed `featurizer` and `out` make it
+  /// allocation-free in statistical mode. Fails with kFailedPrecondition if
+  /// not fitted.
+  Status FinishWindow(const float* raw, WindowFeaturizer* featurizer,
+                      Matrix* out) const;
+
   /// Processes one already-segmented window into `out`, a 1 x feature_dim()
-  /// row, through the caller's workspace. This is the stream path; a warmed
-  /// `ws` and `out` make it allocation-free in statistical mode.
-  Status ProcessWindow(const Matrix& window, PipelineWorkspace* ws,
+  /// row, by pushing every row through `featurizer` and finishing it: the
+  /// stream path's operator over a whole window. The featurizer is the
+  /// caller's, as `nn::ForwardWorkspace` is for the backbone: one per
+  /// concurrent caller, so a warmed one takes a statistical-feature window
+  /// through denoising, features and normalisation without a heap
+  /// allocation.
+  Status ProcessWindow(const Matrix& window, WindowFeaturizer* featurizer,
                        Matrix* out) const;
 
   /// Processes one already-segmented window; a wrapper over the overload
@@ -99,10 +107,7 @@ class Pipeline {
   size_t feature_dim() const { return FeatureDim(config_.features); }
 
  private:
-  /// Runs the configured feature extractor(s) on one denoised window into
-  /// `out[0, feature_dim())`.
-  Status Featurize(const Matrix& window, FeatureExtractor::Scratch* scratch,
-                   float* out) const;
+  /// Runs the configured feature extractor(s) on one denoised window.
   Result<std::vector<float>> Featurize(const Matrix& window) const;
 
   /// Denoise + segment + featurise, no normalisation.

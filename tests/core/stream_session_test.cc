@@ -1,6 +1,12 @@
 #include "core/stream_session.h"
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "sensors/signal_model.h"
+#include "sensors/synthetic_generator.h"
 
 namespace magneto::core {
 namespace {
@@ -20,6 +26,16 @@ preprocess::SegmentationConfig Seg(size_t window, size_t stride) {
   return seg;
 }
 
+/// A pipeline that passes frames through unfiltered and unnormalised, so a
+/// window's acc_x min/max/mean features name the frames it holds.
+preprocess::Pipeline Raw(const preprocess::SegmentationConfig& seg) {
+  preprocess::PipelineConfig config;
+  config.denoise.method = preprocess::DenoiseMethod::kNone;
+  config.normalization = preprocess::NormalizationMethod::kNone;
+  config.segmentation = seg;
+  return preprocess::Pipeline(config);
+}
+
 NamedPrediction Pred(sensors::ActivityId id, double confidence) {
   NamedPrediction p;
   p.prediction.activity = id;
@@ -33,18 +49,24 @@ NamedPrediction Pred(sensors::ActivityId id, double confidence) {
 std::vector<float> WindowStarts(StreamSession* session,
                                 const preprocess::SegmentationConfig& seg,
                                 int first, int count) {
+  const preprocess::Pipeline pipeline = Raw(seg);
   std::vector<float> starts;
   for (int i = first; i < first + count; ++i) {
-    const Matrix* window =
-        session->PushFrame(FrameOf(static_cast<float>(i)), seg);
-    if (window == nullptr) continue;
-    EXPECT_EQ(window->rows(), seg.window_samples);
-    EXPECT_EQ(window->cols(), sensors::kNumChannels);
-    for (size_t r = 0; r < window->rows(); ++r) {
-      EXPECT_EQ(window->At(r, sensors::kNumChannels - 1),
-                window->At(0, 0) + static_cast<float>(r));
+    if (!session->PushFrame(FrameOf(static_cast<float>(i)), pipeline)) {
+      continue;
     }
-    starts.push_back(window->At(0, 0));
+    Result<const Matrix*> row = session->FinishWindow(pipeline);
+    EXPECT_TRUE(row.ok());
+    if (!row.ok()) continue;
+    const Matrix& f = *row.value();
+    EXPECT_EQ(f.rows(), 1u);
+    EXPECT_EQ(f.cols(), preprocess::kNumFeatures);
+    // acc_x mean, min and max: consecutive frames start .. start + n - 1.
+    const float start = f.At(0, 2);
+    const float n = static_cast<float>(seg.window_samples);
+    EXPECT_EQ(f.At(0, 3), start + n - 1.0f);
+    EXPECT_EQ(f.At(0, 0), start + (n - 1.0f) / 2.0f);
+    starts.push_back(start);
   }
   return starts;
 }
@@ -87,6 +109,85 @@ TEST(StreamSessionTest, ResetContextDropsBufferAndPendingSkip) {
   EXPECT_DOUBLE_EQ(session.journal()->elapsed_seconds(), 1.0);
 }
 
+/// Streams `samples` from row `first` on through `session` and checks that
+/// every finished window's feature row is memcmp-equal to the whole-window
+/// path (`Denoise`, then `FeatureExtractor::Extract`) on the matching
+/// `Segment()` window of those rows. Returns the number of windows.
+size_t ExpectStreamedMatchesSegmented(StreamSession* session,
+                                      const preprocess::Pipeline& pipeline,
+                                      const Matrix& samples, size_t first) {
+  const Matrix rest = samples.RowSlice(first, samples.rows());
+  const std::vector<Matrix> windows =
+      preprocess::Segment(rest, pipeline.config().segmentation).value();
+  const preprocess::FeatureExtractor extractor;
+  size_t next = 0;
+  sensors::Frame frame;
+  for (size_t r = 0; r < rest.rows(); ++r) {
+    std::memcpy(frame.data(), rest.RowPtr(r), sizeof(frame));
+    if (!session->PushFrame(frame, pipeline)) continue;
+    Result<const Matrix*> row = session->FinishWindow(pipeline);
+    EXPECT_TRUE(row.ok());
+    if (!row.ok() || next >= windows.size()) return next;
+    const Matrix denoised =
+        preprocess::Denoise(windows[next], pipeline.config().denoise).value();
+    const std::vector<float> want = extractor.Extract(denoised).value();
+    EXPECT_EQ(row.value()->size(), want.size());
+    if (row.value()->size() != want.size()) return next;
+    EXPECT_EQ(std::memcmp(row.value()->data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "window " << next;
+    ++next;
+  }
+  EXPECT_EQ(next, windows.size());
+  return next;
+}
+
+TEST(StreamSessionTest, StreamedFeaturesMatchWholeWindowAtEveryStride) {
+  // Stride < window replays the retained frames into a fresh featurizer,
+  // stride = window starts it empty, stride > window drops frames first.
+  sensors::SyntheticGenerator gen(7);
+  const Matrix samples =
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kWalk], 8.0)
+          .samples;
+  for (const auto& [window, stride] :
+       {std::pair<size_t, size_t>{120, 60}, {120, 120}, {120, 240},
+        {120, 1}, {5, 3}, {2, 1}, {7, 9}}) {
+    // The default moving average of 5, unnormalised.
+    preprocess::PipelineConfig config = Raw(Seg(window, stride)).config();
+    config.denoise = preprocess::DenoiseConfig{};
+    SCOPED_TRACE("window " + std::to_string(window) + " stride " +
+                 std::to_string(stride));
+    StreamSession session(StreamSession::Counters{});
+    EXPECT_GT(ExpectStreamedMatchesSegmented(
+                  &session, preprocess::Pipeline(config), samples, 0),
+              0u);
+  }
+}
+
+TEST(StreamSessionTest, ResetContextInMidWindowRestartsTheFeaturizer) {
+  sensors::SyntheticGenerator gen(9);
+  const Matrix samples =
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kRun], 4.0)
+          .samples;
+  preprocess::PipelineConfig config = Raw(Seg(120, 60)).config();
+  config.denoise = preprocess::DenoiseConfig{};
+  const preprocess::Pipeline pipeline(config);
+  StreamSession session(StreamSession::Counters{});
+  // 130 frames: one window finished, the next 70 frames into its
+  // featurizer; the reset drops them and the stream restarts at frame 130.
+  sensors::Frame frame;
+  for (size_t r = 0; r < 130; ++r) {
+    std::memcpy(frame.data(), samples.RowPtr(r), sizeof(frame));
+    if (session.PushFrame(frame, pipeline)) {
+      ASSERT_TRUE(session.FinishWindow(pipeline).ok());
+    }
+  }
+  session.ResetContext();
+  EXPECT_GT(ExpectStreamedMatchesSegmented(&session, pipeline, samples, 130),
+            2u);
+}
+
 TEST(StreamSessionTest, EmitRunsTheConsumerChainAndCounts) {
   obs::Registry& registry = obs::Registry::Global();
   StreamSession::Counters counters{
@@ -108,7 +209,7 @@ TEST(StreamSessionTest, EmitRunsTheConsumerChainAndCounts) {
   session.EnableDriftMonitoring(drift, /*baseline_distance=*/0.0);
   session.EnableJournal(Seg(2, 2), /*sample_rate_hz=*/2.0);
 
-  for (int i = 0; i < 2; ++i) session.PushFrame(FrameOf(0), Seg(2, 2));
+  for (int i = 0; i < 2; ++i) session.PushFrame(FrameOf(0), Raw(Seg(2, 2)));
   for (int i = 0; i < 4; ++i) session.Emit(Pred(0, 0.9));
   // One outlier is voted down by the smoother and counted as an override.
   NamedPrediction out = session.Emit(Pred(1, 0.6));

@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "magneto.h"
@@ -248,13 +250,18 @@ core::SupportSet SmallSupportSet() {
 }
 
 // What a caller does with a loaded support set: read each class back as a
-// matrix, flatten it into the retraining set, and save it again.
+// matrix, flatten it into the retraining set, and save it again. Every
+// exemplar a survivor holds must be finite.
 void ExpectUsable(const core::SupportSet& set, const std::string&) {
   size_t rows = 0;
   for (sensors::ActivityId id : set.Classes()) {
     auto exemplars = set.ClassExemplars(id);
     ASSERT_TRUE(exemplars.ok());
     EXPECT_EQ(exemplars.value().rows(), set.ClassSize(id));
+    for (size_t i = 0; i < exemplars.value().size(); ++i) {
+      EXPECT_TRUE(std::isfinite(exemplars.value().data()[i]))
+          << "class " << id << " value " << i;
+    }
     EXPECT_LE(set.ClassSize(id), set.capacity_per_class());
     rows += set.ClassSize(id);
   }
