@@ -35,7 +35,6 @@ EdgeRuntime::EdgeRuntime(EdgeModel model, SupportSet support,
                          IncrementalOptions options, double sample_rate_hz)
     : model_(std::move(model)),
       support_(std::move(support)),
-      learner_(options),
       sample_rate_hz_(sample_rate_hz),
       updater_(std::make_unique<AsyncUpdater>(options)),
       session_({Metrics().frames, Metrics().windows, Metrics().predictions,
@@ -87,43 +86,14 @@ sensors::Recording EdgeRuntime::FinishCapture() {
 
 Result<UpdateReport> EdgeRuntime::FinishRecordingAndLearn(
     const std::string& name) {
-  if (mode_ != RuntimeMode::kRecording) {
-    return Status::FailedPrecondition("not recording");
-  }
-  sensors::Recording rec = FinishCapture();
-  MAGNETO_ASSIGN_OR_RETURN(
-      UpdateReport report,
-      learner_.LearnNewActivity(&model_, &support_, name, {rec}));
-  OnUpdateCommitted();
-  return report;
+  MAGNETO_RETURN_IF_ERROR(FinishRecordingAndLearnAsync(name));
+  return CommitUpdate();
 }
 
 Result<UpdateReport> EdgeRuntime::FinishRecordingAndCalibrate(
     const std::string& name) {
-  if (mode_ != RuntimeMode::kRecording) {
-    return Status::FailedPrecondition("not recording");
-  }
-  MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
-                           model_.registry().IdOf(name));
-  sensors::Recording rec = FinishCapture();
-  MAGNETO_ASSIGN_OR_RETURN(
-      UpdateReport report, learner_.Calibrate(&model_, &support_, id, {rec}));
-  OnUpdateCommitted();
-  return report;
-}
-
-void EdgeRuntime::OnUpdateCommitted() {
-  ++updates_;
-  Metrics().updates->Increment();
-  if (auto_checkpoint_path_.empty()) return;
-  // The learner only returns success once the staged state is fully
-  // committed, so what is persisted here is exactly the post-update model.
-  // A rolled-back update never reaches this point and the previous
-  // checkpoint (the pre-update model) stays authoritative on disk.
-  Status saved = SaveCheckpoint(auto_checkpoint_path_);
-  if (!saved.ok()) {
-    MAGNETO_LOG(Warning) << "auto-checkpoint failed: " << saved.ToString();
-  }
+  MAGNETO_RETURN_IF_ERROR(FinishRecordingAndCalibrateAsync(name));
+  return CommitUpdate();
 }
 
 void EdgeRuntime::EnableAutoCheckpoint(std::string path) {
@@ -171,7 +141,17 @@ Result<UpdateReport> EdgeRuntime::CommitUpdate() {
   model_ = std::move(outcome.model);
   support_ = std::move(outcome.support);
   session_.ResetContext();
-  OnUpdateCommitted();
+  ++updates_;
+  Metrics().updates->Increment();
+  if (!auto_checkpoint_path_.empty()) {
+    // Only a successful update reaches this point, so what is persisted is
+    // exactly the post-update model. A rolled-back update never does, and
+    // the previous checkpoint (the pre-update model) stays authoritative.
+    Status saved = SaveCheckpoint(auto_checkpoint_path_);
+    if (!saved.ok()) {
+      MAGNETO_LOG(Warning) << "auto-checkpoint failed: " << saved.ToString();
+    }
+  }
   return std::move(outcome.report);
 }
 

@@ -39,7 +39,8 @@ struct RuntimeStats : StreamStats {
 /// recording triggers the on-device incremental update — panel (d); the
 /// runtime then resumes inference with the enriched model — panel (e).
 /// The runtime is one `StreamSession` plus the model, the capture buffer and
-/// the learner; `platform::EdgeFleet` streams through the same session type.
+/// the background updater, which runs every update; `platform::EdgeFleet`
+/// streams through the same session type.
 class EdgeRuntime {
  public:
   /// Takes ownership of the deployed model and support set (both came out of
@@ -57,10 +58,13 @@ class EdgeRuntime {
 
   Status StartRecording();
 
-  /// Ends the capture and learns it as the new activity `name` (§3.3).
+  /// Ends the capture and learns it as the new activity `name` (§3.3):
+  /// `FinishRecordingAndLearnAsync(name)`, then `CommitUpdate()`. Refused,
+  /// with the capture kept, while another update is pending.
   Result<UpdateReport> FinishRecordingAndLearn(const std::string& name);
 
-  /// Ends the capture and re-calibrates the existing activity `name`.
+  /// Ends the capture and re-calibrates the existing activity `name`:
+  /// `FinishRecordingAndCalibrateAsync(name)`, then `CommitUpdate()`.
   Result<UpdateReport> FinishRecordingAndCalibrate(const std::string& name);
 
   /// Discards the capture and returns to inference.
@@ -70,7 +74,9 @@ class EdgeRuntime {
 
   /// Ends the capture and learns it in the background: inference resumes
   /// immediately on the *current* model; call `CommitUpdate` once
-  /// `UpdateReady()` to swap in the retrained one.
+  /// `UpdateReady()` to swap in the retrained one. Fails with
+  /// FailedPrecondition, before touching the capture, while an update is
+  /// pending.
   Status FinishRecordingAndLearnAsync(const std::string& name);
 
   /// Same, but re-calibrating the existing activity `name`.
@@ -109,10 +115,10 @@ class EdgeRuntime {
       double sample_rate_hz = sensors::kDefaultSampleRateHz);
 
   /// Arms commit-point checkpointing: `SaveCheckpoint(path)` runs after
-  /// every *committed* update (FinishRecordingAndLearn/-Calibrate and
-  /// CommitUpdate). A failed or rolled-back update writes nothing, so the
-  /// on-disk checkpoint always holds the last committed model and a crash
-  /// mid-update recovers to the pre-update state via the `.lkg` path.
+  /// every successful `CommitUpdate` (which the synchronous calls end in).
+  /// A failed or rolled-back update writes nothing, so the on-disk
+  /// checkpoint always holds the last committed model and a crash mid-update
+  /// recovers to the pre-update state via the `.lkg` path.
   void EnableAutoCheckpoint(std::string path);
   void DisableAutoCheckpoint();
 
@@ -159,13 +165,8 @@ class EdgeRuntime {
  private:
   sensors::Recording FinishCapture();
 
-  /// Commit point of a successful update: bumps the update counters and,
-  /// when auto-checkpointing is armed, persists the committed state.
-  void OnUpdateCommitted();
-
   EdgeModel model_;
   SupportSet support_;
-  IncrementalLearner learner_;
   double sample_rate_hz_;
   std::unique_ptr<AsyncUpdater> updater_;  ///< never null
   StreamSession session_;

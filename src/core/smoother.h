@@ -25,8 +25,8 @@ namespace magneto::core {
 /// an activity change would leave the pre-change winner in the history
 /// indefinitely and the smoother would keep reporting it.
 ///
-/// Not thread-safe; in a multi-session deployment each session owns its own
-/// smoother (see platform::EdgeFleet). The history and the vote table are
+/// Not thread-safe; each stream owns its own smoother (see
+/// core::StreamSession). The history and the vote table are
 /// plain vectors that stop growing once the history has been full, so a
 /// warmed smoother pushes without a heap allocation.
 class PredictionSmoother {

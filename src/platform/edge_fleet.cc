@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/parallel.h"
@@ -24,8 +25,6 @@ struct FleetMetrics {
   obs::Counter* batches = obs::Registry::Global().GetCounter("fleet.batches");
   obs::Counter* promotions =
       obs::Registry::Global().GetCounter("fleet.promotions");
-  obs::Counter* update_failures =
-      obs::Registry::Global().GetCounter("fleet.update_failures");
   obs::Counter* session_resets =
       obs::Registry::Global().GetCounter("fleet.session_resets");
   obs::Counter* rejected = obs::Registry::Global().GetCounter("fleet.rejected");
@@ -92,22 +91,12 @@ EdgeFleet::EdgeFleet(core::ModelBundle bundle, size_t num_sessions,
   core::SupportSet support = std::move(bundle.support);
   deployment_ = std::make_shared<const Deployment>(
       std::move(bundle).ToEdgeModel(), std::move(support), /*version=*/1);
-  const auto& seg = deployment_->model.pipeline().config().segmentation;
   const core::StreamSession::Counters counters{
       Metrics().frames, Metrics().windows, Metrics().predictions};
   sessions_.reserve(num_sessions);
   for (size_t i = 0; i < num_sessions; ++i) {
     auto session = std::make_unique<Session>(counters);
     session->deployment_version = deployment_->version;
-    core::StreamSession& stream = session->stream;
-    if (options_.enable_smoothing) stream.EnableSmoothing(options_.smoother);
-    if (options_.enable_drift_monitoring) {
-      stream.EnableDriftMonitoring(options_.drift,
-                                   options_.drift_baseline_distance);
-    }
-    if (options_.enable_journal) {
-      stream.EnableJournal(seg, options_.sample_rate_hz);
-    }
     sessions_.push_back(std::move(session));
   }
   Metrics().sessions->Set(static_cast<double>(num_sessions));
@@ -161,77 +150,23 @@ std::shared_ptr<const EdgeFleet::Deployment> EdgeFleet::CurrentDeployment()
   return deployment_;
 }
 
-void EdgeFleet::Promote(core::EdgeModel model, core::SupportSet support) {
-  // Copy-on-swap: the new deployment is fully built before the pointer
-  // flips, so no reader ever sees a half-initialized model, and in-flight
-  // classifications keep their pinned snapshot alive through the shared_ptr.
-  auto next = std::make_shared<const Deployment>(
-      std::move(model), std::move(support), next_version_.fetch_add(1));
-  std::lock_guard<std::mutex> lock(deploy_mu_);
-  deployment_ = std::move(next);
-  Metrics().promotions->Increment();
-}
-
 uint64_t EdgeFleet::deployment_version() const {
   return CurrentDeployment()->version;
 }
 
 Status EdgeFleet::PromoteBundle(core::ModelBundle bundle) {
   MAGNETO_RETURN_IF_ERROR(CheckDeployable(bundle));
+  // Copy-on-swap: the new deployment is fully built before the pointer
+  // flips, so no reader ever sees a half-initialized model, and in-flight
+  // classifications keep their pinned snapshot alive through the shared_ptr.
   core::SupportSet support = std::move(bundle.support);
-  Promote(std::move(bundle).ToEdgeModel(), std::move(support));
+  auto next = std::make_shared<const Deployment>(
+      std::move(bundle).ToEdgeModel(), std::move(support),
+      next_version_.fetch_add(1));
+  std::lock_guard<std::mutex> lock(deploy_mu_);
+  deployment_ = std::move(next);
+  Metrics().promotions->Increment();
   return Status::Ok();
-}
-
-Status EdgeFleet::BeginLearn(const std::string& name,
-                             std::vector<sensors::Recording> recordings) {
-  std::shared_ptr<const Deployment> dep = CurrentDeployment();
-  core::AsyncUpdater* updater = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(update_mu_);
-    if (updater_ == nullptr) {
-      updater_ = std::make_unique<core::AsyncUpdater>(options_.update_options);
-    }
-    updater = updater_.get();
-  }
-  // The updater copies the pinned model once for its worker.
-  return updater->StartLearn(dep->model, dep->support, name,
-                             std::move(recordings));
-}
-
-bool EdgeFleet::UpdatePending() const {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  return updater_ != nullptr && updater_->busy();
-}
-
-bool EdgeFleet::UpdateReady() const {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  return updater_ != nullptr && updater_->ready();
-}
-
-Result<core::UpdateReport> EdgeFleet::PromoteUpdate() {
-  core::AsyncUpdater* updater = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(update_mu_);
-    updater = updater_.get();
-  }
-  if (updater == nullptr) {
-    return Status::FailedPrecondition("no update was started");
-  }
-  // Take() blocks for the trainer; the sessions keep classifying on the
-  // current deployment the whole time (update_mu_ is not held here).
-  // A failed update rolled back inside the learner's transaction and
-  // surfaces as an error Outcome — it stops here, before Promote, so a
-  // failed update can never reach a serving session and the deployment
-  // version does not advance.
-  Result<core::AsyncUpdater::Outcome> taken = updater->Take();
-  if (!taken.ok()) {
-    Metrics().update_failures->Increment();
-    return taken.status();
-  }
-  core::AsyncUpdater::Outcome outcome = std::move(taken).value();
-  Promote(std::move(outcome.model), std::move(outcome.support));
-  return std::move(outcome.report);
 }
 
 core::ModelBundle EdgeFleet::ToBundle() const {
@@ -489,10 +424,8 @@ void EdgeFleet::ServeChunk(std::vector<Submission> chunk) {
     obs::ScopedTimer classify_timer(Metrics().classify_us);
     EnqueueAndServe(pointers);
   }
-  // Classification-only path: stats and last_prediction update, but the
-  // smoother / drift monitor / journal are stream-ordered consumers — an
-  // open-loop window has no position in the session's frame stream, so
-  // feeding them here would corrupt their temporal semantics.
+  // Classification-only path: stats and last_prediction update. An
+  // open-loop window has no position in the session's frame stream.
   for (size_t i = 0; i < chunk.size(); ++i) {
     Session& s = *sessions_[chunk[i].session];
     {
@@ -565,9 +498,8 @@ Result<std::optional<core::NamedPrediction>> EdgeFleet::PushFrame(
   std::lock_guard<std::mutex> lock(s.mu);
   std::shared_ptr<const Deployment> dep = CurrentDeployment();
   if (s.deployment_version != dep->version) {
-    // A promotion landed since this session's last frame: stale stream
-    // context (a half-filled window, smoother votes, drift evidence) would
-    // straddle two models.
+    // A promotion landed since this session's last frame: a half-filled
+    // window would straddle two models.
     s.stream.ResetContext();
     s.deployment_version = dep->version;
     Metrics().session_resets->Increment();
@@ -607,16 +539,6 @@ std::optional<core::NamedPrediction> EdgeFleet::last_prediction(
   const Session& s = *sessions_[session];
   std::lock_guard<std::mutex> lock(s.mu);
   return s.stream.last_prediction();
-}
-
-const core::ActivityJournal* EdgeFleet::journal(size_t session) const {
-  return sessions_[session]->stream.journal();
-}
-
-bool EdgeFleet::Drifting(size_t session) const {
-  const Session& s = *sessions_[session];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.stream.Drifting();
 }
 
 }  // namespace magneto::platform

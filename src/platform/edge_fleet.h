@@ -9,17 +9,13 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/result.h"
-#include "core/async_updater.h"
-#include "core/incremental_learner.h"
 #include "core/model_bundle.h"
 #include "core/stream_session.h"
 #include "obs/request_context.h"
-#include "sensors/recording.h"
 #include "sensors/sensor_types.h"
 
 namespace magneto::obs {
@@ -47,18 +43,6 @@ struct FleetOptions {
   /// Worker threads draining the admission queue into the micro-batcher.
   /// 0 disables the open-loop path (`SubmitWindow` then check-fails).
   size_t serve_threads = 0;
-  double sample_rate_hz = sensors::kDefaultSampleRateHz;
-  /// Per-session temporal smoothing of the prediction stream.
-  bool enable_smoothing = false;
-  core::PredictionSmoother::Options smoother;
-  /// Per-session drift monitoring of the emitted predictions.
-  bool enable_drift_monitoring = false;
-  core::DriftMonitor::Options drift;
-  double drift_baseline_distance = 0.0;
-  /// Per-session activity journals.
-  bool enable_journal = false;
-  /// Options for background incremental updates started via BeginLearn.
-  core::IncrementalOptions update_options;
   /// Flight recorder receiving one record per open-loop request (published,
   /// shed, or errored). nullptr = the process-wide
   /// `obs::FlightRecorder::Global()`; tests inject their own.
@@ -99,13 +83,13 @@ struct FleetSessionStats : core::StreamStats {
 ///     by a per-session mutex; sessions never touch each other's state, so
 ///     S sessions classify concurrently with zero shared-state contention
 ///     outside the batcher handoff.
-///  3. **Copy-on-swap promotion** — `PromoteBundle` (or `PromoteUpdate`,
-///     which installs an `AsyncUpdater` outcome's model and support set)
-///     builds a complete new deployment and swaps the shared pointer.
-///     In-flight classifications keep the snapshot they pinned and finish on
-///     the old model; no request ever observes a half-updated deployment and
-///     nothing stalls. A session notices the new version on its next
-///     `PushFrame` and calls `StreamSession::ResetContext`.
+///  3. **Copy-on-swap promotion** — `PromoteBundle`, the only way the shared
+///     deployment changes, builds a complete new deployment and swaps the
+///     shared pointer. In-flight classifications keep the snapshot they
+///     pinned and finish on the old model; no request ever observes a
+///     half-updated deployment and nothing stalls. A session notices the new
+///     version on its next `PushFrame` and calls
+///     `StreamSession::ResetContext`.
 ///
 /// ## Cross-request micro-batching
 ///
@@ -132,10 +116,9 @@ struct FleetSessionStats : core::StreamStats {
 /// outpace service the queue fills and further arrivals are shed
 /// (`false`, `fleet.rejected`) — and the backlog is exactly what lets the
 /// workers drain multi-window micro-batches. Submitted windows take the
-/// classification-only path: session stats and `last_prediction` update,
-/// but the smoother / drift monitor / journal are stream-ordered consumers
-/// and stay untouched. Metrics: `fleet.queue_depth` (gauge),
-/// `fleet.queue_wait_us` (histogram), `fleet.rejected` (counter).
+/// classification-only path: session stats and `last_prediction` update.
+/// Metrics: `fleet.queue_depth` (gauge), `fleet.queue_wait_us` (histogram),
+/// `fleet.rejected` (counter).
 ///
 /// ## Request-scoped observability (open-loop path)
 ///
@@ -193,20 +176,6 @@ class EdgeFleet {
   /// one. Sessions reset their stream context on their next PushFrame.
   Status PromoteBundle(core::ModelBundle bundle);
 
-  /// Learns `name` on a background thread from a copy of the current
-  /// deployment (the sessions keep serving the current model meanwhile).
-  Status BeginLearn(const std::string& name,
-                    std::vector<sensors::Recording> recordings);
-
-  /// True while a background update is in flight or awaiting promotion.
-  bool UpdatePending() const;
-  /// True once the background update finished and PromoteUpdate won't block.
-  bool UpdateReady() const;
-
-  /// Blocks for the background update if needed and promotes its result.
-  /// On training failure the current deployment stays live.
-  Result<core::UpdateReport> PromoteUpdate();
-
   // -- Introspection ----------------------------------------------------------
 
   /// Monotone deployment version; starts at 1, +1 per promotion.
@@ -214,10 +183,6 @@ class EdgeFleet {
 
   FleetSessionStats session_stats(size_t session) const;
   std::optional<core::NamedPrediction> last_prediction(size_t session) const;
-  /// The session's journal, or nullptr when journals are disabled.
-  const core::ActivityJournal* journal(size_t session) const;
-  /// True while the session's armed drift monitor recommends calibration.
-  bool Drifting(size_t session) const;
 
   /// Deep-copies the current shared deployment into a transferable bundle.
   core::ModelBundle ToBundle() const;
@@ -275,8 +240,6 @@ class EdgeFleet {
             FleetOptions options);
 
   std::shared_ptr<const Deployment> CurrentDeployment() const;
-  /// Swaps in `model` + `support` as the next deployment version.
-  void Promote(core::EdgeModel model, core::SupportSet support);
 
   /// Pushes `requests` into the micro-batcher and blocks until every one is
   /// classified, leading batches whenever a leader slot is free. The shared
@@ -307,9 +270,6 @@ class EdgeFleet {
   mutable std::mutex deploy_mu_;
   std::shared_ptr<const Deployment> deployment_;  ///< guarded by deploy_mu_
   std::atomic<uint64_t> next_version_{2};  ///< version 1 = the Create bundle
-
-  mutable std::mutex update_mu_;               ///< guards updater_ creation
-  std::unique_ptr<core::AsyncUpdater> updater_;  ///< lazily created
 
   std::mutex batch_mu_;
   std::condition_variable batch_cv_;

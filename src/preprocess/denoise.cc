@@ -22,20 +22,29 @@ Result<DenoiseConfig> DenoiseConfig::Deserialize(BinaryReader* reader) {
   config.method = static_cast<DenoiseMethod>(method);
   MAGNETO_ASSIGN_OR_RETURN(config.window, reader->ReadU64());
   MAGNETO_ASSIGN_OR_RETURN(config.alpha, reader->ReadF64());
+  if (Status valid = config.Validate(); !valid.ok()) {
+    return Status::Corruption(valid.message());
+  }
   return config;
+}
+
+Status DenoiseConfig::Validate() const {
+  if (method == DenoiseMethod::kLowPass) {
+    // Written so that a NaN alpha fails too.
+    if (!(alpha > 0.0 && alpha <= 1.0)) {
+      return Status::InvalidArgument("low-pass alpha must be in (0, 1]");
+    }
+  } else if (method != DenoiseMethod::kNone) {
+    if (window == 0 || window % 2 == 0) {
+      return Status::InvalidArgument("denoise window must be odd and >= 1");
+    }
+  }
+  return Status::Ok();
 }
 
 Status RowDenoiser::Begin(const DenoiseConfig& config, size_t rows,
                           size_t cols) {
-  if (config.method == DenoiseMethod::kLowPass) {
-    if (config.alpha <= 0.0 || config.alpha > 1.0) {
-      return Status::InvalidArgument("low-pass alpha must be in (0, 1]");
-    }
-  } else if (config.method != DenoiseMethod::kNone) {
-    if (config.window == 0 || config.window % 2 == 0) {
-      return Status::InvalidArgument("denoise window must be odd and >= 1");
-    }
-  }
+  MAGNETO_RETURN_IF_ERROR(config.Validate());
   config_ = config;
   rows_ = rows;
   cols_ = cols;

@@ -23,7 +23,13 @@ struct DenoiseConfig {
   size_t window = 5;    ///< for kMovingAverage / kMedian; must be odd and >= 1
   double alpha = 0.3;   ///< for kLowPass; in (0, 1]
 
+  /// Fails with kInvalidArgument on an even or zero moving-average/median
+  /// window or a low-pass alpha outside (0, 1] (NaN included); kNone ignores
+  /// both fields.
+  Status Validate() const;
+
   void Serialize(BinaryWriter* writer) const;
+  /// Fails with kCorruption on a method or field `Validate` refuses.
   static Result<DenoiseConfig> Deserialize(BinaryReader* reader);
 };
 
@@ -40,8 +46,7 @@ struct DenoiseConfig {
 class RowDenoiser {
  public:
   /// Starts a signal of `rows` rows of `cols` channels. Fails with
-  /// kInvalidArgument on an even or zero moving-average/median window or a
-  /// low-pass alpha outside (0, 1]; kNone ignores both fields.
+  /// `config.Validate()`'s kInvalidArgument.
   Status Begin(const DenoiseConfig& config, size_t rows, size_t cols);
 
   /// Takes raw row k, where k rows were pushed before it. `raw` holds the

@@ -276,6 +276,44 @@ TEST(EdgeRuntimeAsyncTest, FullAsyncFlowWithHotSwap) {
   EXPECT_EQ(runtime.stats().updates, 1u);
 }
 
+TEST(EdgeRuntimeAsyncTest, SyncUpdateWhileOneIsPendingIsRefused) {
+  ModelBundle bundle = testing::SmallPretrainedBundle(709);
+  SupportSet support = std::move(bundle.support);
+  EdgeModel model = std::move(bundle).ToEdgeModel();
+  EdgeRuntime runtime(std::move(model), std::move(support), FastOptions());
+  const auto record = [&runtime](uint64_t seed) {
+    ASSERT_TRUE(runtime.StartRecording().ok());
+    const sensors::Recording capture = Capture(seed).front();
+    for (size_t i = 0; i < capture.num_samples(); ++i) {
+      sensors::Frame frame;
+      for (size_t c = 0; c < sensors::kNumChannels; ++c) {
+        frame[c] = capture.samples.At(i, c);
+      }
+      ASSERT_TRUE(runtime.PushFrame(frame).ok());
+    }
+  };
+
+  record(61);
+  ASSERT_TRUE(runtime.FinishRecordingAndLearnAsync("Gesture A").ok());
+  record(62);
+  // A synchronous update would commit over the pending one (or be lost under
+  // it), so it is refused and the capture stays in place for a retry.
+  EXPECT_EQ(runtime.FinishRecordingAndLearn("Gesture B").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(runtime.FinishRecordingAndCalibrate("Walk").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(runtime.mode(), RuntimeMode::kRecording);
+  EXPECT_GT(runtime.recorded_seconds(), 0.0);
+
+  ASSERT_TRUE(runtime.CommitUpdate().ok());
+  auto report = runtime.FinishRecordingAndLearn("Gesture B");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(runtime.mode(), RuntimeMode::kInference);
+  EXPECT_TRUE(runtime.model().registry().IdOf("Gesture A").ok());
+  EXPECT_TRUE(runtime.model().registry().IdOf("Gesture B").ok());
+  EXPECT_EQ(runtime.stats().updates, 2u);
+}
+
 TEST(EdgeRuntimeAsyncTest, CommitWithoutStartFails) {
   ModelBundle bundle = testing::SmallPretrainedBundle(708);
   SupportSet support = std::move(bundle.support);

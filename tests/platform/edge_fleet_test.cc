@@ -105,9 +105,7 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
   EXPECT_EQ(fleet->session_stats(0).predictions, predictions);
 
   // The same holds for overlapping (60) and gapped (240) strides on a
-  // 120-sample window, with smoothing, drift monitoring and the journal on
-  // for both sides: the emitted (smoothed) stream, the drift verdict after
-  // every frame and the journal's ledger all agree.
+  // 120-sample window.
   for (size_t stride : {60, 240}) {
     SCOPED_TRACE("stride " + std::to_string(stride));
     core::CloudConfig config = testing::SmallCloudConfig();
@@ -120,24 +118,7 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
     core::SupportSet strided_support = std::move(bundle.value().support);
     core::EdgeRuntime strided(std::move(bundle).value().ToEdgeModel(),
                               std::move(strided_support), FastUpdateOptions());
-    core::PredictionSmoother::Options smoother;
-    smoother.window = 3;
-    core::DriftMonitor::Options drift;
-    drift.window = 4;
-    drift.min_confidence = 0.9;
-    const double baseline = 0.5;
-    strided.EnableSmoothing(smoother);
-    strided.EnableDriftMonitoring(drift, baseline);
-    strided.EnableJournal();
-    FleetOptions options;
-    options.enable_smoothing = true;
-    options.smoother = smoother;
-    options.enable_drift_monitoring = true;
-    options.drift = drift;
-    options.drift_baseline_distance = baseline;
-    options.enable_journal = true;
-    auto strided_fleet =
-        EdgeFleet::Create(strided.ToBundle(), 1, options).value();
+    auto strided_fleet = EdgeFleet::Create(strided.ToBundle(), 1).value();
 
     size_t strided_predictions = 0;
     for (const sensors::Frame& frame : frames) {
@@ -147,7 +128,6 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
       ASSERT_TRUE(from_fleet.ok());
       ASSERT_EQ(from_runtime.value().has_value(),
                 from_fleet.value().has_value());
-      ASSERT_EQ(strided.Drifting(), strided_fleet->Drifting(0));
       if (!from_fleet.value().has_value()) continue;
       ++strided_predictions;
       const core::NamedPrediction& a = *from_runtime.value();
@@ -162,20 +142,12 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
               strided.stats().predictions);
     EXPECT_EQ(strided_fleet->session_stats(0).windows,
               strided.stats().windows);
-    ASSERT_NE(strided.journal(), nullptr);
-    ASSERT_NE(strided_fleet->journal(0), nullptr);
-    EXPECT_EQ(strided.journal()->Totals(), strided_fleet->journal(0)->Totals());
-    EXPECT_EQ(strided.journal()->bouts().size(),
-              strided_fleet->journal(0)->bouts().size());
   }
 }
 
 TEST(EdgeFleetTest, SessionsHaveIndependentState) {
-  FleetOptions options;
-  options.enable_journal = true;
-  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(803), 3,
-                                 options)
-                   .value();
+  auto fleet =
+      EdgeFleet::Create(testing::SmallPretrainedBundle(803), 3).value();
   for (const sensors::Frame& f : ActivityFrames(sensors::kWalk, 2.0, 11)) {
     ASSERT_TRUE(fleet->PushFrame(0, f).ok());
   }
@@ -191,9 +163,6 @@ TEST(EdgeFleetTest, SessionsHaveIndependentState) {
   EXPECT_EQ(fleet->session_stats(2).frames, 0u);
   EXPECT_FALSE(fleet->last_prediction(2).has_value());
   ASSERT_TRUE(fleet->last_prediction(0).has_value());
-  ASSERT_NE(fleet->journal(0), nullptr);
-  EXPECT_GT(fleet->journal(0)->elapsed_seconds(), 0.0);
-  EXPECT_EQ(fleet->journal(2)->elapsed_seconds(), 0.0);
 
   EXPECT_EQ(fleet->PushFrame(99, ActivityFrames(sensors::kWalk, 0.1, 1)[0])
                 .status()
@@ -227,85 +196,6 @@ TEST(EdgeFleetTest, PromotionSwapsAtomicallyAndResetsStreams) {
   EXPECT_EQ(fleet->PromoteBundle(core::ModelBundle{}).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(fleet->deployment_version(), 2u);
-}
-
-TEST(EdgeFleetTest, BackgroundLearnAndPromoteUpdate) {
-  FleetOptions options;
-  options.update_options = FastUpdateOptions();
-  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(806), 2,
-                                 options)
-                   .value();
-  EXPECT_EQ(fleet->PromoteUpdate().status().code(),
-            StatusCode::kFailedPrecondition);
-
-  sensors::SyntheticGenerator gen(31);
-  std::vector<sensors::Recording> capture{
-      gen.Generate(sensors::MakeGestureModel(31), 20.0)};
-  ASSERT_TRUE(fleet->BeginLearn("Gesture Hi", std::move(capture)).ok());
-  EXPECT_TRUE(fleet->UpdatePending());
-
-  // Sessions keep serving the current model while training runs.
-  for (const sensors::Frame& f : ActivityFrames(sensors::kWalk, 1.0, 32)) {
-    ASSERT_TRUE(fleet->PushFrame(0, f).ok());
-  }
-
-  auto report = fleet->PromoteUpdate();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(fleet->deployment_version(), 2u);
-  EXPECT_FALSE(fleet->UpdatePending());
-  core::ModelBundle out = fleet->ToBundle();
-  EXPECT_EQ(out.registry.size(), 6u);
-  EXPECT_TRUE(out.registry.IdOf("Gesture Hi").ok());
-  EXPECT_TRUE(out.support.HasClass(report.value().activity));
-}
-
-TEST(EdgeFleetTest, FailedUpdateIsNeverPromoted) {
-  FleetOptions options;
-  options.update_options = FastUpdateOptions();
-  options.update_options.failure_hook = [](core::UpdateStep step) {
-    if (step == core::UpdateStep::kTrain) {
-      return Status::Internal("injected training failure");
-    }
-    return Status::Ok();
-  };
-  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(810), 2,
-                                 options)
-                   .value();
-
-  const uint64_t failures_before = [] {
-    const auto snap = obs::Registry::Global().TakeSnapshot();
-    const auto* c = snap.FindCounter("fleet.update_failures");
-    return c == nullptr ? uint64_t{0} : c->value;
-  }();
-
-  sensors::SyntheticGenerator gen(33);
-  std::vector<sensors::Recording> capture{
-      gen.Generate(sensors::MakeGestureModel(33), 20.0)};
-  ASSERT_TRUE(fleet->BeginLearn("Gesture Hi", std::move(capture)).ok());
-
-  auto report = fleet->PromoteUpdate();
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
-
-  // The failed update never reached the deployment: version unchanged, the
-  // registry untouched, and the failure counted.
-  EXPECT_EQ(fleet->deployment_version(), 1u);
-  EXPECT_FALSE(fleet->ToBundle().registry.IdOf("Gesture Hi").ok());
-  {
-    const auto snap = obs::Registry::Global().TakeSnapshot();
-    const auto* c = snap.FindCounter("fleet.update_failures");
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->value, failures_before + 1);
-  }
-
-  // Sessions keep serving after the rollback.
-  size_t predictions = 0;
-  for (const sensors::Frame& f : ActivityFrames(sensors::kWalk, 2.0, 34)) {
-    auto pred = fleet->PushFrame(0, f);
-    ASSERT_TRUE(pred.ok());
-    if (pred.value().has_value()) ++predictions;
-  }
-  EXPECT_EQ(predictions, 2u);
 }
 
 TEST(EdgeFleetTest, BatchingKeepsMetricsConsistent) {
@@ -690,9 +580,6 @@ TEST(EdgeFleetStressTest, ConcurrentSessionsWithMidRunPromotion) {
   constexpr size_t kSessions = 8;
   FleetOptions options;
   options.max_batch = 8;
-  options.enable_smoothing = true;
-  options.smoother.window = 3;
-  options.enable_journal = true;
   auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(808),
                                  kSessions, options)
                    .value();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,6 +158,9 @@ TEST(DenoiseTest, InvalidConfigsRejected) {
   EXPECT_FALSE(Denoise(m, bad_alpha).ok());
   bad_alpha.alpha = 1.5;
   EXPECT_FALSE(Denoise(m, bad_alpha).ok());
+  bad_alpha.alpha = std::nan("");
+  EXPECT_EQ(Denoise(m, bad_alpha).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DenoiseTest, ConfigSerializationRoundTrip) {
@@ -181,6 +185,34 @@ TEST(DenoiseTest, DeserializeRejectsBadMethod) {
   w.WriteF64(0.5);
   BinaryReader r(w.buffer());
   EXPECT_FALSE(DenoiseConfig::Deserialize(&r).ok());
+}
+
+TEST(DenoiseTest, DeserializeRejectsInvalidFields) {
+  const auto deserialize = [](DenoiseMethod method, uint64_t window,
+                              double alpha) {
+    BinaryWriter w;
+    w.WriteU8(static_cast<uint8_t>(method));
+    w.WriteU64(window);
+    w.WriteF64(alpha);
+    BinaryReader r(w.buffer());
+    return DenoiseConfig::Deserialize(&r).status().code();
+  };
+  for (DenoiseMethod method :
+       {DenoiseMethod::kMovingAverage, DenoiseMethod::kMedian}) {
+    for (uint64_t window : {0, 4}) {
+      SCOPED_TRACE("window " + std::to_string(window));
+      EXPECT_EQ(deserialize(method, window, 0.3), StatusCode::kCorruption);
+    }
+    EXPECT_EQ(deserialize(method, 5, 0.3), StatusCode::kOk);
+  }
+  for (double alpha : {0.0, 1.5, std::nan("")}) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    EXPECT_EQ(deserialize(DenoiseMethod::kLowPass, 5, alpha),
+              StatusCode::kCorruption);
+  }
+  EXPECT_EQ(deserialize(DenoiseMethod::kLowPass, 4, 1.0), StatusCode::kOk);
+  EXPECT_EQ(deserialize(DenoiseMethod::kNone, 0, std::nan("")),
+            StatusCode::kOk);
 }
 
 // Golden digest of Denoise over seeded and edge-case windows: 1, 3, 22 and
