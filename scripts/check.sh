@@ -65,15 +65,17 @@ cmake --build build-asan --target common_test core_test platform_test \
 # and the kQuantizedLinearTag payload fuzz — the validate-before-allocate fix
 # in QuantizedLinear::Deserialize only proves itself under ASan.
 # ValidPayloadFuzzTest.* parses every prefix of a valid chunk frame, support
-# set (both row encodings) and recording from an exact-size copy, so a read
-# past the end traps here.
+# set (both row encodings), recording and backbone from an exact-size copy,
+# so a read past the end traps here. Sequential* covers the backbone's layer
+# reader: retired tags and stacks whose widths do not chain.
 # EdgeRuntime*/StreamSession* (and EdgeFleet* below) drive the one stream
 # session both owners share: it pushes each frame into its featurizer, which
 # reads the raw rows out of the session's shifted frame buffer, and replays
 # the retained frames of an overlapping stride into it.
 ./build-asan/tests/core_test \
   --gtest_filter='ModelBundle*:UpdateTransaction*:SupportSet*:EdgeRuntime*:StreamSession*'
-./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
+./build-asan/tests/nn_test \
+  --gtest_filter='QuantizedLinear*:QuantizedMatrix*:Sequential*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*:ValidPayloadFuzzTest.*'
 ./build-asan/tests/platform_test \

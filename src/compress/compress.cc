@@ -197,7 +197,7 @@ Result<nn::Sequential> DistillStudent(const nn::Sequential& teacher,
         std::memcpy(t.RowPtr(b), targets.RowPtr(idx),
                     embedding_dim * sizeof(float));
       }
-      const Matrix& pred = student.Forward(x, &ws, /*training=*/true);
+      const Matrix& pred = student.Forward(x, &ws, /*record=*/true);
       nn::LossResult loss = nn::DistillationMse(pred, t);
       student.Backward(loss.grad, &ws);
       optimizer.Step();

@@ -18,9 +18,8 @@ namespace magneto::compress {
 /// backbone after cloud pre-training; bench_compression compares the
 /// size/accuracy/latency trade-offs.
 
-/// Replaces every `Linear` with an int8 `QuantizedLinear` (activations and
-/// dropout pass through; dropout is identity at inference). The result is
-/// inference-only.
+/// Replaces every `Linear` with an int8 `QuantizedLinear`; every other layer
+/// (ReLU) is copied as is. The result is inference-only.
 Result<nn::Sequential> QuantizeBackbone(const nn::Sequential& net);
 
 /// Magnitude pruning: zeroes the smallest-|w| `fraction` of each Linear's

@@ -29,8 +29,8 @@ Result<ModelBundle> CloudInitializer::Initialize(
 
   // (2) Siamese pre-training with contrastive loss.
   Rng net_rng = rng.Fork();
-  bundle.backbone = nn::BuildMlp(features.dim(), config_.backbone_dims,
-                                 &net_rng, config_.dropout);
+  bundle.backbone =
+      nn::BuildMlp(features.dim(), config_.backbone_dims, &net_rng);
   learn::TrainOptions train = config_.train;
   train.distill_weight = 0.0;  // nothing to distil from
   learn::SiameseTrainer trainer(train);

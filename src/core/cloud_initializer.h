@@ -20,7 +20,6 @@ struct CloudConfig {
   /// Backbone hidden widths, last entry = embedding dim. Defaults to the
   /// paper's FC dims [1024 x 512 x 128 x 64 x 128] (§3.2 item 2).
   std::vector<size_t> backbone_dims = {1024, 512, 128, 64, 128};
-  double dropout = 0.0;
 
   /// Pre-training hyperparameters (no distillation here — there is no prior
   /// model to preserve).

@@ -68,8 +68,7 @@ Result<NamedPrediction> EdgeModel::InferRow(
         "feature vector has dim " + std::to_string(features.cols()) +
         ", backbone expects " + std::to_string(expected));
   }
-  const Matrix& emb =
-      backbone_.Forward(features, workspace, /*training=*/false);
+  const Matrix& emb = backbone_.Forward(features, workspace);
   return ClassifyEmbedding(emb.RowPtr(0), emb.cols(), scratch);
 }
 

@@ -34,8 +34,6 @@ Result<EwcRegularizer> EwcRegularizer::Estimate(
   PairSampler sampler(old_data, options.seed);
   size_t total_pairs = 0;
   std::vector<uint8_t> same_one(1);
-  // Fisher wants inference behaviour (dropout off) but still needs the
-  // backward pass — exactly the training=false, record=true split.
   nn::ForwardWorkspace ws;
   for (size_t b = 0; b < options.batches; ++b) {
     PairBatch batch = sampler.Sample(options.batch_size);
@@ -44,8 +42,7 @@ Result<EwcRegularizer> EwcRegularizer::Estimate(
       Matrix stacked =
           VStack(batch.a.RowSlice(pair, pair + 1),
                  batch.b.RowSlice(pair, pair + 1));
-      const Matrix& emb =
-          net->Forward(stacked, &ws, /*training=*/false, /*record=*/true);
+      const Matrix& emb = net->Forward(stacked, &ws, /*record=*/true);
       same_one[0] = batch.same[pair];
       nn::PairLossResult loss =
           nn::ContrastiveLoss(emb.RowSlice(0, 1), emb.RowSlice(1, 2),

@@ -1,9 +1,9 @@
 #include "learn/siamese_trainer.h"
 
 #include <chrono>
+#include <algorithm>
 #include <cstring>
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
@@ -76,21 +76,6 @@ Matrix GatherRows(const Matrix& source, const std::vector<size_t>& indices) {
   return out;
 }
 
-std::unique_ptr<nn::Optimizer> MakeOptimizer(const TrainOptions& options,
-                                             nn::Sequential* net) {
-  if (options.optimizer == OptimizerKind::kSgd) {
-    nn::Sgd::Options sgd;
-    sgd.learning_rate = options.learning_rate;
-    sgd.momentum = 0.9;
-    sgd.weight_decay = options.weight_decay;
-    return std::make_unique<nn::Sgd>(net->Params(), net->Grads(), sgd);
-  }
-  nn::Adam::Options adam;
-  adam.learning_rate = options.learning_rate;
-  adam.weight_decay = options.weight_decay;
-  return std::make_unique<nn::Adam>(net->Params(), net->Grads(), adam);
-}
-
 }  // namespace
 
 Result<TrainReport> SiameseTrainer::Train(
@@ -141,27 +126,14 @@ Result<TrainReport> SiameseTrainer::Train(
 
   Rng rng(options_.seed);
   PairSampler sampler(data, rng.engine()());
-  std::unique_ptr<nn::Optimizer> optimizer = MakeOptimizer(options_, net);
+  nn::Adam::Options adam;
+  adam.learning_rate = options_.learning_rate;
+  adam.weight_decay = options_.weight_decay;
+  nn::Adam optimizer(net->Params(), net->Grads(), adam);
 
   // One workspace for the whole run: activation buffers reach their
-  // high-water shape in the first step and are reused from then on, and the
-  // dropout mask stream advances across steps exactly as a layer-owned RNG
-  // would.
+  // high-water shape in the first step and are reused from then on.
   nn::ForwardWorkspace ws;
-
-  // SupCon needs dense integer labels.
-  std::vector<int> dense_labels;
-  if (options_.embedding_loss == EmbeddingLoss::kSupCon) {
-    std::map<sensors::ActivityId, int> remap;
-    for (sensors::ActivityId id : data.Classes()) {
-      const int next = static_cast<int>(remap.size());
-      remap[id] = next;
-    }
-    dense_labels.reserve(data.size());
-    for (sensors::ActivityId id : data.labels()) {
-      dense_labels.push_back(remap[id]);
-    }
-  }
 
   obs::TraceSpan train_span("SiameseTrainer::Train");
 
@@ -179,55 +151,38 @@ Result<TrainReport> SiameseTrainer::Train(
     double optimizer_ms = 0.0;
     EpochStats stats;
     for (size_t step = 0; step < steps_per_epoch; ++step) {
-      optimizer->ZeroGrad();
+      optimizer.ZeroGrad();
 
       // --- embedding objective ---
-      if (options_.embedding_loss == EmbeddingLoss::kPairwiseContrastive) {
-        const auto sample_start = TrainClock::now();
-        PairBatch batch = sampler.Sample(options_.batch_size);
-        // One forward over [a; b] keeps the two branches weight-tied by
-        // construction (a Siamese network is one network applied twice).
-        Matrix stacked = VStack(batch.a, batch.b);
-        sample_ms += MsSince(sample_start);
-        const auto fb_start = TrainClock::now();
-        const Matrix& emb = net->Forward(stacked, &ws, /*training=*/true);
-        const size_t b = batch.size();
-        Matrix emb_a = emb.RowSlice(0, b);
-        Matrix emb_b = emb.RowSlice(b, 2 * b);
-        nn::PairLossResult pair =
-            nn::ContrastiveLoss(emb_a, emb_b, batch.same, options_.margin);
-        net->Backward(VStack(pair.grad_a, pair.grad_b), &ws);
-        forward_backward_ms += MsSince(fb_start);
-        stats.embedding_loss += pair.loss;
-      } else {
-        const auto sample_start = TrainClock::now();
-        std::vector<size_t> idx(options_.batch_size);
-        std::vector<int> labels(options_.batch_size);
-        for (size_t i = 0; i < idx.size(); ++i) {
-          idx[i] = rng.Index(data.size());
-          labels[i] = dense_labels[idx[i]];
-        }
-        Matrix x = GatherRows(data, idx);
-        sample_ms += MsSince(sample_start);
-        const auto fb_start = TrainClock::now();
-        const Matrix& emb = net->Forward(x, &ws, /*training=*/true);
-        nn::LossResult loss =
-            nn::SupConLoss(emb, labels, options_.supcon_temperature);
-        net->Backward(loss.grad, &ws);
-        forward_backward_ms += MsSince(fb_start);
-        stats.embedding_loss += loss.loss;
-      }
+      const auto sample_start = TrainClock::now();
+      PairBatch batch = sampler.Sample(options_.batch_size);
+      // One forward over [a; b] keeps the two branches weight-tied by
+      // construction (a Siamese network is one network applied twice).
+      Matrix stacked = VStack(batch.a, batch.b);
+      sample_ms += MsSince(sample_start);
+      const auto fb_start = TrainClock::now();
+      const Matrix& emb = net->Forward(stacked, &ws, /*record=*/true);
+      const size_t b = batch.size();
+      Matrix emb_a = emb.RowSlice(0, b);
+      Matrix emb_b = emb.RowSlice(b, 2 * b);
+      nn::PairLossResult pair =
+          nn::ContrastiveLoss(emb_a, emb_b, batch.same, options_.margin);
+      net->Backward(VStack(pair.grad_a, pair.grad_b), &ws);
+      forward_backward_ms += MsSince(fb_start);
+      stats.embedding_loss += pair.loss;
 
       // --- distillation objective (anti-forgetting) ---
       if (distill) {
         const auto distill_start = TrainClock::now();
-        const size_t b =
+        const size_t rows =
             std::min(options_.batch_size, distill_data->size());
-        std::vector<size_t> idx(b);
-        for (size_t i = 0; i < b; ++i) idx[i] = rng.Index(distill_data->size());
+        std::vector<size_t> idx(rows);
+        for (size_t i = 0; i < rows; ++i) {
+          idx[i] = rng.Index(distill_data->size());
+        }
         Matrix x = GatherRows(*distill_data, idx);
         Matrix targets = GatherRows(teacher_targets, idx);
-        const Matrix& student = net->Forward(x, &ws, /*training=*/true);
+        const Matrix& student = net->Forward(x, &ws, /*record=*/true);
         nn::LossResult dl =
             options_.distillation == DistillationKind::kCosine
                 ? nn::DistillationCosine(student, targets)
@@ -244,7 +199,7 @@ Result<TrainReport> SiameseTrainer::Train(
       }
 
       const auto optimizer_start = TrainClock::now();
-      optimizer->Step();
+      optimizer.Step();
       optimizer_ms += MsSince(optimizer_start);
       Metrics().steps->Increment();
     }
@@ -259,13 +214,6 @@ Result<TrainReport> SiameseTrainer::Train(
     Metrics().optimizer_ms->Record(optimizer_ms);
     Metrics().last_embedding_loss->Set(stats.embedding_loss);
     Metrics().last_distill_loss->Set(stats.distill_loss);
-    if (options_.lr_decay != 1.0) {
-      if (auto* adam = dynamic_cast<nn::Adam*>(optimizer.get())) {
-        adam->set_learning_rate(adam->learning_rate() * options_.lr_decay);
-      } else if (auto* sgd = dynamic_cast<nn::Sgd*>(optimizer.get())) {
-        sgd->set_learning_rate(sgd->learning_rate() * options_.lr_decay);
-      }
-    }
   }
   return report;
 }

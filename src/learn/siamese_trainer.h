@@ -13,41 +13,26 @@
 
 namespace magneto::learn {
 
-/// Which embedding objective to optimise.
-enum class EmbeddingLoss : uint8_t {
-  kPairwiseContrastive = 0,  ///< margin loss over Siamese pairs (default)
-  kSupCon = 1,               ///< supervised contrastive over batches
-};
-
 /// Which distillation flavour to use against the frozen teacher.
 enum class DistillationKind : uint8_t {
   kMse = 0,
   kCosine = 1,
 };
 
-enum class OptimizerKind : uint8_t {
-  kAdam = 0,
-  kSgd = 1,
-};
-
-/// Hyperparameters of one (pre-)training or incremental-update run.
+/// Hyperparameters of one (pre-)training or incremental-update run: Adam
+/// over the pairwise contrastive loss, plus optional distillation and EWC.
 struct TrainOptions {
   size_t epochs = 20;
   size_t batch_size = 64;
   /// Pair draws per epoch; 0 -> 2x dataset size.
   size_t pairs_per_epoch = 0;
   double learning_rate = 1e-3;
-  /// Multiplicative learning-rate decay applied after each epoch (1 = none).
-  double lr_decay = 1.0;
-  OptimizerKind optimizer = OptimizerKind::kAdam;
   double weight_decay = 0.0;
 
-  EmbeddingLoss embedding_loss = EmbeddingLoss::kPairwiseContrastive;
   /// Pairwise contrastive margin. Roomy margins (several units) preserve
   /// class structure much better than the textbook 1.0, which over-compresses
   /// the embedding and merges adjacent classes (ablated in bench_pretraining).
   double margin = 5.0;
-  double supcon_temperature = 0.1;  ///< SupCon temperature
 
   /// Weight of the distillation term; 0 disables distillation (plain
   /// pre-training). The paper's incremental step uses a positive weight
@@ -65,7 +50,7 @@ struct TrainOptions {
 
 /// Per-epoch training telemetry.
 struct EpochStats {
-  double embedding_loss = 0.0;  ///< mean contrastive/SupCon loss
+  double embedding_loss = 0.0;  ///< mean pairwise contrastive loss
   double distill_loss = 0.0;    ///< mean distillation loss (0 if disabled)
 };
 

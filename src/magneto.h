@@ -52,10 +52,8 @@
 #include "learn/pair_sampler.h"
 #include "learn/siamese_trainer.h"
 #include "nn/activation.h"
-#include "nn/dropout.h"
 #include "nn/gradient_check.h"
 #include "nn/layer.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"

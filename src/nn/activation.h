@@ -8,11 +8,9 @@
 
 namespace magneto::nn {
 
-// The activations keep no state of their own: ReLU's backward reads the
-// forward `input`, tanh/sigmoid's backward read the forward `output` — both
-// supplied by the caller (Sequential keeps them in the workspace).
-
-/// Rectified linear unit, elementwise max(0, x).
+/// Rectified linear unit, elementwise max(0, x). It keeps no state of its
+/// own: the backward reads the forward `input`, which the caller supplies
+/// (Sequential keeps it in the workspace).
 class Relu : public Layer {
  public:
   void Forward(const Matrix& input, bool training, LayerState* state,
@@ -24,38 +22,6 @@ class Relu : public Layer {
   std::string name() const override { return "ReLU"; }
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Relu>();
-  }
-  void Serialize(BinaryWriter* writer) const override;
-};
-
-/// Elementwise tanh.
-class Tanh : public Layer {
- public:
-  void Forward(const Matrix& input, bool training, LayerState* state,
-               Matrix* output) const override;
-  void Backward(const Matrix& grad_output, const Matrix& input,
-                const Matrix& output, LayerState* state,
-                Matrix* grad_input) override;
-  LayerType type() const override { return LayerType::kTanh; }
-  std::string name() const override { return "Tanh"; }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Tanh>();
-  }
-  void Serialize(BinaryWriter* writer) const override;
-};
-
-/// Elementwise logistic sigmoid.
-class Sigmoid : public Layer {
- public:
-  void Forward(const Matrix& input, bool training, LayerState* state,
-               Matrix* output) const override;
-  void Backward(const Matrix& grad_output, const Matrix& input,
-                const Matrix& output, LayerState* state,
-                Matrix* grad_input) override;
-  LayerType type() const override { return LayerType::kSigmoid; }
-  std::string name() const override { return "Sigmoid"; }
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Sigmoid>();
   }
   void Serialize(BinaryWriter* writer) const override;
 };

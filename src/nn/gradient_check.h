@@ -18,7 +18,7 @@ struct GradientCheckResult {
 
 /// Verifies a network's parameter gradients against central differences.
 ///
-/// `loss_fn` must run `net.Forward(..., ws, /*training=*/true)` exactly once
+/// `loss_fn` must run `net.Forward(..., ws, /*record=*/true)` exactly once
 /// through a workspace it owns, call `net.Backward(..., ws)` (accumulating
 /// gradients), and return the scalar loss.
 /// The checker zeroes gradients itself before invoking `loss_fn`. Float32

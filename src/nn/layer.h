@@ -11,13 +11,13 @@
 
 namespace magneto::nn {
 
-/// Serialisation tags for layer types (stable on-disk ids).
+/// Serialisation tags for layer types (stable on-disk ids). The int8 layer
+/// uses tag 6 (`kQuantizedLinearTag`). Tags 3, 4, 5 and 7 are retired: old
+/// files may hold them and the reader rejects them, so a new layer type
+/// takes a fresh id.
 enum class LayerType : uint8_t {
   kLinear = 1,
   kRelu = 2,
-  kTanh = 3,
-  kSigmoid = 4,
-  kDropout = 5,
 };
 
 /// A differentiable network layer.
@@ -30,22 +30,19 @@ enum class LayerType : uint8_t {
 /// several loss terms per step.
 ///
 /// Layers are stateless across runs: `Forward` is `const` and every
-/// per-run tensor (activations, masks, statistics) lives in the caller's
-/// `LayerState` slot and output buffer, so one layer instance serves any
-/// number of concurrent forwards as long as each caller brings its own
-/// state. In practice callers go through `Sequential`, which threads a
+/// per-run tensor lives in the caller's `LayerState` slot and output
+/// buffer, so one layer instance serves any number of concurrent forwards
+/// as long as each caller brings its own state. In practice callers go through `Sequential`, which threads a
 /// `ForwardWorkspace` slot per layer.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// Computes `output` from `input`. `output` is a reusable caller buffer
-  /// (resized in place) and must not alias `input`. `training` enables
-  /// train-only behaviour (e.g. dropout masking). `state` is the layer's
-  /// per-run slot for anything `Backward` will need (dropout mask,
-  /// layer-norm statistics); it may be null for pure inference, except that
-  /// dropout requires it whenever `training` is true (the mask RNG lives in
-  /// the slot).
+  /// (resized in place) and must not alias `input`. Every layer ignores the
+  /// `bool`: no layer behaves differently in training. `state` is the
+  /// layer's per-run slot; it may be null, since no layer's forward writes
+  /// it.
   virtual void Forward(const Matrix& input, bool training, LayerState* state,
                        Matrix* output) const = 0;
 

@@ -21,8 +21,7 @@ namespace magneto::nn {
 /// SetWeightRowMajor(); the wire format stays row-major.
 class Linear : public Layer {
  public:
-  /// Weights start at zero; call an initialiser (see initializer.h) or use
-  /// `Linear(in, out, rng)` for He-uniform init.
+  /// Weights start at zero; use `Linear(in, out, rng)` for He-uniform init.
   Linear(size_t in_dim, size_t out_dim);
 
   /// He-uniform initialised weights, zero bias.

@@ -10,30 +10,6 @@
 
 namespace magneto::nn {
 
-LossResult SoftmaxCrossEntropy(const Matrix& logits,
-                               const std::vector<int>& labels) {
-  const size_t batch = logits.rows();
-  const size_t classes = logits.cols();
-  MAGNETO_CHECK(labels.size() == batch);
-  MAGNETO_CHECK(batch > 0);
-
-  LossResult result;
-  result.grad = logits;  // will be overwritten with softmax - onehot
-  double loss = 0.0;
-  for (size_t i = 0; i < batch; ++i) {
-    float* row = result.grad.RowPtr(i);
-    SoftmaxInPlace(row, classes);
-    const int label = labels[i];
-    MAGNETO_CHECK(label >= 0 && static_cast<size_t>(label) < classes);
-    loss += -std::log(std::max(1e-12f, row[label]));
-    row[label] -= 1.0f;
-  }
-  const float inv_batch = 1.0f / static_cast<float>(batch);
-  result.grad.Scale(inv_batch);
-  result.loss = loss / static_cast<double>(batch);
-  return result;
-}
-
 PairLossResult ContrastiveLoss(const Matrix& a, const Matrix& b,
                                const std::vector<uint8_t>& same,
                                double margin) {
@@ -87,93 +63,6 @@ PairLossResult ContrastiveLoss(const Matrix& a, const Matrix& b,
   double loss = 0.0;
   for (size_t i = 0; i < batch; ++i) loss += pair_loss[i];
   result.loss = loss * inv_batch;
-  return result;
-}
-
-LossResult SupConLoss(const Matrix& embeddings, const std::vector<int>& labels,
-                      double temperature) {
-  const size_t batch = embeddings.rows();
-  const size_t dim = embeddings.cols();
-  MAGNETO_CHECK(labels.size() == batch);
-  MAGNETO_CHECK(temperature > 0.0);
-
-  LossResult result;
-  result.grad.Reset(batch, dim);
-  if (batch < 2) return result;
-
-  // L2-normalise rows: u_i = z_i / ||z_i||.
-  Matrix u(batch, dim);
-  std::vector<double> norms(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    const float* z = embeddings.RowPtr(i);
-    double n2 = 0.0;
-    for (size_t j = 0; j < dim; ++j) n2 += static_cast<double>(z[j]) * z[j];
-    const double n = std::max(std::sqrt(n2), 1e-12);
-    norms[i] = n;
-    float* urow = u.RowPtr(i);
-    for (size_t j = 0; j < dim; ++j) {
-      urow[j] = static_cast<float>(z[j] / n);
-    }
-  }
-
-  // Similarity logits s_ij = u_i . u_j / tau (diagonal excluded).
-  Matrix s = MatMulTransB(u, u);
-  s.Scale(static_cast<float>(1.0 / temperature));
-
-  // q_ij = softmax over j != i of s_ij; phat_ij = 1{same class}/|P(i)|.
-  // dL_i/ds_ij = (q_ij - phat_ij) / num_anchors.
-  size_t num_anchors = 0;
-  std::vector<size_t> positives(batch, 0);
-  for (size_t i = 0; i < batch; ++i) {
-    for (size_t j = 0; j < batch; ++j) {
-      if (j != i && labels[j] == labels[i]) ++positives[i];
-    }
-    if (positives[i] > 0) ++num_anchors;
-  }
-  if (num_anchors == 0) return result;
-
-  Matrix ds(batch, batch);  // dL/ds, zero where i == j or anchor skipped
-  double loss = 0.0;
-  std::vector<double> row_logits(batch - 1);
-  for (size_t i = 0; i < batch; ++i) {
-    if (positives[i] == 0) continue;
-    // log-sum-exp over j != i.
-    size_t k = 0;
-    for (size_t j = 0; j < batch; ++j) {
-      if (j != i) row_logits[k++] = s.At(i, j);
-    }
-    const double lse = LogSumExp(row_logits.data(), k);
-    const double inv_p = 1.0 / static_cast<double>(positives[i]);
-    for (size_t j = 0; j < batch; ++j) {
-      if (j == i) continue;
-      const double q = std::exp(static_cast<double>(s.At(i, j)) - lse);
-      double phat = 0.0;
-      if (labels[j] == labels[i]) {
-        phat = inv_p;
-        loss += -(static_cast<double>(s.At(i, j)) - lse) * inv_p;
-      }
-      ds.At(i, j) = static_cast<float>((q - phat) /
-                                       static_cast<double>(num_anchors));
-    }
-  }
-  result.loss = loss / static_cast<double>(num_anchors);
-
-  // dL/du_i = sum_j (ds_ij + ds_ji) * u_j / tau.
-  Matrix sym = ds;
-  sym.AddInPlace(ds.Transposed());
-  Matrix du = MatMul(sym, u);
-  du.Scale(static_cast<float>(1.0 / temperature));
-
-  // Backprop through the normalisation: dL/dz = (g - (g.u) u) / ||z||.
-  for (size_t i = 0; i < batch; ++i) {
-    const float* g = du.RowPtr(i);
-    const float* urow = u.RowPtr(i);
-    const double gu = Dot(g, urow, dim);
-    float* out = result.grad.RowPtr(i);
-    for (size_t j = 0; j < dim; ++j) {
-      out[j] = static_cast<float>((g[j] - gu * urow[j]) / norms[i]);
-    }
-  }
   return result;
 }
 

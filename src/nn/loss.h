@@ -21,11 +21,6 @@ struct PairLossResult {
   Matrix grad_b;
 };
 
-/// Mean softmax cross-entropy over the batch. `logits` is (B x C),
-/// `labels[i]` in [0, C).
-LossResult SoftmaxCrossEntropy(const Matrix& logits,
-                               const std::vector<int>& labels);
-
 /// Margin-based pairwise contrastive loss (Hadsell et al.) over a batch of
 /// Siamese pairs — the loss MAGNETO trains its embedding with:
 ///
@@ -39,13 +34,6 @@ LossResult SoftmaxCrossEntropy(const Matrix& logits,
 PairLossResult ContrastiveLoss(const Matrix& a, const Matrix& b,
                                const std::vector<uint8_t>& same,
                                double margin);
-
-/// Supervised contrastive loss (Khosla et al. 2020) over one batch of
-/// embeddings. Embeddings are L2-normalised internally; the returned gradient
-/// is w.r.t. the *unnormalised* input. Anchors with no positive in the batch
-/// are skipped. `temperature` > 0.
-LossResult SupConLoss(const Matrix& embeddings, const std::vector<int>& labels,
-                      double temperature);
 
 /// Embedding distillation, MSE flavour: mean_i ||student_i - teacher_i||^2.
 /// The teacher batch is a constant (no gradient).

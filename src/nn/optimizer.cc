@@ -1,62 +1,28 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 
 namespace magneto::nn {
 
-Optimizer::Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads)
-    : params_(std::move(params)), grads_(std::move(grads)) {
-  MAGNETO_CHECK(params_.size() == grads_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    MAGNETO_CHECK(params_[i]->SameShape(*grads_[i]));
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Matrix* g : grads_) g->Fill(0.0f);
-}
-
-Sgd::Sgd(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-         Options options)
-    : Optimizer(std::move(params), std::move(grads)), options_(options) {
-  if (options_.momentum != 0.0) {
-    velocity_.reserve(params_.size());
-    for (Matrix* p : params_) velocity_.emplace_back(p->rows(), p->cols());
-  }
-}
-
-void Sgd::Step() {
-  const float lr = static_cast<float>(options_.learning_rate);
-  const float mu = static_cast<float>(options_.momentum);
-  const float wd = static_cast<float>(options_.weight_decay);
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Matrix& p = *params_[i];
-    const Matrix& g = *grads_[i];
-    if (mu != 0.0f) {
-      Matrix& v = velocity_[i];
-      // v = mu * v + g;  p -= lr * v
-      v.Scale(mu);
-      v.AddInPlace(g);
-      p.Axpy(-lr, v);
-    } else {
-      p.Axpy(-lr, g);
-    }
-    if (wd != 0.0f) p.Scale(1.0f - lr * wd);
-  }
-}
-
 Adam::Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
            Options options)
-    : Optimizer(std::move(params), std::move(grads)), options_(options) {
+    : params_(std::move(params)), grads_(std::move(grads)), options_(options) {
+  MAGNETO_CHECK(params_.size() == grads_.size());
   m_.reserve(params_.size());
   v_.reserve(params_.size());
-  for (Matrix* p : params_) {
-    m_.emplace_back(p->rows(), p->cols());
-    v_.emplace_back(p->rows(), p->cols());
+  for (size_t i = 0; i < params_.size(); ++i) {
+    MAGNETO_CHECK(params_[i]->SameShape(*grads_[i]));
+    m_.emplace_back(params_[i]->rows(), params_[i]->cols());
+    v_.emplace_back(params_[i]->rows(), params_[i]->cols());
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Matrix* g : grads_) g->Fill(0.0f);
 }
 
 void Adam::Step() {

@@ -1,63 +1,18 @@
 #ifndef MAGNETO_NN_OPTIMIZER_H_
 #define MAGNETO_NN_OPTIMIZER_H_
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
 
 namespace magneto::nn {
 
-/// First-order optimiser over a fixed parameter/gradient list.
+/// Adam (Kingma & Ba) with optional decoupled weight decay (AdamW-style).
 ///
 /// Bound once to the matrices of a `Sequential` (the lists must stay alive
 /// and keep their shapes); `Step()` consumes the accumulated gradients.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update from the current gradient buffers.
-  virtual void Step() = 0;
-
-  /// Clears the gradient buffers.
-  void ZeroGrad();
-
-  size_t num_params() const { return params_.size(); }
-
- protected:
-  Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads);
-
-  std::vector<Matrix*> params_;
-  std::vector<Matrix*> grads_;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    double learning_rate = 0.01;
-    double momentum = 0.0;
-    double weight_decay = 0.0;
-  };
-
-  Sgd(std::vector<Matrix*> params, std::vector<Matrix*> grads,
-      Options options);
-
-  void Step() override;
-
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-  double learning_rate() const { return options_.learning_rate; }
-
- private:
-  Options options_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with optional decoupled weight decay (AdamW-style).
-class Adam : public Optimizer {
+class Adam {
  public:
   struct Options {
     double learning_rate = 1e-3;
@@ -70,16 +25,22 @@ class Adam : public Optimizer {
   Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
        Options options);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-  double learning_rate() const { return options_.learning_rate; }
+  /// Applies one update from the current gradient buffers.
+  void Step();
+
+  /// Clears the gradient buffers.
+  void ZeroGrad();
 
   /// First and second moment estimates of parameter `i`.
   const Matrix& first_moment(size_t i) const { return m_[i]; }
   const Matrix& second_moment(size_t i) const { return v_[i]; }
 
  private:
+  std::vector<Matrix*> params_;
+  std::vector<Matrix*> grads_;
   Options options_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;

@@ -1,20 +1,15 @@
 #include "nn/sequential.h"
 
 #include "nn/activation.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
-#include "nn/layer_norm.h"
 #include "nn/quantized_linear.h"
 #include "preprocess/features.h"
 
 namespace magneto::nn {
 
 const Matrix& Sequential::Forward(const Matrix& input, ForwardWorkspace* ws,
-                                  bool training, bool record) const {
+                                  bool record) const {
   MAGNETO_CHECK(ws != nullptr);
-  // A training forward without recording would lose the dropout mask the
-  // backward needs; nothing legitimately wants that combination.
-  MAGNETO_CHECK(record || !training);
   ws->PrepareLayers(layers_.size());
   ws->recorded_ = record;
   ws->recorded_net_ = record ? this : nullptr;
@@ -24,7 +19,7 @@ const Matrix& Sequential::Forward(const Matrix& input, ForwardWorkspace* ws,
     // can replay the stack without any layer caching its own copy.
     ws->acts_[0].CopyFrom(input);
     for (size_t i = 0; i < layers_.size(); ++i) {
-      layers_[i]->Forward(ws->acts_[i], training, &ws->states_[i],
+      layers_[i]->Forward(ws->acts_[i], /*training=*/false, &ws->states_[i],
                           &ws->acts_[i + 1]);
     }
     return ws->acts_[layers_.size()];
@@ -39,7 +34,7 @@ const Matrix& Sequential::Forward(const Matrix& input, ForwardWorkspace* ws,
   size_t flip = 0;
   for (const auto& layer : layers_) {
     Matrix* out = &ws->io_[flip];
-    layer->Forward(*x, training, /*state=*/nullptr, out);
+    layer->Forward(*x, /*training=*/false, /*state=*/nullptr, out);
     x = out;
     flip ^= 1;
   }
@@ -121,64 +116,43 @@ void Sequential::Serialize(BinaryWriter* writer) const {
 Result<Sequential> Sequential::Deserialize(BinaryReader* reader) {
   MAGNETO_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
   Sequential net;
+  // Width the layers read so far produce; 0 until a fixed-width layer.
+  size_t width = 0;
   for (uint64_t i = 0; i < n; ++i) {
     MAGNETO_ASSIGN_OR_RETURN(uint8_t tag, reader->ReadU8());
-    switch (static_cast<LayerType>(tag)) {
-      case LayerType::kLinear: {
-        MAGNETO_ASSIGN_OR_RETURN(std::unique_ptr<Linear> layer,
-                                 Linear::Deserialize(reader));
-        net.Add(std::move(layer));
-        break;
-      }
-      case LayerType::kRelu:
-        net.Add(std::make_unique<Relu>());
-        break;
-      case LayerType::kTanh:
-        net.Add(std::make_unique<Tanh>());
-        break;
-      case LayerType::kSigmoid:
-        net.Add(std::make_unique<Sigmoid>());
-        break;
-      case LayerType::kDropout: {
-        MAGNETO_ASSIGN_OR_RETURN(std::unique_ptr<Dropout> layer,
-                                 Dropout::Deserialize(reader));
-        net.Add(std::move(layer));
-        break;
-      }
-      default: {
-        if (tag == kQuantizedLinearTag) {
-          MAGNETO_ASSIGN_OR_RETURN(std::unique_ptr<QuantizedLinear> layer,
-                                   QuantizedLinear::Deserialize(reader));
-          net.Add(std::move(layer));
-          break;
-        }
-        if (tag == kLayerNormTag) {
-          MAGNETO_ASSIGN_OR_RETURN(std::unique_ptr<LayerNorm> layer,
-                                   LayerNorm::Deserialize(reader));
-          net.Add(std::move(layer));
-          break;
-        }
-        return Status::Corruption("unknown layer tag: " + std::to_string(tag));
-      }
+    std::unique_ptr<Layer> layer;
+    if (tag == static_cast<uint8_t>(LayerType::kLinear)) {
+      MAGNETO_ASSIGN_OR_RETURN(layer, Linear::Deserialize(reader));
+    } else if (tag == static_cast<uint8_t>(LayerType::kRelu)) {
+      layer = std::make_unique<Relu>();
+    } else if (tag == kQuantizedLinearTag) {
+      MAGNETO_ASSIGN_OR_RETURN(layer, QuantizedLinear::Deserialize(reader));
+    } else {
+      return Status::Corruption("unknown layer tag: " + std::to_string(tag));
     }
+    // The bundle CRC does not vouch for content: a stack that loads must
+    // also run, or its first forward aborts on the width check in Forward.
+    const size_t in = layer->input_dim();
+    if (in != 0 && width != 0 && in != width) {
+      return Status::Corruption(
+          "layer " + std::to_string(i) + " expects width " +
+          std::to_string(in) + " but the layers before it produce " +
+          std::to_string(width));
+    }
+    width = layer->output_dim(width);
+    net.Add(std::move(layer));
   }
   return net;
 }
 
 Sequential BuildMlp(size_t input_dim, const std::vector<size_t>& dims,
-                    Rng* rng, double dropout_p) {
+                    Rng* rng) {
   MAGNETO_CHECK(!dims.empty());
   Sequential net;
   size_t in = input_dim;
   for (size_t i = 0; i < dims.size(); ++i) {
     net.Add(std::make_unique<Linear>(in, dims[i], rng));
-    const bool last = (i + 1 == dims.size());
-    if (!last) {
-      net.Add(std::make_unique<Relu>());
-      if (dropout_p > 0.0) {
-        net.Add(std::make_unique<Dropout>(dropout_p, rng->engine()()));
-      }
-    }
+    if (i + 1 < dims.size()) net.Add(std::make_unique<Relu>());
     in = dims[i];
   }
   return net;

@@ -37,22 +37,13 @@ class Sequential {
   Layer& layer(size_t i) { return *layers_[i]; }
   const Layer& layer(size_t i) const { return *layers_[i]; }
 
-  /// Runs all layers through `ws`; `training` is forwarded to each layer.
-  /// With `record` (defaults to `training`) the per-layer activations are
-  /// kept in the workspace so `Backward` can run; without it the layers
+  /// Runs all layers through `ws`. With `record` the per-layer activations
+  /// are kept in the workspace so `Backward` can run; without it the layers
   /// ping-pong between two reusable buffers and nothing is retained. The
   /// returned reference points into `ws` and stays valid until the
   /// workspace's next forward. `input` must not be a buffer inside `ws`.
-  ///
-  /// The rare split of the two flags is an inference-mode forward that
-  /// still supports backward (dropout off, caches on) — what EWC's Fisher
-  /// estimation wants.
   const Matrix& Forward(const Matrix& input, ForwardWorkspace* ws,
-                        bool training, bool record) const;
-  const Matrix& Forward(const Matrix& input, ForwardWorkspace* ws,
-                        bool training = false) const {
-    return Forward(input, ws, training, /*record=*/training);
-  }
+                        bool record = false) const;
 
   /// Backpropagates through the activations recorded in `ws` (which must be
   /// the workspace of the matching recorded `Forward`); every layer
@@ -78,6 +69,9 @@ class Sequential {
   std::string Summary() const;
 
   void Serialize(BinaryWriter* writer) const;
+  /// Reads Linear, ReLU and int8 Linear layers; any other tag, or a layer
+  /// whose fixed input width differs from the width the layers before it
+  /// produce, is Corruption.
   static Result<Sequential> Deserialize(BinaryReader* reader);
 
  private:
@@ -89,7 +83,7 @@ class Sequential {
 /// activation. The paper's default is dims = {1024, 512, 128, 64, 128} on 80
 /// input features (§3.2 item 2).
 Sequential BuildMlp(size_t input_dim, const std::vector<size_t>& dims,
-                    Rng* rng, double dropout_p = 0.0);
+                    Rng* rng);
 
 /// The exact paper configuration: 80 -> [1024, 512, 128, 64] -> 128.
 Sequential BuildPaperBackbone(Rng* rng);

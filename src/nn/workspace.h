@@ -1,40 +1,22 @@
 #ifndef MAGNETO_NN_WORKSPACE_H_
 #define MAGNETO_NN_WORKSPACE_H_
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "common/matrix.h"
-#include "common/random.h"
 
 namespace magneto::nn {
 
 class Sequential;
 
 /// Per-layer, per-run mutable state. Layers are immutable during `Forward`;
-/// anything a run needs to remember between `Forward` and `Backward` (a
-/// dropout mask, layer-norm statistics) lives in the slot the caller hands
-/// in. Slots are plain buffers reused across calls, so a run at a stable
-/// batch shape never allocates.
+/// what a layer's `Backward` needs beyond the recorded activations lives in
+/// the slot the caller hands in. Slots are plain buffers reused across
+/// calls, so a run at a stable batch shape never allocates.
 struct LayerState {
-  /// Layer-defined forward cache: LayerNorm's x_hat, Dropout's scaled
-  /// keep-mask. Untouched by layers with no backward state.
-  Matrix cached;
   /// Backward scratch row (Linear's bias gradient: grad_output's column sums).
   Matrix scratch_row;
-  /// Per-row scalars (LayerNorm's 1/std).
-  std::vector<float> stats;
-  /// Dropout's mask stream. Lazily created from the layer's seed on the
-  /// first training forward, then advances across calls — a training run
-  /// that keeps one workspace sees the same mask sequence the layer-owned
-  /// RNG used to produce.
-  std::unique_ptr<Rng> rng;
-  /// Seed `rng` was created from; a mismatch (the workspace moved to a
-  /// different network) re-seeds the stream.
-  uint64_t rng_seed = 0;
-  /// Dropout: the last recorded forward ran in training mode.
-  bool flag = false;
 };
 
 /// Caller-owned activation storage for `Sequential::Forward`/`Backward` —
@@ -46,7 +28,7 @@ struct LayerState {
 /// Ownership rules:
 ///  - One workspace per concurrent caller. Sharing a workspace across
 ///    threads is a data race; sharing it across networks is fine (buffers
-///    and dropout streams re-adapt).
+///    re-adapt).
 ///  - References returned by `Sequential::Forward`/`Backward` point into
 ///    the workspace and stay valid until its next forward/backward.
 ///  - `Backward` must use the same workspace as the recorded `Forward` it

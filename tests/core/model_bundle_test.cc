@@ -4,11 +4,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "nn/activation.h"
+#include "nn/linear.h"
 #include "testing/test_helpers.h"
 
 namespace magneto::core {
@@ -241,6 +245,27 @@ TEST_F(ModelBundleTest, RejectsHostileSegmentation) {
     EXPECT_NE(res.status().message().find("segmentation"), std::string::npos)
         << res.status().message();
   }
+}
+
+TEST_F(ModelBundleTest, RejectsBackboneWhoseWidthsDoNotChain) {
+  // The CRC seals whatever the writer wrote; it does not vouch that the
+  // backbone can run. Here the second Linear reads 5 columns where the
+  // first produces 6. The load must fail, so a checkpoint load can fall
+  // back, instead of succeeding and aborting at the first window.
+  Rng rng(9);
+  nn::Sequential broken;
+  broken.Add(
+      std::make_unique<nn::Linear>(bundle_->backbone.InputDim(), 6, &rng));
+  broken.Add(std::make_unique<nn::Relu>());
+  broken.Add(std::make_unique<nn::Linear>(5, 3, &rng));
+  std::swap(bundle_->backbone, broken);
+  const std::string image = bundle_->SerializeToString();
+  std::swap(bundle_->backbone, broken);
+  auto res = ModelBundle::FromString(image);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(res.status().message().find("width"), std::string::npos)
+      << res.status().message();
 }
 
 TEST_F(ModelBundleTest, FuzzEveryTruncationIsRejected) {

@@ -325,5 +325,37 @@ TEST(ValidPayloadFuzzTest, RecordingSurvivesTruncationAndBitFlips) {
   EXPECT_GT(FuzzValidPayload(writer.buffer(), 17, parse, use), 0u);
 }
 
+// A small backbone: Linear(5->4), ReLU, int8 Linear(4->3). The layer reader
+// checks every tag and that each layer's input width is what the layers
+// before it produce, so a survivor must run a forward and return the width
+// its layers declare.
+TEST(ValidPayloadFuzzTest, SequentialSurvivesTruncationAndBitFlips) {
+  Rng rng(18);
+  nn::Sequential net;
+  net.Add(std::make_unique<nn::Linear>(5, 4, &rng));
+  net.Add(std::make_unique<nn::Relu>());
+  net.Add(nn::QuantizedLinear::FromLinear(nn::Linear(4, 3, &rng)).value());
+  BinaryWriter writer;
+  net.Serialize(&writer);
+  const auto parse = [](const std::string& bytes) {
+    BinaryReader reader(bytes);
+    return nn::Sequential::Deserialize(&reader);
+  };
+  ASSERT_TRUE(parse(writer.buffer()).ok());
+  const auto use = [](const nn::Sequential& survivor, const std::string&) {
+    size_t width = survivor.InputDim();
+    for (size_t i = 0; i < survivor.num_layers(); ++i) {
+      width = survivor.layer(i).output_dim(width);
+    }
+    Matrix x(1, survivor.InputDim());
+    x.Fill(0.5f);
+    nn::ForwardWorkspace ws;
+    const Matrix& y = survivor.Forward(x, &ws);
+    EXPECT_EQ(y.rows(), 1u);
+    EXPECT_EQ(y.cols(), width);
+  };
+  EXPECT_GT(FuzzValidPayload(writer.buffer(), 19, parse, use), 0u);
+}
+
 }  // namespace
 }  // namespace magneto

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/dropout.h"
-
 namespace magneto::nn {
 namespace {
 
@@ -100,101 +98,6 @@ TEST(ReluTest, BackwardBitsPinned) {
     EXPECT_EQ(Bits(gx.data()[i]), cases[i % kCases].want)
         << "element " << i << " case " << i % kCases;
   }
-}
-
-TEST(TanhTest, ForwardAndBackward) {
-  Tanh tanh_layer;
-  Matrix x(1, 2, {0.0f, 1.0f});
-  Matrix y;
-  tanh_layer.Forward(x, /*training=*/false, /*state=*/nullptr, &y);
-  EXPECT_FLOAT_EQ(y.At(0, 0), 0.0f);
-  EXPECT_NEAR(y.At(0, 1), std::tanh(1.0), 1e-6);
-  Matrix g(1, 2, {1, 1});
-  Matrix gx;
-  tanh_layer.Backward(g, x, y, /*state=*/nullptr, &gx);
-  EXPECT_NEAR(gx.At(0, 0), 1.0, 1e-6);  // 1 - tanh(0)^2
-  EXPECT_NEAR(gx.At(0, 1), 1.0 - std::tanh(1.0) * std::tanh(1.0), 1e-6);
-}
-
-TEST(SigmoidTest, ForwardAndBackward) {
-  Sigmoid sig;
-  Matrix x(1, 2, {0.0f, 100.0f});
-  Matrix y;
-  sig.Forward(x, /*training=*/false, /*state=*/nullptr, &y);
-  EXPECT_NEAR(y.At(0, 0), 0.5, 1e-6);
-  EXPECT_NEAR(y.At(0, 1), 1.0, 1e-6);  // saturates without overflow
-  Matrix g(1, 2, {1, 1});
-  Matrix gx;
-  sig.Backward(g, x, y, /*state=*/nullptr, &gx);
-  EXPECT_NEAR(gx.At(0, 0), 0.25, 1e-6);
-  EXPECT_NEAR(gx.At(0, 1), 0.0, 1e-6);
-}
-
-TEST(DropoutTest, InferenceIsIdentity) {
-  Dropout dropout(0.5, 1);
-  Matrix x(2, 3, {1, 2, 3, 4, 5, 6});
-  Matrix y;
-  dropout.Forward(x, /*training=*/false, /*state=*/nullptr, &y);
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
-  }
-}
-
-TEST(DropoutTest, TrainingZeroesAndRescales) {
-  Dropout dropout(0.5, 7);
-  Matrix x(1, 1000);
-  x.Fill(1.0f);
-  LayerState state;
-  Matrix y;
-  dropout.Forward(x, /*training=*/true, &state, &y);
-  size_t zeros = 0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y.data()[i], 2.0f);  // 1 / (1 - 0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.size(), 0.5, 0.06);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout dropout(0.3, 11);
-  Matrix x(1, 100);
-  x.Fill(1.0f);
-  LayerState state;
-  Matrix y;
-  dropout.Forward(x, /*training=*/true, &state, &y);
-  Matrix g(1, 100);
-  g.Fill(1.0f);
-  Matrix gx;
-  dropout.Backward(g, x, y, &state, &gx);
-  for (size_t i = 0; i < y.size(); ++i) {
-    // Gradient flows exactly where the forward pass kept the unit.
-    EXPECT_FLOAT_EQ(gx.data()[i], y.data()[i]);
-  }
-}
-
-TEST(DropoutTest, ZeroProbabilityIsIdentityEvenInTraining) {
-  Dropout dropout(0.0, 3);
-  Matrix x(1, 10, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  LayerState state;
-  Matrix y;
-  dropout.Forward(x, /*training=*/true, &state, &y);
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
-  }
-}
-
-TEST(DropoutTest, SerializationRoundTrip) {
-  Dropout dropout(0.25, 99);
-  BinaryWriter w;
-  dropout.Serialize(&w);
-  BinaryReader r(w.buffer());
-  ASSERT_EQ(r.ReadU8().value(), static_cast<uint8_t>(LayerType::kDropout));
-  auto back = Dropout::Deserialize(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_DOUBLE_EQ(back.value()->p(), 0.25);
 }
 
 }  // namespace

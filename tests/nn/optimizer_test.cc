@@ -38,61 +38,6 @@ struct Bowl {
   Matrix target;
 };
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Bowl bowl({3.0f, -2.0f, 0.5f});
-  Sgd::Options options;
-  options.learning_rate = 0.1;
-  Sgd sgd({&bowl.param}, {&bowl.grad}, options);
-  for (int i = 0; i < 200; ++i) {
-    sgd.ZeroGrad();
-    bowl.ComputeGrad();
-    sgd.Step();
-  }
-  EXPECT_LT(bowl.Loss(), 1e-8);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Bowl plain({10.0f});
-  Bowl with_momentum({10.0f});
-  Sgd::Options slow;
-  slow.learning_rate = 0.01;
-  Sgd sgd_plain({&plain.param}, {&plain.grad}, slow);
-  Sgd::Options fast = slow;
-  fast.momentum = 0.9;
-  Sgd sgd_momentum({&with_momentum.param}, {&with_momentum.grad}, fast);
-  for (int i = 0; i < 50; ++i) {
-    plain.ComputeGrad();
-    sgd_plain.Step();
-    with_momentum.ComputeGrad();
-    sgd_momentum.Step();
-  }
-  EXPECT_LT(with_momentum.Loss(), plain.Loss());
-}
-
-TEST(SgdTest, WeightDecayShrinksParameters) {
-  Matrix p(1, 1, {1.0f});
-  Matrix g(1, 1, {0.0f});  // no gradient, only decay
-  Sgd::Options options;
-  options.learning_rate = 0.1;
-  options.weight_decay = 0.5;
-  Sgd sgd({&p}, {&g}, options);
-  sgd.Step();
-  EXPECT_NEAR(p.At(0, 0), 1.0f * (1.0f - 0.1f * 0.5f), 1e-6);
-}
-
-TEST(SgdTest, StepScalesWithLearningRate) {
-  Matrix p(1, 1, {0.0f});
-  Matrix g(1, 1, {1.0f});
-  Sgd::Options options;
-  options.learning_rate = 0.25;
-  Sgd sgd({&p}, {&g}, options);
-  sgd.Step();
-  EXPECT_FLOAT_EQ(p.At(0, 0), -0.25f);
-  sgd.set_learning_rate(0.5);
-  sgd.Step();
-  EXPECT_FLOAT_EQ(p.At(0, 0), -0.75f);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Bowl bowl({5.0f, -7.0f});
   Adam::Options options;
@@ -250,15 +195,15 @@ TEST(OptimizerTest, ZeroGradClearsBuffers) {
   Matrix p(2, 2);
   Matrix g(2, 2);
   g.Fill(3.0f);
-  Sgd sgd({&p}, {&g}, Sgd::Options{});
-  sgd.ZeroGrad();
+  Adam adam({&p}, {&g}, Adam::Options{});
+  adam.ZeroGrad();
   EXPECT_FLOAT_EQ(g.AbsMax(), 0.0f);
 }
 
 TEST(OptimizerDeathTest, MismatchedShapesAbort) {
   Matrix p(2, 2);
   Matrix g(2, 3);
-  EXPECT_DEATH(Sgd({&p}, {&g}, Sgd::Options{}), "Check failed");
+  EXPECT_DEATH(Adam({&p}, {&g}, Adam::Options{}), "Check failed");
 }
 
 }  // namespace

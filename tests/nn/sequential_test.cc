@@ -1,5 +1,8 @@
 #include "nn/sequential.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "nn/activation.h"
@@ -22,14 +25,6 @@ TEST(SequentialTest, BuildMlpLayerLayout) {
   EXPECT_EQ(net.layer(0).type(), LayerType::kLinear);
   EXPECT_EQ(net.layer(1).type(), LayerType::kRelu);
   EXPECT_EQ(net.layer(2).type(), LayerType::kLinear);
-}
-
-TEST(SequentialTest, BuildMlpWithDropout) {
-  Rng rng(1);
-  Sequential net = BuildMlp(10, {20, 20, 5}, &rng, 0.1);
-  // Linear, ReLU, Dropout, Linear, ReLU, Dropout, Linear.
-  ASSERT_EQ(net.num_layers(), 7u);
-  EXPECT_EQ(net.layer(2).type(), LayerType::kDropout);
 }
 
 TEST(SequentialTest, PaperBackboneShape) {
@@ -90,7 +85,7 @@ TEST(SequentialTest, BackwardFillsAllGradients) {
   Matrix x(2, 4);
   x.Fill(1.0f);
   ForwardWorkspace ws;
-  const Matrix& y = net.Forward(x, &ws, /*training=*/true);
+  const Matrix& y = net.Forward(x, &ws, /*record=*/true);
   Matrix g(y.rows(), y.cols());
   g.Fill(1.0f);
   net.Backward(g, &ws);
@@ -107,7 +102,7 @@ TEST(SequentialTest, BackwardFillsAllGradients) {
 
 TEST(SequentialTest, SerializationRoundTripPreservesOutputs) {
   Rng rng(6);
-  Sequential net = BuildMlp(6, {10, 4}, &rng, 0.2);
+  Sequential net = BuildMlp(6, {10, 4}, &rng);
   BinaryWriter w;
   net.Serialize(&w);
   BinaryReader r(w.buffer());
@@ -119,7 +114,6 @@ TEST(SequentialTest, SerializationRoundTripPreservesOutputs) {
   for (size_t i = 0; i < x.size(); ++i) {
     x.data()[i] = static_cast<float>(i) * 0.1f;
   }
-  // Inference mode: dropout inactive, outputs must match exactly.
   ForwardWorkspace ws;
   Matrix y1 = net.Forward(x, &ws);
   Matrix y2 = back.value().Forward(x, &ws);
@@ -134,6 +128,61 @@ TEST(SequentialTest, DeserializeRejectsUnknownTag) {
   w.WriteU8(200);  // bogus layer tag
   BinaryReader r(w.buffer());
   EXPECT_FALSE(Sequential::Deserialize(&r).ok());
+}
+
+TEST(SequentialTest, DeserializeRejectsNonChainingWidths) {
+  // Linear(4->6), ReLU, Linear(5->3): each layer is well formed, but the
+  // second Linear reads 5 columns where 6 arrive. Loading it would only
+  // postpone the failure to an abort in the first forward.
+  Rng rng(8);
+  Sequential net;
+  net.Add(std::make_unique<Linear>(4, 6, &rng));
+  net.Add(std::make_unique<Relu>());
+  net.Add(std::make_unique<Linear>(5, 3, &rng));
+  BinaryWriter w;
+  net.Serialize(&w);
+  BinaryReader r(w.buffer());
+  auto back = Sequential::Deserialize(&r);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(back.status().message().find("width"), std::string::npos)
+      << back.status().message();
+
+  // The same stack with matching widths loads.
+  Sequential chained;
+  chained.Add(std::make_unique<Linear>(4, 6, &rng));
+  chained.Add(std::make_unique<Relu>());
+  chained.Add(std::make_unique<Linear>(6, 3, &rng));
+  BinaryWriter ok_writer;
+  chained.Serialize(&ok_writer);
+  BinaryReader ok_reader(ok_writer.buffer());
+  EXPECT_TRUE(Sequential::Deserialize(&ok_reader).ok());
+}
+
+TEST(SequentialTest, DeserializeRejectsRetiredLayerTags) {
+  // Tags 3, 4, 5 and 7 named tanh, sigmoid, dropout and layer norm. No
+  // writer emits them, so a stream that holds one is corrupt even when the
+  // payload those layers used to carry follows the tag.
+  for (uint8_t tag : {3, 4, 5, 7}) {
+    BinaryWriter w;
+    w.WriteU64(1);
+    w.WriteU8(tag);
+    if (tag == 5) {  // dropout: p, seed
+      w.WriteF64(0.5);
+      w.WriteU64(9);
+    } else if (tag == 7) {  // layer norm: dim, epsilon, gamma, beta
+      w.WriteU64(2);
+      w.WriteF64(1e-5);
+      const std::vector<float> gamma{1.0f, 1.0f}, beta{0.0f, 0.0f};
+      w.WriteF32Vector(gamma);
+      w.WriteF32Vector(beta);
+    }
+    BinaryReader r(w.buffer());
+    auto back = Sequential::Deserialize(&r);
+    ASSERT_FALSE(back.ok()) << "tag " << int{tag};
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+        << "tag " << int{tag};
+  }
 }
 
 TEST(SequentialTest, SummaryListsLayers) {

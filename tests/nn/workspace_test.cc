@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/activation.h"
-#include "nn/dropout.h"
 #include "nn/gradient_check.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/quantized_linear.h"
@@ -34,17 +32,16 @@ Matrix RandomBatch(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-/// One of every differentiable layer type.
+/// Both differentiable layer types, ReLU after every Linear.
 Sequential EveryLayerNet(uint64_t seed) {
   Rng rng(seed);
   Sequential net;
   net.Add(std::make_unique<Linear>(6, 8, &rng));
-  net.Add(std::make_unique<LayerNorm>(8));
   net.Add(std::make_unique<Relu>());
   net.Add(std::make_unique<Linear>(8, 5, &rng));
-  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Relu>());
   net.Add(std::make_unique<Linear>(5, 4, &rng));
-  net.Add(std::make_unique<Sigmoid>());
+  net.Add(std::make_unique<Relu>());
   return net;
 }
 
@@ -55,8 +52,7 @@ TEST(WorkspaceTest, RecordedAndPingPongPathsBitIdentical) {
   ForwardWorkspace inference_ws;
   // Inference math with activation recording on vs the pure ping-pong path:
   // same layers, same kernels, so the outputs must match bit for bit.
-  const Matrix& recorded =
-      net.Forward(x, &recorded_ws, /*training=*/false, /*record=*/true);
+  const Matrix& recorded = net.Forward(x, &recorded_ws, /*record=*/true);
   const Matrix& inference = net.Forward(x, &inference_ws);
   EXPECT_TRUE(BitIdentical(recorded, inference));
 }
@@ -69,8 +65,7 @@ TEST(WorkspaceTest, QuantizedLinearForwardBitIdenticalAcrossPaths) {
   Matrix x = RandomBatch(3, 6, 4);
   ForwardWorkspace ws_a;
   ForwardWorkspace ws_b;
-  const Matrix& recorded =
-      net.Forward(x, &ws_a, /*training=*/false, /*record=*/true);
+  const Matrix& recorded = net.Forward(x, &ws_a, /*record=*/true);
   const Matrix& inference = net.Forward(x, &ws_b);
   EXPECT_TRUE(BitIdentical(recorded, inference));
 }
@@ -118,111 +113,29 @@ TEST(WorkspaceTest, SteadyStateBackwardDoesNotAllocate) {
   Matrix g = RandomBatch(8, 4, 33);
   ForwardWorkspace ws;
   for (int i = 0; i < 2; ++i) {
-    net.Forward(x, &ws, /*training=*/true);
+    net.Forward(x, &ws, /*record=*/true);
     net.Backward(g, &ws);
   }
   const uint64_t before = Matrix::AllocationCount();
   for (int i = 0; i < 10; ++i) {
-    net.Forward(x, &ws, /*training=*/true);
+    net.Forward(x, &ws, /*record=*/true);
     net.Backward(g, &ws);
   }
   EXPECT_EQ(Matrix::AllocationCount(), before)
       << "steady-state training forward + backward must not allocate";
 }
 
-TEST(WorkspaceTest, DropoutMaskMatchesReferenceStream) {
-  const double p = 0.4;
-  const uint64_t seed = 1234;
-  Dropout dropout(p, seed);
-  Matrix x(2, 50);
-  x.Fill(1.0f);
-  LayerState state;
-  Matrix y;
-  dropout.Forward(x, /*training=*/true, &state, &y);
-  // The mask stream is defined: one Bernoulli(p) draw per element in
-  // row-major order from Rng(seed), survivors scaled by 1/(1-p).
-  Rng reference(seed);
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
-  for (size_t i = 0; i < y.size(); ++i) {
-    const float expected = reference.Bernoulli(p) ? 0.0f : keep_scale;
-    ASSERT_EQ(y.data()[i], expected) << "element " << i;
-  }
-}
-
-TEST(WorkspaceTest, DropoutStreamIsPerWorkspace) {
-  Rng rng(11);
-  Sequential net = BuildMlp(6, {32, 4}, &rng, /*dropout_p=*/0.5);
-  Matrix x(1, 6);
-  x.Fill(1.0f);
-  ForwardWorkspace ws_a;
-  ForwardWorkspace ws_b;
-  // Fresh workspaces replay the stream from the layer's seed: identical.
-  Matrix first_a = net.Forward(x, &ws_a, /*training=*/true);
-  Matrix first_b = net.Forward(x, &ws_b, /*training=*/true);
-  EXPECT_TRUE(BitIdentical(first_a, first_b));
-  // Within one workspace the stream advances: a second training forward
-  // draws a different mask (overwhelmingly likely at 32 units, p=0.5).
-  Matrix second_a = net.Forward(x, &ws_a, /*training=*/true);
-  EXPECT_FALSE(BitIdentical(first_a, second_a));
-}
-
-TEST(WorkspaceTest, WorkspaceMovedToDifferentNetworkReseedsDropout) {
-  Rng rng_a(21);
-  Rng rng_b(22);
-  Sequential net_a = BuildMlp(6, {32, 4}, &rng_a, /*dropout_p=*/0.5);
-  Sequential net_b = BuildMlp(6, {32, 4}, &rng_b, /*dropout_p=*/0.5);
-  Matrix x(1, 6);
-  x.Fill(1.0f);
-  ForwardWorkspace reused;
-  net_a.Forward(x, &reused, /*training=*/true);
-  // The reused workspace carries net_a's advanced stream; the seed check
-  // must reset it so net_b sees the same masks a fresh workspace would.
-  Matrix via_reused = net_b.Forward(x, &reused, /*training=*/true);
-  ForwardWorkspace fresh;
-  Matrix via_fresh = net_b.Forward(x, &fresh, /*training=*/true);
-  EXPECT_TRUE(BitIdentical(via_reused, via_fresh));
-}
-
-TEST(WorkspaceTest, InferenceModeRecordSupportsBackward) {
-  // The EWC Fisher pattern: training=false (dropout off) + record=true
-  // (activations kept) must produce the same gradients as a training
-  // forward on a dropout-free net.
-  Sequential net = EveryLayerNet(13);
-  Sequential twin = EveryLayerNet(13);
-  Matrix x = RandomBatch(3, 6, 14);
-  Matrix g(3, 4);
-  g.Fill(0.5f);
-
-  ForwardWorkspace ws;
-  net.ZeroGrad();
-  net.Forward(x, &ws, /*training=*/false, /*record=*/true);
-  net.Backward(g, &ws);
-
-  ForwardWorkspace twin_ws;
-  twin.ZeroGrad();
-  twin.Forward(x, &twin_ws, /*training=*/true);
-  twin.Backward(g, &twin_ws);
-
-  auto grads = net.Grads();
-  auto twin_grads = twin.Grads();
-  ASSERT_EQ(grads.size(), twin_grads.size());
-  for (size_t i = 0; i < grads.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(*grads[i], *twin_grads[i])) << "grad " << i;
-  }
-}
-
 TEST(WorkspaceTest, GradientCheckThroughWorkspacePath) {
   Rng rng(15);
   Sequential net;
+  // Two Linear layers and no ReLU: finite differences need a smooth loss.
   net.Add(std::make_unique<Linear>(4, 6, &rng));
-  net.Add(std::make_unique<LayerNorm>(6));
-  net.Add(std::make_unique<Tanh>());
   net.Add(std::make_unique<Linear>(6, 3, &rng));
   Matrix x = RandomBatch(3, 4, 16);
   Matrix target = RandomBatch(3, 3, 17);
   ForwardWorkspace ws;
   auto loss_fn = [&]() {
-    const Matrix& out = net.Forward(x, &ws, /*training=*/true);
+    const Matrix& out = net.Forward(x, &ws, /*record=*/true);
     auto res = DistillationMse(out, target);
     net.Backward(res.grad, &ws);
     return res.loss;
@@ -245,7 +158,7 @@ TEST(WorkspaceDeathTest, BackwardWithForeignWorkspaceAborts) {
   Sequential other = net.Clone();
   Matrix x = RandomBatch(2, 6, 24);
   ForwardWorkspace ws;
-  net.Forward(x, &ws, /*training=*/true);
+  net.Forward(x, &ws, /*record=*/true);
   Matrix g(2, 4);
   EXPECT_DEATH(other.Backward(g, &ws), "Check failed");
 }
