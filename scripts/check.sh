@@ -15,7 +15,7 @@ ctest --test-dir build -j"$(nproc)" --output-on-failure
 # per-thread buffer.
 cmake -B build-tsan -G Ninja -DMAGNETO_SANITIZE=thread
 cmake --build build-tsan --target common_test obs_test nn_test core_test \
-  platform_test
+  platform_test preprocess_test
 MAGNETO_THREADS=8 ./build-tsan/tests/common_test \
   --gtest_filter='Parallel*:MatMul*:MatrixTest.*:Logging*'
 # Telemetry under TSan with tracing forced on: the metrics registry, the
@@ -24,6 +24,10 @@ MAGNETO_THREADS=8 ./build-tsan/tests/common_test \
 # (FlightRecorderTest.ConcurrentProducers / SloMonitorTest.ConcurrentObservers
 # run inside this binary).
 MAGNETO_THREADS=8 MAGNETO_TRACE=1 ./build-tsan/tests/obs_test
+# The batch preprocessing loop: each ParallelFor chunk of windows owns its
+# own WindowFeaturizer and writes only its own rows; a shared featurizer
+# would be a race here.
+MAGNETO_THREADS=8 ./build-tsan/tests/preprocess_test --gtest_filter='Pipeline*'
 # The lock-free embed contract: many threads forward through one shared
 # const Sequential, each with its own workspace, no locks anywhere.
 MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
@@ -58,6 +62,10 @@ cmake --build build-asan --target common_test core_test platform_test \
 # sizes those buffers come from.
 ./build-asan/tests/preprocess_test \
   --gtest_filter='Denoise*:FeatureExtractor*:WindowFeaturizer*:Pipeline*:Segmentation*'
+# ModelBundle* includes the section-agreement tests: a backbone, classifier
+# or normaliser whose width or method disagrees with the pipeline is
+# Corruption at load (and a checkpoint load falls back to its .lkg copy)
+# instead of a bundle that loads and fails on every window.
 # UpdateTransaction* stages/commits/rolls back full model snapshots — the
 # exact place a dangling pointer into swapped-out state would hide.
 # The quantized legs cover the int8 deserializers: the wire-v3 bundle

@@ -1,6 +1,7 @@
 #include "core/model_bundle.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
@@ -46,6 +47,31 @@ Result<ModelBundle> ParseBody(BinaryReader* body_reader, uint32_t version) {
   }
   if (!body_reader->AtEnd()) {
     return Status::Corruption("trailing bytes in bundle body");
+  }
+  // Well-formed sections can still disagree; such a bundle would load and
+  // fail on every window, where a checkpoint load should fall back.
+  const preprocess::Pipeline& pipeline = bundle.pipeline;
+  const preprocess::Normalizer& norm = pipeline.normalizer();
+  size_t width = pipeline.feature_dim();
+  if (norm.method() != pipeline.config().normalization ||
+      (norm.method() != preprocess::NormalizationMethod::kNone &&
+       norm.dim() != width)) {
+    return Status::Corruption("normalizer disagrees with the pipeline config");
+  }
+  const size_t in = bundle.backbone.InputDim();
+  if (in != 0 && in != width) {
+    return Status::Corruption("backbone input width " + std::to_string(in) +
+                              " != feature width " + std::to_string(width));
+  }
+  for (size_t i = 0; i < bundle.backbone.num_layers(); ++i) {
+    width = bundle.backbone.layer(i).output_dim(width);
+  }
+  if (bundle.classifier.num_classes() > 0 &&
+      width != bundle.classifier.embedding_dim()) {
+    return Status::Corruption(
+        "backbone output width " + std::to_string(width) +
+        " != classifier embedding width " +
+        std::to_string(bundle.classifier.embedding_dim()));
   }
   return bundle;
 }

@@ -28,11 +28,28 @@ PipelineMetrics& Metrics() {
   return *metrics;
 }
 
-/// Returns the first non-OK status in `statuses`, or OK. Scanning in index
-/// order keeps the reported error identical to the serial loop's.
-Status FirstError(const std::vector<Status>& statuses) {
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+/// Fails unless `samples` holds one column per sensor channel.
+Status CheckChannels(const Matrix& samples) {
+  if (samples.cols() == sensors::kNumChannels) return Status::Ok();
+  return Status::InvalidArgument(
+      "expected " + std::to_string(sensors::kNumChannels) +
+      " channels, got " + std::to_string(samples.cols()));
+}
+
+/// Appends the first raw row of each window of `recording` to `windows`:
+/// starts 0, stride, 2·stride, … while a whole window fits.
+Status AppendWindows(const sensors::Recording& recording,
+                     const SegmentationConfig& seg,
+                     std::vector<const float*>* windows) {
+  if (seg.window_samples == 0 || seg.stride == 0) {
+    return Status::InvalidArgument("window_samples and stride must be > 0");
+  }
+  const Matrix& samples = recording.samples;
+  if (samples.rows() < seg.window_samples) return Status::Ok();
+  MAGNETO_RETURN_IF_ERROR(CheckChannels(samples));
+  for (size_t start = 0; start + seg.window_samples <= samples.rows();
+       start += seg.stride) {
+    windows->push_back(samples.RowPtr(start));
   }
   return Status::Ok();
 }
@@ -79,95 +96,56 @@ Result<PipelineConfig> PipelineConfig::Deserialize(BinaryReader* reader) {
   return config;
 }
 
-Result<std::vector<float>> Pipeline::Featurize(const Matrix& window) const {
-  std::vector<float> out;
-  out.reserve(feature_dim());
-  if (config_.features != FeatureMode::kSpectral) {
-    out.resize(kNumFeatures);
-    FeatureExtractor::Scratch scratch;
-    MAGNETO_RETURN_IF_ERROR(extractor_.Extract(window, &scratch, out.data()));
+Result<Matrix> Pipeline::WindowRows(const std::vector<const float*>& windows,
+                                    bool normalize) const {
+  if (normalize && !fitted()) {
+    return Status::FailedPrecondition("pipeline normalizer not fitted");
   }
-  if (config_.features != FeatureMode::kStatistical) {
-    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
-                             spectral_.Extract(window));
-    out.insert(out.end(), spec.begin(), spec.end());
-  }
-  return out;
+  obs::TraceSpan span("Pipeline::WindowRows");
+  obs::ScopedTimer timer(Metrics().batch_ms, /*scale=*/1e3);
+  Metrics().windows->Increment(windows.size());
+  const size_t n = config_.segmentation.window_samples;
+  Matrix rows(windows.size(), feature_dim());
+  std::vector<Status> status(windows.size(), Status::Ok());
+  // A featurizer per chunk, so no two lanes share one; a window's bits do
+  // not depend on what the featurizer held before it.
+  ParallelFor(0, windows.size(), 1, [&](size_t lo, size_t hi) {
+    WindowFeaturizer featurizer;
+    for (size_t i = lo; i < hi; ++i) {
+      BeginWindow(n, &featurizer);
+      for (size_t r = 0; r < n; ++r) featurizer.Push(windows[i]);
+      float* row = rows.RowPtr(i);
+      status[i] = FinishFeatures(windows[i], &featurizer, row);
+      if (status[i].ok() && normalize) {
+        status[i] = normalizer_.Apply(row, rows.cols());
+      }
+    }
+  });
+  // The first failing window in index order, as a serial loop reports.
+  for (const Status& st : status) MAGNETO_RETURN_IF_ERROR(st);
+  return rows;
 }
 
-Result<sensors::FeatureDataset> Pipeline::RawFeatures(
-    const std::vector<sensors::LabeledRecording>& recordings) const {
-  obs::TraceSpan span("Pipeline::RawFeatures");
-  obs::ScopedTimer timer(Metrics().batch_ms, /*scale=*/1e3);
+Result<sensors::FeatureDataset> Pipeline::LabeledRows(
+    const std::vector<sensors::LabeledRecording>& recordings,
+    bool normalize) const {
   Metrics().recordings->Increment(recordings.size());
-
-  // Stage 1: denoise + segment, one recording per work item.
-  const size_t n = recordings.size();
-  std::vector<std::vector<Matrix>> windows(n);
-  std::vector<Status> seg_status(n, Status::Ok());
-  {
-    obs::TraceSpan segment_span("Pipeline::DenoiseSegment");
-    ParallelFor(0, n, 1, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        Result<Matrix> denoised =
-            Denoise(recordings[i].recording.samples, config_.denoise);
-        if (!denoised.ok()) {
-          seg_status[i] = denoised.status();
-          continue;
-        }
-        Result<std::vector<Matrix>> segs =
-            Segment(denoised.value(), config_.segmentation);
-        if (!segs.ok()) {
-          seg_status[i] = segs.status();
-          continue;
-        }
-        windows[i] = std::move(segs).value();
-      }
-    });
+  std::vector<const float*> windows;
+  std::vector<sensors::ActivityId> labels;
+  for (const sensors::LabeledRecording& labeled : recordings) {
+    MAGNETO_RETURN_IF_ERROR(
+        AppendWindows(labeled.recording, config_.segmentation, &windows));
+    labels.resize(windows.size(), labeled.label);
   }
-  MAGNETO_RETURN_IF_ERROR(FirstError(seg_status));
-
-  // Stage 2: featurize every window. The flattened work list preserves
-  // (recording, window) order, so the assembled dataset matches the serial
-  // loop row for row.
-  std::vector<const Matrix*> work;
-  std::vector<sensors::ActivityId> work_labels;
-  for (size_t i = 0; i < n; ++i) {
-    for (const Matrix& w : windows[i]) {
-      work.push_back(&w);
-      work_labels.push_back(recordings[i].label);
-    }
-  }
-  Metrics().windows->Increment(work.size());
-  std::vector<std::vector<float>> features(work.size());
-  std::vector<Status> feat_status(work.size(), Status::Ok());
-  {
-    obs::TraceSpan featurize_span("Pipeline::Featurize");
-    ParallelFor(0, work.size(), 1, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        Result<std::vector<float>> f = Featurize(*work[i]);
-        if (f.ok()) {
-          features[i] = std::move(f).value();
-        } else {
-          feat_status[i] = f.status();
-        }
-      }
-    });
-  }
-  MAGNETO_RETURN_IF_ERROR(FirstError(feat_status));
-
-  sensors::FeatureDataset out;
-  for (size_t i = 0; i < work.size(); ++i) {
-    out.Append(features[i], work_labels[i]);
-  }
-  return out;
+  MAGNETO_ASSIGN_OR_RETURN(Matrix rows, WindowRows(windows, normalize));
+  return sensors::FeatureDataset(std::move(rows), std::move(labels));
 }
 
 Result<sensors::FeatureDataset> Pipeline::Fit(
     const std::vector<sensors::LabeledRecording>& recordings) {
   obs::TraceSpan span("Pipeline::Fit");
   MAGNETO_ASSIGN_OR_RETURN(sensors::FeatureDataset raw,
-                           RawFeatures(recordings));
+                           LabeledRows(recordings, /*normalize=*/false));
   if (raw.empty()) {
     return Status::InvalidArgument(
         "no complete windows in the fitting recordings");
@@ -182,6 +160,21 @@ void Pipeline::BeginWindow(size_t n, WindowFeaturizer* featurizer) const {
                     config_.features != FeatureMode::kSpectral);
 }
 
+Status Pipeline::FinishFeatures(const float* raw,
+                                WindowFeaturizer* featurizer,
+                                float* row) const {
+  MAGNETO_RETURN_IF_ERROR(featurizer->Finish(raw, row));
+  if (config_.features != FeatureMode::kStatistical) {
+    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
+                             spectral_.Extract(featurizer->denoised()));
+    std::copy(spec.begin(), spec.end(),
+              row + (config_.features == FeatureMode::kSpectral
+                         ? 0
+                         : kNumFeatures));
+  }
+  return Status::Ok();
+}
+
 Status Pipeline::FinishWindow(const float* raw, WindowFeaturizer* featurizer,
                               Matrix* out) const {
   if (!fitted()) {
@@ -192,26 +185,14 @@ Status Pipeline::FinishWindow(const float* raw, WindowFeaturizer* featurizer,
   Metrics().stream_windows->Increment();
   out->ResetForOverwrite(1, feature_dim());
   float* row = out->RowPtr(0);
-  MAGNETO_RETURN_IF_ERROR(featurizer->Finish(raw, row));
-  if (config_.features != FeatureMode::kStatistical) {
-    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
-                             spectral_.Extract(featurizer->denoised()));
-    std::copy(spec.begin(), spec.end(),
-              row + (config_.features == FeatureMode::kSpectral
-                         ? 0
-                         : kNumFeatures));
-  }
+  MAGNETO_RETURN_IF_ERROR(FinishFeatures(raw, featurizer, row));
   return normalizer_.Apply(row, out->cols());
 }
 
 Status Pipeline::ProcessWindow(const Matrix& window,
                                WindowFeaturizer* featurizer,
                                Matrix* out) const {
-  if (window.cols() != sensors::kNumChannels) {
-    return Status::InvalidArgument(
-        "window must have " + std::to_string(sensors::kNumChannels) +
-        " channels, got " + std::to_string(window.cols()));
-  }
+  MAGNETO_RETURN_IF_ERROR(CheckChannels(window));
   BeginWindow(window.rows(), featurizer);
   for (size_t i = 0; i < window.rows(); ++i) featurizer->Push(window.data());
   return FinishWindow(window.data(), featurizer, out);
@@ -227,39 +208,22 @@ Result<std::vector<float>> Pipeline::ProcessWindow(const Matrix& window) const {
 
 Result<std::vector<std::vector<float>>> Pipeline::Process(
     const sensors::Recording& recording) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("pipeline normalizer not fitted");
+  std::vector<const float*> windows;
+  MAGNETO_RETURN_IF_ERROR(
+      AppendWindows(recording, config_.segmentation, &windows));
+  MAGNETO_ASSIGN_OR_RETURN(Matrix rows,
+                           WindowRows(windows, /*normalize=*/true));
+  std::vector<std::vector<float>> out(rows.rows());
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    out[i].assign(rows.RowPtr(i), rows.RowPtr(i) + rows.cols());
   }
-  MAGNETO_ASSIGN_OR_RETURN(Matrix denoised,
-                           Denoise(recording.samples, config_.denoise));
-  MAGNETO_ASSIGN_OR_RETURN(std::vector<Matrix> windows,
-                           Segment(denoised, config_.segmentation));
-  std::vector<std::vector<float>> out(windows.size());
-  std::vector<Status> status(windows.size(), Status::Ok());
-  ParallelFor(0, windows.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      Result<std::vector<float>> features = Featurize(windows[i]);
-      if (!features.ok()) {
-        status[i] = features.status();
-        continue;
-      }
-      out[i] = std::move(features).value();
-      status[i] = normalizer_.Apply(&out[i]);
-    }
-  });
-  MAGNETO_RETURN_IF_ERROR(FirstError(status));
   return out;
 }
 
 Result<sensors::FeatureDataset> Pipeline::ProcessLabeled(
     const std::vector<sensors::LabeledRecording>& recordings) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("pipeline normalizer not fitted");
-  }
   obs::TraceSpan span("Pipeline::ProcessLabeled");
-  MAGNETO_ASSIGN_OR_RETURN(sensors::FeatureDataset raw,
-                           RawFeatures(recordings));
-  return normalizer_.ApplyToDataset(raw);
+  return LabeledRows(recordings, /*normalize=*/true);
 }
 
 void Pipeline::Serialize(BinaryWriter* writer) const {

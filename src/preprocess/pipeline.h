@@ -38,14 +38,15 @@ struct PipelineConfig {
   static Result<PipelineConfig> Deserialize(BinaryReader* reader);
 };
 
-/// The paper's "pre-processing function" (§3.2 item 1): denoising ->
-/// segmentation -> feature extraction -> normalisation, as one serialisable
+/// The paper's "pre-processing function" (§3.2 item 1): segmentation ->
+/// denoising -> feature extraction -> normalisation, as one serialisable
 /// unit that the cloud ships to the edge.
 ///
-/// Usage: the cloud calls `Fit` on the pre-training recordings (freezing the
-/// normaliser statistics), the edge then calls `Process`/`ProcessLabeled` on
-/// fresh sensor data. Both ends run the identical code path — there is no
-/// cloud-only shortcut.
+/// Segment first, with one per-window operator for training and serving:
+/// `Fit`, `Process` and `ProcessLabeled` run each window of a recording
+/// through the `WindowFeaturizer` a stream pushes its frames into, so a
+/// training row is bit-for-bit the row the stream serves for the same
+/// frames. The cloud `Fit`s the normaliser once; the edge applies it frozen.
 class Pipeline {
  public:
   Pipeline() = default;
@@ -107,15 +108,23 @@ class Pipeline {
   size_t feature_dim() const { return FeatureDim(config_.features); }
 
  private:
-  /// Runs the configured feature extractor(s) on one denoised window.
-  Result<std::vector<float>> Featurize(const Matrix& window) const;
+  /// The per-window core of both paths: finishes `featurizer`'s window
+  /// (`raw`: its raw rows) into `row`, feature_dim() un-normalised floats.
+  Status FinishFeatures(const float* raw, WindowFeaturizer* featurizer,
+                        float* row) const;
 
-  /// Denoise + segment + featurise, no normalisation.
-  Result<sensors::FeatureDataset> RawFeatures(
-      const std::vector<sensors::LabeledRecording>& recordings) const;
+  /// The batch loop: each window (a pointer to its first raw row) through
+  /// the per-window core into one row, then the frozen normaliser when
+  /// `normalize`.
+  Result<Matrix> WindowRows(const std::vector<const float*>& windows,
+                            bool normalize) const;
+
+  /// WindowRows over every window of `recordings`, labeled, in order.
+  Result<sensors::FeatureDataset> LabeledRows(
+      const std::vector<sensors::LabeledRecording>& recordings,
+      bool normalize) const;
 
   PipelineConfig config_;
-  FeatureExtractor extractor_;
   SpectralFeatureExtractor spectral_;
   Normalizer normalizer_;
 };

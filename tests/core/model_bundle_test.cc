@@ -268,6 +268,101 @@ TEST_F(ModelBundleTest, RejectsBackboneWhoseWidthsDoNotChain) {
       << res.status().message();
 }
 
+/// `bundle`'s image with its backbone swapped for `backbone`.
+std::string ImageWithBackbone(ModelBundle* bundle, nn::Sequential* backbone) {
+  std::swap(bundle->backbone, *backbone);
+  std::string image = bundle->SerializeToString();
+  std::swap(bundle->backbone, *backbone);
+  return image;
+}
+
+/// `bundle`'s image with its pipeline section written from `config` and
+/// `normalizer`, sealed with a valid CRC.
+std::string ImageWithPipeline(const ModelBundle& bundle,
+                              const preprocess::PipelineConfig& config,
+                              const preprocess::Normalizer& normalizer) {
+  BinaryWriter body;
+  config.Serialize(&body);
+  normalizer.Serialize(&body);
+  bundle.backbone.Serialize(&body);
+  bundle.classifier.Serialize(&body);
+  bundle.registry.Serialize(&body);
+  bundle.support.Serialize(&body);
+  return BuildImage(2, body.size(), body.buffer());
+}
+
+void ExpectCorruption(const std::string& image, const std::string& word) {
+  auto res = ModelBundle::FromString(image);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(res.status().message().find(word), std::string::npos)
+      << res.status().message();
+}
+
+TEST_F(ModelBundleTest, RejectsBackboneWhoseOutputIsNotTheClassifierWidth) {
+  // A backbone that chains and reads the 80 features, but embeds into 7
+  // dimensions where the prototypes have 16: every window would fail.
+  Rng rng(3);
+  nn::Sequential narrow;
+  narrow.Add(std::make_unique<nn::Linear>(preprocess::kNumFeatures, 7, &rng));
+  ASSERT_NE(bundle_->classifier.embedding_dim(), 7u);
+  ExpectCorruption(ImageWithBackbone(bundle_, &narrow), "embedding width");
+}
+
+TEST_F(ModelBundleTest, RejectsBackboneWhoseInputIsNotTheFeatureWidth) {
+  Rng rng(4);
+  nn::Sequential wide;
+  wide.Add(std::make_unique<nn::Linear>(
+      preprocess::kNumFeatures + 1, bundle_->classifier.embedding_dim(),
+      &rng));
+  ExpectCorruption(ImageWithBackbone(bundle_, &wide), "feature width");
+}
+
+TEST_F(ModelBundleTest, RejectsNormalizerThatDisagreesWithTheConfig) {
+  const preprocess::PipelineConfig config = bundle_->pipeline.config();
+  const preprocess::Normalizer& norm = bundle_->pipeline.normalizer();
+  ASSERT_EQ(config.normalization, preprocess::NormalizationMethod::kZScore);
+  // The sections as written load, so the rewrites below are what fails.
+  ASSERT_TRUE(
+      ModelBundle::FromString(ImageWithPipeline(*bundle_, config, norm)).ok());
+
+  preprocess::PipelineConfig min_max = config;
+  min_max.normalization = preprocess::NormalizationMethod::kMinMax;
+  ExpectCorruption(ImageWithPipeline(*bundle_, min_max, norm), "normalizer");
+
+  sensors::FeatureDataset narrow;
+  narrow.Append(std::vector<float>(preprocess::kNumFeatures - 1, 1.0f), 0);
+  narrow.Append(std::vector<float>(preprocess::kNumFeatures - 1, 2.0f), 1);
+  auto fitted =
+      preprocess::Normalizer::Fit(preprocess::NormalizationMethod::kZScore,
+                                  narrow);
+  ASSERT_TRUE(fitted.ok());
+  ExpectCorruption(ImageWithPipeline(*bundle_, config, fitted.value()),
+                   "normalizer");
+}
+
+TEST_F(ModelBundleTest, LoadWithFallbackSkipsBundleWhoseSectionsDisagree) {
+  // A checkpoint whose sections disagree is as unusable as a torn one, so
+  // the load takes the last-known-good copy.
+  Rng rng(3);
+  nn::Sequential narrow;
+  narrow.Add(std::make_unique<nn::Linear>(preprocess::kNumFeatures, 7, &rng));
+  const std::string primary =
+      testing::UniqueTempPath("magneto_fb_mismatch.magneto");
+  const std::string fallback =
+      testing::UniqueTempPath("magneto_fb_mismatch_lkg.magneto");
+  ASSERT_TRUE(WriteFile(primary, ImageWithBackbone(bundle_, &narrow)).ok());
+  ASSERT_TRUE(bundle_->SaveToFile(fallback).ok());
+  bool used_fallback = false;
+  auto res =
+      ModelBundle::LoadFromFileWithFallback(primary, fallback, &used_fallback);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_TRUE(used_fallback);
+  EXPECT_EQ(res.value().backbone.InputDim(), bundle_->backbone.InputDim());
+  std::remove(primary.c_str());
+  std::remove(fallback.c_str());
+}
+
 TEST_F(ModelBundleTest, FuzzEveryTruncationIsRejected) {
   // Every prefix of a valid image must parse as corruption — never crash,
   // never read out of bounds (the ASan leg of check.sh runs this test).

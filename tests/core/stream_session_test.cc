@@ -188,6 +188,44 @@ TEST(StreamSessionTest, ResetContextInMidWindowRestartsTheFeaturizer) {
             2u);
 }
 
+TEST(StreamSessionTest, EmitsTheRowsProcessLabeledTrainsOn) {
+  // One preprocessing definition: the normalised rows the stream serves are
+  // memcmp-equal to the rows training gets from ProcessLabeled for the same
+  // frames, at stride = window and stride = window / 2.
+  sensors::SyntheticGenerator gen(11);
+  const auto& lib = sensors::DefaultActivityLibrary();
+  const sensors::Recording rec = gen.Generate(lib.at(sensors::kRun), 6.0);
+  for (size_t stride : {120u, 60u}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    preprocess::PipelineConfig config;
+    config.segmentation = Seg(120, stride);
+    preprocess::Pipeline pipeline(config);
+    ASSERT_TRUE(
+        pipeline.Fit(gen.GenerateDataset(lib, /*per_class=*/1, 3.0)).ok());
+    const auto trained = pipeline.ProcessLabeled({{rec, sensors::kRun}});
+    ASSERT_TRUE(trained.ok());
+    ASSERT_EQ(trained.value().size(), (720 - 120) / stride + 1);
+
+    StreamSession session(StreamSession::Counters{});
+    size_t next = 0;
+    sensors::Frame frame;
+    for (size_t r = 0; r < rec.samples.rows(); ++r) {
+      std::memcpy(frame.data(), rec.samples.RowPtr(r), sizeof(frame));
+      if (!session.PushFrame(frame, pipeline)) continue;
+      Result<const Matrix*> row = session.FinishWindow(pipeline);
+      ASSERT_TRUE(row.ok());
+      ASSERT_LT(next, trained.value().size());
+      ASSERT_EQ(row.value()->size(), trained.value().dim());
+      EXPECT_EQ(std::memcmp(row.value()->data(), trained.value().Row(next),
+                            trained.value().dim() * sizeof(float)),
+                0)
+          << "window " << next;
+      ++next;
+    }
+    EXPECT_EQ(next, trained.value().size());
+  }
+}
+
 TEST(StreamSessionTest, EmitRunsTheConsumerChainAndCounts) {
   obs::Registry& registry = obs::Registry::Global();
   StreamSession::Counters counters{

@@ -1,5 +1,8 @@
 #include "preprocess/pipeline.h"
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sensors/signal_model.h"
@@ -66,18 +69,33 @@ TEST(PipelineTest, ProcessSegmentsPerConfig) {
 }
 
 TEST(PipelineTest, ProcessWindowMatchesProcess) {
-  Pipeline pipeline((PipelineConfig()));
-  ASSERT_TRUE(pipeline.Fit(MakeCorpus(6)).ok());
+  // Segment first: each batch row is the window's own rows through the
+  // per-window operator, bit for bit, including the windows whose edges a
+  // whole-recording filter would have smoothed with their neighbours.
   sensors::SyntheticGenerator gen(7);
   sensors::Recording rec =
-      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kStill], 1.0);
-  auto via_process = pipeline.Process(rec);
-  ASSERT_TRUE(via_process.ok());
-  ASSERT_EQ(via_process.value().size(), 1u);
-  auto via_window = pipeline.ProcessWindow(rec.samples.RowSlice(0, 120));
-  ASSERT_TRUE(via_window.ok());
-  for (size_t j = 0; j < kNumFeatures; ++j) {
-    EXPECT_FLOAT_EQ(via_process.value()[0][j], via_window.value()[j]);
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kWalk], 5.0);
+  for (size_t stride : {120u, 60u}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    PipelineConfig config;
+    config.segmentation.stride = stride;
+    Pipeline pipeline(config);
+    ASSERT_TRUE(pipeline.Fit(MakeCorpus(6)).ok());
+    auto via_process = pipeline.Process(rec);
+    ASSERT_TRUE(via_process.ok());
+    ASSERT_EQ(via_process.value().size(), (600 - 120) / stride + 1);
+    for (size_t i = 0; i < via_process.value().size(); ++i) {
+      const size_t start = i * stride;
+      auto via_window =
+          pipeline.ProcessWindow(rec.samples.RowSlice(start, start + 120));
+      ASSERT_TRUE(via_window.ok());
+      ASSERT_EQ(via_window.value().size(), kNumFeatures);
+      EXPECT_EQ(std::memcmp(via_process.value()[i].data(),
+                            via_window.value().data(),
+                            kNumFeatures * sizeof(float)),
+                0)
+          << "window " << i;
+    }
   }
 }
 

@@ -554,24 +554,14 @@ int CmdFleet(const Args& args) {
   const double rate = args.GetDouble("rate", 0.0);
   std::vector<std::vector<std::vector<float>>> features(sessions);
   if (open_loop) {
-    const auto& seg = bundle.value().pipeline.config().segmentation;
     for (size_t s = 0; s < sessions; ++s) {
       sensors::UserProfile user(100 + s, 0.5);
       sensors::SyntheticGenerator gen(200 + s);
       sensors::Recording rec =
           gen.Generate(user.Personalize(lib[cycle[s % 3]]), seconds);
-      for (size_t start = 0; start + seg.window_samples <= rec.num_samples();
-           start += seg.stride) {
-        Matrix window(seg.window_samples, sensors::kNumChannels);
-        for (size_t r = 0; r < seg.window_samples; ++r) {
-          for (size_t c = 0; c < sensors::kNumChannels; ++c) {
-            window.At(r, c) = rec.samples.At(start + r, c);
-          }
-        }
-        auto fv = bundle.value().pipeline.ProcessWindow(window);
-        if (!fv.ok()) return Fail(fv.status(), "featurize");
-        features[s].push_back(std::move(fv).value());
-      }
+      auto fv = bundle.value().pipeline.Process(rec);
+      if (!fv.ok()) return Fail(fv.status(), "featurize");
+      features[s] = std::move(fv).value();
       if (features[s].empty()) {
         return Fail(Status::InvalidArgument("--seconds too short for a "
                                             "single window"),
