@@ -1,14 +1,17 @@
 // Thread-scaling sweep over the pooled hot paths: GEMM, preprocessing
-// throughput, and one Siamese training epoch, at 1/2/4/8 lanes; plus the
+// throughput, and one edge retraining epoch of the paper backbone, at
+// 1/2/4/8 lanes; plus the cost of handing an empty region to the pool after
+// idle gaps of 20 us, 100 us and 1 ms, at 2 and 4 lanes; plus the
 // fp32 GEMM kernel instantiations (portable, avx2, avx512f) on the paper
 // backbone's training shapes; plus the training step's elementwise loops
 // (Adam::Step on the paper backbone, ReLU backward) against scalar copies of
 // their pre-vectorisation form; plus the batch-1 stream window: Denoise and
 // the 80 features against copies of their column-at-a-time form, the
 // completing frame's preprocessing (whole window at once vs the streamed
-// featurizer's Finish), the batch-1 backbone forward through the portable
-// kernel and the column-block kernel at 1, 2 and 4 lanes (and batches of 2,
-// 4 and 8 at 1 and 4 lanes), and the heap allocations of a warmed
+// featurizer's Finish), the batch-1 backbone forward with row-major weights
+// and separate bias and ReLU passes against Sequential::Forward's inference
+// path at 1, 2 and 4 lanes (and batches of 2, 4 and 8), and the heap
+// allocations of a warmed
 // EdgeRuntime window at 1 and 4 lanes. Emits BENCH_parallel.json so the perf trajectory is tracked across
 // PRs, and fails (exit 1) if any workload is not bit-identical across
 // thread counts, kernel instantiations or the before/after loops — the determinism contract of the shared runtime
@@ -118,6 +121,19 @@ Sample BestOf(size_t reps, Fn fn) {
   return best;
 }
 
+/// Median wall time of `reps` (odd) calls of `fn`.
+template <typename Fn>
+double MedianSeconds(size_t reps, Fn fn) {
+  std::vector<double> seconds;
+  for (size_t r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    fn();
+    seconds.push_back(Seconds(t0, Clock::now()));
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[reps / 2];
+}
+
 struct Workload {
   std::string name;
   double work_units;        // flops for GEMM, windows/examples otherwise
@@ -169,6 +185,16 @@ struct ForwardRow {
   BeforeAfter us;
 };
 
+/// The time from a ParallelFor call to its return for an empty region of
+/// four one-index chunks, after the caller idled `gap_us` (spinning, as a
+/// stream's caller stays busy between windows).
+struct HandoffRow {
+  size_t lanes = 1;
+  int gap_us = 0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+};
+
 /// One GEMM kernel instantiation timed on the training shapes.
 struct IsaRow {
   const char* isa;
@@ -195,7 +221,8 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
             const BeforeAfter& adam, const BeforeAfter& relu,
             const BeforeAfter& denoise, const BeforeAfter& features,
             const BeforeAfter& completing,
-            const std::vector<ForwardRow>& forward) {
+            const std::vector<ForwardRow>& forward,
+            const std::vector<HandoffRow>& handoff) {
   obs::JsonWriter json = BenchJson("parallel_scaling");
   WriteHostStamp(&json);
   json.Field("hardware_threads", std::thread::hardware_concurrency())
@@ -258,14 +285,32 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
   WriteBeforeAfter(&json, "features_us", features);
   WriteBeforeAfter(&json, "completing_frame_preprocess_us", completing);
   json.EndObject()
+      .Key("region_handoff_us")
+      .BeginObject()
+      .Field("shapes", "an empty region of 4 one-index chunks, from the "
+                       "ParallelFor call to its return, after the caller "
+                       "spun idle for gap_us; p50 and p99 of 3,000 regions "
+                       "(1,000 at the 1 ms gap), keyed lanes_<n>_gap_<us>");
+  for (const HandoffRow& row : handoff) {
+    const std::string key =
+        LanesKey(row.lanes) + "_gap_" + std::to_string(row.gap_us);
+    json.Key(key)
+        .BeginObject()
+        .Field("p50", row.p50_us)
+        .Field("p99", row.p99_us)
+        .EndObject();
+  }
+  json.EndObject()
       .Key("batch1_forward_us")
       .BeginObject()
       .Field("shapes", "the paper backbone 80-1024-512-128-64-128 on one "
                        "1 x 80 row, bias and ReLU included, through the "
                        "dispatched column-block kernel across the pool; "
-                       "before: row-major weights read in place; after: "
-                       "weights in 128-column panels (nn::Linear's "
-                       "storage); median of 31 blocks of 100 back-to-back "
+                       "before: row-major weights read in place, then the "
+                       "bias and ReLU as passes of their own; after: "
+                       "Sequential::Forward's inference path (weights in "
+                       "128-column panels, bias and ReLU in the kernel's "
+                       "store); median of 31 blocks of 100 back-to-back "
                        "forwards");
   for (const ForwardRow& row : forward) {
     if (row.rows == 1) {
@@ -629,21 +674,20 @@ void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features,
   completing->after = Median(after_us);
 }
 
-/// One forward of `net` on `x`. With `row_major` (a row-major copy of each
-/// Linear's weights, in layer order), each Linear runs MatMulInto on its
-/// copy plus its bias: the storage every Linear had before weight panels.
-/// Without it, every layer runs its own Forward. Returns the output buffer.
-const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
-                          const std::vector<Matrix>* row_major,
-                          Matrix buffers[2]) {
+/// One forward of `net` on `x` as it ran before weight panels and the
+/// fused store: each Linear runs MatMulInto on its row-major copy in
+/// `row_major` (in layer order) and then adds its bias in a pass of its
+/// own, and each ReLU runs its own Forward. Returns the output buffer.
+const Matrix& ForwardRowMajor(const nn::Sequential& net, const Matrix& x,
+                              const std::vector<Matrix>& row_major,
+                              Matrix buffers[2]) {
   const Matrix* in = &x;
   size_t linear = 0;
   for (size_t i = 0; i < net.num_layers(); ++i) {
     Matrix* out = &buffers[i % 2];
     const nn::Layer& layer = net.layer(i);
-    const auto* fc = dynamic_cast<const nn::Linear*>(&layer);
-    if (row_major != nullptr && fc != nullptr) {
-      MatMulInto(*in, (*row_major)[linear++], out);
+    if (const auto* fc = dynamic_cast<const nn::Linear*>(&layer)) {
+      MatMulInto(*in, row_major[linear++], out);
       const float* bias = fc->bias().data();
       for (size_t r = 0; r < out->rows(); ++r) {
         float* row = out->RowPtr(r);
@@ -658,13 +702,14 @@ const Matrix& ForwardWith(const nn::Sequential& net, const Matrix& x,
 }
 
 /// The paper-backbone forward through the dispatched small-batch kernel
-/// with row-major weights read in place (before) and with the weights in
-/// 128-column panels, as nn::Linear stores them (after): batches of 1, 2, 4
-/// and 8 rows (the stream, and a fleet serve thread's micro-batches) at 1,
-/// 2 and 4 lanes. The two sides alternate in blocks of back-to-back
-/// forwards, as windows of a stream arrive, so each lane's weight slice
-/// stays in its core's cache across the block; the outputs are compared bit
-/// for bit.
+/// with row-major weights read in place and separate bias and ReLU passes
+/// (before) and through Sequential::Forward's inference path, with the
+/// weights in 128-column panels and the bias and ReLU in the kernel's store
+/// (after): batches of 1, 2, 4 and 8 rows (the stream, and a fleet serve
+/// thread's micro-batches) at 1, 2 and 4 lanes. The two sides alternate in
+/// blocks of back-to-back forwards, as windows of a stream arrive, so each
+/// lane's weight slice stays in its core's cache across the block; the
+/// outputs are compared bit for bit.
 std::vector<ForwardRow> MeasureSmallBatchForward() {
   Rng rng(37);
   const nn::Sequential net = nn::BuildPaperBackbone(&rng);
@@ -679,7 +724,8 @@ std::vector<ForwardRow> MeasureSmallBatchForward() {
     inputs.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
   }
   constexpr int kRounds = 31, kBlock = 100;
-  Matrix before_buffers[2], after_buffers[2];
+  Matrix before_buffers[2];
+  nn::ForwardWorkspace after_ws;
   std::vector<ForwardRow> rows;
   for (size_t batch : {1, 2, 4, 8}) {
     for (size_t lanes : {1, 2, 4}) {
@@ -690,21 +736,49 @@ std::vector<ForwardRow> MeasureSmallBatchForward() {
       for (int round = 0; round < kRounds; ++round) {
         auto t0 = Clock::now();
         for (int i = 0; i < kBlock; ++i) {
-          ForwardWith(net, x, &row_major, before_buffers);
+          ForwardRowMajor(net, x, row_major, before_buffers);
         }
         before_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
         t0 = Clock::now();
-        for (int i = 0; i < kBlock; ++i) {
-          ForwardWith(net, x, nullptr, after_buffers);
-        }
+        for (int i = 0; i < kBlock; ++i) net.Forward(x, &after_ws);
         after_us.push_back(Seconds(t0, Clock::now()) * 1e6 / kBlock);
       }
-      const Matrix& want = ForwardWith(net, x, &row_major, before_buffers);
-      const Matrix& got = ForwardWith(net, x, nullptr, after_buffers);
+      const Matrix& want = ForwardRowMajor(net, x, row_major, before_buffers);
+      const Matrix& got = net.Forward(x, &after_ws);
       rows.push_back({batch, lanes,
                       {Median(before_us), Median(after_us),
                        Fingerprint(want.data(), want.size()) ==
                            Fingerprint(got.data(), got.size())}});
+    }
+  }
+  return rows;
+}
+
+/// Region hand-off cost (HandoffRow) at 2 and 4 lanes after idle gaps of
+/// 20 us and 100 us (the workers still spin, as between the layers and the
+/// windows of a stream) and 1 ms (past the spin budget: they sleep, and the
+/// region has to wake them).
+std::vector<HandoffRow> MeasureRegionHandoff() {
+  std::vector<HandoffRow> rows;
+  const auto body = [](size_t, size_t) {};
+  for (size_t lanes : {2, 4}) {
+    SetParallelThreads(lanes);
+    for (int gap_us : {20, 100, 1000}) {
+      const int regions = gap_us >= 1000 ? 1000 : 3000;
+      constexpr int kWarmup = 50;
+      std::vector<double> us;
+      us.reserve(regions);
+      for (int i = 0; i < kWarmup + regions; ++i) {
+        const auto until = Clock::now() + std::chrono::microseconds(gap_us);
+        while (Clock::now() < until) {
+        }
+        const auto t0 = Clock::now();
+        ParallelFor(0, 4, 1, body);
+        if (i >= kWarmup) us.push_back(Seconds(t0, Clock::now()) * 1e6);
+      }
+      std::sort(us.begin(), us.end());
+      rows.push_back({lanes, gap_us, us[us.size() / 2],
+                      us[us.size() * 99 / 100]});
     }
   }
   return rows;
@@ -793,12 +867,12 @@ int main() {
       b.data()[i] = static_cast<float>((i * 40503u) % 13) - 6.0f;
     }
     Workload wl{"gemm_320", 2.0 * dim * dim * dim, "Mflop/s", sweep, {}};
+    Matrix c;
+    MatMulInto(a, b, &c);  // sized once: the runs time the kernel alone
     for (size_t t : sweep) {
       SetParallelThreads(t);
-      wl.samples.push_back(BestOf(3, [&] {
-        Matrix c = MatMul(a, b);
-        return Fingerprint(c.data(), c.size());
-      }));
+      const double seconds = MedianSeconds(11, [&] { MatMulInto(a, b, &c); });
+      wl.samples.push_back({seconds, Fingerprint(c.data(), c.size())});
     }
     workloads.push_back(wl);
   }
@@ -825,30 +899,33 @@ int main() {
     workloads.push_back(wl);
   }
 
-  // --- One Siamese training epoch (forward + backward + optimizer) ---
+  // --- One edge retraining epoch: the paper backbone with the incremental
+  // learner's options (batch of 32 pairs, distillation against a frozen
+  // teacher on the retained rows) ---
   {
     const auto corpus = BenchCorpus(/*seed=*/22, /*per_class=*/6);
     preprocess::Pipeline pipeline{preprocess::PipelineConfig{}};
     sensors::FeatureDataset data = Unwrap(pipeline.Fit(corpus), "fit");
-    learn::TrainOptions options;
+    learn::TrainOptions options = core::IncrementalOptions{}.train;
     options.epochs = 1;
-    options.batch_size = 64;
     options.seed = 7;
+    Rng rng(3);
+    const nn::Sequential teacher = nn::BuildPaperBackbone(&rng);
     Workload wl{"siamese_epoch", static_cast<double>(data.size()),
                 "Mexamples/s", sweep, {}};
     for (size_t t : sweep) {
       SetParallelThreads(t);
-      wl.samples.push_back(BestOf(2, [&] {
-        Rng rng(3);
-        nn::Sequential net = nn::BuildMlp(data.dim(), {256, 128, 64}, &rng);
+      nn::Sequential net;
+      const double seconds = MedianSeconds(3, [&] {
+        net = teacher.Clone();
         learn::SiameseTrainer trainer(options);
-        Unwrap(trainer.Train(&net, data), "train");
-        uint64_t h = 1469598103934665603ull;
-        for (const Matrix* p : net.Params()) {
-          h ^= Fingerprint(p->data(), p->size());
-        }
-        return h;
-      }));
+        Unwrap(trainer.Train(&net, data, &teacher, &data), "train");
+      });
+      uint64_t h = 1469598103934665603ull;
+      for (const Matrix* p : net.Params()) {
+        h ^= Fingerprint(p->data(), p->size());
+      }
+      wl.samples.push_back({seconds, h});
     }
     workloads.push_back(wl);
   }
@@ -1110,8 +1187,16 @@ int main() {
     }
   }
 
+  // --- Handing a region to the pool, after short and long idle gaps ---
+  const std::vector<HandoffRow> handoff = MeasureRegionHandoff();
+  for (const HandoffRow& row : handoff) {
+    std::printf("empty region %zu lane(s) after %4d us idle: p50 %6.2f us, "
+                "p99 %6.2f us\n",
+                row.lanes, row.gap_us, row.p50_us, row.p99_us);
+  }
+
   Report(workloads, deterministic, allocs, isa_rows, adam, relu, denoise,
-         features, completing, forward);
+         features, completing, forward, handoff);
   std::printf("wrote BENCH_parallel.json (hardware threads: %u)\n",
               std::thread::hardware_concurrency());
   const bool loops_identical = adam.identical && relu.identical &&

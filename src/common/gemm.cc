@@ -494,7 +494,11 @@ struct Packed {
 // per-element order is MatMulRows': groups of four k-terms as
 // ((a0*b0 + a1*b1) + a2*b2) + a3*b3 in k order, then the k % 4 tail a term
 // at a time (its 64-wide k tiles are multiples of four, so only the last
-// one has a tail), from a +0 start.
+// one has a tail), from a +0 start. The store can finish a layer: with a
+// bias row it writes acc + bias (Linear::Forward's bias loop), and with
+// `relu` it then writes +0 for every value below zero (Relu::Forward), so a
+// batch-1 Linear + ReLU leaves the lanes as one region with nothing left
+// for the caller to sweep.
 
 /// Columns per chunk are a multiple of this (the widest vector), so only
 /// the last chunk of a row holds a partial vector.
@@ -522,7 +526,8 @@ size_t ChunkColumns(size_t m, size_t k, size_t n) {
 
 /// Operands of one column block: out (m x w) = a (m x k) * b (k x w), where
 /// a is row-major, row kk of b starts kk * ldb floats after `b`, and output
-/// row i starts i * ldo floats after `out`.
+/// row i starts i * ldo floats after `out`. A non-null `bias` (w floats) is
+/// added to every output row, and `relu` then clamps values below zero.
 struct ColumnCall {
   const float* a;
   const float* b;
@@ -530,6 +535,8 @@ struct ColumnCall {
   float* out;
   size_t ldo;
   size_t m, k;
+  const float* bias;
+  bool relu;
 };
 
 /// The kernel body, written once over a GCC vector of W floats (W == 1 is
@@ -587,7 +594,12 @@ struct Columns {
       float* dst = c.out + (i + r) * c.ldo + j;
 #pragma GCC unroll 16
       for (size_t v = 0; v < C; ++v) {
-        *reinterpret_cast<U*>(dst + v * W) = acc[r][v];
+        V o = acc[r][v];
+        if (c.bias != nullptr) {
+          o = o + *reinterpret_cast<const U*>(c.bias + j + v * W);
+        }
+        if (c.relu) o = o < 0.0f ? V{} : o;
+        *reinterpret_cast<U*>(dst + v * W) = o;
       }
     }
   }
@@ -725,12 +737,13 @@ void RunPanels(PanelFn fn, const PackedCall& call) {
 }
 
 /// Runs the column-block kernel for `isa` over every column chunk of
-/// out = a * b, with b stored as `bi` says: each chunk as one sub-block per
-/// panel it touches. The closure goes to ParallelFor by std::cref: it would
-/// not fit std::function's small buffer, and a warmed stream window must
-/// not allocate.
+/// out = a * b (+ bias, then ReLU, as the call asks), with b stored as `bi`
+/// says: each chunk as one sub-block per panel it touches. The closure goes
+/// to ParallelFor by std::cref: it would not fit std::function's small
+/// buffer, and a warmed stream window must not allocate.
 void RunColumns(GemmIsa isa, const Matrix& a, const Matrix& b,
-                const PanelIndex& bi, Matrix* out) {
+                const PanelIndex& bi, const float* bias, bool relu,
+                Matrix* out) {
   const PackedKernels* kernels = KernelsFor(isa);
   const ColumnFn fn = kernels == nullptr ? ColumnBlockPortable
                                          : kernels->columns;
@@ -739,7 +752,8 @@ void RunColumns(GemmIsa isa, const Matrix& a, const Matrix& b,
     for (size_t j = j0; j < j1;) {
       const size_t end = std::min(j1, bi.First(j) + bi.Stride(j));
       fn({a.data(), b.data() + bi.Offset(0, j), bi.Stride(j),
-          out->data() + j, n, m, k},
+          out->data() + j, n, m, k, bias == nullptr ? nullptr : bias + j,
+          relu},
          0, end - j);
       j = end;
     }
@@ -795,11 +809,15 @@ void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b, Matrix* out,
 }
 
 void MatMulColumnsIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                           Matrix* out, Layout b_layout) {
+                           Matrix* out, Layout b_layout, const Matrix* bias,
+                           bool relu) {
   MAGNETO_CHECK(a.cols() == b.rows());
   MAGNETO_CHECK(out != &a && out != &b);
+  MAGNETO_CHECK(bias == nullptr ||
+                (bias->rows() == 1 && bias->cols() == b.cols()));
   out->ResetForOverwrite(a.rows(), b.cols());  // every element is stored
-  RunColumns(isa, a, b, PanelIndex(b.rows(), b.cols(), b_layout), out);
+  RunColumns(isa, a, b, PanelIndex(b.rows(), b.cols(), b_layout),
+             bias == nullptr ? nullptr : bias->data(), relu, out);
 }
 
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
@@ -852,6 +870,26 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
     return gemm_internal::MatMulColumnsIntoWith(isa, a, b, out, b_layout);
   }
   gemm_internal::MatMulIntoWith(isa, a, b, out, b_layout);
+}
+
+void MatMulBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias,
+                    bool relu, Matrix* out, Layout b_layout) {
+  MAGNETO_CHECK(out != &bias);
+  MAGNETO_CHECK(bias.rows() == 1 && bias.cols() == b.cols());
+  const gemm_internal::GemmIsa isa = gemm_internal::DispatchedIsa();
+  if (a.rows() < gemm_internal::kPackedMinRows) {
+    return gemm_internal::MatMulColumnsIntoWith(isa, a, b, out, b_layout,
+                                                &bias, relu);
+  }
+  gemm_internal::MatMulIntoWith(isa, a, b, out, b_layout);
+  const float* bias_row = bias.data();
+  for (size_t r = 0; r < out->rows(); ++r) {
+    float* row = out->RowPtr(r);
+    for (size_t c = 0; c < out->cols(); ++c) {
+      const float o = row[c] + bias_row[c];
+      row[c] = relu && o < 0.0f ? 0.0f : o;
+    }
+  }
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

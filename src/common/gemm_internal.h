@@ -69,13 +69,16 @@ GemmIsa DispatchedIsa();
 /// instantiation produces bit-identical results, in either layout.
 void MatMulIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b, Matrix* out,
                     Layout b_layout = Layout::kRowMajor);
-/// MatMul through the column-block kernel, which MatMulInto runs below
-/// kPackedMinRows rows, at any batch size. kPortable names its baseline
-/// instantiation (4-wide vectors), not the portable oracle that
-/// MatMulIntoWith(kPortable, ...) runs; every instantiation reproduces the
-/// oracle's bits.
+/// MatMul through the column-block kernel, which MatMulInto and
+/// MatMulBiasInto run below kPackedMinRows rows, at any batch size.
+/// kPortable names its baseline instantiation (4-wide vectors), not the
+/// portable oracle that MatMulIntoWith(kPortable, ...) runs; every
+/// instantiation reproduces the oracle's bits. A non-null `bias` (1 x n)
+/// and `relu` are applied in the kernel's store, with MatMulBiasInto's
+/// bits.
 void MatMulColumnsIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
-                           Matrix* out, Layout b_layout = Layout::kRowMajor);
+                           Matrix* out, Layout b_layout = Layout::kRowMajor,
+                           const Matrix* bias = nullptr, bool relu = false);
 void MatMulTransAIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,
                           Matrix* out);
 void MatMulTransBIntoWith(GemmIsa isa, const Matrix& a, const Matrix& b,

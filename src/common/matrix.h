@@ -234,6 +234,17 @@ void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* out,
                       Layout b_layout = Layout::kRowMajor);
 
+/// out = a * b with the 1 x n `bias` added to every row and then, with
+/// `relu`, every value below zero replaced by +0: the bits of MatMulInto
+/// followed by `o = o + bias[j]` and `o < 0 ? 0 : o` per element (NaN and
+/// -0 pass the clamp), in one call. Below the packed cut-over the
+/// column-block kernel applies both as it stores each block, so a batch-1
+/// layer hands the pool one region and the caller no further pass. `out`
+/// must not alias `a`, `b` or `bias`.
+void MatMulBiasInto(const Matrix& a, const Matrix& b, const Matrix& bias,
+                    bool relu, Matrix* out,
+                    Layout b_layout = Layout::kRowMajor);
+
 /// out += a^T * b, for an `out` already shaped (m x n) and stored in
 /// `out_layout`. Each element's k-sum is finished first and added to `out`
 /// once, so the result is bit-identical to MatMulTransAInto into a temporary

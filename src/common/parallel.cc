@@ -25,14 +25,19 @@ namespace {
 /// and how long a submitter polls for straggling chunks, before either
 /// blocks on a condition variable. A batch-1 stream window runs one region
 /// per backbone layer a few microseconds apart, and between one window's
-/// last layer and the next window's first the caller spends ~30-40 us on
-/// classification and preprocessing; the budget covers that gap with room
-/// to spare, so a steady stream never pays a futex wake. An idle pool stops
-/// spinning after one budget.
+/// last layer and the next window's first the caller spends ~20 us on
+/// classification, the next window's frame pushes and finishing its
+/// features (a closed-loop stream of the paper backbone on a 4-vCPU Xeon
+/// runs ~38 us per window, ~17 us of it the forward); the budget covers
+/// that gap with room to spare, so a steady stream never pays a futex wake.
+/// An idle pool stops spinning after one budget.
 constexpr std::chrono::microseconds kSpinBudget{200};
 
 /// Static handles: registry lookup happens once per process, the hot path
-/// only touches the atomics behind the pointers.
+/// only touches the atomics behind the pointers. `parallel.chunks` splits
+/// into `chunks_submitter`, the chunks a ParallelFor caller ran itself
+/// (every chunk of a serial region), and `chunks_worker`, the ones a pool
+/// worker ran.
 struct PoolMetrics {
   obs::Counter* regions =
       obs::Registry::Global().GetCounter("parallel.regions");
@@ -44,10 +49,6 @@ struct PoolMetrics {
       obs::Registry::Global().GetCounter("parallel.chunks_worker");
   obs::Counter* submitter_chunks =
       obs::Registry::Global().GetCounter("parallel.chunks_submitter");
-  obs::Histogram* region_us =
-      obs::Registry::Global().GetHistogram("parallel.region_us");
-  obs::Histogram* submit_wait_us =
-      obs::Registry::Global().GetHistogram("parallel.submit_wait_us");
   obs::Gauge* threads = obs::Registry::Global().GetGauge("parallel.threads");
 };
 
@@ -86,9 +87,11 @@ inline void CpuRelax() {
 /// Polls `ready` for up to kSpinBudget; true as soon as it holds. Yields
 /// the CPU every few microseconds: the scheduler may have put the thread
 /// this one waits for on the same CPU, and a spin without yields would keep
-/// it off for the whole budget.
+/// it off for the whole budget. Reads the clock only if `ready` does not
+/// hold at once.
 template <typename Ready>
 bool SpinUntil(Ready ready) {
+  if (ready()) return true;
   const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
   for (;;) {
     for (int i = 0; i < 64; ++i) {
@@ -143,44 +146,56 @@ int CurrentCpu() {
 ///
 /// Hand-off protocol (DESIGN.md §4b):
 ///   - `epoch` is even while a region is published and odd while the
-///     submitter rewrites the slot. A worker joins a region by incrementing
-///     `inside` and then re-reading `epoch`; if it is still the even value
-///     the worker saw, the submitter of the next region has not started and
-///     will wait for this worker to leave before it touches the slot.
-///   - The submitter makes the epoch odd, waits until `inside` is 0 (a
-///     worker that woke late may still be claiming the previous region's
-///     exhausted chunks), rewrites the slot, publishes the next even epoch,
-///     and notifies `work_cv` only if some worker is asleep on it.
+///     submitter rewrites the slot. A worker joins a region by setting its
+///     lane's presence word and then re-reading `epoch`; if it is still the
+///     even value the worker saw, the submitter of the next region has not
+///     started and will wait for this worker to leave before it touches the
+///     slot.
+///   - The submitter makes the epoch odd, waits until no worker lane is
+///     present (a worker that woke late may still be claiming the previous
+///     region's exhausted chunks), rewrites the slot, publishes the next
+///     even epoch, and notifies `work_cv` only if some worker is asleep on
+///     it. A worker asleep at publication is never waited for: the
+///     submitter runs whatever chunks nobody else claims.
+///   - Each presence word sits on its lane's own cache line, beside the
+///     lane's chunk cursor, so joining and leaving never write the line
+///     that spinning workers poll for the epoch.
 ///   - Every lane claims chunks from its own home range first and then
-///     steals from the others', so a batch-1 layer gives each lane the same
-///     columns window after window and its weight slice stays in that core's
-///     cache.
+///     steals from the others' that still show work, so a batch-1 layer
+///     gives each lane the same columns window after window and its weight
+///     slice stays in that core's cache.
+///   - A lane adds the chunks it ran to `done_chunks` once, after its last
+///     one. The submitter counts its own and attributes the rest to the
+///     workers, one counter update each per region.
 ///   - Workers and the submitter spin for kSpinBudget before they sleep; the
 ///     sleepers and submitter_sleeping flags let the other side skip the
 ///     condition variable when nobody waits on it.
 struct ThreadPool::Impl {
-  /// One lane's range of chunk indices. Padded to a cache line: each lane
-  /// claims from its own cursor until its range runs out.
-  struct alignas(64) Cursor {
+  /// One lane's range of chunk indices and, for a worker lane, whether its
+  /// worker is inside the published region. Padded to a cache line: each
+  /// lane claims from its own cursor until its range runs out, and only
+  /// that lane's worker writes `present`.
+  struct alignas(64) Lane {
     std::atomic<size_t> next{0};
     size_t end = 0;
+    std::atomic<bool> present{false};
   };
 
-  // ---- The job slot: written only while `epoch` is odd and `inside` is 0.
+  // ---- The job slot: written only while `epoch` is odd and no worker lane
+  // is present.
   size_t begin = 0;
   size_t end = 0;
   size_t grain = 1;
-  size_t num_chunks = 0;
   const std::function<void(size_t, size_t)>* fn = nullptr;
-  std::vector<Cursor> cursors;  // one per lane, sized with the workers
-  alignas(64) std::atomic<size_t> done_chunks{0};
+  std::vector<Lane> lanes;  // lane 0 is the submitter; sized with the workers
   std::mutex error_mutex;    // guards error
   std::exception_ptr error;  // first captured exception of the region
 
-  alignas(64) std::atomic<uint64_t> epoch{0};
-  std::atomic<size_t> inside{0};    // workers inside the published region
-  std::atomic<size_t> sleepers{0};  // workers blocked (or blocking) on work_cv
+  alignas(64) std::atomic<size_t> done_chunks{0};  // worker chunks finished
   std::atomic<bool> submitter_sleeping{false};
+
+  alignas(64) std::atomic<uint64_t> epoch{0};
+  std::atomic<size_t> sleepers{0};  // workers blocked (or blocking) on work_cv
   std::atomic<bool> stop{false};
 
   std::mutex mutex;                 // pairs with both condition variables
@@ -191,16 +206,18 @@ struct ThreadPool::Impl {
   std::mutex submit_mutex;
 
   /// Runs chunks for `lane` until every cursor is exhausted: its own range
-  /// first, then the other lanes' in turn. `chunk_counter` attributes
-  /// executed chunks to worker vs submitter lanes.
-  void RunChunks(size_t lane, obs::Counter* chunk_counter) {
-    const size_t lanes = cursors.size();
-    for (size_t step = 0; step < lanes; ++step) {
-      Cursor& cursor = cursors[(lane + step) % lanes];
-      for (;;) {
-        const size_t c = cursor.next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= cursor.end) break;
-        chunk_counter->Increment();
+  /// first, then the other lanes' in turn. A cursor whose plain load shows
+  /// its range spent is skipped without a read-modify-write on its line.
+  /// Returns how many chunks this lane ran.
+  size_t RunChunks(size_t lane) {
+    const size_t count = lanes.size();
+    size_t ran = 0;
+    for (size_t step = 0; step < count; ++step) {
+      Lane& victim = lanes[(lane + step) % count];
+      while (victim.next.load(std::memory_order_relaxed) < victim.end) {
+        const size_t c = victim.next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= victim.end) break;
+        ++ran;
         const size_t b = begin + c * grain;
         const size_t e = std::min(end, b + grain);
         try {
@@ -209,20 +226,15 @@ struct ThreadPool::Impl {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!error) error = std::current_exception();
         }
-        if (done_chunks.fetch_add(1) + 1 == num_chunks &&
-            submitter_sleeping.load()) {
-          // Last chunk and the submitter blocked: take the mutex so the
-          // notify cannot fall between its predicate check and its wait.
-          std::lock_guard<std::mutex> lock(mutex);
-          done_cv.notify_one();
-        }
       }
     }
+    return ran;
   }
 
   void WorkerLoop(size_t lane, uint64_t seen, int home) {
     SpreadFrom(home, lane);
     t_inside_pool = true;
+    Lane& self = lanes[lane];
     for (;;) {
       uint64_t e = seen;
       const auto ready = [&] {
@@ -237,21 +249,30 @@ struct ThreadPool::Impl {
         sleepers.fetch_sub(1);
       }
       if (stop.load(std::memory_order_relaxed)) return;
-      inside.fetch_add(1);
+      self.present.store(true);
       if (epoch.load() != e) {
         // The next region's submitter got in first and is rewriting the
         // slot; start over on its epoch.
-        inside.fetch_sub(1, std::memory_order_release);
+        self.present.store(false, std::memory_order_release);
         continue;
       }
       seen = e;
-      RunChunks(lane, Metrics().worker_chunks);
-      inside.fetch_sub(1, std::memory_order_release);
+      const size_t ran = RunChunks(lane);
+      if (ran > 0) {
+        done_chunks.fetch_add(ran);
+        if (submitter_sleeping.load()) {
+          // The submitter blocked: take the mutex so the notify cannot fall
+          // between its predicate check and its wait.
+          std::lock_guard<std::mutex> lock(mutex);
+          done_cv.notify_one();
+        }
+      }
+      self.present.store(false, std::memory_order_release);
     }
   }
 
   void StartWorkers(size_t n) {
-    cursors = std::vector<Cursor>(n + 1);
+    lanes = std::vector<Lane>(n + 1);
     workers.reserve(n);
     const uint64_t seen = epoch.load();
     const int home = CurrentCpu();
@@ -279,21 +300,23 @@ struct ThreadPool::Impl {
                const std::function<void(size_t, size_t)>* body) {
     const uint64_t old = epoch.load(std::memory_order_relaxed);
     epoch.store(old + 1);  // odd: workers that have not joined stay out
-    if (!SpinUntil([&] { return inside.load() == 0; })) {
-      while (inside.load() != 0) std::this_thread::yield();
+    for (size_t lane = 1; lane < lanes.size(); ++lane) {
+      const std::atomic<bool>& present = lanes[lane].present;
+      if (!SpinUntil([&] { return !present.load(); })) {
+        while (present.load()) std::this_thread::yield();
+      }
     }
     begin = b;
     end = e;
     grain = g;
-    num_chunks = chunks;
     fn = body;
     done_chunks.store(0, std::memory_order_relaxed);
-    const size_t lanes = cursors.size();
-    const size_t per_lane = (chunks + lanes - 1) / lanes;
-    for (size_t lane = 0; lane < lanes; ++lane) {
+    const size_t count = lanes.size();
+    const size_t per_lane = (chunks + count - 1) / count;
+    for (size_t lane = 0; lane < count; ++lane) {
       const size_t first = std::min(chunks, lane * per_lane);
-      cursors[lane].next.store(first, std::memory_order_relaxed);
-      cursors[lane].end = std::min(chunks, first + per_lane);
+      lanes[lane].next.store(first, std::memory_order_relaxed);
+      lanes[lane].end = std::min(chunks, first + per_lane);
     }
     epoch.store(old + 2);
     if (sleepers.load() > 0) {
@@ -303,10 +326,10 @@ struct ThreadPool::Impl {
     }
   }
 
-  /// Blocks until every chunk of the published region is done: spins first,
-  /// then sleeps on done_cv.
-  void AwaitChunks() {
-    const auto done = [&] { return done_chunks.load() == num_chunks; };
+  /// Blocks until the workers have finished `chunks` chunks of the
+  /// published region: spins first, then sleeps on done_cv.
+  void AwaitChunks(size_t chunks) {
+    const auto done = [&] { return done_chunks.load() == chunks; };
     if (SpinUntil(done)) return;
     std::unique_lock<std::mutex> lock(mutex);
     submitter_sleeping.store(true);
@@ -355,6 +378,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     // inside workers, which are far too hot for clocks or spans.
     Metrics().serial_regions->Increment();
     Metrics().chunks->Increment(num_chunks);
+    Metrics().submitter_chunks->Increment(num_chunks);
     InsidePoolGuard guard;
     for (size_t c = 0; c < num_chunks; ++c) {
       const size_t b = begin + c * grain;
@@ -367,23 +391,17 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   Metrics().regions->Increment();
   Metrics().chunks->Increment(num_chunks);
   obs::TraceSpan span("ParallelFor");
-  obs::ScopedTimer region_timer(Metrics().region_us);
 
   std::lock_guard<std::mutex> submit_lock(impl_->submit_mutex);
   impl_->Publish(begin, end, grain, num_chunks, &fn);
+  size_t own = 0;
   {
     InsidePoolGuard guard;
-    impl_->RunChunks(0, Metrics().submitter_chunks);
+    own = impl_->RunChunks(0);
   }
-  // Time the submitter's idle tail: how long it waits for straggler
-  // workers after running out of chunks itself (load-imbalance signal).
-  const auto wait_start = std::chrono::steady_clock::now();
-  impl_->AwaitChunks();
-  Metrics().submit_wait_us->Record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wait_start)
-          .count() *
-      1e6);
+  impl_->AwaitChunks(num_chunks - own);
+  Metrics().submitter_chunks->Increment(own);
+  Metrics().worker_chunks->Increment(num_chunks - own);
   if (impl_->error) {
     std::exception_ptr error = std::move(impl_->error);
     impl_->error = nullptr;

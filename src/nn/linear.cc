@@ -51,13 +51,13 @@ void Linear::SetWeightRowMajor(const Matrix& weight) {
 
 void Linear::Forward(const Matrix& input, bool /*training*/,
                      LayerState* /*state*/, Matrix* output) const {
+  ForwardFused(input, /*relu=*/false, output);
+}
+
+void Linear::ForwardFused(const Matrix& input, bool relu,
+                          Matrix* output) const {
   MAGNETO_CHECK(input.cols() == in_dim_);
-  MatMulInto(input, weight_, output, Layout::kPanels);
-  for (size_t r = 0; r < output->rows(); ++r) {
-    float* row = output->RowPtr(r);
-    const float* b = bias_.RowPtr(0);
-    for (size_t c = 0; c < out_dim_; ++c) row[c] += b[c];
-  }
+  MatMulBiasInto(input, weight_, bias_, relu, output, Layout::kPanels);
 }
 
 void Linear::Backward(const Matrix& grad_output, const Matrix& input,

@@ -29,6 +29,10 @@ class Linear : public Layer {
 
   void Forward(const Matrix& input, bool training, LayerState* state,
                Matrix* output) const override;
+  /// Forward followed, with `relu`, by Relu::Forward, in one GEMM call and
+  /// with the same bits: below the packed cut-over the batch-1 kernel adds
+  /// the bias and clamps as it stores each output block.
+  void ForwardFused(const Matrix& input, bool relu, Matrix* output) const;
   void Backward(const Matrix& grad_output, const Matrix& input,
                 const Matrix& output, LayerState* state,
                 Matrix* grad_input) override;

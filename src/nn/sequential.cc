@@ -25,16 +25,24 @@ const Matrix& Sequential::Forward(const Matrix& input, ForwardWorkspace* ws,
     return ws->acts_[layers_.size()];
   }
   // Inference: ping-pong between two reusable buffers — no per-layer
-  // temporaries, no caches, nothing written outside `ws`.
+  // temporaries, no caches, nothing written outside `ws`. A Linear followed
+  // by a ReLU runs as one call (Linear::ForwardFused), same bits.
   if (layers_.empty()) {
     ws->io_[0].CopyFrom(input);
     return ws->io_[0];
   }
   const Matrix* x = &input;
   size_t flip = 0;
-  for (const auto& layer : layers_) {
+  for (size_t i = 0; i < layers_.size(); ++i) {
     Matrix* out = &ws->io_[flip];
-    layer->Forward(*x, /*training=*/false, /*state=*/nullptr, out);
+    const Layer& layer = *layers_[i];
+    if (layer.type() == LayerType::kLinear && i + 1 < layers_.size() &&
+        layers_[i + 1]->type() == LayerType::kRelu) {
+      static_cast<const Linear&>(layer).ForwardFused(*x, /*relu=*/true, out);
+      ++i;
+    } else {
+      layer.Forward(*x, /*training=*/false, /*state=*/nullptr, out);
+    }
     x = out;
     flip ^= 1;
   }

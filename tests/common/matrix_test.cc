@@ -15,6 +15,7 @@
 #include "common/gemm_internal.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "nn/activation.h"
 #include "obs/metrics.h"
 
 namespace magneto {
@@ -711,6 +712,96 @@ TEST(MatMulKernelTest, PanelColumnKernelBitIdenticalToPortable) {
     }
   }
   SetParallelThreads(saved_threads);
+}
+
+// ---- The column-block kernel's bias + ReLU store ---------------------------
+//
+// With a bias row and `relu`, the column-block kernel stores what the oracle
+// followed by Linear::Forward's bias loop and then Relu::Forward give: the
+// same two operations per element, in the same order.
+
+/// The oracle's a * b, plus `bias` on every row as Linear::Forward adds it,
+/// then Relu::Forward when `relu`.
+Matrix BiasReluOracle(const Matrix& a, const Matrix& b, const Matrix& bias,
+                      bool relu) {
+  Matrix out;
+  gemm_internal::MatMulIntoWith(GemmIsa::kPortable, a, b, &out);
+  for (size_t r = 0; r < out.rows(); ++r) {
+    float* row = out.RowPtr(r);
+    for (size_t c = 0; c < out.cols(); ++c) row[c] += bias.data()[c];
+  }
+  if (!relu) return out;
+  Matrix clamped;
+  nn::Relu().Forward(out, /*training=*/false, /*state=*/nullptr, &clamped);
+  return clamped;
+}
+
+/// Every instantiation at 1, 3 and 4 lanes, m 1-15, both weight layouts and
+/// both `relu` settings, against BiasReluOracle; `specials` are scattered
+/// through the input, the weights and the bias. MatMulBiasInto is checked
+/// too, at m up to 20 so it crosses the packed cut-over.
+void ExpectEpilogueMatchesOracle(const std::vector<size_t>& ks,
+                                 const std::vector<size_t>& ns,
+                                 const std::vector<float>& specials) {
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(103);
+  for (size_t k : ks) {
+    for (size_t n : ns) {
+      Matrix b = RandomMatrix(k, n, &rng);
+      Matrix bias = RandomMatrix(1, n, &rng);
+      if (!specials.empty()) {
+        Scatter(specials, &b, &rng);
+        Scatter(specials, &bias, &rng);
+      }
+      const Matrix panels = Panels(b);
+      for (size_t m = 1; m <= 20; ++m) {
+        Matrix a = RandomMatrix(m, k, &rng);
+        if (!specials.empty()) Scatter(specials, &a, &rng);
+        for (bool relu : {false, true}) {
+          const Matrix want = BiasReluOracle(a, b, bias, relu);
+          for (size_t lanes : {1, 3, 4}) {
+            SetParallelThreads(lanes);
+            const std::string label = ShapeLabel(m, k, n) + " relu " +
+                                      std::to_string(relu) + " lanes " +
+                                      std::to_string(lanes);
+            Matrix got;
+            MatMulBiasInto(a, panels, bias, relu, &got, Layout::kPanels);
+            ASSERT_TRUE(SameBits(got, want)) << "MatMulBiasInto " << label;
+            if (m >= gemm_internal::kPackedMinRows) continue;
+            for (GemmIsa isa : AllIsas()) {
+              for (Layout layout : {Layout::kRowMajor, Layout::kPanels}) {
+                got = Matrix(m, n);
+                got.Fill(std::numeric_limits<float>::quiet_NaN());
+                gemm_internal::MatMulColumnsIntoWith(
+                    isa, a, layout == Layout::kPanels ? panels : b, &got,
+                    layout, &bias, relu);
+                ASSERT_TRUE(SameBits(got, want))
+                    << label << " isa " << static_cast<int>(isa) << " panels "
+                    << (layout == Layout::kPanels);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetParallelThreads(saved_threads);
+}
+
+TEST(MatMulKernelTest, ColumnKernelBiasReluStoreBitIdenticalToTwoPasses) {
+  // The backbone's batch-1 shapes (80 -> 1024 and 64 -> 128) and ragged
+  // ones: partial vectors, chunks that straddle a panel edge, one column.
+  ExpectEpilogueMatchesOracle({1, 7, 64, 80}, {1, 17, 128, 129, 300, 1024},
+                              {});
+}
+
+TEST(MatMulKernelTest, ColumnKernelBiasReluStoreNonFinite) {
+  // NaN, +-Inf and signed zeros in the input, the weights and the bias:
+  // NaN and -0 pass the clamp, -Inf becomes +0, NaN sums stay NaN.
+  ExpectEpilogueMatchesOracle(
+      {3, 65}, {15, 129},
+      {std::numeric_limits<float>::infinity(),
+       -std::numeric_limits<float>::infinity(), DefaultNaN(), 0.0f, -0.0f});
 }
 
 TEST(MatMulKernelTest, PanelWeightsThroughEveryKernelMatchRowMajor) {

@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -145,6 +146,33 @@ void ExpectCoverage(size_t n, size_t grain) {
 
 uint64_t Wakes() {
   return obs::Registry::Global().GetCounter("parallel.wakes")->value();
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->value();
+}
+
+TEST_F(ParallelTest, ChunkCountersAddUp) {
+  // Every chunk is attributed once: to the caller that ran it, or to the
+  // pool worker that did. Chunk counts below, at and above the lane count
+  // (one chunk, or fewer than the lanes, leaves some lanes idle).
+  for (size_t threads : {1, 3, 4, 8}) {
+    SetParallelThreads(threads);
+    for (size_t chunks : {std::max<size_t>(1, threads - 1), threads,
+                          threads + 1, 5 * threads + 3}) {
+      const uint64_t total = CounterValue("parallel.chunks");
+      const uint64_t worker = CounterValue("parallel.chunks_worker");
+      const uint64_t submitter = CounterValue("parallel.chunks_submitter");
+      constexpr int kRounds = 200;
+      for (int round = 0; round < kRounds; ++round) ExpectCoverage(chunks, 1);
+      const uint64_t ran = CounterValue("parallel.chunks") - total;
+      EXPECT_EQ(ran, kRounds * chunks) << threads << " lanes";
+      EXPECT_EQ(CounterValue("parallel.chunks_worker") - worker +
+                    CounterValue("parallel.chunks_submitter") - submitter,
+                ran)
+          << threads << " lanes, " << chunks << " chunks";
+    }
+  }
 }
 
 TEST_F(ParallelTest, BackToBackRegionsFasterThanSpinBudget) {

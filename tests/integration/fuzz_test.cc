@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -355,6 +359,80 @@ TEST(ValidPayloadFuzzTest, SequentialSurvivesTruncationAndBitFlips) {
     EXPECT_EQ(y.cols(), width);
   };
   EXPECT_GT(FuzzValidPayload(writer.buffer(), 19, parse, use), 0u);
+}
+
+// A checkpoint whose primary copy is damaged in any way — cut short at any
+// header byte or further in, or one bit flipped anywhere — must boot from
+// the last-known-good copy, and the runtime it boots must classify exactly
+// as that copy's model does. The two copies hold different models, so a
+// damaged primary that loaded could not pass for the .lkg.
+TEST(ValidPayloadFuzzTest, CheckpointFallsBackToLastKnownGood) {
+  const std::string path = testing::UniqueTempPath("fuzz_checkpoint.magneto");
+  const std::string lkg = core::EdgeRuntime::LastKnownGoodPath(path);
+  const auto runtime = [](uint64_t seed) {
+    core::ModelBundle bundle = testing::SmallPretrainedBundle(seed);
+    core::SupportSet support = std::move(bundle.support);
+    return core::EdgeRuntime(std::move(bundle).ToEdgeModel(),
+                             std::move(support), core::IncrementalOptions{});
+  };
+  ASSERT_TRUE(runtime(903).SaveCheckpoint(path).ok());
+  ASSERT_TRUE(runtime(904).SaveCheckpoint(path).ok());  // 903 -> .lkg
+  const std::string primary = ReadFile(path).value();
+
+  sensors::SyntheticGenerator gen(905);
+  const sensors::Recording rec =
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kWalk], 1.0);
+  const Matrix window = rec.samples.RowSlice(0, 120);
+  auto lkg_bundle = core::ModelBundle::LoadFromFile(lkg);
+  ASSERT_TRUE(lkg_bundle.ok()) << lkg_bundle.status();
+  core::EdgeModel lkg_model = std::move(lkg_bundle).value().ToEdgeModel();
+  const core::NamedPrediction want = lkg_model.InferWindow(window).value();
+
+  // Every fallback logs a warning; thousands of them would bury the output.
+  const LogLevel saved_level = LogConfig::min_level();
+  LogConfig::SetMinLevel(LogLevel::kError);
+  obs::Counter* fallbacks =
+      obs::Registry::Global().GetCounter("edge.checkpoint.fallbacks");
+  const uint64_t fallbacks_before = fallbacks->value();
+  size_t cases = 0;
+  const auto expect_lkg = [&](const std::string& damaged,
+                              const std::string& label) {
+    ++cases;
+    ASSERT_TRUE(WriteFile(path, damaged).ok());
+    auto restored =
+        core::EdgeRuntime::FromCheckpoint(path, core::IncrementalOptions{});
+    ASSERT_TRUE(restored.ok()) << label << ": " << restored.status();
+    auto got = restored.value().model().InferWindow(window);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+    const core::Prediction& p = got.value().prediction;
+    EXPECT_EQ(p.activity, want.prediction.activity) << label;
+    EXPECT_EQ(std::memcmp(&p.distance, &want.prediction.distance,
+                          sizeof(p.distance)),
+              0)
+        << label;
+    EXPECT_EQ(std::memcmp(&p.confidence, &want.prediction.confidence,
+                          sizeof(p.confidence)),
+              0)
+        << label;
+  };
+  // Truncations: every length through the 16-byte header (magic, version,
+  // body length) and a few past it, then ~200 strided lengths.
+  const size_t stride = std::max<size_t>(1, primary.size() / 200);
+  for (size_t len = 0; len < primary.size();
+       len += len < 24 ? 1 : stride) {
+    expect_lkg(primary.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  Rng rng(906);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = primary;
+    const size_t bit = rng.Index(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    expect_lkg(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+  LogConfig::SetMinLevel(saved_level);
+  EXPECT_EQ(fallbacks->value() - fallbacks_before, cases);
+  std::remove(path.c_str());
+  std::remove(lkg.c_str());
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #include "nn/sequential.h"
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "nn/activation.h"
 #include "nn/linear.h"
+#include "nn/quantized_linear.h"
 #include "preprocess/features.h"
 
 namespace magneto::nn {
@@ -183,6 +186,81 @@ TEST(SequentialTest, DeserializeRejectsRetiredLayerTags) {
     EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
         << "tag " << int{tag};
   }
+}
+
+/// Stacks the inference forward must run exactly as the recorded one does:
+/// a Linear followed by a ReLU is one fused call there and two layers here.
+std::vector<Sequential> FusionStacks() {
+  Rng rng(11);
+  std::vector<Sequential> stacks;
+  // Ends in a Linear: the paper backbone's pattern on wide, ragged layers
+  // (several column chunks, partial vectors, a panel edge at 128).
+  stacks.push_back(BuildMlp(80, {300, 129, 17}, &rng));
+  // Ends in a ReLU.
+  Sequential ends_relu;
+  ends_relu.Add(std::make_unique<Linear>(80, 256, &rng));
+  ends_relu.Add(std::make_unique<Relu>());
+  ends_relu.Add(std::make_unique<Linear>(256, 33, &rng));
+  ends_relu.Add(std::make_unique<Relu>());
+  stacks.push_back(std::move(ends_relu));
+  // Starts with a ReLU, which has nothing to fuse into.
+  Sequential starts_relu;
+  starts_relu.Add(std::make_unique<Relu>());
+  starts_relu.Add(std::make_unique<Linear>(80, 64, &rng));
+  starts_relu.Add(std::make_unique<Relu>());
+  starts_relu.Add(std::make_unique<Linear>(64, 40, &rng));
+  stacks.push_back(std::move(starts_relu));
+  // An int8 layer between fp32 ones: its ReLU runs as a layer of its own.
+  Sequential mixed;
+  mixed.Add(std::make_unique<Linear>(80, 160, &rng));
+  mixed.Add(std::make_unique<Relu>());
+  const Linear source(160, 96, &rng);
+  mixed.Add(QuantizedLinear::FromLinear(source).value());
+  mixed.Add(std::make_unique<Relu>());
+  mixed.Add(std::make_unique<Linear>(96, 24, &rng));
+  mixed.Add(std::make_unique<Relu>());
+  stacks.push_back(std::move(mixed));
+  // The biases are zero after construction; give them both signs.
+  for (Sequential& net : stacks) {
+    for (size_t i = 0; i < net.num_layers(); ++i) {
+      if (net.layer(i).type() != LayerType::kLinear) continue;
+      Matrix& bias = static_cast<Linear&>(net.layer(i)).bias();
+      for (size_t c = 0; c < bias.size(); ++c) {
+        bias.data()[c] = static_cast<float>(rng.Normal(0.0, 0.5));
+      }
+    }
+  }
+  return stacks;
+}
+
+TEST(SequentialTest, InferenceForwardMatchesRecordedBits) {
+  // Across the packed cut-over (m 1-20) and at 1 and 4 lanes, the inference
+  // forward must equal, bit for bit, the recorded forward that runs every
+  // layer's own Forward.
+  const size_t saved_threads = ParallelThreads();
+  Rng rng(12);
+  const std::vector<Sequential> stacks = FusionStacks();
+  for (size_t s = 0; s < stacks.size(); ++s) {
+    for (size_t m = 1; m <= 20; ++m) {
+      Matrix x(m, 80);
+      for (size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
+      }
+      for (size_t lanes : {1, 4}) {
+        SetParallelThreads(lanes);
+        ForwardWorkspace recorded_ws, inference_ws;
+        const Matrix& want = stacks[s].Forward(x, &recorded_ws,
+                                               /*record=*/true);
+        const Matrix& got = stacks[s].Forward(x, &inference_ws);
+        ASSERT_TRUE(got.SameShape(want)) << "stack " << s << " m " << m;
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "stack " << s << " m " << m << " lanes " << lanes;
+      }
+    }
+  }
+  SetParallelThreads(saved_threads);
 }
 
 TEST(SequentialTest, SummaryListsLayers) {
