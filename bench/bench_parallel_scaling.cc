@@ -151,12 +151,10 @@ struct AllocStats {
   double fresh_per_forward = 0.0;
   double forward_us = 0.0;  ///< mean reused-workspace forward, 64-row batch
   /// NCM serving: heap allocations per Classify with a caller-owned,
-  /// warmed scratch (the EdgeFleet contract: must be exactly 0) on the fp32
-  /// and the int8 prototype store, with a fresh scratch per call for
-  /// contrast.
+  /// warmed scratch (the EdgeFleet contract: must be exactly 0), with a
+  /// fresh scratch per call for contrast.
   double ncm_scratch_per_classify = 0.0;
   double ncm_fresh_per_classify = 0.0;
-  double ncm_int8_scratch_per_classify = 0.0;
   /// EdgeRuntime::PushFrame on warmed windows of one activity with
   /// smoothing, drift monitoring and the journal on, per pool lane count:
   /// heap allocations per window (all of its frames), and in the frame that
@@ -234,8 +232,6 @@ void Report(const std::vector<Workload>& workloads, bool deterministic,
       .Field("forward_us_reused_ws", allocs.forward_us)
       .Field("ncm_allocs_per_classify_scratch", allocs.ncm_scratch_per_classify)
       .Field("ncm_allocs_per_classify_fresh", allocs.ncm_fresh_per_classify)
-      .Field("ncm_allocs_per_classify_int8_scratch",
-             allocs.ncm_int8_scratch_per_classify)
       .Key("stream_window_heap_allocations")
       .BeginObject();
   for (const AllocStats::Stream& row : allocs.stream) {
@@ -1083,7 +1079,7 @@ int main() {
 
   // --- NCM serving allocations: with a caller-owned warmed scratch the
   // classify steady state must be exactly allocation-free (the contract the
-  // EdgeFleet serve path relies on), fp32 and int8 store alike ---
+  // EdgeFleet serve path relies on) ---
   bool ncm_alloc_free = true;
   {
     SetParallelThreads(1);
@@ -1118,22 +1114,11 @@ int main() {
     allocs.ncm_fresh_per_classify =
         static_cast<double>(HeapAllocations() - before) / kCalls;
 
-    CheckOk(ncm.QuantizePrototypes(), "quantize prototypes");
-    Unwrap(ncm.Classify(query.data(), dim, &scratch), "warm int8 classify");
-    before = HeapAllocations();
-    for (size_t i = 0; i < kCalls; ++i) {
-      Unwrap(ncm.Classify(query.data(), dim, &scratch), "int8 classify");
-    }
-    allocs.ncm_int8_scratch_per_classify =
-        static_cast<double>(HeapAllocations() - before) / kCalls;
-
     std::printf(
-        "ncm classify allocations: %.3f/call warmed scratch, %.3f/call int8 "
-        "scratch, %.2f/call fresh scratch\n",
-        allocs.ncm_scratch_per_classify, allocs.ncm_int8_scratch_per_classify,
-        allocs.ncm_fresh_per_classify);
-    if (allocs.ncm_scratch_per_classify != 0.0 ||
-        allocs.ncm_int8_scratch_per_classify != 0.0) {
+        "ncm classify allocations: %.3f/call warmed scratch, %.2f/call fresh "
+        "scratch\n",
+        allocs.ncm_scratch_per_classify, allocs.ncm_fresh_per_classify);
+    if (allocs.ncm_scratch_per_classify != 0.0) {
       std::fprintf(stderr,
                    "NCM classify with warmed scratch allocated on the "
                    "steady-state path!\n");

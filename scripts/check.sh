@@ -34,8 +34,8 @@ MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
   --gtest_filter='WorkspaceConcurrencyTest.*'
 # The concurrent serving path: AsyncUpdater worker-handle lock order,
 # EdgeRuntime's updates (synchronous ones too run on the updater's thread),
-# scratch-free KNN classify, concurrent NCM classify over the shared fp32 and
-# int8 prototype stores with per-thread scratch, and the EdgeFleet stress
+# scratch-free KNN classify, concurrent NCM classify over the shared fp32
+# prototype store with per-thread scratch, and the EdgeFleet stress
 # tests (closed-loop sessions + open-loop SubmitWindow producers, both with a
 # bundle promotion landing mid-run).
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
@@ -149,6 +149,14 @@ grep -q 'delivery: wire v3, byte-identical: yes' "$smoke_dir/quant_sim.txt" \
   || { echo "quant smoke: v3 bundle not delivered byte-identical" >&2; exit 1; }
 grep -Eq '"net\.retries": [1-9]' "$smoke_dir/quant_metrics.json" \
   || { echo "quant smoke: expected nonzero net.retries" >&2; exit 1; }
+# The int8 forward sums in exact integers, so the quantized deployment must
+# classify identically on one pool lane and on four.
+MAGNETO_THREADS=1 ./build/tools/magneto simulate --bundle "$smoke_dir/q.magneto" \
+  --seconds 2 > "$smoke_dir/quant_sim_t1.txt"
+MAGNETO_THREADS=4 ./build/tools/magneto simulate --bundle "$smoke_dir/q.magneto" \
+  --seconds 2 > "$smoke_dir/quant_sim_t4.txt"
+diff "$smoke_dir/quant_sim_t1.txt" "$smoke_dir/quant_sim_t4.txt" \
+  || { echo "quant smoke: int8 output differs across thread counts" >&2; exit 1; }
 
 # Fleet smoke: concurrent sessions over one shared deployment with a mid-run
 # promotion. The serving path must actually have been exercised — zero
@@ -237,8 +245,9 @@ for b in $(sed -n 's/^magneto_add_bench(\([a-z_]*\).*/\1/p' \
   "build/bench/$b"
 done
 
-# bench_quant enforces its own acceptance gates (int8 speedup vs the dequant
-# reference, bundle ratio, accuracy delta); here just pin the artifact schema.
+# bench_quant enforces its own acceptance gates (int8 per-window speedup vs
+# the bench's own serial fp32-dequant forward, bundle ratio, accuracy delta);
+# here just pin the artifact schema.
 for key in '"schema_version"' '"speedup_int8_vs_reference"' \
     '"bundle_ratio"' '"accuracy_delta"'; do
   grep -q "$key" BENCH_quant.json \

@@ -1,11 +1,8 @@
 #include "common/qgemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -112,17 +109,6 @@ void QGemmRow(const int8_t* qx, const int8_t* b, size_t k, size_t n,
   }
 }
 
-// -1 unset, 0 forced off, 1 forced on. Set once by SetQGemmEnabled.
-std::atomic<int> g_qgemm_override{-1};
-
-bool QGemmEnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MAGNETO_QGEMM");
-    return env == nullptr || std::string_view(env) != "off";
-  }();
-  return enabled;
-}
-
 }  // namespace
 
 float QuantizeRowInt8(const float* x, size_t n, int8_t* q) {
@@ -200,31 +186,5 @@ void QGemmInt8Reference(const QuantizedRows& a, const int8_t* b, size_t k,
     FoldScales(acc.data(), a.scales[r], b_scales, bias, n, out->RowPtr(r));
   }
 }
-
-bool QGemmEnabled() {
-  const int forced = g_qgemm_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return QGemmEnvEnabled();
-}
-
-void SetQGemmEnabled(bool enabled) {
-  g_qgemm_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-int32_t DotInt8(const int8_t* a, const int8_t* b, size_t n) {
-  MAGNETO_CHECK(n <= kQGemmMaxK);
-  int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += int32_t{a[i]} * b[i];
-    s1 += int32_t{a[i + 1]} * b[i + 1];
-    s2 += int32_t{a[i + 2]} * b[i + 2];
-    s3 += int32_t{a[i + 3]} * b[i + 3];
-  }
-  for (; i < n; ++i) s0 += int32_t{a[i]} * b[i];
-  return (s0 + s1) + (s2 + s3);
-}
-
-int32_t SquaredNormInt8(const int8_t* v, size_t n) { return DotInt8(v, v, n); }
 
 }  // namespace magneto

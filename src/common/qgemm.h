@@ -20,6 +20,7 @@ namespace magneto {
 /// Integer accumulation is exact and order-independent, so the parallel
 /// kernel and the serial reference produce bit-identical outputs at any
 /// `MAGNETO_THREADS` setting — the property the bit-comparison tests pin.
+/// `nn::QuantizedLinear::Forward` runs `QuantizeRowsInt8` then `QGemmInt8`.
 
 /// Largest inner dimension the int32 accumulators tolerate: every int8×int8
 /// product has magnitude ≤ 127·127, so k products stay below 2^31 as long as
@@ -42,7 +43,7 @@ struct QuantizedRows {
 /// NaN maps to 0, and neither contributes to the row scale.
 void QuantizeRowsInt8(const Matrix& x, QuantizedRows* out);
 
-/// Single-row form of `QuantizeRowsInt8` (classifier queries, prototypes).
+/// Single-row form of `QuantizeRowsInt8` (the wire-v3 support-set rows).
 /// Writes n int8 values to `q` and returns the symmetric scale.
 float QuantizeRowInt8(const float* x, size_t n, int8_t* q);
 
@@ -57,27 +58,10 @@ void QGemmInt8(const QuantizedRows& a, const int8_t* b, size_t k, size_t n,
 /// Serial scalar reference with the same quantized semantics — what fp32
 /// arithmetic on the dequantized operands computes, with the scales hoisted
 /// out of the exact integer sum. Bit-identical to `QGemmInt8` (shared
-/// scale-folding epilogue); this is the `MAGNETO_QGEMM=off` path.
+/// scale-folding epilogue); the kernel tests compare the two with `memcmp`.
 void QGemmInt8Reference(const QuantizedRows& a, const int8_t* b, size_t k,
                         size_t n, const float* b_scales, const float* bias,
                         Matrix* out);
-
-/// Whether the parallel int8 kernel is active. Defaults to on; the
-/// environment variable `MAGNETO_QGEMM=off` (read once, at first use) or
-/// `SetQGemmEnabled(false)` selects the serial dequant reference instead.
-bool QGemmEnabled();
-
-/// Overrides the kernel selection (tests, benchmarks). Takes precedence over
-/// the environment variable from the moment it is called.
-void SetQGemmEnabled(bool enabled);
-
-/// Exact int32 dot product of two int8 vectors (classifier scans). Requires
-/// n ≤ kQGemmMaxK.
-int32_t DotInt8(const int8_t* a, const int8_t* b, size_t n);
-
-/// Exact Σ v[i]² for an int8 vector (precomputed exemplar norms). Requires
-/// n ≤ kQGemmMaxK.
-int32_t SquaredNormInt8(const int8_t* v, size_t n);
 
 }  // namespace magneto
 

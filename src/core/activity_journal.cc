@@ -17,18 +17,34 @@ void ActivityJournal::Record(const NamedPrediction& prediction) {
   const sensors::ActivityId id = prediction.prediction.activity;
   seconds_[id] += window_seconds_;
   names_[id] = prediction.name;
-  if (bouts_.empty() || bouts_.back().activity != id) {
-    ActivityBout bout;
-    bout.activity = id;
-    bout.name = prediction.name;
-    bout.start_s = elapsed_s_;
-    bout.duration_s = window_seconds_;
-    bouts_.push_back(bout);
-    ++bout_counts_[id];
+  // The open bout is the newest slot: the one before `head_` once full.
+  Bout* open = ring_.empty()
+                   ? nullptr
+                   : &ring_[(head_ + ring_.size() - 1) % ring_.size()];
+  if (open != nullptr && open->activity == id) {
+    open->duration_s += window_seconds_;
   } else {
-    bouts_.back().duration_s += window_seconds_;
+    const Bout bout{id, elapsed_s_, window_seconds_};
+    if (ring_.size() < kMaxBouts) {
+      ring_.push_back(bout);
+    } else {
+      // Full: the new bout takes the oldest one's slot.
+      ring_[head_] = bout;
+      head_ = (head_ + 1) % kMaxBouts;
+    }
+    ++bout_counts_[id];
   }
   elapsed_s_ += window_seconds_;
+}
+
+std::vector<ActivityBout> ActivityJournal::bouts() const {
+  std::vector<ActivityBout> out;
+  out.reserve(ring_.size());
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const Bout& b = ring_[(head_ + i) % ring_.size()];
+    out.push_back({b.activity, names_.at(b.activity), b.start_s, b.duration_s});
+  }
+  return out;
 }
 
 double ActivityJournal::TotalSeconds(sensors::ActivityId activity) const {
@@ -65,7 +81,8 @@ void ActivityJournal::Reset() {
   seconds_.clear();
   names_.clear();
   bout_counts_.clear();
-  bouts_.clear();
+  ring_.clear();
+  head_ = 0;
 }
 
 }  // namespace magneto::core

@@ -25,8 +25,15 @@ struct ActivityBout {
 /// windows of the same activity merge into one bout. Brief single-window
 /// blips still count toward totals — feed *smoothed* predictions if the
 /// bouts should ignore them.
+///
+/// Totals and per-activity bout counts cover the whole stream; the timeline
+/// keeps only the latest `kMaxBouts` bouts in a ring, so a journal that runs
+/// for days holds bounded memory and stops allocating once the ring is full.
 class ActivityJournal {
  public:
+  /// Bouts the timeline retains.
+  static constexpr size_t kMaxBouts = 1024;
+
   explicit ActivityJournal(double window_seconds = 1.0);
 
   /// Records one window's prediction.
@@ -38,8 +45,8 @@ class ActivityJournal {
   /// Totals for every activity seen, descending by time.
   std::vector<std::pair<std::string, double>> Totals() const;
 
-  /// The bout timeline (the last bout is still open).
-  const std::vector<ActivityBout>& bouts() const { return bouts_; }
+  /// The retained bouts, oldest first (the last bout is still open).
+  std::vector<ActivityBout> bouts() const;
 
   double elapsed_seconds() const { return elapsed_s_; }
 
@@ -54,7 +61,17 @@ class ActivityJournal {
   std::map<sensors::ActivityId, double> seconds_;
   std::map<sensors::ActivityId, std::string> names_;
   std::map<sensors::ActivityId, size_t> bout_counts_;
-  std::vector<ActivityBout> bouts_;
+
+  /// A timeline slot; the name is looked up in `names_` when read, so
+  /// overwriting a slot never touches the heap.
+  struct Bout {
+    sensors::ActivityId activity = kUnknownActivity;
+    double start_s = 0.0;
+    double duration_s = 0.0;
+  };
+  /// Ring of at most `kMaxBouts`; once full, `head_` is the oldest slot.
+  std::vector<Bout> ring_;
+  size_t head_ = 0;
 };
 
 }  // namespace magneto::core

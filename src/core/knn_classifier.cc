@@ -55,11 +55,9 @@ Result<size_t> KnnClassifier::ScanTopK(const float* embedding, size_t n,
   const size_t count = labels_.size();
   std::vector<std::pair<float, uint32_t>>& dist = scratch->dist;
   dist.resize(count);
-  // The store is fp32, so the query needs no int8 buffer.
-  const ScanRows::Query query = rows_.Prepare(embedding, nullptr);
   ParallelFor(0, count, 2048, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      dist[i] = {static_cast<float>(rows_.SquaredDistance(query, i)),
+      dist[i] = {static_cast<float>(rows_.SquaredDistance(embedding, i)),
                  static_cast<uint32_t>(i)};
     }
   });

@@ -19,8 +19,7 @@ constexpr size_t kHeaderBytes =
 constexpr size_t kFooterBytes = sizeof(uint32_t);
 
 /// Parses the five bundle sections out of a bounds-checked body reader.
-/// A v3 body carries the quantized support-set encoding and restores the
-/// classifier's int8 scan state.
+/// A v3 body carries the quantized support-set encoding.
 Result<ModelBundle> ParseBody(BinaryReader* body_reader, uint32_t version) {
   ModelBundle bundle;
   bundle.wire_version = version;
@@ -35,12 +34,6 @@ Result<ModelBundle> ParseBody(BinaryReader* body_reader, uint32_t version) {
   if (version == kBundleWireV3) {
     MAGNETO_ASSIGN_OR_RETURN(bundle.support,
                              SupportSet::DeserializeQuantized(body_reader));
-    // A v3 bundle was written by a quantized deployment; the serialized
-    // prototypes are dequantized int8 vectors, so re-quantizing restores
-    // the int8 scan state exactly.
-    if (bundle.classifier.num_classes() > 0) {
-      MAGNETO_RETURN_IF_ERROR(bundle.classifier.QuantizePrototypes());
-    }
   } else {
     MAGNETO_ASSIGN_OR_RETURN(bundle.support,
                              SupportSet::Deserialize(body_reader));

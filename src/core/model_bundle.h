@@ -28,8 +28,8 @@ inline constexpr uint32_t kBundleWireV3 = 3;
 /// length + payload), so header bit-flips report as checksum errors.
 ///
 /// v3 shares v2's header/CRC framing but ships the support set quantized
-/// (int8 rows + per-row scale, see `SupportSet::SerializeQuantized`) and
-/// re-quantizes the NCM prototypes on load. Paired with a
+/// (int8 rows + per-row scale, see `SupportSet::SerializeQuantized`); the
+/// NCM prototypes stay fp32 in both versions. Paired with a
 /// `compress::QuantizeBackbone`d backbone this puts the whole cloud→edge
 /// artifact at roughly a quarter of the fp32 v2 bytes. Loading remembers
 /// the wire version so round trips preserve it.

@@ -35,14 +35,6 @@ bool NcmClassifier::Locate(sensors::ActivityId id, size_t* row) const {
   return it != ids_.end() && *it == id;
 }
 
-Status NcmClassifier::QuantizePrototypes() {
-  if (ids_.empty()) {
-    return Status::FailedPrecondition("classifier has no prototypes");
-  }
-  rows_.Quantize();
-  return Status::Ok();
-}
-
 Result<NcmClassifier> NcmClassifier::FromSupportSet(const SupportSet& support,
                                                     Embedder* embedder) {
   if (embedder == nullptr) {
@@ -107,18 +99,14 @@ Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
                                    " != classifier dim " +
                                    std::to_string(rows_.dim()));
   }
-  const ScanRows::Query query = rows_.Prepare(embedding, &scratch->q_query);
   std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
   out.clear();
   out.reserve(ids_.size());
   for (size_t r = 0; r < ids_.size(); ++r) {
-    const double d2 = rows_.SquaredDistance(query, r);
-    // fp32 rows take the float sqrt of the float d², int8 rows the double
-    // sqrt of the exact-rescale d²: `Prediction::distance` keeps the
+    // The float sqrt of the float d²: `Prediction::distance` keeps the
     // rounding it has always had.
-    out.emplace_back(ids_[r], rows_.quantized()
-                                  ? std::sqrt(d2)
-                                  : std::sqrt(static_cast<float>(d2)));
+    const double d2 = rows_.SquaredDistance(embedding, r);
+    out.emplace_back(ids_[r], std::sqrt(static_cast<float>(d2)));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });

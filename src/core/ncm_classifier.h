@@ -37,7 +37,6 @@ class NcmClassifier {
   /// distinct instances; predictions are byte-identical with or without one.
   struct Scratch {
     std::vector<std::pair<sensors::ActivityId, double>> dist;
-    std::vector<int8_t> q_query;  ///< int8 path: quantized query vector
   };
 
   NcmClassifier() = default;
@@ -95,18 +94,6 @@ class NcmClassifier {
   /// Distance to every prototype, ascending by distance.
   Result<std::vector<std::pair<sensors::ActivityId, double>>> Distances(
       const float* embedding, size_t n) const;
-
-  /// Switches the classifier to int8 prototype scans: every prototype is
-  /// quantized (symmetric per-vector, like the support-set wire format) and
-  /// queries are scanned with the exact-rescale distance of `ScanRows`.
-  /// `Prototype`/`Serialize` then return the dequantized values, exactly
-  /// what the scan sees — which also makes re-quantization after a round
-  /// trip exact (the max-|q| element is always ±127, so the recovered scale
-  /// is bit-identical). Prototypes added later via
-  /// `SetPrototypeFromEmbeddings` are quantized on entry.
-  /// FailedPrecondition if the classifier is empty.
-  Status QuantizePrototypes();
-  bool quantized() const { return rows_.quantized(); }
 
   void Serialize(BinaryWriter* writer) const;
   static Result<NcmClassifier> Deserialize(BinaryReader* reader);

@@ -69,39 +69,14 @@ Result<std::unique_ptr<QuantizedLinear>> QuantizedLinear::FromLinear(
 void QuantizedLinear::Forward(const Matrix& input, bool /*training*/,
                               LayerState* /*state*/, Matrix* output) const {
   MAGNETO_CHECK(input.cols() == in_dim_);
-  if (QGemmEnabled()) {
-    // Quantize the activations per row, then run the integer GEMM. The
-    // scratch is call-local so one immutable layer can serve concurrent
-    // forwards. Output is bit-identical across thread counts: integer
-    // accumulation is exact and the scale fold is a fixed float sequence.
-    QuantizedRows qx;
-    QuantizeRowsInt8(input, &qx);
-    QGemmInt8(qx, weight_.data.data(), in_dim_, out_dim_,
-              weight_.scales.data(), bias_.data(), output);
-    return;
-  }
-  // MAGNETO_QGEMM=off: the serial fp32-dequant reference — weights widened
-  // on the fly, activations left in float. This is the path the int8 kernel
-  // replaced; it has no activation-quantization error, so the kernel must
-  // track it within the per-row quantization tolerance (and beat it on
-  // latency — see bench_quant).
-  output->ResetForOverwrite(input.rows(), out_dim_);
-  for (size_t r = 0; r < input.rows(); ++r) {
-    const float* x = input.RowPtr(r);
-    float* y = output->RowPtr(r);
-    for (size_t j = 0; j < out_dim_; ++j) y[j] = 0.0f;
-    for (size_t i = 0; i < in_dim_; ++i) {
-      const float xi = x[i];
-      if (xi == 0.0f) continue;
-      const int8_t* wrow = weight_.data.data() + i * out_dim_;
-      for (size_t j = 0; j < out_dim_; ++j) {
-        y[j] += xi * static_cast<float>(wrow[j]);
-      }
-    }
-    for (size_t j = 0; j < out_dim_; ++j) {
-      y[j] = y[j] * weight_.scales[j] + bias_[j];
-    }
-  }
+  // Quantize the activations per row, then run the integer GEMM. The
+  // scratch is call-local so one immutable layer can serve concurrent
+  // forwards. Output is bit-identical across thread counts: integer
+  // accumulation is exact and the scale fold is a fixed float sequence.
+  QuantizedRows qx;
+  QuantizeRowsInt8(input, &qx);
+  QGemmInt8(qx, weight_.data.data(), in_dim_, out_dim_, weight_.scales.data(),
+            bias_.data(), output);
 }
 
 void QuantizedLinear::Backward(const Matrix& /*grad_output*/,

@@ -48,10 +48,7 @@ class QuantizedLinear : public Layer {
   /// Dynamic-activation int8 GEMM: the input rows are quantized to int8 on
   /// the fly, multiplied through `QGemmInt8`, and rescaled per output
   /// channel. Integer accumulation is exact, so the int8 output is
-  /// bit-identical across thread counts. With `MAGNETO_QGEMM=off` (or
-  /// `SetQGemmEnabled(false)`) the layer instead runs the serial fp32-dequant
-  /// reference — weights widened on the fly, activations unquantized — which
-  /// the kernel path must track within the quantization tolerance.
+  /// bit-identical across thread counts.
   void Forward(const Matrix& input, bool training, LayerState* state,
                Matrix* output) const override;
 

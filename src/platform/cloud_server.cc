@@ -36,10 +36,9 @@ Result<std::string> CloudServer::ServeBundleBytes() const {
 
 Result<std::string> CloudServer::EncodeQuantizedBundle(
     const std::string& fp32_bytes) {
-  // Same flow as the CLI's `compress --method int8`: quantize the backbone,
-  // rebuild the prototypes through the quantized embedding (they must match
-  // what the device will compute), switch the classifier to int8 scans, and
-  // ship the whole thing on wire v3.
+  // Quantize the backbone, rebuild the prototypes through the quantized
+  // embedding (they must match what the device will compute), and ship the
+  // whole thing on wire v3.
   MAGNETO_ASSIGN_OR_RETURN(core::ModelBundle bundle,
                            core::ModelBundle::FromString(fp32_bytes));
   MAGNETO_ASSIGN_OR_RETURN(bundle.backbone,
@@ -52,7 +51,6 @@ Result<std::string> CloudServer::EncodeQuantizedBundle(
   quantized.wire_version = core::kBundleWireV3;
   quantized.pipeline = model.pipeline();
   quantized.classifier = model.classifier();
-  MAGNETO_RETURN_IF_ERROR(quantized.classifier.QuantizePrototypes());
   quantized.registry = model.registry();
   quantized.support = std::move(support);
   quantized.backbone = std::move(model.backbone());

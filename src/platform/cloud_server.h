@@ -57,17 +57,18 @@ class CloudServer {
   Result<std::string> ServeBundleBytes() const;
 
   /// Wire-v3 quantized variant for bandwidth-constrained delivery: int8
-  /// backbone (`compress::QuantizeBackbone`), NCM prototypes rebuilt through
-  /// the quantized embedding and switched to int8 scans, support set shipped
-  /// as int8 rows — roughly a quarter of the fp32 bundle's bytes. Built
+  /// backbone (`compress::QuantizeBackbone`), fp32 NCM prototypes rebuilt
+  /// through the quantized embedding, support set shipped as int8 rows —
+  /// roughly a quarter of the fp32 bundle's bytes. Built
   /// exactly once on first call (thread-safe), then served from the
   /// immutable cache. Requires Pretrain.
   Result<std::string> ServeQuantizedBundleBytes() const;
 
   /// Re-encodes a serialized fp32 (wire v2) bundle as the quantized wire-v3
-  /// variant. Pure function of the bytes: `ServeQuantizedBundleBytes` builds
-  /// its cache with it, and perfbench's fleet phase encodes an enrolled
-  /// bundle with it without a live server.
+  /// variant. Pure function of the bytes and the one definition of the v3
+  /// recipe: `ServeQuantizedBundleBytes` builds its cache with it, `magneto
+  /// compress --method int8` writes its bytes, and perfbench's fleet phase
+  /// encodes an enrolled bundle with it without a live server.
   static Result<std::string> EncodeQuantizedBundle(
       const std::string& fp32_bytes);
 

@@ -232,8 +232,8 @@ void EdgeFleet::ServeBatch(const std::vector<PendingRequest*>& batch) {
     }
   }
   // Like the forward workspace above: one classifier scratch per serving
-  // thread keeps the NCM scan (distance buffer + int8 query)
-  // allocation-free in steady state. The classifier is immutable
+  // thread keeps the NCM scan (its distance buffer) allocation-free in
+  // steady state. The classifier is immutable
   // and per-call state lives entirely in the scratch, so concurrent
   // leaders — including ones pinning different deployments across a
   // promotion — share nothing.

@@ -147,25 +147,5 @@ TEST_F(QGemmTest, NullBiasMeansZero) {
   }
 }
 
-TEST_F(QGemmTest, DotInt8MatchesNaive) {
-  for (size_t n : {size_t{1}, size_t{3}, size_t{4}, size_t{129}}) {
-    std::vector<int8_t> a = RandomInt8(n, 10 + n);
-    std::vector<int8_t> b = RandomInt8(n, 20 + n);
-    int64_t want = 0;
-    for (size_t i = 0; i < n; ++i) want += int64_t{a[i]} * b[i];
-    EXPECT_EQ(DotInt8(a.data(), b.data(), n), want);
-    int64_t norm = 0;
-    for (size_t i = 0; i < n; ++i) norm += int64_t{a[i]} * a[i];
-    EXPECT_EQ(SquaredNormInt8(a.data(), n), norm);
-  }
-}
-
-TEST_F(QGemmTest, EnableToggle) {
-  SetQGemmEnabled(false);
-  EXPECT_FALSE(QGemmEnabled());
-  SetQGemmEnabled(true);
-  EXPECT_TRUE(QGemmEnabled());
-}
-
 }  // namespace
 }  // namespace magneto

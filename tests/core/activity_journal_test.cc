@@ -47,6 +47,43 @@ TEST(ActivityJournalTest, BoutsMergeConsecutiveWindows) {
   EXPECT_DOUBLE_EQ(journal.bouts()[2].duration_s, 2.0);
 }
 
+TEST(ActivityJournalTest, BoutTimelineIsBoundedAndTotalsStayExact) {
+  // Alternating windows open a bout each: 5,000 bouts, far past the ring.
+  ActivityJournal journal(1.0);
+  constexpr int kWindows = 5000;
+  for (int i = 0; i < kWindows; ++i) {
+    if (i % 2 == 0) {
+      journal.Record(Pred(4, "Walk"));
+    } else {
+      journal.Record(Pred(2, "Run"));
+    }
+  }
+  EXPECT_DOUBLE_EQ(journal.TotalSeconds(4), kWindows / 2);
+  EXPECT_DOUBLE_EQ(journal.TotalSeconds(2), kWindows / 2);
+  EXPECT_DOUBLE_EQ(journal.elapsed_seconds(), kWindows);
+  EXPECT_NE(journal.Summary().find("2500 bout(s)"), std::string::npos);
+
+  // The retained bouts are the latest ones, oldest first, each still
+  // carrying its own activity, name, start and duration.
+  const std::vector<ActivityBout> bouts = journal.bouts();
+  ASSERT_EQ(bouts.size(), ActivityJournal::kMaxBouts);
+  const size_t first = kWindows - ActivityJournal::kMaxBouts;
+  for (size_t k = 0; k < bouts.size(); ++k) {
+    const size_t window = first + k;
+    const bool walk = window % 2 == 0;
+    EXPECT_EQ(bouts[k].activity, walk ? 4 : 2) << k;
+    EXPECT_EQ(bouts[k].name, walk ? "Walk" : "Run") << k;
+    EXPECT_DOUBLE_EQ(bouts[k].start_s, static_cast<double>(window)) << k;
+    EXPECT_DOUBLE_EQ(bouts[k].duration_s, 1.0) << k;
+  }
+
+  // The open bout still grows in place once the ring has wrapped.
+  journal.Record(Pred(2, "Run"));
+  EXPECT_DOUBLE_EQ(journal.bouts().back().duration_s, 2.0);
+  EXPECT_DOUBLE_EQ(journal.bouts().back().start_s, kWindows - 1);
+  EXPECT_EQ(journal.bouts().size(), ActivityJournal::kMaxBouts);
+}
+
 TEST(ActivityJournalTest, TotalsSortedDescending) {
   ActivityJournal journal(1.0);
   journal.Record(Pred(0, "Drive"));

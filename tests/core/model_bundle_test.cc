@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -454,7 +456,6 @@ TEST_F(ModelBundleTest, V3QuantizedRoundTrip) {
   auto copy = ModelBundle::FromString(v2);
   ASSERT_TRUE(copy.ok());
   copy.value().wire_version = kBundleWireV3;
-  ASSERT_TRUE(copy.value().classifier.QuantizePrototypes().ok());
   const std::string v3 = copy.value().SerializeToString();
   // Only the support set is int8 here (the backbone stays fp32 unless
   // compressed), but v3 must already be strictly smaller.
@@ -463,21 +464,40 @@ TEST_F(ModelBundleTest, V3QuantizedRoundTrip) {
   auto back = ModelBundle::FromString(v3);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back.value().wire_version, kBundleWireV3);
-  EXPECT_TRUE(back.value().classifier.quantized());
   EXPECT_EQ(back.value().support.TotalSize(), bundle_->support.TotalSize());
   EXPECT_EQ(back.value().registry.size(), bundle_->registry.size());
 
-  // Save -> load -> save stability: re-quantizing dequantized rows and
-  // prototypes is exact, so a loaded v3 bundle re-serializes byte-identical
-  // (checkpoints of a quantized device cannot drift).
+  // Save -> load -> save stability: re-quantizing dequantized support rows
+  // is exact and the prototypes travel as fp32, so a loaded v3 bundle
+  // re-serializes byte-identical (checkpoints of a quantized device cannot
+  // drift).
   EXPECT_EQ(back.value().SerializeToString(), v3);
+}
+
+TEST_F(ModelBundleTest, V3PrototypesRoundTripBitForBit) {
+  auto copy = ModelBundle::FromString(bundle_->SerializeToString());
+  ASSERT_TRUE(copy.ok());
+  copy.value().wire_version = kBundleWireV3;
+  auto back = ModelBundle::FromString(copy.value().SerializeToString());
+  ASSERT_TRUE(back.ok()) << back.status();
+  const NcmClassifier& before = copy.value().classifier;
+  const NcmClassifier& after = back.value().classifier;
+  ASSERT_GT(before.num_classes(), 0u);
+  ASSERT_EQ(after.Classes(), before.Classes());
+  for (sensors::ActivityId id : before.Classes()) {
+    const std::vector<float> want = before.Prototype(id).value();
+    const std::vector<float> got = after.Prototype(id).value();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+              0)
+        << "prototype of class " << id;
+  }
 }
 
 TEST_F(ModelBundleTest, V3RejectsTruncationAndBitFlips) {
   auto copy = ModelBundle::FromString(bundle_->SerializeToString());
   ASSERT_TRUE(copy.ok());
   copy.value().wire_version = kBundleWireV3;
-  ASSERT_TRUE(copy.value().classifier.QuantizePrototypes().ok());
   const std::string v3 = copy.value().SerializeToString();
   Rng rng(77);
   for (int trial = 0; trial < 60; ++trial) {

@@ -234,54 +234,6 @@ TEST(NcmClassifierTest, DeserializeEmptyZeroWidthIsValid) {
   EXPECT_EQ(res.value().num_classes(), 0u);
 }
 
-TEST(NcmClassifierTest, QuantizePrototypesEmptyFails) {
-  NcmClassifier ncm;
-  EXPECT_EQ(ncm.QuantizePrototypes().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(ncm.quantized());
-}
-
-TEST(NcmClassifierTest, QuantizedScanAgreesWithFp32) {
-  NcmClassifier fp = TwoClassClassifier();
-  NcmClassifier q = fp;
-  ASSERT_TRUE(q.QuantizePrototypes().ok());
-  EXPECT_TRUE(q.quantized());
-  EXPECT_FALSE(fp.quantized());
-  for (float x : {0.0f, 1.5f, 3.0f, 7.0f, 8.5f, 10.0f}) {
-    const std::vector<float> probe{x, 0.4f};
-    auto pf = fp.Classify(probe).value();
-    auto pq = q.Classify(probe).value();
-    EXPECT_EQ(pf.activity, pq.activity) << "probe x=" << x;
-    EXPECT_NEAR(pf.distance, pq.distance, 0.05 * (pf.distance + 1.0));
-  }
-}
-
-TEST(NcmClassifierTest, QuantizePrototypesIsIdempotent) {
-  NcmClassifier ncm = TwoClassClassifier();
-  ASSERT_TRUE(ncm.QuantizePrototypes().ok());
-  const std::vector<float> p1 = ncm.Prototype(1).value();
-  const double d1 = ncm.Classify({3.0f, 1.0f}).value().distance;
-  // The max-|q| element of a quantized vector is exactly ±127, so a second
-  // quantization of the dequantized prototype recovers the identical scale
-  // and codes: nothing may move.
-  ASSERT_TRUE(ncm.QuantizePrototypes().ok());
-  const std::vector<float> p2 = ncm.Prototype(1).value();
-  ASSERT_EQ(p1.size(), p2.size());
-  for (size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], p2[i]);
-  EXPECT_EQ(ncm.Classify({3.0f, 1.0f}).value().distance, d1);
-}
-
-TEST(NcmClassifierTest, QuantizedClassifierTracksUpdatesAndRemovals) {
-  NcmClassifier ncm = TwoClassClassifier();
-  ASSERT_TRUE(ncm.QuantizePrototypes().ok());
-  // A prototype added after quantization joins the int8 scan.
-  ASSERT_TRUE(
-      ncm.SetPrototypeFromEmbeddings(2, Matrix(1, 2, {0, 10})).ok());
-  EXPECT_EQ(ncm.Classify({0.2f, 9.5f}).value().activity, 2);
-  ASSERT_TRUE(ncm.RemoveClass(2).ok());
-  EXPECT_NE(ncm.Classify({0.2f, 9.5f}).value().activity, 2);
-}
-
 TEST(NcmClassifierTest, ScratchReuseIsByteIdentical) {
   // Mirror of the KnnClassifier scratch contract: a reused caller-provided
   // scratch — even one carrying stale capacity from a larger classifier —
@@ -356,39 +308,35 @@ TEST(NcmClassifierTest, DistancesAlwaysCoversEveryPrototype) {
 
 TEST(NcmClassifierTest, ConcurrentClassifyWithPerThreadScratch) {
   // Classify is read-only over the shared prototype store: concurrent calls
-  // with distinct scratches must agree with serial answers, on the fp32 and
-  // the int8 store alike (run under -DMAGNETO_SANITIZE=thread by check.sh).
-  NcmClassifier fp32 = GridNcm(32);
-  NcmClassifier int8 = fp32;
-  ASSERT_TRUE(int8.QuantizePrototypes().ok());
+  // with distinct scratches must agree with serial answers (run under
+  // -DMAGNETO_SANITIZE=thread by check.sh).
+  NcmClassifier ncm = GridNcm(32);
   std::vector<std::vector<float>> queries;
   for (int c = 0; c < 8; ++c) {
     queries.push_back({static_cast<float>(c % 8) * 20.0f + 0.5f,
                        static_cast<float>(c / 8) * 20.0f - 0.5f});
   }
-  for (const NcmClassifier* ncm : {&fp32, &int8}) {
-    std::vector<Prediction> expected;
-    for (const auto& q : queries) expected.push_back(ncm->Classify(q).value());
+  std::vector<Prediction> expected;
+  for (const auto& q : queries) expected.push_back(ncm.Classify(q).value());
 
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        NcmClassifier::Scratch scratch;
-        for (int rep = 0; rep < 50; ++rep) {
-          const size_t qi = static_cast<size_t>((t + rep) % queries.size());
-          auto pred =
-              ncm->Classify(queries[qi].data(), queries[qi].size(), &scratch);
-          if (!pred.ok() || std::memcmp(&pred.value(), &expected[qi],
-                                        sizeof(Prediction)) != 0) {
-            mismatches.fetch_add(1);
-          }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      NcmClassifier::Scratch scratch;
+      for (int rep = 0; rep < 50; ++rep) {
+        const size_t qi = static_cast<size_t>((t + rep) % queries.size());
+        auto pred =
+            ncm.Classify(queries[qi].data(), queries[qi].size(), &scratch);
+        if (!pred.ok() || std::memcmp(&pred.value(), &expected[qi],
+                                      sizeof(Prediction)) != 0) {
+          mismatches.fetch_add(1);
         }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(mismatches.load(), 0) << (ncm->quantized() ? "int8" : "fp32");
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
-#include "common/qgemm.h"
 #include "nn/sequential.h"
 
 namespace magneto::nn {
@@ -109,14 +108,14 @@ TEST(QuantizedLinearTest, ForwardTracksFp32Layer) {
 // The determinism contract: the int8 kernel path produces identical bytes at
 // every thread count (exact integer accumulation + fixed scale-fold
 // sequence). The kernel-vs-serial-reference bit comparison lives in
-// qgemm_test; here we also pin the fp32-dequant mode within tolerance.
+// qgemm_test; here we also pin the layer within tolerance of fp32
+// arithmetic on the dequantized weights.
 TEST(QuantizedLinearTest, KernelBitIdenticalAcrossThreads) {
   Linear fp32 = RandomLinear(96, 40, 12);
   auto q = MustFromLinear(fp32);
   Matrix x = RandomMatrix(17, 96, 13, 2.0);
 
   const size_t saved_threads = ParallelThreads();
-  SetQGemmEnabled(true);
   SetParallelThreads(1);
   Matrix y_anchor;
   q->Forward(x, /*training=*/false, /*state=*/nullptr, &y_anchor);
@@ -132,13 +131,19 @@ TEST(QuantizedLinearTest, KernelBitIdenticalAcrossThreads) {
   }
   SetParallelThreads(saved_threads);
 
-  // MAGNETO_QGEMM=off: serial fp32-dequant reference. No activation
-  // quantization there, so the int8 path must stay within the per-row
-  // quantization tolerance of it.
-  SetQGemmEnabled(false);
-  Matrix y_ref;
-  q->Forward(x, /*training=*/false, /*state=*/nullptr, &y_ref);
-  SetQGemmEnabled(true);
+  // Tolerance oracle: x · dequant(W) + b in float, with the same weight
+  // codes the layer holds and no activation quantization, so the int8 path
+  // must stay within the per-row quantization tolerance of it.
+  const Matrix w = MustQuantize(fp32.WeightRowMajor()).Dequantize();
+  const Matrix& bias = fp32.bias();
+  Matrix y_ref(x.rows(), w.cols());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t j = 0; j < w.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t i = 0; i < w.rows(); ++i) acc += x.At(r, i) * w.At(i, j);
+      y_ref.At(r, j) = acc + bias.At(0, j);
+    }
+  }
   ASSERT_TRUE(y_ref.SameShape(y_anchor));
   const float scale = y_ref.AbsMax();
   for (size_t i = 0; i < y_ref.size(); ++i) {

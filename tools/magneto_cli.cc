@@ -208,9 +208,8 @@ int CmdInspect(const std::string& path) {
   if (!bundle.ok()) return Fail(bundle.status(), "load");
   const core::ModelBundle& b = bundle.value();
   std::printf("bundle: %s\n", path.c_str());
-  std::printf("  serialized: %.1f KiB (wire v%u%s)\n",
-              b.SerializedBytes() / 1024.0, b.wire_version,
-              b.classifier.quantized() ? ", int8 scans" : "");
+  std::printf("  serialized: %.1f KiB (wire v%u)\n",
+              b.SerializedBytes() / 1024.0, b.wire_version);
   std::printf("  backbone (%zu params, %.1f KiB):\n",
               b.backbone.NumParameters(),
               b.backbone.NumParameters() * sizeof(float) / 1024.0);
@@ -466,16 +465,30 @@ int CmdCalibrate(const Args& args) {
 }
 
 int CmdCompress(const Args& args) {
-  auto bundle = core::ModelBundle::LoadFromFile(args.Get("bundle", ""));
+  auto bytes = ReadFile(args.Get("bundle", ""));
+  if (!bytes.ok()) return Fail(bytes.status(), "load");
+  auto bundle = core::ModelBundle::FromString(bytes.value());
   if (!bundle.ok()) return Fail(bundle.status(), "load");
   const std::string out = args.Get("out", "compressed.magneto");
   const std::string method = args.Get("method", "int8");
-  const size_t before = bundle.value().SerializedBytes();
+  const size_t before = bytes.value().size();
+
+  if (method == "int8") {
+    // The quantized edge path: int8 backbone and the wire-v3 encoding, built
+    // by the same function the cloud server provisions with.
+    auto encoded = platform::CloudServer::EncodeQuantizedBundle(bytes.value());
+    if (!encoded.ok()) return Fail(encoded.status(), "compress");
+    Status saved = WriteFileAtomic(out, encoded.value());
+    if (!saved.ok()) return Fail(saved, "save");
+    std::printf("%s: %.1f KiB -> %.1f KiB (int8, wire v%u)  "
+                "[inference-only: no on-device updates]\n",
+                out.c_str(), before / 1024.0, encoded.value().size() / 1024.0,
+                core::kBundleWireV3);
+    return 0;
+  }
 
   Result<nn::Sequential> compressed = Status::Unimplemented("");
-  if (method == "int8") {
-    compressed = compress::QuantizeBackbone(bundle.value().backbone);
-  } else if (method == "lowrank") {
+  if (method == "lowrank") {
     compressed = compress::FactorizeBackbone(bundle.value().backbone,
                                              args.GetDouble("energy", 0.9));
   } else if (method == "student") {
@@ -503,20 +516,11 @@ int CmdCompress(const Args& args) {
   updated.registry = model.registry();
   updated.support = std::move(support);
   updated.backbone = std::move(model.backbone());
-  if (method == "int8") {
-    // Full quantized edge path: int8 backbone, int8 prototype scans, and
-    // the wire-v3 quantized bundle encoding for the download itself.
-    updated.wire_version = core::kBundleWireV3;
-    Status quantized = updated.classifier.QuantizePrototypes();
-    if (!quantized.ok()) return Fail(quantized, "quantize prototypes");
-  }
   Status saved = updated.SaveToFile(out);
   if (!saved.ok()) return Fail(saved, "save");
-  std::printf("%s: %.1f KiB -> %.1f KiB (%s, wire v%u)%s\n", out.c_str(),
+  std::printf("%s: %.1f KiB -> %.1f KiB (%s, wire v%u)\n", out.c_str(),
               before / 1024.0, updated.SerializedBytes() / 1024.0,
-              method.c_str(), updated.wire_version,
-              method == "int8" ? "  [inference-only: no on-device updates]"
-                               : "");
+              method.c_str(), updated.wire_version);
   return 0;
 }
 
