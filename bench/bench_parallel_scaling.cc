@@ -638,7 +638,7 @@ void MeasureStreamWindow(BeforeAfter* denoise, BeforeAfter* features,
   preprocess::WindowFeaturizer featurizer;
   std::vector<float> streamed(preprocess::kNumFeatures);
   auto push_all = [&](const Matrix& w) {
-    featurizer.Begin(config, w.rows(), /*statistical=*/true);
+    featurizer.Begin(config, w.rows());
     for (size_t r = 0; r < w.rows(); ++r) featurizer.Push(w.data());
   };
   completing->identical = true;
@@ -876,9 +876,7 @@ int main() {
   // --- Preprocessing pipeline throughput over a labeled corpus ---
   {
     const auto corpus = BenchCorpus(/*seed=*/21, /*per_class=*/4);
-    preprocess::PipelineConfig config;
-    config.features = preprocess::FeatureMode::kCombined;
-    preprocess::Pipeline pipeline(config);
+    preprocess::Pipeline pipeline{preprocess::PipelineConfig{}};
     Unwrap(pipeline.Fit(corpus), "pipeline fit");
     const size_t windows =
         Unwrap(pipeline.ProcessLabeled(corpus), "pipeline warmup").size();

@@ -94,24 +94,11 @@ void Run() {
               "of the dimension, and — unlike raw features — supports the "
               "distillation-anchored updates of §3.3)\n");
 
-  // --- classifier head: NCM vs kNN --------------------------------------------
+  // --- classifier head -------------------------------------------------------
   std::printf("\n== classifier head over the same embedding ==\n");
   std::printf("%-26s %10s %14s %16s\n", "classifier", "accuracy",
               "memory (KiB)", "classify cost");
   {
-    auto time_per_query_us = [&](auto&& classify) {
-      Matrix embeddings = model.Embed(eval.ToMatrix());
-      const auto t0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < eval.size(); ++i) {
-        classify(embeddings.RowPtr(i), embeddings.cols());
-      }
-      return std::chrono::duration<double, std::micro>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count() /
-             static_cast<double>(eval.size());
-    };
-
-    // NCM (the paper's choice).
     size_t ncm_correct = 0;
     for (const auto& [truth, pred] : Unwrap(model.Predict(eval), "ncm")) {
       ncm_correct += (truth == pred);
@@ -119,36 +106,20 @@ void Run() {
     const size_t ncm_bytes =
         model.classifier().num_classes() * model.embedding_dim() *
         sizeof(float);
-    const double ncm_us = time_per_query_us([&](const float* e, size_t n) {
-      auto p = model.classifier().Classify(e, n);
+    const Matrix embeddings = model.Embed(eval.ToMatrix());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < eval.size(); ++i) {
+      auto p = model.classifier().Classify(embeddings.RowPtr(i),
+                                           embeddings.cols());
       CheckOk(p.status(), "ncm classify");
-    });
+    }
+    const double ncm_us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count() /
+                          static_cast<double>(eval.size());
     std::printf("%-26s %9.1f%% %14.2f %13.2f us\n", "NCM (paper)",
                 100.0 * ncm_correct / eval.size(), ncm_bytes / 1024.0,
                 ncm_us);
-
-    // kNN over all support exemplars (related-work style).
-    for (size_t k : {1u, 5u}) {
-      core::KnnClassifier::Options options;
-      options.k = k;
-      auto knn = Unwrap(
-          core::KnnClassifier::FromSupportSet(support, &model, options),
-          "knn build");
-      Matrix embeddings = model.Embed(eval.ToMatrix());
-      size_t correct = 0;
-      for (size_t i = 0; i < eval.size(); ++i) {
-        auto pred = Unwrap(
-            knn.Classify(embeddings.RowPtr(i), embeddings.cols()), "knn");
-        correct += (pred.activity == eval.Label(i));
-      }
-      const double knn_us = time_per_query_us([&](const float* e, size_t n) {
-        auto p = knn.Classify(e, n);
-        CheckOk(p.status(), "knn classify");
-      });
-      std::printf("kNN (k=%zu)%17s %9.1f%% %14.2f %13.2f us\n", k, "",
-                  100.0 * correct / eval.size(), knn.MemoryBytes() / 1024.0,
-                  knn_us);
-    }
     std::printf("(NCM stores one prototype per class and adds classes with "
                 "a single mean — the property §3.1 builds on)\n");
   }

@@ -54,6 +54,7 @@ inline void WriteHostStamp(obs::JsonWriter* json) {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) isa += "avx2 ";
   if (__builtin_cpu_supports("avx512f")) isa += "avx512f ";
+  if (__builtin_cpu_supports("avx512vnni")) isa += "avx512vnni ";
   if (!isa.empty()) isa.pop_back();
 #endif
   json->Key("host")

@@ -34,12 +34,12 @@ MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
   --gtest_filter='WorkspaceConcurrencyTest.*'
 # The concurrent serving path: AsyncUpdater worker-handle lock order,
 # EdgeRuntime's updates (synchronous ones too run on the updater's thread),
-# scratch-free KNN classify, concurrent NCM classify over the shared fp32
-# prototype store with per-thread scratch, and the EdgeFleet stress
-# tests (closed-loop sessions + open-loop SubmitWindow producers, both with a
-# bundle promotion landing mid-run).
+# concurrent NCM classify over the shared fp32 prototype rows with
+# per-thread scratch, and the EdgeFleet stress tests (closed-loop sessions +
+# open-loop SubmitWindow producers, both with a bundle promotion landing
+# mid-run).
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
-  --gtest_filter='AsyncUpdaterStressTest.*:EdgeRuntimeAsyncTest.*:KnnClassifierTest.Concurrent*:NcmClassifierTest.Concurrent*'
+  --gtest_filter='AsyncUpdaterStressTest.*:EdgeRuntimeAsyncTest.*:NcmClassifierTest.Concurrent*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
   --gtest_filter='EdgeFleet*'
 # The cloud server under TSan: the CloudServer once_flag quantize cache and

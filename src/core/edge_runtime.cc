@@ -107,24 +107,24 @@ void EdgeRuntime::CancelRecording() {
   mode_ = RuntimeMode::kInference;
 }
 
-Status EdgeRuntime::FinishRecordingAndLearnAsync(const std::string& name) {
+Status EdgeRuntime::CheckUpdatable() const {
   if (mode_ != RuntimeMode::kRecording) {
     return Status::FailedPrecondition("not recording");
   }
   if (UpdatePending()) {
     return Status::FailedPrecondition("an update is already in flight");
   }
+  return CheckTrainable(model_.backbone());
+}
+
+Status EdgeRuntime::FinishRecordingAndLearnAsync(const std::string& name) {
+  MAGNETO_RETURN_IF_ERROR(CheckUpdatable());
   sensors::Recording rec = FinishCapture();
   return updater_->StartLearn(model_, support_, name, {std::move(rec)});
 }
 
 Status EdgeRuntime::FinishRecordingAndCalibrateAsync(const std::string& name) {
-  if (mode_ != RuntimeMode::kRecording) {
-    return Status::FailedPrecondition("not recording");
-  }
-  if (UpdatePending()) {
-    return Status::FailedPrecondition("an update is already in flight");
-  }
+  MAGNETO_RETURN_IF_ERROR(CheckUpdatable());
   MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
                            model_.registry().IdOf(name));
   sensors::Recording rec = FinishCapture();

@@ -60,7 +60,8 @@ class EdgeRuntime {
 
   /// Ends the capture and learns it as the new activity `name` (§3.3):
   /// `FinishRecordingAndLearnAsync(name)`, then `CommitUpdate()`. Refused,
-  /// with the capture kept, while another update is pending.
+  /// with the capture kept, while another update is pending or on an int8
+  /// backbone.
   Result<UpdateReport> FinishRecordingAndLearn(const std::string& name);
 
   /// Ends the capture and re-calibrates the existing activity `name`:
@@ -76,7 +77,8 @@ class EdgeRuntime {
   /// immediately on the *current* model; call `CommitUpdate` once
   /// `UpdateReady()` to swap in the retrained one. Fails with
   /// FailedPrecondition, before touching the capture, while an update is
-  /// pending.
+  /// pending or when the backbone holds an int8 layer (inference-only: it
+  /// has no backward pass).
   Status FinishRecordingAndLearnAsync(const std::string& name);
 
   /// Same, but re-calibrating the existing activity `name`.
@@ -163,6 +165,9 @@ class EdgeRuntime {
   const SupportSet& support() const { return support_; }
 
  private:
+  /// FailedPrecondition unless a capture can start an update: recording,
+  /// no update pending, and a trainable (all-fp32) backbone.
+  Status CheckUpdatable() const;
   sensors::Recording FinishCapture();
 
   EdgeModel model_;

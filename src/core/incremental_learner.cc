@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "learn/ewc.h"
+#include "nn/quantized_linear.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,12 +48,25 @@ Status CheckStep(const IncrementalOptions& options, UpdateStep step) {
 
 }  // namespace
 
+Status CheckTrainable(const nn::Sequential& backbone) {
+  for (size_t i = 0; i < backbone.num_layers(); ++i) {
+    if (backbone.layer(i).type() ==
+        static_cast<nn::LayerType>(nn::kQuantizedLinearTag)) {
+      return Status::FailedPrecondition(
+          "the backbone holds int8 layers, which are inference-only: no "
+          "on-device updates");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<UpdateReport> IncrementalLearner::LearnNewActivity(
     EdgeModel* model, SupportSet* support, const std::string& name,
     const std::vector<sensors::Recording>& recordings) const {
   if (model == nullptr || support == nullptr) {
     return Status::InvalidArgument("model and support must not be null");
   }
+  MAGNETO_RETURN_IF_ERROR(CheckTrainable(model->backbone()));
   UpdateTransaction tx(model, support);
   // Registration happens on the staged registry: a failure anywhere below
   // (or of the registration itself) drops the staged copy, the live
@@ -68,6 +82,7 @@ Result<UpdateReport> IncrementalLearner::Calibrate(
   if (model == nullptr || support == nullptr) {
     return Status::InvalidArgument("model and support must not be null");
   }
+  MAGNETO_RETURN_IF_ERROR(CheckTrainable(model->backbone()));
   if (!model->registry().Contains(id)) {
     return Status::NotFound("cannot calibrate unknown activity: " +
                             std::to_string(id));

@@ -84,6 +84,9 @@ struct UpdateReport {
 /// registration of the new name — leaves the model, support set,
 /// prototypes and registry byte-identical to before the call, so a failed
 /// capture is always safely retryable.
+///
+/// Both calls return FailedPrecondition, before touching anything, when the
+/// backbone holds an int8 layer (`CheckTrainable`).
 class IncrementalLearner {
  public:
   explicit IncrementalLearner(IncrementalOptions options)
@@ -116,6 +119,10 @@ class IncrementalLearner {
 
   IncrementalOptions options_;
 };
+
+/// FailedPrecondition if `backbone` holds an int8 layer: such layers are
+/// inference-only (no backward pass), so the model cannot learn on device.
+Status CheckTrainable(const nn::Sequential& backbone);
 
 }  // namespace magneto::core
 

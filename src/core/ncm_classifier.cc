@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace magneto::core {
 
@@ -11,22 +12,29 @@ Status NcmClassifier::SetPrototypeFromEmbeddings(sensors::ActivityId id,
     return Status::InvalidArgument("no embeddings for class " +
                                    std::to_string(id));
   }
-  if (rows_.dim() == 0) {
-    rows_ = ScanRows(embeddings.cols());
-  } else if (embeddings.cols() != rows_.dim()) {
+  if (dim_ == 0) {
+    dim_ = embeddings.cols();
+  } else if (embeddings.cols() != dim_) {
     return Status::InvalidArgument("embedding dim mismatch: expected " +
-                                   std::to_string(rows_.dim()) + ", got " +
+                                   std::to_string(dim_) + ", got " +
                                    std::to_string(embeddings.cols()));
   }
   const Matrix mean = embeddings.ColMean();
   size_t row = 0;
   if (Locate(id, &row)) {
-    rows_.Erase(row);  // overwrite in place: same row, new mean
+    // Overwrite in place: same row, new mean.
+    std::copy(mean.RowPtr(0), mean.RowPtr(0) + dim_,
+              rows_.begin() + row * dim_);
   } else {
-    ids_.insert(ids_.begin() + row, id);
+    InsertRow(row, id, mean.RowPtr(0));
   }
-  rows_.Insert(row, mean.RowPtr(0));
   return Status::Ok();
+}
+
+void NcmClassifier::InsertRow(size_t row, sensors::ActivityId id,
+                              const float* v) {
+  ids_.insert(ids_.begin() + row, id);
+  rows_.insert(rows_.begin() + row * dim_, v, v + dim_);
 }
 
 bool NcmClassifier::Locate(sensors::ActivityId id, size_t* row) const {
@@ -73,7 +81,7 @@ Status NcmClassifier::RemoveClass(sensors::ActivityId id) {
   if (!Locate(id, &row)) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  rows_.Erase(row);
+  rows_.erase(rows_.begin() + row * dim_, rows_.begin() + (row + 1) * dim_);
   ids_.erase(ids_.begin() + row);
   return Status::Ok();
 }
@@ -84,9 +92,13 @@ Result<std::vector<float>> NcmClassifier::Prototype(
   if (!Locate(id, &row)) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  std::vector<float> proto(rows_.dim());
-  rows_.CopyRow(row, proto.data());
-  return proto;
+  return std::vector<float>(rows_.begin() + row * dim_,
+                            rows_.begin() + (row + 1) * dim_);
+}
+
+double NcmClassifier::SquaredDistance(const float* x, size_t r) const {
+  const double d2 = SquaredL2(x, rows_.data() + r * dim_, dim_);
+  return std::isfinite(d2) ? d2 : std::numeric_limits<double>::infinity();
 }
 
 Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
@@ -94,10 +106,10 @@ Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
   if (ids_.empty()) {
     return Status::FailedPrecondition("classifier has no prototypes");
   }
-  if (n != rows_.dim()) {
+  if (n != dim_) {
     return Status::InvalidArgument("embedding dim " + std::to_string(n) +
                                    " != classifier dim " +
-                                   std::to_string(rows_.dim()));
+                                   std::to_string(dim_));
   }
   std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
   out.clear();
@@ -105,7 +117,7 @@ Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
   for (size_t r = 0; r < ids_.size(); ++r) {
     // The float sqrt of the float d²: `Prediction::distance` keeps the
     // rounding it has always had.
-    const double d2 = rows_.SquaredDistance(embedding, r);
+    const double d2 = SquaredDistance(embedding, r);
     out.emplace_back(ids_[r], std::sqrt(static_cast<float>(d2)));
   }
   std::sort(out.begin(), out.end(),
@@ -149,12 +161,13 @@ Result<Prediction> NcmClassifier::ClassifyWithRejection(
 }
 
 void NcmClassifier::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(rows_.dim());
+  writer->WriteU64(dim_);
   writer->WriteU64(ids_.size());
-  std::vector<float> proto(rows_.dim());
+  std::vector<float> proto(dim_);
   for (size_t r = 0; r < ids_.size(); ++r) {
     writer->WriteI64(ids_[r]);
-    rows_.CopyRow(r, proto.data());
+    std::copy(rows_.begin() + r * dim_, rows_.begin() + (r + 1) * dim_,
+              proto.begin());
     writer->WriteF32Vector(proto);
   }
 }
@@ -166,7 +179,7 @@ Result<NcmClassifier> NcmClassifier::Deserialize(BinaryReader* reader) {
     return Status::Corruption("zero-width prototypes");
   }
   NcmClassifier ncm;
-  ncm.rows_ = ScanRows(dim);
+  ncm.dim_ = dim;
   for (uint64_t i = 0; i < n; ++i) {
     MAGNETO_ASSIGN_OR_RETURN(int64_t id, reader->ReadI64());
     MAGNETO_ASSIGN_OR_RETURN(std::vector<float> proto,
@@ -179,8 +192,7 @@ Result<NcmClassifier> NcmClassifier::Deserialize(BinaryReader* reader) {
       return Status::Corruption("duplicate prototype class id " +
                                 std::to_string(id));
     }
-    ncm.ids_.insert(ncm.ids_.begin() + row, id);
-    ncm.rows_.Insert(row, proto.data());
+    ncm.InsertRow(row, id, proto.data());
   }
   return ncm;
 }

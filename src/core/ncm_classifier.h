@@ -4,10 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "common/matrix.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "core/embedder.h"
-#include "core/scan_rows.h"
 #include "core/support_set.h"
 #include "sensors/activity.h"
 
@@ -32,9 +32,9 @@ struct Prediction {
 /// prototype is the mean embedding of that class's support exemplars.
 class NcmClassifier {
  public:
-  /// Reusable per-query workspace, mirroring `KnnClassifier::Scratch`, that
-  /// keeps the serving hot path allocation-free. Distinct threads must use
-  /// distinct instances; predictions are byte-identical with or without one.
+  /// Reusable per-query workspace that keeps the serving hot path
+  /// allocation-free. Distinct threads must use distinct instances;
+  /// predictions are byte-identical with or without one.
   struct Scratch {
     std::vector<std::pair<sensors::ActivityId, double>> dist;
   };
@@ -54,7 +54,7 @@ class NcmClassifier {
   Status RemoveClass(sensors::ActivityId id);
 
   size_t num_classes() const { return ids_.size(); }
-  size_t embedding_dim() const { return rows_.dim(); }
+  size_t embedding_dim() const { return dim_; }
   bool HasClass(sensors::ActivityId id) const {
     size_t row = 0;
     return Locate(id, &row);
@@ -103,15 +103,25 @@ class NcmClassifier {
   /// be inserted at to keep `ids_` ascending.
   bool Locate(sensors::ActivityId id, size_t* row) const;
 
+  /// Inserts `v` (length `dim_`) as prototype row `row` of class `id`.
+  void InsertRow(size_t row, sensors::ActivityId id, const float* v);
+
+  /// Squared distance from `x` (length `dim_`) to prototype row `r`: the
+  /// float `SquaredL2`. Non-finite results map to +inf, since a NaN would
+  /// break the strict weak ordering of the distance sort — UB, not just a
+  /// bad ranking.
+  double SquaredDistance(const float* x, size_t r) const;
+
   /// Exact full scan into `scratch->dist`, ascending by distance.
   Status DistancesInto(const float* embedding, size_t n,
                        Scratch* scratch) const;
 
-  /// Prototype rows in ascending class-id order: row r belongs to ids_[r].
-  /// Ascending order fixes both the `Serialize` bytes and the input order
-  /// of the (unstable) distance sort.
+  /// Prototypes in ascending class-id order: row r of `rows_` (row-major,
+  /// `dim_` floats each) belongs to ids_[r]. Ascending order fixes both the
+  /// `Serialize` bytes and the input order of the (unstable) distance sort.
   std::vector<sensors::ActivityId> ids_;
-  ScanRows rows_;
+  size_t dim_ = 0;
+  std::vector<float> rows_;
 };
 
 }  // namespace magneto::core

@@ -20,7 +20,6 @@
 ///
 /// See examples/ for complete programs.
 
-#include "common/fft.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/matrix.h"
@@ -41,7 +40,6 @@
 #include "core/edge_runtime.h"
 #include "core/embedder.h"
 #include "core/incremental_learner.h"
-#include "core/knn_classifier.h"
 #include "core/model_bundle.h"
 #include "core/ncm_classifier.h"
 #include "core/smoother.h"
@@ -79,7 +77,6 @@
 #include "preprocess/normalization.h"
 #include "preprocess/pipeline.h"
 #include "preprocess/segmentation.h"
-#include "preprocess/spectral_features.h"
 #include "sensors/activity.h"
 #include "sensors/context.h"
 #include "sensors/dataset.h"

@@ -34,7 +34,7 @@ enum class RequestStage : size_t {
   kDequeue,       ///< a serve worker bulk-popped it off the admission queue
   kEmbedStart,    ///< its micro-batch reached the combining leader's Embed
   kEmbedEnd,      ///< stacked backbone forward finished
-  kClassifyEnd,   ///< per-request KNN/NCM classification finished
+  kClassifyEnd,   ///< per-request NCM classification finished
   kPublish,       ///< prediction handed back to the caller
   kNumStages,
 };

@@ -1,7 +1,5 @@
 #include "preprocess/pipeline.h"
 
-#include <algorithm>
-
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -36,6 +34,13 @@ Status CheckChannels(const Matrix& samples) {
       " channels, got " + std::to_string(samples.cols()));
 }
 
+/// The wire's feature-family byte and sample rate. The 80 statistical
+/// features are the only family and read no rate, but every bundle carries
+/// both fields, so a reader that accepts only these values keeps
+/// save -> load -> save byte-identical.
+constexpr uint8_t kFeaturesByte = 0;
+constexpr double kSampleRateHz = 120.0;
+
 /// Appends the first raw row of each window of `recording` to `windows`:
 /// starts 0, stride, 2·stride, … while a whole window fits.
 Status AppendWindows(const sensors::Recording& recording,
@@ -56,24 +61,12 @@ Status AppendWindows(const sensors::Recording& recording,
 
 }  // namespace
 
-size_t FeatureDim(FeatureMode mode) {
-  switch (mode) {
-    case FeatureMode::kStatistical:
-      return kNumFeatures;
-    case FeatureMode::kSpectral:
-      return kNumSpectralFeatures;
-    case FeatureMode::kCombined:
-      return kNumFeatures + kNumSpectralFeatures;
-  }
-  return 0;
-}
-
 void PipelineConfig::Serialize(BinaryWriter* writer) const {
   denoise.Serialize(writer);
   segmentation.Serialize(writer);
   writer->WriteU8(static_cast<uint8_t>(normalization));
-  writer->WriteU8(static_cast<uint8_t>(features));
-  writer->WriteF64(sample_rate_hz);
+  writer->WriteU8(kFeaturesByte);
+  writer->WriteF64(kSampleRateHz);
 }
 
 Result<PipelineConfig> PipelineConfig::Deserialize(BinaryReader* reader) {
@@ -88,11 +81,15 @@ Result<PipelineConfig> PipelineConfig::Deserialize(BinaryReader* reader) {
   }
   config.normalization = static_cast<NormalizationMethod>(norm);
   MAGNETO_ASSIGN_OR_RETURN(uint8_t features, reader->ReadU8());
-  if (features > static_cast<uint8_t>(FeatureMode::kCombined)) {
-    return Status::Corruption("bad feature mode: " + std::to_string(features));
+  if (features != kFeaturesByte) {
+    return Status::Corruption("bad feature family: " +
+                              std::to_string(features));
   }
-  config.features = static_cast<FeatureMode>(features);
-  MAGNETO_ASSIGN_OR_RETURN(config.sample_rate_hz, reader->ReadF64());
+  MAGNETO_ASSIGN_OR_RETURN(double rate, reader->ReadF64());
+  if (rate != kSampleRateHz) {
+    return Status::Corruption("bad pipeline sample rate: " +
+                              std::to_string(rate));
+  }
   return config;
 }
 
@@ -115,7 +112,7 @@ Result<Matrix> Pipeline::WindowRows(const std::vector<const float*>& windows,
       BeginWindow(n, &featurizer);
       for (size_t r = 0; r < n; ++r) featurizer.Push(windows[i]);
       float* row = rows.RowPtr(i);
-      status[i] = FinishFeatures(windows[i], &featurizer, row);
+      status[i] = featurizer.Finish(windows[i], row);
       if (status[i].ok() && normalize) {
         status[i] = normalizer_.Apply(row, rows.cols());
       }
@@ -156,23 +153,7 @@ Result<sensors::FeatureDataset> Pipeline::Fit(
 }
 
 void Pipeline::BeginWindow(size_t n, WindowFeaturizer* featurizer) const {
-  featurizer->Begin(config_.denoise, n,
-                    config_.features != FeatureMode::kSpectral);
-}
-
-Status Pipeline::FinishFeatures(const float* raw,
-                                WindowFeaturizer* featurizer,
-                                float* row) const {
-  MAGNETO_RETURN_IF_ERROR(featurizer->Finish(raw, row));
-  if (config_.features != FeatureMode::kStatistical) {
-    MAGNETO_ASSIGN_OR_RETURN(std::vector<float> spec,
-                             spectral_.Extract(featurizer->denoised()));
-    std::copy(spec.begin(), spec.end(),
-              row + (config_.features == FeatureMode::kSpectral
-                         ? 0
-                         : kNumFeatures));
-  }
-  return Status::Ok();
+  featurizer->Begin(config_.denoise, n);
 }
 
 Status Pipeline::FinishWindow(const float* raw, WindowFeaturizer* featurizer,
@@ -185,7 +166,7 @@ Status Pipeline::FinishWindow(const float* raw, WindowFeaturizer* featurizer,
   Metrics().stream_windows->Increment();
   out->ResetForOverwrite(1, feature_dim());
   float* row = out->RowPtr(0);
-  MAGNETO_RETURN_IF_ERROR(FinishFeatures(raw, featurizer, row));
+  MAGNETO_RETURN_IF_ERROR(featurizer->Finish(raw, row));
   return normalizer_.Apply(row, out->cols());
 }
 
@@ -235,7 +216,6 @@ Result<Pipeline> Pipeline::Deserialize(BinaryReader* reader) {
   Pipeline pipeline;
   MAGNETO_ASSIGN_OR_RETURN(pipeline.config_,
                            PipelineConfig::Deserialize(reader));
-  pipeline.spectral_ = SpectralFeatureExtractor(pipeline.config_.sample_rate_hz);
   MAGNETO_ASSIGN_OR_RETURN(pipeline.normalizer_,
                            Normalizer::Deserialize(reader));
   return pipeline;

@@ -9,30 +9,17 @@
 #include "preprocess/features.h"
 #include "preprocess/normalization.h"
 #include "preprocess/segmentation.h"
-#include "preprocess/spectral_features.h"
 #include "preprocess/window_featurizer.h"
 #include "sensors/dataset.h"
 #include "sensors/synthetic_generator.h"
 
 namespace magneto::preprocess {
 
-/// Which feature family the pipeline produces per window.
-enum class FeatureMode : uint8_t {
-  kStatistical = 0,  ///< the paper's 80 hand-crafted statistics (default)
-  kSpectral = 1,     ///< 27 FFT-based descriptors
-  kCombined = 2,     ///< both, concatenated (107)
-};
-
-/// Feature dimension produced by a mode.
-size_t FeatureDim(FeatureMode mode);
-
 /// Configuration of the full preprocessing function.
 struct PipelineConfig {
   DenoiseConfig denoise;
   SegmentationConfig segmentation;
   NormalizationMethod normalization = NormalizationMethod::kZScore;
-  FeatureMode features = FeatureMode::kStatistical;
-  double sample_rate_hz = 120.0;  ///< used by the spectral extractor
 
   void Serialize(BinaryWriter* writer) const;
   static Result<PipelineConfig> Deserialize(BinaryReader* reader);
@@ -50,8 +37,7 @@ struct PipelineConfig {
 class Pipeline {
  public:
   Pipeline() = default;
-  explicit Pipeline(PipelineConfig config)
-      : config_(config), spectral_(config.sample_rate_hz) {}
+  explicit Pipeline(PipelineConfig config) : config_(config) {}
 
   const PipelineConfig& config() const { return config_; }
   const Normalizer& normalizer() const { return normalizer_; }
@@ -71,15 +57,14 @@ class Pipeline {
       const sensors::Recording& recording) const;
 
   /// Starts `featurizer` on a window of `n` raw rows: this pipeline's
-  /// denoising, and the statistical features' first sweep when the mode
-  /// reads them. A stream pushes each frame into it as the frame arrives.
+  /// denoising, then the features' first sweep. A stream pushes each frame
+  /// into it as the frame arrives.
   void BeginWindow(size_t n, WindowFeaturizer* featurizer) const;
 
   /// Finishes the window `featurizer` holds (`raw`: its raw rows, back to
   /// back) into `out`, a 1 x feature_dim() row: the rest of the features,
   /// then the frozen normaliser. A warmed `featurizer` and `out` make it
-  /// allocation-free in statistical mode. Fails with kFailedPrecondition if
-  /// not fitted.
+  /// allocation-free. Fails with kFailedPrecondition if not fitted.
   Status FinishWindow(const float* raw, WindowFeaturizer* featurizer,
                       Matrix* out) const;
 
@@ -87,9 +72,8 @@ class Pipeline {
   /// row, by pushing every row through `featurizer` and finishing it: the
   /// stream path's operator over a whole window. The featurizer is the
   /// caller's, as `nn::ForwardWorkspace` is for the backbone: one per
-  /// concurrent caller, so a warmed one takes a statistical-feature window
-  /// through denoising, features and normalisation without a heap
-  /// allocation.
+  /// concurrent caller, so a warmed one takes a window through denoising,
+  /// features and normalisation without a heap allocation.
   Status ProcessWindow(const Matrix& window, WindowFeaturizer* featurizer,
                        Matrix* out) const;
 
@@ -105,14 +89,9 @@ class Pipeline {
   static Result<Pipeline> Deserialize(BinaryReader* reader);
 
   /// Feature dimension this pipeline produces per window.
-  size_t feature_dim() const { return FeatureDim(config_.features); }
+  size_t feature_dim() const { return kNumFeatures; }
 
  private:
-  /// The per-window core of both paths: finishes `featurizer`'s window
-  /// (`raw`: its raw rows) into `row`, feature_dim() un-normalised floats.
-  Status FinishFeatures(const float* raw, WindowFeaturizer* featurizer,
-                        float* row) const;
-
   /// The batch loop: each window (a pointer to its first raw row) through
   /// the per-window core into one row, then the frozen normaliser when
   /// `normalize`.
@@ -125,7 +104,6 @@ class Pipeline {
       bool normalize) const;
 
   PipelineConfig config_;
-  SpectralFeatureExtractor spectral_;
   Normalizer normalizer_;
 };
 

@@ -4,18 +4,16 @@
 
 namespace magneto::preprocess {
 
-void WindowFeaturizer::Begin(const DenoiseConfig& denoise, size_t n,
-                             bool statistical) {
-  statistical_ = statistical;
+void WindowFeaturizer::Begin(const DenoiseConfig& denoise, size_t n) {
   n_ = n;
   pushed_ = swept_ = 0;
   status_ = denoiser_.Begin(denoise, n, sensors::kNumChannels);
-  if (status_.ok() && statistical && n < 2) {
+  if (status_.ok() && n < 2) {
     status_ = Status::InvalidArgument("window must have at least 2 samples");
   }
   if (!status_.ok()) return;
   denoised_.ResetForOverwrite(n, sensors::kNumChannels);
-  if (statistical) features_.Begin(n);
+  features_.Begin(n);
 }
 
 void WindowFeaturizer::Push(const float* raw) {
@@ -23,7 +21,6 @@ void WindowFeaturizer::Push(const float* raw) {
   ++pushed_;
   if (!status_.ok()) return;
   const size_t final_rows = denoiser_.Push(raw, denoised_.data());
-  if (!statistical_) return;
   for (; swept_ < final_rows; ++swept_) {
     features_.AddRow(denoised_.RowPtr(swept_));
   }
@@ -33,7 +30,6 @@ Status WindowFeaturizer::Finish(const float* raw, float* out) {
   MAGNETO_CHECK(pushed_ == n_);
   MAGNETO_RETURN_IF_ERROR(status_);
   denoiser_.Finish(raw, denoised_.data());
-  if (!statistical_) return Status::Ok();
   for (; swept_ < n_; ++swept_) features_.AddRow(denoised_.RowPtr(swept_));
   features_.Finish(denoised_.data(), out);
   return Status::Ok();

@@ -25,11 +25,10 @@ namespace magneto::preprocess {
 class WindowFeaturizer {
  public:
   /// Starts a window of `n` raw rows of 22 channels, denoised per `denoise`;
-  /// with `statistical`, the 80 features' first sweep follows each final
-  /// row (the spectral extractor reads only `denoised()`). A bad denoise
-  /// config, or fewer than 2 rows for the statistical features, is
-  /// reported by `Finish`; until then rows are only counted.
-  void Begin(const DenoiseConfig& denoise, size_t n, bool statistical);
+  /// the 80 features' first sweep follows each final row. A bad denoise
+  /// config, or fewer than 2 rows, is reported by `Finish`; until then rows
+  /// are only counted.
+  void Begin(const DenoiseConfig& denoise, size_t n);
 
   /// Takes raw row `pushed()`; `raw` holds the window's raw rows
   /// [0, pushed()] back to back.
@@ -38,8 +37,8 @@ class WindowFeaturizer {
   size_t pushed() const { return pushed_; }
 
   /// After the n-th row (`raw` holds all of them), once per window: emits
-  /// the last denoised rows and, with `statistical`, writes the 80 features
-  /// to `out[0, kNumFeatures)`. Fails with Begin's kInvalidArgument.
+  /// the last denoised rows and writes the 80 features to
+  /// `out[0, kNumFeatures)`. Fails with Begin's kInvalidArgument.
   Status Finish(const float* raw, float* out);
 
   /// The denoised window, complete after a successful `Finish`.
@@ -47,7 +46,6 @@ class WindowFeaturizer {
 
  private:
   Status status_ = Status::Ok();
-  bool statistical_ = true;
   size_t n_ = 0;
   size_t pushed_ = 0;
   size_t swept_ = 0;  ///< denoised rows through the first feature sweep

@@ -85,18 +85,5 @@ TEST(CloudInitializerTest, CustomRegistryAndExtraClassesWork) {
   EXPECT_EQ(bundle.value().classifier.num_classes(), 2u);
 }
 
-TEST(CloudInitializerTest, SpectralFeatureModeTrains) {
-  core::CloudConfig config = testing::SmallCloudConfig();
-  config.pipeline.features = preprocess::FeatureMode::kSpectral;
-  CloudInitializer cloud(config);
-  auto bundle = cloud.Initialize(testing::SmallCorpus(6),
-                                 sensors::ActivityRegistry::BaseActivities());
-  ASSERT_TRUE(bundle.ok()) << bundle.status();
-  EXPECT_EQ(bundle.value().pipeline.feature_dim(),
-            preprocess::kNumSpectralFeatures);
-  EXPECT_EQ(bundle.value().backbone.InputDim(),
-            preprocess::kNumSpectralFeatures);
-}
-
 }  // namespace
 }  // namespace magneto::core

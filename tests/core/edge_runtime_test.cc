@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/compress.h"
 #include "sensors/user_profile.h"
 #include "testing/test_helpers.h"
 
@@ -165,6 +166,47 @@ TEST(EdgeRuntimeTest, CalibrateUnknownNameFails) {
   }
   EXPECT_EQ(runtime.FinishRecordingAndCalibrate("NoSuch").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(EdgeRuntimeTest, Int8BackboneRefusesUpdatesAndKeepsServing) {
+  // Regression: int8 layers are inference-only, and an update on a quantized
+  // backbone used to abort the process at its first backward pass. Learn and
+  // calibrate, asynchronous and synchronous, now refuse it before the
+  // capture is consumed, and the stream keeps serving.
+  ModelBundle bundle = testing::SmallPretrainedBundle(411);
+  auto quantized = compress::QuantizeBackbone(bundle.backbone);
+  ASSERT_TRUE(quantized.ok()) << quantized.status();
+  bundle.backbone = std::move(quantized).value();
+  SupportSet support = std::move(bundle.support);
+  EdgeModel model = std::move(bundle).ToEdgeModel();
+  EdgeRuntime runtime(std::move(model), std::move(support),
+                      FastUpdateOptions());
+  sensors::SyntheticGenerator gen(4);
+
+  ASSERT_TRUE(runtime.StartRecording().ok());
+  Stream(&runtime,
+         gen.Generate(sensors::DefaultActivityLibrary()[sensors::kWalk], 3.0));
+  const Status refused[] = {
+      runtime.FinishRecordingAndLearnAsync("Gesture Hi"),
+      runtime.FinishRecordingAndCalibrateAsync("Walk"),
+      runtime.FinishRecordingAndLearn("Gesture Hi").status(),
+      runtime.FinishRecordingAndCalibrate("Walk").status()};
+  for (const Status& status : refused) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find("int8"), std::string::npos)
+        << status.message();
+  }
+  EXPECT_FALSE(runtime.UpdatePending());
+  EXPECT_EQ(runtime.mode(), RuntimeMode::kRecording);
+  EXPECT_NEAR(runtime.recorded_seconds(), 3.0, 1e-9);  // capture kept
+
+  runtime.CancelRecording();
+  const auto preds = Stream(
+      &runtime,
+      gen.Generate(sensors::DefaultActivityLibrary()[sensors::kStill], 2.0));
+  EXPECT_EQ(preds.size(), 2u);
+  EXPECT_EQ(runtime.stats().updates, 0u);
+  EXPECT_FALSE(runtime.UpdatePending());
 }
 
 TEST(EdgeRuntimeTest, OverlappingStrideEmitsMorePredictions) {

@@ -224,13 +224,16 @@ TEST_F(ModelBundleTest, RejectsHostileSegmentation) {
   const std::string body =
       v2.substr(kHeaderBytes, v2.size() - kHeaderBytes - kFooterBytes);
   constexpr size_t kSegmentationOffset = 1 + 8 + 8;
+  auto patched_at = [&](size_t offset, const BinaryWriter& fields) {
+    std::string patched = body;
+    patched.replace(offset, fields.size(), fields.buffer());
+    return ModelBundle::FromString(BuildImage(2, patched.size(), patched));
+  };
   auto with_segmentation = [&](uint64_t window, uint64_t stride) {
     BinaryWriter fields;
     fields.WriteU64(window);
     fields.WriteU64(stride);
-    std::string patched = body;
-    patched.replace(kSegmentationOffset, fields.size(), fields.buffer());
-    return ModelBundle::FromString(BuildImage(2, patched.size(), patched));
+    return patched_at(kSegmentationOffset, fields);
   };
   // The offset is right: a sane rewrite loads and carries the new stride.
   auto sane = with_segmentation(120, 60);
@@ -245,6 +248,30 @@ TEST_F(ModelBundleTest, RejectsHostileSegmentation) {
     ASSERT_FALSE(res.ok()) << window << "/" << stride;
     EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
     EXPECT_NE(res.status().message().find("segmentation"), std::string::npos)
+        << res.status().message();
+  }
+
+  // The config ends with the normalization byte, the feature-family byte
+  // (0, the 80 statistical features: the only family) and the f64 sample
+  // rate every writer sets to 120. Any other family or rate is Corruption.
+  constexpr size_t kFeaturesOffset = kSegmentationOffset + 8 + 8 + 1;
+  for (uint8_t features : {1, 2, 255}) {
+    BinaryWriter fields;
+    fields.WriteU8(features);
+    auto res = patched_at(kFeaturesOffset, fields);
+    ASSERT_FALSE(res.ok()) << int{features};
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(res.status().message().find("feature family"), std::string::npos)
+        << res.status().message();
+  }
+  for (double rate : {60.0, 0.0, 120.0 + 1e-9,
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    BinaryWriter fields;
+    fields.WriteF64(rate);
+    auto res = patched_at(kFeaturesOffset + 1, fields);
+    ASSERT_FALSE(res.ok()) << rate;
+    EXPECT_EQ(res.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(res.status().message().find("sample rate"), std::string::npos)
         << res.status().message();
   }
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace magneto::core {
 namespace {
 
@@ -235,9 +237,9 @@ TEST(NcmClassifierTest, DeserializeEmptyZeroWidthIsValid) {
 }
 
 TEST(NcmClassifierTest, ScratchReuseIsByteIdentical) {
-  // Mirror of the KnnClassifier scratch contract: a reused caller-provided
-  // scratch — even one carrying stale capacity from a larger classifier —
-  // must produce byte-identical predictions to the scratch-free overload.
+  // A reused caller-provided scratch — even one carrying stale capacity from
+  // a larger classifier — must produce byte-identical predictions to the
+  // scratch-free overload.
   NcmClassifier small = TwoClassClassifier();
   NcmClassifier big;
   for (int c = 0; c < 12; ++c) {
@@ -337,6 +339,97 @@ TEST(NcmClassifierTest, ConcurrentClassifyWithPerThreadScratch) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Prototypes for the scan digest, inserted in non-ascending id order: exact
+// lattice points (class 8 repeats class 0's, so their distances tie
+// exactly), Gaussian means, and means carrying NaN, +inf and -inf. One class
+// is then overwritten and one removed.
+NcmClassifier DigestNcm(size_t dim, Rng* rng) {
+  const std::vector<sensors::ActivityId> ids = {40, 2, 13, 7,  11, 99,
+                                                5,  23, 61, 17, 3,  8};
+  NcmClassifier ncm;
+  std::vector<float> lattice(dim);
+  for (size_t c = 0; c < ids.size(); ++c) {
+    const size_t n = 1 + c % 3;
+    Matrix rows(n, dim);
+    if (c % 4 == 0) {
+      if (c != 8) {
+        for (float& v : lattice) v = static_cast<float>(rng->UniformInt(-1, 1));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        std::copy(lattice.begin(), lattice.end(), rows.RowPtr(i));
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < dim; ++j) {
+          rows(i, j) = static_cast<float>(rng->Normal(0.0, 1.0));
+        }
+        rows(i, 0) += 3.0f * static_cast<float>(c);
+      }
+      const size_t at = rng->Index(dim);
+      if (c == 3) rows(0, at) = std::numeric_limits<float>::quiet_NaN();
+      if (c == 7) rows(0, at) = std::numeric_limits<float>::infinity();
+      if (c == 11) rows(0, at) = -std::numeric_limits<float>::infinity();
+    }
+    MAGNETO_CHECK(ncm.SetPrototypeFromEmbeddings(ids[c], rows).ok());
+  }
+  Matrix over(2, dim);
+  for (size_t j = 0; j < dim; ++j) {
+    over(0, j) = static_cast<float>(rng->Normal(0.0, 2.0));
+    over(1, j) = static_cast<float>(rng->Normal(1.0, 2.0));
+  }
+  MAGNETO_CHECK(ncm.SetPrototypeFromEmbeddings(ids[1], over).ok());
+  MAGNETO_CHECK(ncm.RemoveClass(ids[5]).ok());
+  return ncm;
+}
+
+TEST(NcmClassifierTest, ScanDigestUnchanged) {
+  // Golden bits of the prototype scan, captured once and never edited: a
+  // change to the store, the distance or the sort that moves one bit of one
+  // result fails here. FNV-1a (64-bit) over the serialized classifier and
+  // the bytes of every Classify, ClassifyWithRejection and Distances result,
+  // across dims 2, 32 and 128, with non-finite prototypes and queries and
+  // exact lattice ties.
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* p, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 0x100000001b3ull;
+  };
+  for (size_t dim : {2u, 32u, 128u}) {
+    Rng rng(90 + dim);
+    const NcmClassifier ncm = DigestNcm(dim, &rng);
+    ASSERT_EQ(ncm.num_classes(), 11u);
+    BinaryWriter w;
+    ncm.Serialize(&w);
+    mix(w.buffer().data(), w.buffer().size());
+    NcmClassifier::Scratch scratch;
+    for (int q = 0; q < 12; ++q) {
+      std::vector<float> x(dim);
+      for (float& v : x) {
+        v = q < 4 ? static_cast<float>(rng.UniformInt(-1, 1))
+                  : static_cast<float>(rng.Normal(0.0, 1.5));
+      }
+      if (q >= 4 && q < 9) x[0] += 3.0f * static_cast<float>(q - 4);
+      if (q == 10) x[0] = std::numeric_limits<float>::quiet_NaN();
+      if (q == 11) x[dim - 1] = std::numeric_limits<float>::infinity();
+      auto pred = ncm.Classify(x.data(), x.size(), &scratch);
+      ASSERT_TRUE(pred.ok());
+      mix(&pred.value(), sizeof(Prediction));
+      auto rejected =
+          ncm.ClassifyWithRejection(x.data(), x.size(), 4.0, &scratch);
+      ASSERT_TRUE(rejected.ok());
+      mix(&rejected.value(), sizeof(Prediction));
+      auto all = ncm.Distances(x.data(), x.size());
+      ASSERT_TRUE(all.ok());
+      ASSERT_EQ(all.value().size(), ncm.num_classes());
+      for (const auto& [id, d] : all.value()) {
+        mix(&id, sizeof(id));
+        mix(&d, sizeof(d));
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x6fa8fe503e790a62ull);
 }
 
 }  // namespace

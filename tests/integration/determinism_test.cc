@@ -63,9 +63,7 @@ TEST(ParallelDeterminismTest, PipelineBitIdenticalAcrossThreadCounts) {
       gen.GenerateDataset(sensors::DefaultActivityLibrary(), 2, 6.0);
 
   auto run = [&] {
-    preprocess::PipelineConfig config;
-    config.features = preprocess::FeatureMode::kCombined;
-    preprocess::Pipeline pipeline(config);
+    preprocess::Pipeline pipeline{preprocess::PipelineConfig{}};
     auto fitted = pipeline.Fit(corpus);
     EXPECT_TRUE(fitted.ok()) << fitted.status().ToString();
     auto processed = pipeline.ProcessLabeled(corpus);

@@ -75,7 +75,7 @@ std::vector<float> WholeWindowFeatures(const Matrix& window,
 std::vector<float> StreamedFeatures(const Matrix& window,
                                     const DenoiseConfig& config,
                                     WindowFeaturizer* featurizer) {
-  featurizer->Begin(config, window.rows(), /*statistical=*/true);
+  featurizer->Begin(config, window.rows());
   for (size_t i = 0; i < window.rows(); ++i) featurizer->Push(window.data());
   std::vector<float> out(kNumFeatures);
   EXPECT_TRUE(featurizer->Finish(window.data(), out.data()).ok());
@@ -141,12 +141,12 @@ TEST(WindowFeaturizerTest, BadConfigFailsAtFinish) {
   DenoiseConfig even;
   even.window = 4;
   const Matrix window = NoiseWindow(8, 1);
-  featurizer.Begin(even, window.rows(), /*statistical=*/true);
+  featurizer.Begin(even, window.rows());
   for (size_t i = 0; i < window.rows(); ++i) featurizer.Push(window.data());
   std::vector<float> out(kNumFeatures);
   EXPECT_EQ(featurizer.Finish(window.data(), out.data()).code(),
             StatusCode::kInvalidArgument);
-  featurizer.Begin(DenoiseConfig{}, 1, /*statistical=*/true);
+  featurizer.Begin(DenoiseConfig{}, 1);
   featurizer.Push(window.data());
   EXPECT_EQ(featurizer.Finish(window.data(), out.data()).code(),
             StatusCode::kInvalidArgument);

@@ -763,12 +763,8 @@ int CmdExportCsv(const Args& args) {
   auto features = bundle.value().pipeline.ProcessLabeled(campaign.value());
   if (!features.ok()) return Fail(features.status(), "preprocess");
   const std::string out = args.Get("out", "features.csv");
-  std::vector<std::string> names;
-  if (bundle.value().pipeline.config().features ==
-      preprocess::FeatureMode::kStatistical) {
-    names = preprocess::FeatureExtractor::FeatureNames();
-  }
-  Status saved = sensors::WriteFeatureCsv(features.value(), names, out);
+  Status saved = sensors::WriteFeatureCsv(
+      features.value(), preprocess::FeatureExtractor::FeatureNames(), out);
   if (!saved.ok()) return Fail(saved, "write csv");
   std::printf("wrote %s: %zu rows x %zu features\n", out.c_str(),
               features.value().size(), features.value().dim());
